@@ -9,10 +9,9 @@ polynomial witnesses on failure.
 from .ring import Polynomial, PolynomialError, divergence, field_bracket
 from .exterior import (ExteriorError, Form, FrameData, Multivector, interior_by_form,
                        interior_by_multivector, inverse_omega_sharp,
-                       inverse_v_sharp, omega_sharp, pairing, v_sharp)
+                       inverse_v_sharp, omega_sharp, pairing, retype, v_sharp)
 from .algebroid import (AlgebroidError, AlgebroidStructure, ValidationReport,
-                        bv_boundary, differential, lie_derivative, schouten,
-                        validate_algebroid)
+                        bv_boundary, validate_algebroid)
 from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, ModularData,
                    PairError, PreconditionError, ProbeConfig, ScalarReport,
                    SectionE, clifford_act, coordinate_monomials, corollary_suite,
@@ -20,7 +19,7 @@ from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, ModularData,
                    dirac_square, dirac_star_apply, dirac_star_square, dorfman,
                    f_tilde, f_tilde_star, form_probes, generator_check,
                    is_lie_bialgebroid, laplacian, lie_by_form,
-                   lie_by_multivector, lie_by_section, metric, metric_and_D,
+                   lie_by_multivector, lie_by_section, metric,
                    modular_cocycles, multivector_probes, rho_apply, rho_field,
                    theorem_c_suite)
 from .constructions import (BivectorData, ConstructionError, NijenhuisData,
@@ -36,9 +35,9 @@ __all__ = [
     "Polynomial", "PolynomialError", "divergence", "field_bracket",
     "ExteriorError", "Form", "FrameData", "Multivector", "interior_by_form",
     "interior_by_multivector", "inverse_omega_sharp", "inverse_v_sharp",
-    "omega_sharp", "pairing", "v_sharp",
+    "omega_sharp", "pairing", "retype", "v_sharp",
     "AlgebroidError", "AlgebroidStructure", "ValidationReport", "bv_boundary",
-    "differential", "lie_derivative", "schouten", "validate_algebroid",
+    "validate_algebroid",
     "BialgebroidPair", "IdentityRecord", "IdentityReport", "ModularData",
     "PairError", "PreconditionError", "ProbeConfig", "ScalarReport",
     "SectionE", "clifford_act", "coordinate_monomials", "corollary_suite",
@@ -46,7 +45,7 @@ __all__ = [
     "dirac_square", "dirac_star_apply", "dirac_star_square", "dorfman",
     "f_tilde", "f_tilde_star", "form_probes", "generator_check",
     "is_lie_bialgebroid", "laplacian", "lie_by_form", "lie_by_multivector",
-    "lie_by_section", "metric", "metric_and_D", "modular_cocycles",
+    "lie_by_section", "metric", "modular_cocycles",
     "multivector_probes", "rho_apply", "rho_field", "theorem_c_suite",
     "BivectorData", "ConstructionError", "NijenhuisData",
     "PoissonManifoldData", "a_plus_b", "exact_from_bivector",

@@ -295,18 +295,6 @@ class AlgebroidStructure:
         raise AlgebroidError("target must live in the algebroid's exterior or dual exterior algebra")
 
 
-def differential(algebroid: AlgebroidStructure, theta):
-    return algebroid.differential(theta)
-
-
-def schouten(algebroid: AlgebroidStructure, u, v):
-    return algebroid.schouten(u, v)
-
-
-def lie_derivative(algebroid: AlgebroidStructure, x, target):
-    return algebroid.lie_derivative(x, target)
-
-
 def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):
     """Boundary operator on sections obtained by conjugating d with the top contraction.
 

@@ -281,6 +281,16 @@ class Form(GradedElement):
     basis_symbol = "eps"
 
 
+def retype(element: GradedElement) -> GradedElement:
+    """The same terms read in the other frame: Multivector <-> Form.
+
+    Zero-copy: the result shares the terms dict, which is safe because no
+    operation mutates terms in place.
+    """
+    cls = Form if isinstance(element, Multivector) else Multivector
+    return cls._raw(element.rank, element.variables, element.terms)
+
+
 def _dual_pair(theta, u):
     if theta.rank != u.rank or theta.variables != u.variables:
         raise ExteriorError("rank or variable context mismatch")

@@ -25,6 +25,16 @@ bracket), the twelve-part equivalence suite, the corollary identities,
 the Courant axioms of the double, and the generating-operator conditions
 are each exposed as report-producing functions with polynomial witnesses
 on failure.
+
+Mirrors by duality.  (A, A*) is a Lie bialgebroid exactly when (A*, A)
+is (Mackenzie-Xu), so every A*-side object is the A-side one computed on
+BialgebroidPair.flipped(): the same frame with A*'s data as the vector
+side and A's as the covector side, elements moved across by the zero-copy
+exterior.retype.  The mirror operator on forms, f~*, the 'Astar'
+Laplacian and the items (b), (d), (f), (j), (l) of the equivalence suite
+have no code of their own.  A mirror witness is the primal witness found
+on the flipped pair, so it names flipped elements (e[i] there is eps^i
+here) and carries the prefix "on (A*, A): ".
 """
 
 from __future__ import annotations
@@ -32,11 +42,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary, validate_algebroid
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
-                       interior_by_multivector, pairing)
+                       interior_by_multivector, pairing, retype)
 from .ring import Polynomial, divergence, field_bracket
 
 
@@ -46,6 +56,13 @@ class PairError(ValueError):
 
 class PreconditionError(PairError):
     """A suite was asked to run on input that fails its precondition."""
+
+
+MIRROR_PREFIX = "on (A*, A): "
+
+
+def _mirror_witness(witness: Optional[str]) -> Optional[str]:
+    return None if witness is None else MIRROR_PREFIX + witness
 
 
 @dataclass(frozen=True)
@@ -215,6 +232,7 @@ class BialgebroidPair:
         self.frame = frame
         self.label = label
         self._modular: ModularData | None = None
+        self._flipped: BialgebroidPair | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -263,6 +281,30 @@ class BialgebroidPair:
     def f_tilde(self) -> Polynomial:
         return f_tilde(self)
 
+    def flipped(self) -> "BialgebroidPair":
+        """The pair (A*, A): A*'s data on the vector side, A's on the covector side.
+
+        Built once and cached, and P.flipped().flipped() is P.  The halves
+        are not re-validated (the axioms do not depend on which side is
+        called primal), and the modular cocycles are P's, swapped and
+        retyped, not recomputed.
+        """
+        if self._flipped is None:
+            mod = self.modular
+            twin = object.__new__(BialgebroidPair)
+            twin.A = _with_kind(self.Astar, "vector")
+            twin.Astar = _with_kind(self.A, "covector")
+            twin.frame = self.frame
+            twin.label = self.label
+            twin._modular = ModularData(x0=retype(mod.xi0), xi0=retype(mod.x0))
+            twin._flipped = self
+            self._flipped = twin
+        return self._flipped
+
+
+def _with_kind(side: AlgebroidStructure, kind: str) -> AlgebroidStructure:
+    return AlgebroidStructure(side.rank, side.coordinates, side.anchor, side.brackets, kind)
+
 
 # -- probe families ------------------------------------------------------------
 
@@ -307,10 +349,6 @@ def form_probes(P: BialgebroidPair, coord_degree: int) -> List[Form]:
 
 def section_probes(P: BialgebroidPair, coord_degree: int, max_index_size: int = 2):
     return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree, max_index_size)
-
-
-def form_section_probes(P: BialgebroidPair, coord_degree: int, max_index_size: int = 2):
-    return _graded_probes(Form, P.rank, P.coordinates, coord_degree, max_index_size)
 
 
 def degree1_multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:
@@ -380,11 +418,8 @@ def f_tilde(P: BialgebroidPair) -> Polynomial:
 
 
 def f_tilde_star(P: BialgebroidPair) -> Polynomial:
-    """Mirror candidate 1/2 (1/2 <xi_0, X_0> - boundary_star xi_0)."""
-    mod = P.modular
-    inner = pairing(mod.xi0, mod.x0)
-    bxi0 = P.boundary_star(mod.xi0).scalar_part()
-    return (inner * Fraction(1, 2) - bxi0) * Fraction(1, 2)
+    """Mirror candidate 1/2 (1/2 <xi_0, X_0> - boundary_star xi_0): f~ of (A*, A)."""
+    return f_tilde(P.flipped())
 
 
 # -- Laplacians and mixed Lie derivatives ------------------------------------------
@@ -400,7 +435,7 @@ def laplacian(P: BialgebroidPair, side: str, target):
     if side == "Astar":
         if not isinstance(target, Form):
             raise PairError("side 'Astar' acts on Forms")
-        return P.d(P.boundary_star(target)) + P.boundary_star(P.d(target))
+        return retype(laplacian(P.flipped(), "A", retype(target)))
     raise PairError(f"unknown side {side!r}")
 
 
@@ -422,6 +457,13 @@ def lie_by_section(P: BialgebroidPair, e: SectionE, target):
     return lie_by_multivector(P, e.vec, target) + lie_by_form(P, e.cov, target)
 
 
+def _half_modular_lie(P: BialgebroidPair, target):
+    """1/2 (L_{X_0} + L_{xi_0}) target."""
+    mod = P.modular
+    return (lie_by_multivector(P, mod.x0, target)
+            + lie_by_form(P, mod.xi0, target)).scaled(Fraction(1, 2))
+
+
 # -- double: metric, D, Dorfman, Clifford ----------------------------------------
 
 
@@ -433,11 +475,6 @@ def metric(e1: SectionE, e2: SectionE) -> Polynomial:
 def dee(P: BialgebroidPair, f: Polynomial) -> SectionE:
     """D f = dstar f + d f, the section with <D f, x> = 1/2 rho(x) f."""
     return SectionE(P.dstar(P.scalar_mv(f)), P.d(P.scalar_form(f)))
-
-
-def metric_and_D(P: BialgebroidPair, e1: SectionE, e2: SectionE,
-                 f: Polynomial) -> Tuple[Polynomial, SectionE]:
-    return metric(e1, e2), dee(P, f)
 
 
 def rho_field(P: BialgebroidPair, e: SectionE) -> Tuple[Polynomial, ...]:
@@ -487,11 +524,8 @@ def dirac_apply(P: BialgebroidPair, u: Multivector) -> Multivector:
 
 
 def dirac_star_apply(P: BialgebroidPair, theta: Form) -> Form:
-    """Mirror operator on forms: d - boundary_* + 1/2 (xi_0 ^ . + iota_{X_0})."""
-    mod = P.modular
-    half = Fraction(1, 2)
-    return P.d(theta) - P.boundary_star(theta) \
-        + mod.xi0.wedge(theta).scaled(half) + interior_by_multivector(mod.x0, theta).scaled(half)
+    """Mirror operator on forms, d - boundary_* + 1/2 (xi_0 ^ . + iota_{X_0}): D of (A*, A)."""
+    return retype(dirac_apply(P.flipped(), retype(theta)))
 
 
 def _require_order2(cfg: ProbeConfig):
@@ -509,9 +543,7 @@ def dirac_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Scalar
     reported in square_formula_ok rather than swallowed.
     """
     _require_order2(cfg)
-    mod = P.modular
     ft = f_tilde(P)
-    half = Fraction(1, 2)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
     for u in multivector_probes(P, cfg.max_coord_degree):
         sq = dirac_apply(P, dirac_apply(P, u))
@@ -519,8 +551,7 @@ def dirac_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Scalar
         if not residual.is_zero() and report.is_scalar:
             report.is_scalar = False
             report.witness = f"u = {u}; D^2 u - f~ u = {residual}"
-        lie = (lie_by_multivector(P, mod.x0, u) + lie_by_form(P, mod.xi0, u)).scaled(half)
-        formula = lie - laplacian(P, "A", u) + u.scaled(ft)
+        formula = _half_modular_lie(P, u) - laplacian(P, "A", u) + u.scaled(ft)
         if sq != formula and report.square_formula_ok:
             report.square_formula_ok = False
             report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
@@ -530,33 +561,15 @@ def dirac_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Scalar
 
 
 def dirac_star_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> ScalarReport:
-    """Mirror decision for the operator on forms, with f~* = 1/2(1/2<xi_0,X_0> - boundary_* xi_0)."""
-    _require_order2(cfg)
-    mod = P.modular
-    ft = f_tilde_star(P)
-    half = Fraction(1, 2)
-    report = ScalarReport(is_scalar=True, f_tilde=ft)
-    for theta in form_probes(P, cfg.max_coord_degree):
-        sq = dirac_star_apply(P, dirac_star_apply(P, theta))
-        residual = sq - theta.scaled(ft)
-        if not residual.is_zero() and report.is_scalar:
-            report.is_scalar = False
-            report.witness = f"theta = {theta}; D*^2 theta - f~* theta = {residual}"
-        lie = (lie_by_multivector(P, mod.x0, theta) + lie_by_form(P, mod.xi0, theta)).scaled(half)
-        formula = lie - laplacian(P, "Astar", theta) + theta.scaled(ft)
-        if sq != formula and report.square_formula_ok:
-            report.square_formula_ok = False
-            report.formula_witness = f"theta = {theta}; D*^2 = {sq}; formula gives {formula}"
-        if not report.is_scalar and not report.square_formula_ok:
-            break
+    """Mirror decision for the operator on forms: dirac_square of (A*, A),
+    whose f~ is f~* = 1/2(1/2<xi_0,X_0> - boundary_* xi_0)."""
+    report = dirac_square(P.flipped(), cfg)
+    report.witness = _mirror_witness(report.witness)
+    report.formula_witness = _mirror_witness(report.formula_witness)
     return report
 
 
 # -- compatibility and the identity suites ----------------------------------------------
-
-
-def _first_witness(found: Optional[str], text: str) -> str:
-    return found if found is not None else text
 
 
 def _leibniz_dstar_witness(P: BialgebroidPair, probes) -> Optional[str]:
@@ -574,19 +587,6 @@ def _leibniz_dstar_witness(P: BialgebroidPair, probes) -> Optional[str]:
     return None
 
 
-def _leibniz_d_witness(P: BialgebroidPair, probes) -> Optional[str]:
-    for th in probes:
-        k = th.max_degree()
-        sign = 1 if (k - 1) % 2 == 0 else -1
-        dth = P.d(th)
-        for eta in probes:
-            lhs = P.d(P.Astar.schouten(th, eta))
-            rhs = P.Astar.schouten(dth, eta) + P.Astar.schouten(th, P.d(eta)).scaled(sign)
-            if lhs != rhs:
-                return f"theta = {th}; eta = {eta}; d[theta,eta]_* = {lhs}; Leibniz side = {rhs}"
-    return None
-
-
 def is_lie_bialgebroid(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
     """Decide pair compatibility: dstar must be a derivation of the bracket.
 
@@ -601,89 +601,96 @@ def is_lie_bialgebroid(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> 
     return report
 
 
-def _lie_pair_on_form(P, e: SectionE, eta: Form) -> Form:
-    return lie_by_multivector(P, e.vec, eta) + lie_by_form(P, e.cov, eta)
+def _laplacians(P: BialgebroidPair, probes) -> Dict[int, Multivector]:
+    return {id(u): laplacian(P, "A", u) for u in probes}
 
 
-def _lie_pair_on_mv(P, e: SectionE, v: Multivector) -> Multivector:
-    return lie_by_multivector(P, e.vec, v) + lie_by_form(P, e.cov, v)
+def _modular_lie_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
+    """First u with Lap u = lap[id(u)] != 1/2 (L_{X_0} + L_{xi_0}) u, or None."""
+    for u in probes:
+        rhs = _half_modular_lie(P, u)
+        if lap[id(u)] != rhs:
+            return f"u = {u}; Lap u = {lap[id(u)]}; half modular Lie = {rhs}"
+    return None
 
 
-def theorem_c_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
-    """All twelve equivalence-suite assertions, ids thm-c/a .. thm-c/l."""
-    _require_order2(cfg)
-    mod = P.modular
-    half = Fraction(1, 2)
-    report = IdentityReport(suite="theorem-c")
-    add = report.records.append
+def _wedge_derivation_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
+    """First failure of Lap(u ^ v) = Lap u ^ v + u ^ Lap v, or None.
 
-    sec_mv = section_probes(P, cfg.max_section_degree, max_index_size=2)
-    sec_form = form_section_probes(P, cfg.max_section_degree, max_index_size=2)
-    mv_all = multivector_probes(P, cfg.max_coord_degree)
-    form_all = form_probes(P, cfg.max_coord_degree)
-    deg1_mv = degree1_multivector_probes(P, cfg.max_section_degree)
-    deg1_form = degree1_form_probes(P, cfg.max_section_degree)
-    funcs = coordinate_monomials(P.coordinates, cfg.max_coord_degree)
-
-    # (a), (b): graded Leibniz for dstar and d
-    wit = _leibniz_dstar_witness(P, sec_mv)
-    add(IdentityRecord("thm-c/a", wit is None, wit))
-    wit = _leibniz_d_witness(P, sec_form)
-    add(IdentityRecord("thm-c/b", wit is None, wit))
-
-    # (i), (j): the Laplacians are wedge derivations
-    lap_mv: Dict[int, Multivector] = {id(u): laplacian(P, "A", u) for u in mv_all}
-    wit = None
-    for u in mv_all:
-        if wit:
-            break
-        for v in mv_all:
+    lap[id(u)] is Lap u.  Pairs with u ^ v = 0 and |u| + |v| > rank are
+    skipped exactly: the probes are homogeneous and the Laplacian
+    preserves degree, so both sides vanish there.
+    """
+    for u in probes:
+        for v in probes:
             prod = u.wedge(v)
             if prod.is_zero() and u.max_degree() + v.max_degree() > P.rank:
                 continue
             lhs = laplacian(P, "A", prod)
-            rhs = lap_mv[id(u)].wedge(v) + u.wedge(lap_mv[id(v)])
+            rhs = lap[id(u)].wedge(v) + u.wedge(lap[id(v)])
             if lhs != rhs:
-                wit = f"u = {u}; v = {v}; Lap(u^v) = {lhs}; derivation side = {rhs}"
-                break
-    add(IdentityRecord("thm-c/i", wit is None, wit))
+                return f"u = {u}; v = {v}; Lap(u^v) = {lhs}; derivation side = {rhs}"
+    return None
 
-    lap_form: Dict[int, Form] = {id(t): laplacian(P, "Astar", t) for t in form_all}
-    wit = None
-    for th in form_all:
-        if wit:
-            break
-        for eta in form_all:
-            prod = th.wedge(eta)
-            if prod.is_zero() and th.max_degree() + eta.max_degree() > P.rank:
-                continue
-            lhs = laplacian(P, "Astar", prod)
-            rhs = lap_form[id(th)].wedge(eta) + th.wedge(lap_form[id(eta)])
-            if lhs != rhs:
-                wit = f"theta = {th}; eta = {eta}; Lap*(theta^eta) = {lhs}; derivation side = {rhs}"
-                break
-    add(IdentityRecord("thm-c/j", wit is None, wit))
 
-    # (k), (l): Laplacian = half the sum of the modular Lie derivatives
-    wit = None
-    for u in mv_all:
-        rhs = (lie_by_multivector(P, mod.x0, u) + lie_by_form(P, mod.xi0, u)).scaled(half)
-        if lap_mv[id(u)] != rhs:
-            wit = f"u = {u}; Lap u = {lap_mv[id(u)]}; half modular Lie = {rhs}"
-            break
-    add(IdentityRecord("thm-c/k", wit is None, wit))
+def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Optional[str]:
+    """First failure of (c): the commutator defect of (u, 0) o (0, theta)
+    acting on forms is tensorial with trace 2 <d theta, dstar u>."""
+    for u in deg1_mv:
+        du = P.dstar(u)
+        for th in deg1_form:
+            e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
 
-    wit = None
-    for th in form_all:
-        rhs = (lie_by_multivector(P, mod.x0, th) + lie_by_form(P, mod.xi0, th)).scaled(half)
-        if lap_form[id(th)] != rhs:
-            wit = f"theta = {th}; Lap* theta = {lap_form[id(th)]}; half modular Lie = {rhs}"
-            break
-    add(IdentityRecord("thm-c/l", wit is None, wit))
+            def top(eta: Form) -> Form:
+                second = lie_by_multivector(P, u, lie_by_form(P, th, eta)) \
+                    - lie_by_form(P, th, lie_by_multivector(P, u, eta))
+                return lie_by_section(P, e, eta) - second
 
-    # (g), (h): the pairing identities on degree-1 sections
+            base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
+            for f in lin_funcs:
+                for j in range(1, P.rank + 1):
+                    probe = Form.monomial(P.rank, P.coordinates, (j,), f)
+                    if top(probe) != base[j - 1].scaled(f):
+                        return (f"u = {u}; theta = {th}; defect operator is not "
+                                f"tensorial on ({f}) eps[{j}]")
+            trace = Polynomial.zero(P.coordinates)
+            for j in range(1, P.rank + 1):
+                trace = trace + pairing(base[j - 1], P.basis_e(j))
+            want = 2 * pairing(P.d(th), du)
+            if trace != want:
+                return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
+    return None
+
+
+def _theorem_c_primal(P: BialgebroidPair, cfg: ProbeConfig) -> Dict[str, Optional[str]]:
+    """Witnesses (None on success) of the A-side items a, i, k, c, e.
+
+    (a) graded Leibniz for dstar; (i) the Laplacian is a wedge derivation;
+    (k) it is half the sum of the modular Lie derivatives, and (e) is (k)
+    on functions and degree-1 sections; (c) the commutator-defect operator
+    is tensorial with the stated trace.
+    """
+    mv_all = multivector_probes(P, cfg.max_coord_degree)
+    deg1_mv = degree1_multivector_probes(P, cfg.max_section_degree)
+    funcs = coordinate_monomials(P.coordinates, cfg.max_coord_degree)
+    lap = _laplacians(P, mv_all)
+    low = [P.scalar_mv(f) for f in funcs] + deg1_mv
+    return {
+        "a": _leibniz_dstar_witness(
+            P, section_probes(P, cfg.max_section_degree, max_index_size=2)),
+        "i": _wedge_derivation_witness(P, mv_all, lap),
+        "k": _modular_lie_witness(P, mv_all, lap),
+        "c": _defect_witness(P, deg1_mv, degree1_form_probes(P, cfg.max_section_degree),
+                             [f for f in funcs if f.total_degree() >= 1]),
+        "e": _modular_lie_witness(P, low, _laplacians(P, low)),
+    }
+
+
+def _pairing_witnesses(P: BialgebroidPair, cfg: ProbeConfig) -> Tuple[Optional[str], Optional[str]]:
+    """Witnesses of (g) and (h), which share the pairing side."""
     wit_g = wit_h = None
-    for th in deg1_form:
+    deg1_mv = degree1_multivector_probes(P, cfg.max_section_degree)
+    for th in degree1_form_probes(P, cfg.max_section_degree):
         if wit_g and wit_h:
             break
         lap_th = laplacian(P, "Astar", th)
@@ -698,119 +705,27 @@ def theorem_c_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
                 wit_h = f"theta = {th}; u = {u}; Lap<theta,u> = {lhs_h}; pairing side = {rhs}"
             if wit_g and wit_h:
                 break
-    add(IdentityRecord("thm-c/g", wit_g is None, wit_g))
-    add(IdentityRecord("thm-c/h", wit_h is None, wit_h))
+    return wit_g, wit_h
 
-    # (c), (d): the commutator-defect operators are tensorial with the stated trace
-    lin_funcs = [f for f in funcs if f.total_degree() >= 1]
 
-    wit = None
-    for u in deg1_mv:
-        if wit:
-            break
-        du = P.dstar(u)
-        for th in deg1_form:
-            e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
+_MIRROR_ID = {"a": "b", "i": "j", "k": "l", "c": "d", "e": "f"}
 
-            def top(eta: Form) -> Form:
-                first = _lie_pair_on_form(P, e, eta)
-                second = lie_by_multivector(P, u, lie_by_form(P, th, eta)) \
-                    - lie_by_form(P, th, lie_by_multivector(P, u, eta))
-                return first - second
 
-            base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
-            for f in lin_funcs:
-                bad = False
-                for j in range(1, P.rank + 1):
-                    probe = Form.monomial(P.rank, P.coordinates, (j,), f)
-                    if top(probe) != base[j - 1].scaled(f):
-                        wit = (f"u = {u}; theta = {th}; defect operator is not "
-                               f"tensorial on ({f}) eps[{j}]")
-                        bad = True
-                        break
-                if bad:
-                    break
-            if wit:
-                break
-            trace = Polynomial.zero(P.coordinates)
-            for j in range(1, P.rank + 1):
-                trace = trace + pairing(base[j - 1], P.basis_e(j))
-            want = 2 * pairing(P.d(th), du)
-            if trace != want:
-                wit = f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
-                break
-    add(IdentityRecord("thm-c/c", wit is None, wit))
+def theorem_c_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+    """All twelve equivalence-suite assertions, ids thm-c/a .. thm-c/l.
 
-    wit = None
-    for th in deg1_form:
-        if wit:
-            break
-        dth = P.d(th)
-        for u in deg1_mv:
-            e = dorfman(P, SectionE.of(cov=th), SectionE.of(vec=u))
-
-            def top_mv(v: Multivector) -> Multivector:
-                first = _lie_pair_on_mv(P, e, v)
-                second = lie_by_form(P, th, lie_by_multivector(P, u, v)) \
-                    - lie_by_multivector(P, u, lie_by_form(P, th, v))
-                return first - second
-
-            base = [top_mv(P.basis_e(i)) for i in range(1, P.rank + 1)]
-            for f in lin_funcs:
-                bad = False
-                for i in range(1, P.rank + 1):
-                    probe = Multivector.monomial(P.rank, P.coordinates, (i,), f)
-                    if top_mv(probe) != base[i - 1].scaled(f):
-                        wit = (f"theta = {th}; u = {u}; defect operator is not "
-                               f"tensorial on ({f}) e[{i}]")
-                        bad = True
-                        break
-                if bad:
-                    break
-            if wit:
-                break
-            trace = Polynomial.zero(P.coordinates)
-            for i in range(1, P.rank + 1):
-                trace = trace + pairing(P.basis_eps(i), base[i - 1])
-            want = 2 * pairing(dth, P.dstar(u))
-            if trace != want:
-                wit = f"theta = {th}; u = {u}; trace = {trace}; 2<d theta, dstar u> = {want}"
-                break
-    add(IdentityRecord("thm-c/d", wit is None, wit))
-
-    # (e), (f): equality with the modular Lie derivative on functions and degree 1
-    wit = None
-    for f in funcs:
-        lhs = laplacian(P, "A", P.scalar_mv(f))
-        rhs = P.scalar_mv((P.A.anchor_apply(mod.x0, f)
-                           + P.Astar.anchor_apply(mod.xi0, f)) * half)
-        if lhs != rhs:
-            wit = f"f = {f}; Lap f = {lhs}; half modular Lie = {rhs}"
-            break
-    if wit is None:
-        for u in deg1_mv:
-            rhs = (lie_by_multivector(P, mod.x0, u) + lie_by_form(P, mod.xi0, u)).scaled(half)
-            if laplacian(P, "A", u) != rhs:
-                wit = f"u = {u}; Lap u != half modular Lie"
-                break
-    add(IdentityRecord("thm-c/e", wit is None, wit))
-
-    wit = None
-    for f in funcs:
-        lhs = laplacian(P, "Astar", P.scalar_form(f))
-        rhs = P.scalar_form((P.A.anchor_apply(mod.x0, f)
-                             + P.Astar.anchor_apply(mod.xi0, f)) * half)
-        if lhs != rhs:
-            wit = f"f = {f}; Lap* f = {lhs}; half modular Lie = {rhs}"
-            break
-    if wit is None:
-        for th in deg1_form:
-            rhs = (lie_by_multivector(P, mod.x0, th) + lie_by_form(P, mod.xi0, th)).scaled(half)
-            if laplacian(P, "Astar", th) != rhs:
-                wit = f"theta = {th}; Lap* theta != half modular Lie"
-                break
-    add(IdentityRecord("thm-c/f", wit is None, wit))
-
+    The A-side items a, i, k, c, e run on P; their mirrors b, j, l, d, f
+    are the same checks on P.flipped().  (g) and (h) run as one loop.
+    """
+    _require_order2(cfg)
+    primal = _theorem_c_primal(P, cfg)
+    mirror = {_MIRROR_ID[k]: _mirror_witness(w)
+              for k, w in _theorem_c_primal(P.flipped(), cfg).items()}
+    wit_g, wit_h = _pairing_witnesses(P, cfg)
+    found = {**primal, **mirror, "g": wit_g, "h": wit_h}
+    report = IdentityReport(suite="theorem-c")
+    for x in "abijklghcdef":
+        report.records.append(IdentityRecord(f"thm-c/{x}", found[x] is None, found[x]))
     return report
 
 
@@ -852,17 +767,7 @@ def corollary_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
 
     # derivation of the Gerstenhaber structure by the Laplacian
     mv_all = multivector_probes(P, cfg.max_coord_degree)
-    lap = {id(u): laplacian(P, "A", u) for u in mv_all}
-    wit = None
-    for u in mv_all:
-        if wit:
-            break
-        for v in mv_all:
-            prod = u.wedge(v)
-            lhs = laplacian(P, "A", prod)
-            if lhs != lap[id(u)].wedge(v) + u.wedge(lap[id(v)]):
-                wit = f"u = {u}; v = {v}"
-                break
+    wit = _wedge_derivation_witness(P, mv_all, _laplacians(P, mv_all))
     add(IdentityRecord("cor-brood/g14", wit is None, wit))
 
     sec = section_probes(P, cfg.max_section_degree, max_index_size=2)
@@ -936,6 +841,17 @@ def default_courant_samples(P: BialgebroidPair) -> List[SectionE]:
     return out
 
 
+def _anchor_witness(P: BialgebroidPair, functions, sections) -> Optional[str]:
+    """First failure of 2 <D f, x> = rho(x) f, or None."""
+    for f in functions:
+        df = dee(P, f)
+        for x in sections:
+            lhs, rhs = metric(df, x) * 2, rho_apply(P, x, f)
+            if lhs != rhs:
+                return f"f = {f}; x = {x}; 2<Df,x> = {lhs}; rho(x)f = {rhs}"
+    return None
+
+
 def courant_axioms(P: BialgebroidPair, samples: Sequence[SectionE] | None = None,
                    functions: Sequence[Polynomial] | None = None) -> IdentityReport:
     """The six double-structure axioms plus the anchor-D duality relation."""
@@ -1007,15 +923,7 @@ def courant_axioms(P: BialgebroidPair, samples: Sequence[SectionE] | None = None
             break
     add(IdentityRecord("courant/g6", wit is None, wit))
 
-    wit = None
-    for f in functions:
-        if wit:
-            break
-        df = dee(P, f)
-        for x in samples:
-            if metric(df, x) * 2 != rho_apply(P, x, f):
-                wit = f"f = {f}; x = {x}; 2<Df,x> = {metric(df, x) * 2}; rho(x)f = {rho_apply(P, x, f)}"
-                break
+    wit = _anchor_witness(P, functions, samples)
     add(IdentityRecord("courant/anchor", wit is None, wit))
 
     return report
@@ -1087,17 +995,9 @@ def generator_check(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
     wit = None if sq.is_scalar else sq.witness
     add(IdentityRecord("generator/square-scalar", sq.is_scalar, wit))
 
-    wit = None
     basis_sections = [SectionE.of(vec=P.basis_e(i)) for i in range(1, P.rank + 1)] \
         + [SectionE.of(cov=P.basis_eps(j)) for j in range(1, P.rank + 1)]
-    for f in funcs:
-        if wit:
-            break
-        df = dee(P, f)
-        for e in basis_sections:
-            if metric(df, e) * 2 != rho_apply(P, e, f):
-                wit = f"f = {f}; e = {e}"
-                break
+    wit = _anchor_witness(P, funcs, basis_sections)
     add(IdentityRecord("generator/anchor", wit is None, wit))
 
     return report

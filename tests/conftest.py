@@ -63,6 +63,16 @@ def poisson_data(kind):
     raise KeyError(kind)
 
 
+def tangent_against_solvable():
+    """TR^2 against [eps1, eps2] = eps2 with zero anchor: a pair over a base
+    of positive dimension that is not a bialgebroid."""
+    coords = ("x1", "x2")
+    zero, one = Polynomial.zero(coords), Polynomial.const(coords, 1)
+    dual = AlgebroidStructure(2, coords, [[zero, zero], [zero, zero]],
+                              {(1, 2): (zero, one)}, "covector")
+    return BialgebroidPair(tangent_algebroid(coords), dual, label="tangent-vs-solvable")
+
+
 def build_corpus():
     """(label, pair) for every known bialgebroid used across the suites."""
     return [
@@ -89,3 +99,9 @@ def counterexamples():
     pairs = find_counterexample_pairs(2)
     assert len(pairs) == 2
     return pairs
+
+
+@pytest.fixture(scope="session")
+def failing_pairs(counterexamples):
+    """Every known non-bialgebroid: the two over a point and one over R^2."""
+    return list(counterexamples) + [tangent_against_solvable()]

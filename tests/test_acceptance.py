@@ -56,10 +56,10 @@ def test_criterion_1_rank2_family_scalar():
 # -- 2: scalar square decides the compatibility, both directions -----------------------
 
 
-def test_criterion_2_scalar_square_decides(corpus, counterexamples):
+def test_criterion_2_scalar_square_decides(corpus, failing_pairs):
     started = time.perf_counter()
-    everything = list(corpus) + [(P.label, P) for P in counterexamples]
-    assert len(corpus) >= 6 and len(counterexamples) >= 2
+    everything = list(corpus) + [(P.label, P) for P in failing_pairs]
+    assert len(corpus) >= 6 and len(failing_pairs) >= 3
     decided = []
     for label, P in everything:
         sq = dirac_square(P)
@@ -69,7 +69,7 @@ def test_criterion_2_scalar_square_decides(corpus, counterexamples):
             assert sq.witness, label
             assert leib.record("leibniz-dstar").witness, label
         decided.append(sq.is_scalar)
-    assert decided.count(False) == len(counterexamples)
+    assert decided.count(False) == len(failing_pairs)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.2f}s"
     line(2, f"{len(everything)} pairs decided, both directions agree, {elapsed:.2f}s")
@@ -78,26 +78,26 @@ def test_criterion_2_scalar_square_decides(corpus, counterexamples):
 # -- 3: the twelve-identity catalogue ---------------------------------------------------
 
 
-def test_criterion_3_identity_catalogue(corpus, counterexamples):
+def test_criterion_3_identity_catalogue(corpus, failing_pairs):
     all_ids = {f"thm-c/{x}" for x in "abcdefghijkl"}
     for label, P in corpus:
         rep = theorem_c_suite(P)
         assert {r.id for r in rep.records} == all_ids
         bad = [(r.id, r.witness) for r in rep.records if not r.passed]
         assert bad == [], (label, bad)
-    for P in counterexamples:
+    for P in failing_pairs:
         rep = theorem_c_suite(P)
         assert not rep.record("thm-c/a").passed, P.label
         assert not rep.record("thm-c/k").passed, P.label
     line(3, f"12 identities on {len(corpus)} pairs; (a) and (k) fail on "
-            f"{len(counterexamples)} counterexamples")
+            f"{len(failing_pairs)} counterexamples")
 
 
 # -- 4: the square formula holds without any compatibility assumption -------------------
 
 
-def test_criterion_4_square_formula_unconditional(corpus, counterexamples):
-    everything = list(corpus) + [(P.label, P) for P in counterexamples]
+def test_criterion_4_square_formula_unconditional(corpus, failing_pairs):
+    everything = list(corpus) + [(P.label, P) for P in failing_pairs]
     for label, P in everything:
         sq = dirac_square(P)
         assert sq.square_formula_ok, (label, sq.formula_witness)

@@ -109,40 +109,47 @@ def test_generator_check_passes(factory):
 # -- incompatible pairs ----------------------------------------------------------
 
 
-def test_counterexample_fails_exactly_as_expected(counterexamples):
-    P = counterexamples[0]
-    leib = is_lie_bialgebroid(P)
-    assert not leib.passed
-    assert "Leibniz" in (leib.record("leibniz-dstar").witness or "")
+def test_counterexample_fails_exactly_as_expected(failing_pairs):
+    for P in failing_pairs:
+        leib = is_lie_bialgebroid(P)
+        assert not leib.passed, P.label
+        assert "Leibniz" in (leib.record("leibniz-dstar").witness or ""), P.label
 
-    sq = dirac_square(P)
-    assert not sq.is_scalar
-    assert sq.square_formula_ok  # the square formula holds without compatibility
-    mirror = dirac_star_square(P)
-    assert not mirror.is_scalar and mirror.square_formula_ok
-
-
-def test_counterexample_theorem_c(counterexamples):
-    rep = theorem_c_suite(counterexamples[0])
-    failed = {r.id for r in rep.records if not r.passed}
-    assert "thm-c/a" in failed and "thm-c/k" in failed
+        sq = dirac_square(P)
+        assert not sq.is_scalar, P.label
+        assert sq.square_formula_ok, P.label  # the square formula holds without compatibility
+        mirror = dirac_star_square(P)
+        assert not mirror.is_scalar and mirror.square_formula_ok, P.label
 
 
-def test_counterexample_courant_g1_only(counterexamples):
-    rep = courant_axioms(counterexamples[0])
-    failed = {r.id for r in rep.records if not r.passed}
-    assert failed == {"courant/g1"}
+def test_counterexample_theorem_c(failing_pairs):
+    for P in failing_pairs:
+        rep = theorem_c_suite(P)
+        failed = {r.id for r in rep.records if not r.passed}
+        assert "thm-c/a" in failed and "thm-c/k" in failed, P.label
 
 
-def test_counterexample_generator(counterexamples):
-    rep = generator_check(counterexamples[0])
-    failed = {r.id for r in rep.records if not r.passed}
-    assert failed == {"generator/square-scalar"}
+def test_counterexample_courant_g1_only(failing_pairs):
+    for P in failing_pairs:
+        rep = courant_axioms(P)
+        failed = {r.id for r in rep.records if not r.passed}
+        # over a point the anchor and every D f vanish, so only g1 can fail;
+        # over R^2 the anchor (g2) and D f o x = 0 (g5) fail as well
+        want = {"courant/g1", "courant/g2", "courant/g5"} if P.coordinates else {"courant/g1"}
+        assert failed == want, P.label
 
 
-def test_counterexample_corollaries_refused(counterexamples):
-    with pytest.raises(PreconditionError):
-        corollary_suite(counterexamples[0])
+def test_counterexample_generator(failing_pairs):
+    for P in failing_pairs:
+        rep = generator_check(P)
+        failed = {r.id for r in rep.records if not r.passed}
+        assert failed == {"generator/square-scalar"}, P.label
+
+
+def test_counterexample_corollaries_refused(failing_pairs):
+    for P in failing_pairs:
+        with pytest.raises(PreconditionError):
+            corollary_suite(P)
 
 
 # -- double structure building blocks ---------------------------------------------
