@@ -13,7 +13,7 @@ from .exterior import (ExteriorError, Form, FrameData, Multivector, interior_by_
 from .algebroid import (AlgebroidError, AlgebroidStructure, ValidationReport,
                         bv_boundary, validate_algebroid)
 from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, ModularData,
-                   PairError, PreconditionError, ProbeConfig, ScalarReport,
+                   PairError, PreconditionError, ScalarReport,
                    SectionE, clifford_act, coordinate_monomials, corollary_suite,
                    courant_axioms, dee, default_courant_samples, dirac_apply,
                    dirac_square, dirac_star_apply, dirac_star_square, dorfman,
@@ -39,7 +39,7 @@ __all__ = [
     "AlgebroidError", "AlgebroidStructure", "ValidationReport", "bv_boundary",
     "validate_algebroid",
     "BialgebroidPair", "IdentityRecord", "IdentityReport", "ModularData",
-    "PairError", "PreconditionError", "ProbeConfig", "ScalarReport",
+    "PairError", "PreconditionError", "ScalarReport",
     "SectionE", "clifford_act", "coordinate_monomials", "corollary_suite",
     "courant_axioms", "dee", "default_courant_samples", "dirac_apply",
     "dirac_square", "dirac_star_apply", "dirac_star_square", "dorfman",

@@ -4,18 +4,22 @@ Subcommands:
 
 * ``validate <spec.json>``: run the algebroid axiom checks on both halves
   of a pair document; exit 1 when an axiom fails (witnesses in report).
-* ``check <spec.json> [--probe-degree K]``: decide whether the square of
-  the Dirac-type operator is multiplication by a function; prints the
-  function or the failing probe.
+* ``check <spec.json>``: decide whether the square of the Dirac-type
+  operator is multiplication by a function; prints the function or the
+  failing probe.  The probes x^gamma e_I have |gamma| <= 2, the degree
+  the order-2 argument fixes (pair.PROBE_DEGREE); it is not an option.
 * ``identities <spec.json> --suite theorem-c|corollaries|courant|generator``.
 * ``modular <spec.json>``: the two modular cocycles and the square scalar.
 * ``example a-plus-b|poisson|exact|pn ...``: build a documented example
   family, run its identity report, and embed the pair document.
 
 Exit codes: 0 all checked properties hold, 1 a property failed (report
-carries a witness), 2 input or validation error.  Reports are JSON on
-stdout (``--output text`` for a line-per-fact rendering); the elapsed_ms
-field is the only non-deterministic part.
+carries a witness), 2 input, validation or usage error.  Reports are JSON
+on stdout (``--output text`` for a line-per-fact rendering); the
+elapsed_ms field is the only non-deterministic part.  A usage error (an
+unknown subcommand or flag, a missing argument) prints the usage on
+stderr and a JSON report with an "error" field on stdout; ``--help``
+exits 0.
 """
 
 from __future__ import annotations
@@ -33,15 +37,28 @@ from .constructions import (BivectorData, ConstructionError, NijenhuisData,
                             exact_identities, pn_hierarchy, pn_identities,
                             poisson_double, poisson_homology_check)
 from .exterior import Multivector
-from .pair import (BialgebroidPair, PairError, PreconditionError, ProbeConfig,
-                   corollary_suite, courant_axioms, dirac_square, f_tilde,
-                   generator_check, theorem_c_suite)
+from .pair import (PROBE_DEGREE, PairError, PreconditionError, corollary_suite,
+                   courant_axioms, dirac_square, f_tilde, generator_check,
+                   theorem_c_suite)
 from .ring import PolynomialError
 from .serialize import (DocumentError, algebroid_from_json, document_to_structures,
                         pair_from_json, pair_to_json)
 
 _INPUT_ERRORS = (DocumentError, ConstructionError, AlgebroidError, PairError,
                  PolynomialError, OSError, json.JSONDecodeError, ValueError)
+
+
+class _UsageError(Exception):
+    """A command line that the argument parser rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises _UsageError on a rejected command line instead of exiting, so
+    that main can still print a JSON report; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _load_doc(path: str) -> dict:
@@ -61,11 +78,6 @@ def _validation_json(report) -> dict:
     }
 
 
-def _probe_config(args) -> ProbeConfig:
-    degree = getattr(args, "probe_degree", 2)
-    return ProbeConfig(max_coord_degree=degree, max_section_degree=2)
-
-
 def _cmd_validate(args) -> Tuple[dict, int]:
     A, Astar, _frame, _label = document_to_structures(_load_doc(args.spec))
     rep_a = validate_algebroid(A)
@@ -83,12 +95,12 @@ def _cmd_validate(args) -> Tuple[dict, int]:
 
 def _cmd_check(args) -> Tuple[dict, int]:
     pair = pair_from_json(_load_doc(args.spec))
-    report = dirac_square(pair, _probe_config(args))
+    report = dirac_square(pair)
     ok = report.is_scalar and report.square_formula_ok
     body = {
         "command": "check",
         "input": args.spec,
-        "probe_degree": args.probe_degree,
+        "probe_degree": PROBE_DEGREE,
         "is_scalar": report.is_scalar,
         "square_formula_ok": report.square_formula_ok,
         "f_tilde": str(report.f_tilde),
@@ -104,14 +116,14 @@ def _cmd_check(args) -> Tuple[dict, int]:
 _SUITES = {
     "theorem-c": theorem_c_suite,
     "corollaries": corollary_suite,
-    "courant": lambda pair, cfg: courant_axioms(pair),
+    "courant": courant_axioms,
     "generator": generator_check,
 }
 
 
 def _cmd_identities(args) -> Tuple[dict, int]:
     pair = pair_from_json(_load_doc(args.spec))
-    report = _SUITES[args.suite](pair, _probe_config(args))
+    report = _SUITES[args.suite](pair)
     body = {
         "command": "identities",
         "input": args.spec,
@@ -262,7 +274,7 @@ def _emit(body: dict, code: int, output: str, started: float) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bialgebroid",
         description="Exact checks for dual pairs of Lie algebroid structures.")
     parser.add_argument("--output", choices=("json", "text"), default="json",
@@ -274,13 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide whether the operator square is a function")
     p.add_argument("spec", help="path to a pair JSON document")
-    p.add_argument("--probe-degree", type=int, default=2,
-                   help="coefficient degree bound for probes (default 2, minimum 2)")
 
     p = sub.add_parser("identities", help="run an identity suite on a pair document")
     p.add_argument("spec", help="path to a pair JSON document")
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p.add_argument("--probe-degree", type=int, default=2)
 
     p = sub.add_parser("modular", help="modular cocycles and the square scalar")
     p.add_argument("spec", help="path to a pair JSON document")
@@ -333,6 +342,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        return _emit({"error": str(exc)}, 2, "json", started)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "example":

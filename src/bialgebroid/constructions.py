@@ -28,10 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 from .algebroid import AlgebroidStructure, bv_boundary
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
                        interior_by_multivector, pairing)
-from .pair import (BialgebroidPair, IdentityRecord, IdentityReport,
-                   PreconditionError, ProbeConfig, degree1_form_probes,
-                   dirac_square, f_tilde, form_probes, modular_cocycles,
-                   multivector_probes, section_probes)
+from .pair import (PROBE_DEGREE, BialgebroidPair, IdentityRecord, IdentityReport,
+                   PreconditionError, degree1_form_probes, dirac_square,
+                   f_tilde, form_probes, is_lie_bialgebroid, laplacian,
+                   lie_by_multivector, modular_cocycles, multivector_probes)
 from .ring import Polynomial
 
 
@@ -139,8 +139,7 @@ def exact_from_bivector(A: AlgebroidStructure, L: BivectorData,
     return BialgebroidPair(A, Astar, frame, label=tag)
 
 
-def exact_identities(P: BialgebroidPair, L: BivectorData,
-                     cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+def exact_identities(P: BialgebroidPair, L: BivectorData) -> IdentityReport:
     """Closed-form checks available for pairs built by exact_from_bivector."""
     expected = _dual_structure_from_bivector(P.A, L)
     if expected.anchor != P.Astar.anchor or expected.brackets != P.Astar.brackets:
@@ -150,7 +149,7 @@ def exact_identities(P: BialgebroidPair, L: BivectorData,
 
     # boundary_star theta = -boundary(Lambda# theta) + 2 <Lambda, d theta>
     wit = None
-    for theta in degree1_form_probes(P, cfg.max_coord_degree):
+    for theta in degree1_form_probes(P, PROBE_DEGREE):
         lhs = P.boundary_star(theta).scalar_part()
         rhs = -P.boundary(L.sharp(theta)).scalar_part() \
             + 2 * pairing(P.d(theta), L.Lambda)
@@ -165,14 +164,14 @@ def exact_identities(P: BialgebroidPair, L: BivectorData,
     add(IdentityRecord("exact/combat", ok,
                        None if ok else f"X0 = {mod.x0}; 2 boundary Lambda - Lambda# xi0 = {closed}"))
 
-    sq = dirac_square(P, cfg)
+    sq = dirac_square(P)
     ok = sq.is_scalar and sq.f_tilde.is_zero()
     add(IdentityRecord("exact/square-zero", ok,
                        None if ok else sq.witness or f"f~ = {sq.f_tilde}"))
 
     if L.is_poisson(P.A):
         wit = None
-        for u in multivector_probes(P, cfg.max_coord_degree):
+        for u in multivector_probes(P, PROBE_DEGREE):
             lhs = P.dstar(u)
             rhs = P.A.schouten(L.Lambda, u)
             if lhs != rhs:
@@ -376,8 +375,7 @@ def pn_hierarchy(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
 
 
 def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
-                  k: int = 1, l: int = 1,
-                  cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+                  k: int = 1, l: int = 1) -> IdentityReport:
     """Hierarchy identities for a compatible Poisson-Nijenhuis triple."""
     _check_pn_compatibility(A, N, L)
     report = IdentityReport(suite="pn")
@@ -430,7 +428,7 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
     add(IdentityRecord("pn/morphism", wit is None, wit))
 
     P = pn_hierarchy(A, N, L, k, l, frame)
-    sq = dirac_square(P, cfg)
+    sq = dirac_square(P)
     ok = sq.is_scalar and sq.f_tilde.is_zero()
     add(IdentityRecord("pn/square-zero", ok,
                        None if ok else sq.witness or f"f~ = {sq.f_tilde}"))
@@ -551,8 +549,7 @@ def poisson_double(Pm: PoissonManifoldData, frame: FrameData | None = None) -> B
     return BialgebroidPair(A, Astar, frame, label="poisson-double")
 
 
-def poisson_homology_check(Pm: PoissonManifoldData,
-                           cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
     """Graded-commutator identities of the tangent/cotangent pair."""
     P = poisson_double(Pm)
     pi = Pm.pi_multivector()
@@ -563,8 +560,8 @@ def poisson_homology_check(Pm: PoissonManifoldData,
     def del_pi(theta: Form) -> Form:
         return interior_by_multivector(pi, P.d(theta)) - P.d(interior_by_multivector(pi, theta))
 
-    probes_f = form_probes(P, cfg.max_coord_degree)
-    probes_m = multivector_probes(P, cfg.max_coord_degree)
+    probes_f = form_probes(P, PROBE_DEGREE)
+    probes_m = multivector_probes(P, PROBE_DEGREE)
 
     ok = P.modular.x0 == x_omega.scaled(2)
     add(IdentityRecord("poisson/modular-factor", ok,
@@ -579,10 +576,9 @@ def poisson_homology_check(Pm: PoissonManifoldData,
             break
     add(IdentityRecord("poisson/boundary-star", wit is None, wit))
 
-    from .pair import laplacian, lie_by_multivector
     wit = None
     for th in probes_f:
-        lhs = laplacian(P, "Astar", th)
+        lhs = laplacian(P, th)
         rhs = lie_by_multivector(P, x_omega, th)
         if lhs != rhs:
             wit = f"theta = {th}; Lap* = {lhs}; L_X = {rhs}"
@@ -591,7 +587,7 @@ def poisson_homology_check(Pm: PoissonManifoldData,
 
     wit = None
     for u in probes_m:
-        lhs = laplacian(P, "A", u)
+        lhs = laplacian(P, u)
         rhs = P.A.schouten(x_omega, u)
         if lhs != rhs:
             wit = f"u = {u}; Lap = {lhs}; L_X = {rhs}"
@@ -627,7 +623,6 @@ def find_counterexample_pairs(count: int = 2) -> List[BialgebroidPair]:
                            {(1, 2): (Polynomial.zero(coords), Polynomial.zero(coords), c1)},
                            "vector")
     found: List[BialgebroidPair] = []
-    from .pair import is_lie_bialgebroid
     for signs in itertools.product((-1, 0, 1), repeat=9):
         if not any(signs):
             continue

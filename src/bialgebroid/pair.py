@@ -16,9 +16,8 @@ trivializing FrameData.  On top of that this module builds:
 and decides exactly, on a finite probe family, whether D^2 is
 multiplication by a function.  Because every operator involved is a
 differential operator of order at most two with polynomial coefficients,
-evaluating on all x^gamma e_I with |gamma| <= 2 is a complete decision
-procedure, not a heuristic; ProbeConfig records the degree bounds and the
-suites refuse bounds below the operator order.
+evaluating on all x^gamma e_I with |gamma| <= PROBE_DEGREE = 2 is a
+complete decision procedure, not a heuristic.
 
 The compatibility criterion (the derivation property of dstar over the
 bracket), the twelve-part equivalence suite, the corollary identities,
@@ -42,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary, validate_algebroid
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
@@ -65,22 +64,22 @@ def _mirror_witness(witness: Optional[str]) -> Optional[str]:
     return None if witness is None else MIRROR_PREFIX + witness
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Degree bounds for the exact probe families.
+PROBE_DEGREE = 2
+"""Coefficient degree of the probe families x^gamma e_I, |gamma| <= 2.
 
-    max_coord_degree bounds |gamma| in coefficient probes x^gamma (the
-    operator-order bound; must be >= 2 for the order-2 suites), and
-    max_section_degree bounds coefficient degrees of universally
-    quantified section arguments (order <= 1 there).
-    """
-
-    max_coord_degree: int = 2
-    max_section_degree: int = 2
-
-    def __post_init__(self):
-        if self.max_coord_degree < 0 or self.max_section_degree < 0:
-            raise PairError("probe degrees must be nonnegative")
+Fixed by the order of the operators, so it is not a setting.  D, the
+Laplacians and dstar are differential operators of order <= 2 in the
+base coordinates with polynomial coefficients, and so are D^2 - f~ and
+the defects the suites compare (a bilinear identity has order <= 2 in
+each argument slot).  Such an operator acts as L(g e_I) =
+sum_{|alpha| <= 2} c_{alpha,I} d^alpha g with polynomial-coefficient
+elements c_{alpha,I}, and L(x^gamma e_I) = sum_{alpha <= gamma}
+c_{alpha,I} gamma!/(gamma - alpha)! x^(gamma - alpha) is triangular in
+them, so the values on all x^gamma e_I with |gamma| <= 2 determine every
+c_{alpha,I}: L vanishes iff it vanishes on those probes.  A smaller
+degree misses second-order terms; a larger one reaches the same verdict
+more slowly.
+"""
 
 
 @dataclass
@@ -315,10 +314,6 @@ def coordinate_monomials(variables, max_degree: int) -> List[Polynomial]:
     out = []
     m = len(variables)
     for total in range(max_degree + 1):
-        if m == 0:
-            if total == 0:
-                out.append(Polynomial.const(variables, 1))
-            continue
         for combo in itertools.combinations_with_replacement(range(m), total):
             exps = [0] * m
             for i in combo:
@@ -327,9 +322,7 @@ def coordinate_monomials(variables, max_degree: int) -> List[Polynomial]:
     return out
 
 
-def _graded_probes(cls, rank, variables, coord_degree, max_index_size=None):
-    if max_index_size is None:
-        max_index_size = rank
+def _graded_probes(cls, rank, variables, coord_degree, max_index_size):
     monos = coordinate_monomials(variables, coord_degree)
     out = []
     for size in range(0, min(max_index_size, rank) + 1):
@@ -340,15 +333,16 @@ def _graded_probes(cls, rank, variables, coord_degree, max_index_size=None):
 
 
 def multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:
-    return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree)
+    return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree, P.rank)
 
 
 def form_probes(P: BialgebroidPair, coord_degree: int) -> List[Form]:
-    return _graded_probes(Form, P.rank, P.coordinates, coord_degree)
+    return _graded_probes(Form, P.rank, P.coordinates, coord_degree, P.rank)
 
 
-def section_probes(P: BialgebroidPair, coord_degree: int, max_index_size: int = 2):
-    return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree, max_index_size)
+def section_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:
+    """The probes x^gamma e_I with |I| <= 2: the bracket arguments."""
+    return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree, 2)
 
 
 def degree1_multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:
@@ -366,14 +360,14 @@ def degree1_form_probes(P: BialgebroidPair, coord_degree: int) -> List[Form]:
 # -- modular cocycles -----------------------------------------------------------
 
 
-def modular_cocycles(P: BialgebroidPair, verify: bool = True) -> ModularData:
+def modular_cocycles(P: BialgebroidPair) -> ModularData:
     """Frame components of the modular cocycles.
 
     <xi_0, e_i> = div_s(a(e_i)) + (coefficient of [e_i, V] on V) and
     <X_0, eps^j> = (coefficient of [eps^j, Omega]_* on Omega) + div_s(a_*(eps^j)).
-    With verify=True the defining equations are re-checked on probes
-    x_a e_i (they must be C-infinity-linear for valid structures; failure
-    means an implementation bug, so it raises).
+    The defining equations are re-checked on probes x_a e_i (they must be
+    C-infinity-linear for valid structures; failure means an
+    implementation bug, so it raises).
     """
     n, coords = P.rank, P.coordinates
     top = P.frame.top_index
@@ -389,20 +383,19 @@ def modular_cocycles(P: BialgebroidPair, verify: bool = True) -> ModularData:
     xi0 = Form(n, coords, {(i,): xi_component(P.basis_e(i)) for i in range(1, n + 1)})
     x0 = Multivector(n, coords, {(j,): x_component(P.basis_eps(j)) for j in range(1, n + 1)})
 
-    if verify:
-        for f in coordinate_monomials(coords, 1)[1:]:
-            for i in range(1, n + 1):
-                probe = Multivector.monomial(n, coords, (i,), f)
-                want = pairing(xi0, probe)
-                if xi_component(probe) != want:
-                    raise PairError(
-                        f"modular defining relation is not tensorial on {probe} (internal error)")
-            for j in range(1, n + 1):
-                probe = Form.monomial(n, coords, (j,), f)
-                want = pairing(probe, x0)
-                if x_component(probe) != want:
-                    raise PairError(
-                        f"dual modular defining relation is not tensorial on {probe} (internal error)")
+    for f in coordinate_monomials(coords, 1)[1:]:
+        for i in range(1, n + 1):
+            probe = Multivector.monomial(n, coords, (i,), f)
+            want = pairing(xi0, probe)
+            if xi_component(probe) != want:
+                raise PairError(
+                    f"modular defining relation is not tensorial on {probe} (internal error)")
+        for j in range(1, n + 1):
+            probe = Form.monomial(n, coords, (j,), f)
+            want = pairing(probe, x0)
+            if x_component(probe) != want:
+                raise PairError(
+                    f"dual modular defining relation is not tensorial on {probe} (internal error)")
     return ModularData(x0=x0, xi0=xi0)
 
 
@@ -425,18 +418,12 @@ def f_tilde_star(P: BialgebroidPair) -> Polynomial:
 # -- Laplacians and mixed Lie derivatives ------------------------------------------
 
 
-def laplacian(P: BialgebroidPair, side: str, target):
-    """d_* boundary + boundary d_* on multivectors ('A'), or the mirror
-    d boundary_* + boundary_* d on forms ('Astar')."""
-    if side == "A":
-        if not isinstance(target, Multivector):
-            raise PairError("side 'A' acts on Multivectors")
-        return P.dstar(P.boundary(target)) + P.boundary(P.dstar(target))
-    if side == "Astar":
-        if not isinstance(target, Form):
-            raise PairError("side 'Astar' acts on Forms")
-        return retype(laplacian(P.flipped(), "A", retype(target)))
-    raise PairError(f"unknown side {side!r}")
+def laplacian(P: BialgebroidPair, target):
+    """d_* boundary + boundary d_* on a Multivector; on a Form, the mirror
+    d boundary_* + boundary_* d, which is the former on (A*, A)."""
+    if isinstance(target, Form):
+        return retype(laplacian(P.flipped(), retype(target)))
+    return P.dstar(P.boundary(target)) + P.boundary(P.dstar(target))
 
 
 def lie_by_multivector(P: BialgebroidPair, x: Multivector, target):
@@ -528,13 +515,7 @@ def dirac_star_apply(P: BialgebroidPair, theta: Form) -> Form:
     return retype(dirac_apply(P.flipped(), retype(theta)))
 
 
-def _require_order2(cfg: ProbeConfig):
-    if cfg.max_coord_degree < 2:
-        raise PairError("this suite decides an order-2 operator identity; "
-                        "max_coord_degree must be at least 2")
-
-
-def dirac_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> ScalarReport:
+def dirac_square(P: BialgebroidPair) -> ScalarReport:
     """Decide whether D^2 is multiplication by a function.
 
     Also checks, for every pair, the unconditional square formula
@@ -542,16 +523,15 @@ def dirac_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Scalar
     probes; its failure would indicate an implementation fault and is
     reported in square_formula_ok rather than swallowed.
     """
-    _require_order2(cfg)
     ft = f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
-    for u in multivector_probes(P, cfg.max_coord_degree):
+    for u in multivector_probes(P, PROBE_DEGREE):
         sq = dirac_apply(P, dirac_apply(P, u))
         residual = sq - u.scaled(ft)
         if not residual.is_zero() and report.is_scalar:
             report.is_scalar = False
             report.witness = f"u = {u}; D^2 u - f~ u = {residual}"
-        formula = _half_modular_lie(P, u) - laplacian(P, "A", u) + u.scaled(ft)
+        formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
         if sq != formula and report.square_formula_ok:
             report.square_formula_ok = False
             report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
@@ -560,10 +540,10 @@ def dirac_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Scalar
     return report
 
 
-def dirac_star_square(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> ScalarReport:
+def dirac_star_square(P: BialgebroidPair) -> ScalarReport:
     """Mirror decision for the operator on forms: dirac_square of (A*, A),
     whose f~ is f~* = 1/2(1/2<xi_0,X_0> - boundary_* xi_0)."""
-    report = dirac_square(P.flipped(), cfg)
+    report = dirac_square(P.flipped())
     report.witness = _mirror_witness(report.witness)
     report.formula_witness = _mirror_witness(report.formula_witness)
     return report
@@ -587,22 +567,20 @@ def _leibniz_dstar_witness(P: BialgebroidPair, probes) -> Optional[str]:
     return None
 
 
-def is_lie_bialgebroid(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+def is_lie_bialgebroid(P: BialgebroidPair) -> IdentityReport:
     """Decide pair compatibility: dstar must be a derivation of the bracket.
 
     Probes run over homogeneous u = x^gamma e_I with |I| <= 2 and
-    |gamma| <= cfg.max_coord_degree, which decides the condition exactly.
+    |gamma| <= PROBE_DEGREE, which decides the condition exactly.
     """
-    _require_order2(cfg)
-    probes = section_probes(P, cfg.max_coord_degree, max_index_size=2)
-    witness = _leibniz_dstar_witness(P, probes)
+    witness = _leibniz_dstar_witness(P, section_probes(P, PROBE_DEGREE))
     report = IdentityReport(suite="leibniz")
     report.records.append(IdentityRecord("leibniz-dstar", witness is None, witness))
     return report
 
 
 def _laplacians(P: BialgebroidPair, probes) -> Dict[int, Multivector]:
-    return {id(u): laplacian(P, "A", u) for u in probes}
+    return {id(u): laplacian(P, u) for u in probes}
 
 
 def _modular_lie_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
@@ -626,7 +604,7 @@ def _wedge_derivation_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
             prod = u.wedge(v)
             if prod.is_zero() and u.max_degree() + v.max_degree() > P.rank:
                 continue
-            lhs = laplacian(P, "A", prod)
+            lhs = laplacian(P, prod)
             rhs = lap[id(u)].wedge(v) + u.wedge(lap[id(v)])
             if lhs != rhs:
                 return f"u = {u}; v = {v}; Lap(u^v) = {lhs}; derivation side = {rhs}"
@@ -662,45 +640,45 @@ def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Option
     return None
 
 
-def _theorem_c_primal(P: BialgebroidPair, cfg: ProbeConfig) -> Dict[str, Optional[str]]:
+def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     """Witnesses (None on success) of the A-side items a, i, k, c, e.
 
     (a) graded Leibniz for dstar; (i) the Laplacian is a wedge derivation;
     (k) it is half the sum of the modular Lie derivatives, and (e) is (k)
     on functions and degree-1 sections; (c) the commutator-defect operator
-    is tensorial with the stated trace.
+    is tensorial with the stated trace.  Each multivector probe list is
+    mv_all filtered by degree, in its order, so (e) reuses (k)'s Laplacians.
     """
-    mv_all = multivector_probes(P, cfg.max_coord_degree)
-    deg1_mv = degree1_multivector_probes(P, cfg.max_section_degree)
-    funcs = coordinate_monomials(P.coordinates, cfg.max_coord_degree)
+    mv_all = multivector_probes(P, PROBE_DEGREE)
+    low = [u for u in mv_all if u.max_degree() <= 1]
+    funcs = coordinate_monomials(P.coordinates, PROBE_DEGREE)
     lap = _laplacians(P, mv_all)
-    low = [P.scalar_mv(f) for f in funcs] + deg1_mv
     return {
-        "a": _leibniz_dstar_witness(
-            P, section_probes(P, cfg.max_section_degree, max_index_size=2)),
+        "a": _leibniz_dstar_witness(P, [u for u in mv_all if u.max_degree() <= 2]),
         "i": _wedge_derivation_witness(P, mv_all, lap),
         "k": _modular_lie_witness(P, mv_all, lap),
-        "c": _defect_witness(P, deg1_mv, degree1_form_probes(P, cfg.max_section_degree),
-                             [f for f in funcs if f.total_degree() >= 1]),
-        "e": _modular_lie_witness(P, low, _laplacians(P, low)),
+        "c": _defect_witness(P, [u for u in low if u.max_degree() == 1],
+                             degree1_form_probes(P, PROBE_DEGREE), funcs[1:]),
+        "e": _modular_lie_witness(P, low, lap),
     }
 
 
-def _pairing_witnesses(P: BialgebroidPair, cfg: ProbeConfig) -> Tuple[Optional[str], Optional[str]]:
+def _pairing_witnesses(P: BialgebroidPair) -> Tuple[Optional[str], Optional[str]]:
     """Witnesses of (g) and (h), which share the pairing side."""
     wit_g = wit_h = None
-    deg1_mv = degree1_multivector_probes(P, cfg.max_section_degree)
-    for th in degree1_form_probes(P, cfg.max_section_degree):
+    deg1_mv = degree1_multivector_probes(P, PROBE_DEGREE)
+    lap_mv = [laplacian(P, u) for u in deg1_mv]
+    for th in degree1_form_probes(P, PROBE_DEGREE):
         if wit_g and wit_h:
             break
-        lap_th = laplacian(P, "Astar", th)
-        for u in deg1_mv:
+        lap_th = laplacian(P, th)
+        for u, lap_u in zip(deg1_mv, lap_mv):
             h = pairing(th, u)
-            rhs = pairing(lap_th, u) + pairing(th, laplacian(P, "A", u))
-            lhs_g = laplacian(P, "Astar", P.scalar_form(h)).scalar_part()
+            rhs = pairing(lap_th, u) + pairing(th, lap_u)
+            lhs_g = laplacian(P, P.scalar_form(h)).scalar_part()
             if lhs_g != rhs and wit_g is None:
                 wit_g = f"theta = {th}; u = {u}; Lap*<theta,u> = {lhs_g}; pairing side = {rhs}"
-            lhs_h = laplacian(P, "A", P.scalar_mv(h)).scalar_part()
+            lhs_h = laplacian(P, P.scalar_mv(h)).scalar_part()
             if lhs_h != rhs and wit_h is None:
                 wit_h = f"theta = {th}; u = {u}; Lap<theta,u> = {lhs_h}; pairing side = {rhs}"
             if wit_g and wit_h:
@@ -711,17 +689,16 @@ def _pairing_witnesses(P: BialgebroidPair, cfg: ProbeConfig) -> Tuple[Optional[s
 _MIRROR_ID = {"a": "b", "i": "j", "k": "l", "c": "d", "e": "f"}
 
 
-def theorem_c_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+def theorem_c_suite(P: BialgebroidPair) -> IdentityReport:
     """All twelve equivalence-suite assertions, ids thm-c/a .. thm-c/l.
 
     The A-side items a, i, k, c, e run on P; their mirrors b, j, l, d, f
     are the same checks on P.flipped().  (g) and (h) run as one loop.
     """
-    _require_order2(cfg)
-    primal = _theorem_c_primal(P, cfg)
+    primal = _theorem_c_primal(P)
     mirror = {_MIRROR_ID[k]: _mirror_witness(w)
-              for k, w in _theorem_c_primal(P.flipped(), cfg).items()}
-    wit_g, wit_h = _pairing_witnesses(P, cfg)
+              for k, w in _theorem_c_primal(P.flipped()).items()}
+    wit_g, wit_h = _pairing_witnesses(P)
     found = {**primal, **mirror, "g": wit_g, "h": wit_h}
     report = IdentityReport(suite="theorem-c")
     for x in "abijklghcdef":
@@ -729,9 +706,9 @@ def theorem_c_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
     return report
 
 
-def corollary_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+def corollary_suite(P: BialgebroidPair) -> IdentityReport:
     """Modular-cocycle corollaries; requires the pair to be compatible."""
-    gate = is_lie_bialgebroid(P, cfg)
+    gate = is_lie_bialgebroid(P)
     if not gate.passed:
         raise PreconditionError(
             f"corollary suite needs a Lie bialgebroid; {gate.records[0].witness}")
@@ -766,18 +743,18 @@ def corollary_suite(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
                        None if ok else f"L_X0 s / s = {div_x}; L_xi0 s / s = {div_xi}"))
 
     # derivation of the Gerstenhaber structure by the Laplacian
-    mv_all = multivector_probes(P, cfg.max_coord_degree)
+    mv_all = multivector_probes(P, PROBE_DEGREE)
     wit = _wedge_derivation_witness(P, mv_all, _laplacians(P, mv_all))
     add(IdentityRecord("cor-brood/g14", wit is None, wit))
 
-    sec = section_probes(P, cfg.max_section_degree, max_index_size=2)
+    sec = section_probes(P, PROBE_DEGREE)
     wit = None
     for u in sec:
         if wit:
             break
         for v in sec:
-            lhs = laplacian(P, "A", P.A.schouten(u, v))
-            rhs = P.A.schouten(laplacian(P, "A", u), v) + P.A.schouten(u, laplacian(P, "A", v))
+            lhs = laplacian(P, P.A.schouten(u, v))
+            rhs = P.A.schouten(laplacian(P, u), v) + P.A.schouten(u, laplacian(P, v))
             if lhs != rhs:
                 wit = f"u = {u}; v = {v}; Lap[u,v] = {lhs}; derivation side = {rhs}"
                 break
@@ -852,13 +829,11 @@ def _anchor_witness(P: BialgebroidPair, functions, sections) -> Optional[str]:
     return None
 
 
-def courant_axioms(P: BialgebroidPair, samples: Sequence[SectionE] | None = None,
-                   functions: Sequence[Polynomial] | None = None) -> IdentityReport:
-    """The six double-structure axioms plus the anchor-D duality relation."""
-    if samples is None:
-        samples = default_courant_samples(P)
-    if functions is None:
-        functions = coordinate_monomials(P.coordinates, 2)
+def courant_axioms(P: BialgebroidPair) -> IdentityReport:
+    """The six double-structure axioms plus the anchor-D duality relation,
+    on default_courant_samples and the monomials of degree <= PROBE_DEGREE."""
+    samples = default_courant_samples(P)
+    functions = coordinate_monomials(P.coordinates, PROBE_DEGREE)
     report = IdentityReport(suite="courant")
     add = report.records.append
 
@@ -929,7 +904,7 @@ def courant_axioms(P: BialgebroidPair, samples: Sequence[SectionE] | None = None
     return report
 
 
-def generator_check(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> IdentityReport:
+def generator_check(P: BialgebroidPair) -> IdentityReport:
     """Generating-operator conditions for D on the spinor module wedge A.
 
     Checks, on exact probe families: [D, f] is the Clifford action of
@@ -939,12 +914,11 @@ def generator_check(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
     derived-bracket identity have order <= 1 in each section slot and in
     the spinor slot, so coefficient degree 1 is exact there.)
     """
-    _require_order2(cfg)
     report = IdentityReport(suite="generator")
     add = report.records.append
 
     w_probes = multivector_probes(P, 1)
-    funcs = coordinate_monomials(P.coordinates, cfg.max_coord_degree)
+    funcs = coordinate_monomials(P.coordinates, PROBE_DEGREE)
     d_cache = {id(w): dirac_apply(P, w) for w in w_probes}
 
     wit = None
@@ -991,7 +965,7 @@ def generator_check(P: BialgebroidPair, cfg: ProbeConfig = ProbeConfig()) -> Ide
                 break
     add(IdentityRecord("generator/derived-bracket", wit is None, wit))
 
-    sq = dirac_square(P, cfg)
+    sq = dirac_square(P)
     wit = None if sq.is_scalar else sq.witness
     add(IdentityRecord("generator/square-scalar", sq.is_scalar, wit))
 

@@ -12,8 +12,9 @@ The text format is the one used by every file format in this package:
     base     := rational | name | '(' expr ')'
     rational := int ('/' nat)?
 
-Whitespace is insignificant and there is no implicit multiplication,
-so ``x^2 - 1/2*y`` parses but ``2x`` does not.  (The optional leading
+Digits are ASCII 0-9, parentheses nest at most 100 deep, whitespace
+is insignificant and there is no implicit multiplication, so
+``x^2 - 1/2*y`` parses but ``2x`` does not.  (The optional leading
 sign on an expr is a documented superset of the base grammar; it makes
 printing and parsing mutual inverses.)
 """
@@ -27,7 +28,7 @@ from typing import Dict, Iterator, Mapping, Tuple
 Exponent = Tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))")
 
 
 class PolynomialError(ValueError):
@@ -287,12 +288,18 @@ class Polynomial:
         return _Parser(text, tuple(variables)).parse()
 
 
+# Deepest parenthesis nesting the parser accepts.  Each level costs four
+# Python frames, so this bound keeps a parse far below the recursion limit.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial grammar above."""
 
     def __init__(self, text: str, variables: Tuple[str, ...]):
         self.text = text
         self.variables = variables
+        self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -383,8 +390,12 @@ class _Parser:
                 raise PolynomialError(f"unknown variable {val!r}; context is {self.variables!r}", pos)
             return Polynomial.variable(self.variables, val)
         if kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolynomialError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
             inner = self._expr()
             self._expect_op(")")
+            self.depth -= 1
             return inner
         raise PolynomialError(f"expected a number, variable, or '(', found {val or 'end of input'!r}", pos)
 

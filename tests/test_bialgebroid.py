@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bialgebroid
 from bialgebroid import (AlgebroidError, BialgebroidPair, Form, Multivector,
-                         PairError, Polynomial, PreconditionError, ProbeConfig,
-                         SectionE, a_plus_b, clifford_act, coordinate_monomials,
+                         PairError, Polynomial, PreconditionError, SectionE,
+                         a_plus_b, clifford_act, coordinate_monomials,
                          corollary_suite, courant_axioms, dee, dirac_apply,
                          dirac_square, dirac_star_apply, dirac_star_square,
                          dorfman, f_tilde, f_tilde_star, generator_check,
-                         interior_by_form, is_lie_bialgebroid, metric, pairing,
-                         rho_apply, theorem_c_suite)
+                         interior_by_form, is_lie_bialgebroid, metric,
+                         multivector_probes, pairing, rho_apply, theorem_c_suite)
+from bialgebroid.pair import section_probes
 
 from conftest import (const, heisenberg, heisenberg_triangular_pair,
                       point_algebra, poisson_data)
@@ -219,11 +221,35 @@ def test_clifford_anticommutator_is_metric(ab):
 # -- probe machinery -------------------------------------------------------------
 
 
-def test_probe_config_guard(ab):
-    with pytest.raises(PairError):
-        dirac_square(ab, ProbeConfig(max_coord_degree=1))
-    with pytest.raises(ValueError):
-        ProbeConfig(max_coord_degree=-1)
+def _leibniz_defect_found(P, probes):
+    dstar = {id(u): P.dstar(u) for u in probes}
+    for u in probes:
+        sign = -1 if u.max_degree() % 2 == 0 else 1
+        for v in probes:
+            lhs = P.dstar(P.A.schouten(u, v))
+            rhs = P.A.schouten(dstar[id(u)], v) + P.A.schouten(u, dstar[id(v)]).scaled(sign)
+            if lhs != rhs:
+                return True
+    return False
+
+
+def test_degree3_probes_reach_the_library_verdicts(corpus, failing_pairs):
+    """Exactness oracle: probes one degree past PROBE_DEGREE find a defect
+    exactly when the library's degree-2 decision does."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs]:
+        ft = f_tilde(P)
+        square_defect = any(dirac_apply(P, dirac_apply(P, u)) != u.scaled(ft)
+                            for u in multivector_probes(P, 3))
+        assert square_defect == (not dirac_square(P).is_scalar), label
+        leibniz_defect = _leibniz_defect_found(P, section_probes(P, 3))
+        assert leibniz_defect == (not is_lie_bialgebroid(P).passed), label
+
+
+def test_every_export_resolves_once():
+    names = bialgebroid.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(bialgebroid, name), name
 
 
 def test_coordinate_monomials_counts():

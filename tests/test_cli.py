@@ -103,15 +103,45 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in json.loads(out)
 
 
-def test_unknown_subcommand(capsys):
-    assert main(["frobnicate"]) == 2
-
-
-def test_probe_degree_below_two_is_input_error(capsys):
-    code, out = run(capsys, "check", "tests/fixtures/a-plus-b.json",
-                    "--probe-degree", "1")
+def usage_error(capsys, *argv):
+    """The "error" text of a rejected command line; asserts the contract."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
     assert code == 2
-    assert "order-2" in json.loads(out)["error"]
+    body = json.loads(captured.out)
+    assert body["exit_status"] == 2
+    assert captured.err.startswith("usage: bialgebroid")
+    return body["error"]
+
+
+def test_unknown_subcommand(capsys):
+    assert "invalid choice: 'frobnicate'" in usage_error(capsys, "frobnicate")
+
+
+def test_probe_degree_flag_is_a_usage_error(capsys):
+    error = usage_error(capsys, "check", "tests/fixtures/a-plus-b.json", "--probe-degree", "3")
+    assert "unrecognized arguments: --probe-degree 3" in error
+
+
+def test_missing_suite_is_a_usage_error(capsys):
+    error = usage_error(capsys, "identities", "tests/fixtures/a-plus-b.json")
+    assert error.startswith("bialgebroid identities: ") and "--suite" in error
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["check", "--help"]) == 0
+    assert "usage: bialgebroid" in capsys.readouterr().out
+
+
+def test_deeply_nested_polynomial_is_input_error(capsys, tmp_path):
+    doc = json.loads((ROOT / "tests/fixtures/a-plus-b.json").read_text())
+    doc["A"]["brackets"]["1,2"][0] = "(" * 3000 + "1" + ")" * 3000
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "nested deeper than" in json.loads(out)["error"]
 
 
 # -- example families --------------------------------------------------------------

@@ -58,6 +58,7 @@ BAD_INPUTS = [
     "x^",
     "x^-2",
     "",
+    "\u0661 + x",  # a non-ASCII digit
 ]
 
 
@@ -74,6 +75,15 @@ def test_parse_error_carries_position():
         assert exc.position == 4
     else:
         raise AssertionError("no error raised")
+
+
+def test_parse_bounds_parenthesis_nesting():
+    assert poly("(" * 100 + "x" + ")" * 100) == poly("x")
+    with pytest.raises(PolynomialError) as caught:
+        poly("(" * 101 + "x" + ")" * 101)
+    assert caught.value.position == 100
+    with pytest.raises(PolynomialError):
+        poly("(" * 3000 + "x" + ")" * 3000)
 
 
 def exponents(coords):
