@@ -12,8 +12,8 @@ from .exterior import (ExteriorError, Form, FrameData, Multivector, interior_by_
                        inverse_v_sharp, omega_sharp, pairing, retype, v_sharp)
 from .algebroid import (AlgebroidError, AlgebroidStructure, ValidationReport,
                         bv_boundary, validate_algebroid)
-from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, ModularData,
-                   PairError, PreconditionError, ScalarReport,
+from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, InternalError,
+                   ModularData, PairError, PreconditionError, ScalarReport,
                    SectionE, clifford_act, coordinate_monomials, corollary_suite,
                    courant_axioms, dee, default_courant_samples, dirac_apply,
                    dirac_square, dirac_star_apply, dirac_star_square, dorfman,
@@ -38,7 +38,7 @@ __all__ = [
     "omega_sharp", "pairing", "retype", "v_sharp",
     "AlgebroidError", "AlgebroidStructure", "ValidationReport", "bv_boundary",
     "validate_algebroid",
-    "BialgebroidPair", "IdentityRecord", "IdentityReport", "ModularData",
+    "BialgebroidPair", "IdentityRecord", "IdentityReport", "InternalError", "ModularData",
     "PairError", "PreconditionError", "ScalarReport",
     "SectionE", "clifford_act", "coordinate_monomials", "corollary_suite",
     "courant_axioms", "dee", "default_courant_samples", "dirac_apply",

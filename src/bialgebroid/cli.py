@@ -14,7 +14,10 @@ Subcommands:
   family, run its identity report, and embed the pair document.
 
 Exit codes: 0 all checked properties hold, 1 a property failed (report
-carries a witness), 2 input, validation or usage error.  Reports are JSON
+carries a witness), 2 input, validation or usage error (a JSON document
+or option nested too deeply for the parser included), 3 an internal
+fault: pair.InternalError or any other unexpected exception, reported as
+JSON with "internal": true instead of a traceback.  Reports are JSON
 on stdout (``--output text`` for a line-per-fact rendering); the
 elapsed_ms field is the only non-deterministic part.  A usage error (an
 unknown subcommand or flag, a missing argument) prints the usage on
@@ -61,9 +64,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _parse_json(text: str, what: str):
+    """json.loads, with nesting too deep for the parser an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DocumentError(f"{what} nests too deeply to parse") from None
+
+
 def _load_doc(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = _parse_json(handle.read(), path)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     return doc
@@ -145,8 +156,7 @@ def _cmd_modular(args) -> Tuple[dict, int]:
     return body, 0
 
 
-def _bivector_from_arg(text: str, rank: int, coords) -> BivectorData:
-    raw = json.loads(text)
+def _bivector_from_arg(raw, rank: int, coords) -> BivectorData:
     if not isinstance(raw, dict):
         raise DocumentError("--lambda must be a JSON object of 'i,j' keys")
     from .ring import Polynomial
@@ -183,7 +193,7 @@ def _cmd_example_a_plus_b(args) -> Tuple[dict, int]:
 
 
 def _cmd_example_poisson(args) -> Tuple[dict, int]:
-    rows = json.loads(args.pi)
+    rows = _parse_json(args.pi, "--pi")
     if not isinstance(rows, list):
         raise DocumentError("--pi must be a JSON matrix of polynomial strings")
     data = PoissonManifoldData(args.dim, rows)
@@ -205,14 +215,15 @@ def _cmd_example_poisson(args) -> Tuple[dict, int]:
 
 def _cmd_example_exact(args) -> Tuple[dict, int]:
     A = algebroid_from_json(_load_doc(args.spec), "vector")
-    L = _bivector_from_arg(args.lam, A.rank, A.coordinates)
+    lam = _parse_json(args.lam, "--lambda")
+    L = _bivector_from_arg(lam, A.rank, A.coordinates)
     pair = exact_from_bivector(A, L)
     report = exact_identities(pair, L)
     body = {
         "command": "example",
         "family": "exact",
         "input": args.spec,
-        "parameters": {"lambda": json.loads(args.lam)},
+        "parameters": {"lambda": lam},
         "pair": pair_to_json(pair),
         "suite": report.to_json(),
         "f_tilde": str(f_tilde(pair)),
@@ -223,18 +234,19 @@ def _cmd_example_exact(args) -> Tuple[dict, int]:
 
 def _cmd_example_pn(args) -> Tuple[dict, int]:
     A = algebroid_from_json(_load_doc(args.spec), "vector")
-    n_rows = json.loads(args.n)
+    n_rows = _parse_json(args.n, "--n")
     if not isinstance(n_rows, list):
         raise DocumentError("--n must be a JSON matrix of polynomial strings")
     N = NijenhuisData(n_rows, A.coordinates)
-    L = _bivector_from_arg(args.lam, A.rank, A.coordinates)
+    lam = _parse_json(args.lam, "--lambda")
+    L = _bivector_from_arg(lam, A.rank, A.coordinates)
     pair = pn_hierarchy(A, N, L, args.k, args.l)
     report = pn_identities(A, N, L, args.k, args.l)
     body = {
         "command": "example",
         "family": "pn",
         "input": args.spec,
-        "parameters": {"n": n_rows, "lambda": json.loads(args.lam),
+        "parameters": {"n": n_rows, "lambda": lam,
                        "k": args.k, "l": args.l},
         "pair": pair_to_json(pair),
         "suite": report.to_json(),
@@ -362,6 +374,11 @@ def main(argv: Optional[list] = None) -> int:
         body = dict(command_echo)
         body["error"] = str(exc)
         return _emit(body, 2, args.output, started)
+    except Exception as exc:  # pair.InternalError or any other fault of this package
+        body = dict(command_echo)
+        body["error"] = f"{type(exc).__name__}: {exc}"
+        body["internal"] = True
+        return _emit(body, 3, args.output, started)
     return _emit(body, code, args.output, started)
 
 

@@ -291,6 +291,63 @@ def retype(element: GradedElement) -> GradedElement:
     return cls._raw(element.rank, element.variables, element.terms)
 
 
+def once_per_monomial(op):
+    """Wrap an additive operator so that it is applied once per monomial x^gamma e_I.
+
+    op must be additive and commute with constant scaling, as D, d, d_*,
+    the boundaries and the Laplacians do; it need not be C-infinity-linear,
+    so an image is stored under the element's class, index I and exponent
+    gamma together, never under I alone.  Every other input is then the
+    Fraction-weighted sum of the stored images of its monomials, which is
+    exactly op(input), of op's own output type.  The inputs must share one
+    rank and variable context, as they do inside one computation on one
+    pair.  The images live as long as the returned callable, so build one
+    inside each computation and let it go on return.
+    """
+    images = {}
+
+    def image(cls, rank, variables, index, exps):
+        key = (cls, index, exps)
+        found = images.get(key)
+        if found is None:
+            mono = Polynomial._raw(variables, {exps: Fraction(1)})
+            found = images[key] = op(cls._raw(rank, variables, {index: mono}))
+        return found
+
+    def apply(element):
+        cls, rank, variables = type(element), element.rank, element.variables
+        terms = element.terms
+        if not terms:
+            key = (cls,)
+            if key not in images:
+                images[key] = op(element)
+            return images[key]
+        if len(terms) == 1:
+            (index, poly), = terms.items()
+            if len(poly.terms) == 1:
+                (exps, c), = poly.terms.items()
+                found = image(cls, rank, variables, index, exps)
+                return found if c == 1 else found.scaled(c)
+        acc: Dict[Index, Dict[tuple, Fraction]] = {}
+        for index, poly in terms.items():
+            for exps, c in poly.terms.items():
+                found = image(cls, rank, variables, index, exps)
+                for ix, p in found.terms.items():
+                    slot = acc.setdefault(ix, {})
+                    for e, v in p.terms.items():
+                        s = slot.get(e, 0) + c * v
+                        if s:
+                            slot[e] = s
+                        else:
+                            del slot[e]
+        out_vars = found.variables
+        return type(found)._raw(found.rank, out_vars,
+                                {ix: Polynomial._raw(out_vars, slot)
+                                 for ix, slot in acc.items() if slot})
+
+    return apply
+
+
 def _dual_pair(theta, u):
     if theta.rank != u.rank or theta.variables != u.variables:
         raise ExteriorError("rank or variable context mismatch")

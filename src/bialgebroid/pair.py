@@ -34,6 +34,17 @@ Laplacian and the items (b), (d), (f), (j), (l) of the equivalence suite
 have no code of their own.  A mirror witness is the primal witness found
 on the flipped pair, so it names flipped elements (e[i] there is eps^i
 here) and carries the prefix "on (A*, A): ".
+
+Each operator once per monomial.  The probe loops apply D, d_* and the
+Laplacians to sums, products and brackets of probes, and those inputs
+are combinations of a few hundred monomials x^gamma e_I.  The operators
+are additive and commute with constant scaling (they are real-linear, not
+C-infinity-linear), so each decision call wraps them in
+exterior.once_per_monomial: an operator runs once per (I, gamma) met in
+that call, and every other value is the Fraction-weighted sum of stored
+images, exactly what a direct application gives.  The wrapper is built
+inside the call and dropped on return; nothing is stored on the pair, so
+a repeated call does the same work again.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary, validate_algebroid
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
-                       interior_by_multivector, pairing, retype)
+                       interior_by_multivector, once_per_monomial, pairing, retype)
 from .ring import Polynomial, divergence, field_bracket
 
 
@@ -55,6 +66,11 @@ class PairError(ValueError):
 
 class PreconditionError(PairError):
     """A suite was asked to run on input that fails its precondition."""
+
+
+class InternalError(Exception):
+    """A check the code relies on failed on valid input: a fault in this
+    package, not in the input, so deliberately not a ValueError."""
 
 
 MIRROR_PREFIX = "on (A*, A): "
@@ -367,7 +383,7 @@ def modular_cocycles(P: BialgebroidPair) -> ModularData:
     <X_0, eps^j> = (coefficient of [eps^j, Omega]_* on Omega) + div_s(a_*(eps^j)).
     The defining equations are re-checked on probes x_a e_i (they must be
     C-infinity-linear for valid structures; failure means an
-    implementation bug, so it raises).
+    implementation bug, so it raises InternalError).
     """
     n, coords = P.rank, P.coordinates
     top = P.frame.top_index
@@ -388,13 +404,13 @@ def modular_cocycles(P: BialgebroidPair) -> ModularData:
             probe = Multivector.monomial(n, coords, (i,), f)
             want = pairing(xi0, probe)
             if xi_component(probe) != want:
-                raise PairError(
+                raise InternalError(
                     f"modular defining relation is not tensorial on {probe} (internal error)")
         for j in range(1, n + 1):
             probe = Form.monomial(n, coords, (j,), f)
             want = pairing(probe, x0)
             if x_component(probe) != want:
-                raise PairError(
+                raise InternalError(
                     f"dual modular defining relation is not tensorial on {probe} (internal error)")
     return ModularData(x0=x0, xi0=xi0)
 
@@ -406,7 +422,7 @@ def f_tilde(P: BialgebroidPair) -> Polynomial:
     bx0 = P.boundary(mod.x0).scalar_part()
     value = (inner * Fraction(1, 2) - bx0) * Fraction(1, 2)
     if not P.coordinates and not value.is_constant():
-        raise PairError("non-constant scalar over a point base (internal error)")
+        raise InternalError("non-constant scalar over a point base (internal error)")
     return value
 
 
@@ -523,10 +539,19 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     probes; its failure would indicate an implementation fault and is
     reported in square_formula_ok rather than swallowed.
     """
+    return _dirac_square(P, _once_per_monomial_dirac(P))
+
+
+def _once_per_monomial_dirac(P: BialgebroidPair):
+    return once_per_monomial(lambda u: dirac_apply(P, u))
+
+
+def _dirac_square(P: BialgebroidPair, D) -> ScalarReport:
+    """dirac_square with D applied through the caller's once_per_monomial wrapper."""
     ft = f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
     for u in multivector_probes(P, PROBE_DEGREE):
-        sq = dirac_apply(P, dirac_apply(P, u))
+        sq = D(D(u))
         residual = sq - u.scaled(ft)
         if not residual.is_zero() and report.is_scalar:
             report.is_scalar = False
@@ -554,13 +579,14 @@ def dirac_star_square(P: BialgebroidPair) -> ScalarReport:
 
 def _leibniz_dstar_witness(P: BialgebroidPair, probes) -> Optional[str]:
     """First failure of dstar[u,v] = [dstar u, v] + (-1)^(k-1) [u, dstar v], or None."""
-    for u in probes:
+    dstar = once_per_monomial(P.dstar)
+    dstar_probes = [dstar(v) for v in probes]
+    for u, du in zip(probes, dstar_probes):
         ku = u.max_degree()
         sign = 1 if (ku - 1) % 2 == 0 else -1
-        du = P.dstar(u)
-        for v in probes:
-            lhs = P.dstar(P.A.schouten(u, v))
-            rhs = P.A.schouten(du, v) + P.A.schouten(u, P.dstar(v)).scaled(sign)
+        for v, dv in zip(probes, dstar_probes):
+            lhs = dstar(P.A.schouten(u, v))
+            rhs = P.A.schouten(du, v) + P.A.schouten(u, dv).scaled(sign)
             if lhs != rhs:
                 return (f"u = {u}; v = {v}; dstar[u,v] = {lhs}; "
                         f"Leibniz side = {rhs}")
@@ -579,33 +605,33 @@ def is_lie_bialgebroid(P: BialgebroidPair) -> IdentityReport:
     return report
 
 
-def _laplacians(P: BialgebroidPair, probes) -> Dict[int, Multivector]:
-    return {id(u): laplacian(P, u) for u in probes}
+def _once_per_monomial_laplacian(P: BialgebroidPair):
+    return once_per_monomial(lambda target: laplacian(P, target))
 
 
 def _modular_lie_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
-    """First u with Lap u = lap[id(u)] != 1/2 (L_{X_0} + L_{xi_0}) u, or None."""
+    """First u with Lap u = lap(u) != 1/2 (L_{X_0} + L_{xi_0}) u, or None."""
     for u in probes:
         rhs = _half_modular_lie(P, u)
-        if lap[id(u)] != rhs:
-            return f"u = {u}; Lap u = {lap[id(u)]}; half modular Lie = {rhs}"
+        if lap(u) != rhs:
+            return f"u = {u}; Lap u = {lap(u)}; half modular Lie = {rhs}"
     return None
 
 
 def _wedge_derivation_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
     """First failure of Lap(u ^ v) = Lap u ^ v + u ^ Lap v, or None.
 
-    lap[id(u)] is Lap u.  Pairs with u ^ v = 0 and |u| + |v| > rank are
-    skipped exactly: the probes are homogeneous and the Laplacian
-    preserves degree, so both sides vanish there.
+    lap is the caller's Laplacian.  Pairs with u ^ v = 0 and
+    |u| + |v| > rank are skipped exactly: the probes are homogeneous and
+    the Laplacian preserves degree, so both sides vanish there.
     """
     for u in probes:
         for v in probes:
             prod = u.wedge(v)
             if prod.is_zero() and u.max_degree() + v.max_degree() > P.rank:
                 continue
-            lhs = laplacian(P, prod)
-            rhs = lap[id(u)].wedge(v) + u.wedge(lap[id(v)])
+            lhs = lap(prod)
+            rhs = lap(u).wedge(v) + u.wedge(lap(v))
             if lhs != rhs:
                 return f"u = {u}; v = {v}; Lap(u^v) = {lhs}; derivation side = {rhs}"
     return None
@@ -647,12 +673,13 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     (k) it is half the sum of the modular Lie derivatives, and (e) is (k)
     on functions and degree-1 sections; (c) the commutator-defect operator
     is tensorial with the stated trace.  Each multivector probe list is
-    mv_all filtered by degree, in its order, so (e) reuses (k)'s Laplacians.
+    mv_all filtered by degree, in its order, and (i), (k) and (e) share one
+    Laplacian, applied once per monomial.
     """
     mv_all = multivector_probes(P, PROBE_DEGREE)
     low = [u for u in mv_all if u.max_degree() <= 1]
     funcs = coordinate_monomials(P.coordinates, PROBE_DEGREE)
-    lap = _laplacians(P, mv_all)
+    lap = _once_per_monomial_laplacian(P)
     return {
         "a": _leibniz_dstar_witness(P, [u for u in mv_all if u.max_degree() <= 2]),
         "i": _wedge_derivation_witness(P, mv_all, lap),
@@ -666,19 +693,20 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
 def _pairing_witnesses(P: BialgebroidPair) -> Tuple[Optional[str], Optional[str]]:
     """Witnesses of (g) and (h), which share the pairing side."""
     wit_g = wit_h = None
+    lap = _once_per_monomial_laplacian(P)
     deg1_mv = degree1_multivector_probes(P, PROBE_DEGREE)
-    lap_mv = [laplacian(P, u) for u in deg1_mv]
+    lap_mv = [lap(u) for u in deg1_mv]
     for th in degree1_form_probes(P, PROBE_DEGREE):
         if wit_g and wit_h:
             break
-        lap_th = laplacian(P, th)
+        lap_th = lap(th)
         for u, lap_u in zip(deg1_mv, lap_mv):
             h = pairing(th, u)
             rhs = pairing(lap_th, u) + pairing(th, lap_u)
-            lhs_g = laplacian(P, P.scalar_form(h)).scalar_part()
+            lhs_g = lap(P.scalar_form(h)).scalar_part()
             if lhs_g != rhs and wit_g is None:
                 wit_g = f"theta = {th}; u = {u}; Lap*<theta,u> = {lhs_g}; pairing side = {rhs}"
-            lhs_h = laplacian(P, P.scalar_mv(h)).scalar_part()
+            lhs_h = lap(P.scalar_mv(h)).scalar_part()
             if lhs_h != rhs and wit_h is None:
                 wit_h = f"theta = {th}; u = {u}; Lap<theta,u> = {lhs_h}; pairing side = {rhs}"
             if wit_g and wit_h:
@@ -743,18 +771,19 @@ def corollary_suite(P: BialgebroidPair) -> IdentityReport:
                        None if ok else f"L_X0 s / s = {div_x}; L_xi0 s / s = {div_xi}"))
 
     # derivation of the Gerstenhaber structure by the Laplacian
-    mv_all = multivector_probes(P, PROBE_DEGREE)
-    wit = _wedge_derivation_witness(P, mv_all, _laplacians(P, mv_all))
+    lap = _once_per_monomial_laplacian(P)
+    wit = _wedge_derivation_witness(P, multivector_probes(P, PROBE_DEGREE), lap)
     add(IdentityRecord("cor-brood/g14", wit is None, wit))
 
     sec = section_probes(P, PROBE_DEGREE)
+    lap_sec = [lap(u) for u in sec]
     wit = None
-    for u in sec:
+    for u, lap_u in zip(sec, lap_sec):
         if wit:
             break
-        for v in sec:
-            lhs = laplacian(P, P.A.schouten(u, v))
-            rhs = P.A.schouten(laplacian(P, u), v) + P.A.schouten(u, laplacian(P, v))
+        for v, lap_v in zip(sec, lap_sec):
+            lhs = lap(P.A.schouten(u, v))
+            rhs = P.A.schouten(lap_u, v) + P.A.schouten(u, lap_v)
             if lhs != rhs:
                 wit = f"u = {u}; v = {v}; Lap[u,v] = {lhs}; derivation side = {rhs}"
                 break
@@ -919,7 +948,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
 
     w_probes = multivector_probes(P, 1)
     funcs = coordinate_monomials(P.coordinates, PROBE_DEGREE)
-    d_cache = {id(w): dirac_apply(P, w) for w in w_probes}
+    D = _once_per_monomial_dirac(P)
 
     wit = None
     for f in funcs:
@@ -927,7 +956,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
             break
         df = dee(P, f)
         for w in w_probes:
-            lhs = dirac_apply(P, w.scaled(f)) - d_cache[id(w)].scaled(f)
+            lhs = D(w.scaled(f)) - D(w).scaled(f)
             rhs = clifford_act(df, w)
             if lhs != rhs:
                 wit = f"f = {f}; w = {w}; [D, f] w = {lhs}; Clifford(D f) w = {rhs}"
@@ -941,21 +970,21 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
             e_probes.append(SectionE.of(vec=P.basis_e(i).scaled(f)))
             e_probes.append(SectionE.of(cov=P.basis_eps(i).scaled(f)))
 
+    def odd_commutator(e: SectionE):
+        # [D, c_e] = D c_e + c_e D, additive like D, so also once per monomial
+        return once_per_monomial(lambda u: D(clifford_act(e, u)) + clifford_act(e, D(u)))
+
+    commutators = [odd_commutator(e1) for e1 in e_probes]
     wit = None
     for e2 in e_probes:
         if wit:
             break
-        c2 = {id(w): clifford_act(e2, w) for w in w_probes}
-        dc2 = {id(w): dirac_apply(P, c2[id(w)]) for w in w_probes}
-        for e1 in e_probes:
+        c2 = [clifford_act(e2, w) for w in w_probes]
+        for e1, d_e1 in zip(e_probes, commutators):
             target = dorfman(P, e1, e2)
-            for w in w_probes:
-                # [[D,e1],e2] w with [D,e] the odd anticommutator D c_e + c_e D
-                t1 = dirac_apply(P, clifford_act(e1, c2[id(w)]))
-                t2 = clifford_act(e1, dc2[id(w)])
-                t3 = clifford_act(e2, dirac_apply(P, clifford_act(e1, w)))
-                t4 = clifford_act(e2, clifford_act(e1, d_cache[id(w)]))
-                lhs = t1 + t2 - t3 - t4
+            for w, c2w in zip(w_probes, c2):
+                # [[D,e1],e2] w = [D,e1](e2 . w) - e2 . [D,e1] w
+                lhs = d_e1(c2w) - clifford_act(e2, d_e1(w))
                 rhs = clifford_act(target, w)
                 if lhs != rhs:
                     wit = (f"e1 = {e1}; e2 = {e2}; w = {w}; "
@@ -965,7 +994,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
                 break
     add(IdentityRecord("generator/derived-bracket", wit is None, wit))
 
-    sq = dirac_square(P)
+    sq = _dirac_square(P, D)
     wit = None if sq.is_scalar else sq.witness
     add(IdentityRecord("generator/square-scalar", sq.is_scalar, wit))
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bialgebroid import InternalError, cli
 from bialgebroid.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
@@ -142,6 +143,51 @@ def test_deeply_nested_polynomial_is_input_error(capsys, tmp_path):
     code, out = run(capsys, "check", str(path))
     assert code == 2
     assert "nested deeper than" in json.loads(out)["error"]
+
+
+DEEP_JSON = "[" * 100000
+
+
+def test_deeply_nested_document_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "nests too deeply" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "poisson", "--dim", "2", "--pi", DEEP_JSON],
+    ["example", "exact", "tests/fixtures/tangent-r3.json", "--lambda", DEEP_JSON],
+    ["example", "pn", "tests/fixtures/tangent-r3.json", "--n", DEEP_JSON,
+     "--lambda", '{"1,2": "1"}'],
+])
+def test_deeply_nested_json_option_is_input_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "nests too deeply" in json.loads(out)["error"]
+
+
+# -- internal faults ----------------------------------------------------------------
+
+
+def test_internal_error_is_not_an_input_error():
+    assert not issubclass(InternalError, ValueError)
+
+
+@pytest.mark.parametrize("fault", [InternalError("check failed (internal error)"),
+                                   ZeroDivisionError("division by zero")])
+def test_internal_fault_is_exit_3(capsys, monkeypatch, fault):
+    def broken_suite(pair):
+        raise fault
+
+    monkeypatch.setitem(cli._SUITES, "generator", broken_suite)
+    code, out = run(capsys, "identities", "tests/fixtures/a-plus-b.json",
+                    "--suite", "generator")
+    assert code == 3
+    body = json.loads(out)
+    assert body["internal"] is True and body["exit_status"] == 3
+    assert body["error"] == f"{type(fault).__name__}: {fault}"
 
 
 # -- example families --------------------------------------------------------------
