@@ -11,12 +11,15 @@ Subcommands:
 * ``identities <spec.json> --suite theorem-c|corollaries|courant|generator``.
 * ``modular <spec.json>``: the two modular cocycles and the square scalar.
 * ``example a-plus-b|poisson|exact|pn ...``: build a documented example
-  family, run its identity report, and embed the pair document.
+  family, run its identity report, and embed the pair document.  The
+  a-plus-b parameters are rationals in the polynomial grammar's form
+  (ring.parse_rational): a signed ASCII integer or p/q with q != 0.
 
 Exit codes: 0 all checked properties hold, 1 a property failed (report
 carries a witness), 2 input, validation or usage error (a JSON document
-or option nested too deeply for the parser included), 3 an internal
-fault: pair.InternalError or any other unexpected exception, reported as
+or option nested too deeply for the parser, or an integer longer than
+int's digit limit, included), 3 an internal fault: pair.InternalError or
+any other unexpected exception, a plain ValueError included, reported as
 JSON with "internal": true instead of a traceback.  Reports are JSON
 on stdout (``--output text`` for a line-per-fact rendering); the
 elapsed_ms field is the only non-deterministic part.  A usage error (an
@@ -39,16 +42,19 @@ from .constructions import (BivectorData, ConstructionError, NijenhuisData,
                             PoissonManifoldData, a_plus_b, exact_from_bivector,
                             exact_identities, pn_hierarchy, pn_identities,
                             poisson_double, poisson_homology_check)
-from .exterior import Multivector
+from .exterior import ExteriorError, Multivector
 from .pair import (PROBE_DEGREE, PairError, PreconditionError, corollary_suite,
                    courant_axioms, dirac_square, f_tilde, generator_check,
                    theorem_c_suite)
-from .ring import PolynomialError
+from .ring import PolynomialError, parse_rational
 from .serialize import (DocumentError, algebroid_from_json, document_to_structures,
                         pair_from_json, pair_to_json)
 
+# The package's own input classes only: a plain ValueError is a fault of
+# this package (exit 3), so every ValueError that input can raise is turned
+# into one of these where it arises.
 _INPUT_ERRORS = (DocumentError, ConstructionError, AlgebroidError, PairError,
-                 PolynomialError, OSError, json.JSONDecodeError, ValueError)
+                 PolynomialError, ExteriorError, OSError)
 
 
 class _UsageError(Exception):
@@ -65,16 +71,23 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_json(text: str, what: str):
-    """json.loads, with nesting too deep for the parser an input error."""
+    """json.loads, with malformed JSON, an integer longer than int's digit
+    limit and nesting too deep for the parser all input errors."""
     try:
         return json.loads(text)
     except RecursionError:
         raise DocumentError(f"{what} nests too deeply to parse") from None
+    except ValueError as exc:
+        raise DocumentError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _load_doc(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = _parse_json(handle.read(), path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except ValueError as exc:  # not UTF-8 text, or a NUL byte in the path
+        raise DocumentError(f"cannot read {path!r}: {exc}") from None
+    doc = _parse_json(text, path)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     return doc
@@ -175,8 +188,15 @@ def _bivector_from_arg(raw, rank: int, coords) -> BivectorData:
     return BivectorData(Multivector(rank, coords, terms))
 
 
+def _rational_arg(name: str, text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except PolynomialError as exc:
+        raise DocumentError(f"--{name} must be an integer or p/q: {exc}") from None
+
+
 def _cmd_example_a_plus_b(args) -> Tuple[dict, int]:
-    params = {name: Fraction(getattr(args, name)) for name in ("a", "b", "c", "d")}
+    params = {name: _rational_arg(name, getattr(args, name)) for name in ("a", "b", "c", "d")}
     pair = a_plus_b(params["a"], params["b"], params["c"], params["d"])
     report = dirac_square(pair)
     ok = report.is_scalar and report.square_formula_ok

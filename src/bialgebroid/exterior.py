@@ -291,6 +291,49 @@ def retype(element: GradedElement) -> GradedElement:
     return cls._raw(element.rank, element.variables, element.terms)
 
 
+def monomials(element: GradedElement):
+    """The terms c x^gamma e_I of element as ((class, I, gamma), c) pairs.
+
+    The key names the monomial together with its class, as once_per_monomial
+    stores images; unit_monomial turns a key back into the element.
+    """
+    cls = type(element)
+    return [((cls, index, exps), c)
+            for index, poly in element.terms.items() for exps, c in poly.terms.items()]
+
+
+def unit_monomial(rank: int, variables, key) -> GradedElement:
+    """The element x^gamma e_I, coefficient 1, named by key = (class, I, gamma)."""
+    cls, index, exps = key
+    return cls._raw(rank, variables, {index: Polynomial._raw(variables, {exps: Fraction(1)})})
+
+
+def weighted_sum(pieces):
+    """sum c * image over a nonempty list of (c, image) pairs, c a Fraction.
+
+    The images share one type, rank and variable context, which the result
+    takes.  This is how a once-per-monomial wrapper assembles its value
+    from the stored images of the input's monomials.
+    """
+    if len(pieces) == 1:
+        (c, found), = pieces
+        return found if c == 1 else found.scaled(c)
+    acc: Dict[Index, Dict[tuple, Fraction]] = {}
+    for c, found in pieces:
+        for ix, p in found.terms.items():
+            slot = acc.setdefault(ix, {})
+            for e, v in p.terms.items():
+                s = slot.get(e, 0) + c * v
+                if s:
+                    slot[e] = s
+                else:
+                    del slot[e]
+    out_vars = found.variables
+    return type(found)._raw(found.rank, out_vars,
+                            {ix: Polynomial._raw(out_vars, slot)
+                             for ix, slot in acc.items() if slot})
+
+
 def once_per_monomial(op):
     """Wrap an additive operator so that it is applied once per monomial x^gamma e_I.
 
@@ -306,44 +349,19 @@ def once_per_monomial(op):
     """
     images = {}
 
-    def image(cls, rank, variables, index, exps):
-        key = (cls, index, exps)
-        found = images.get(key)
-        if found is None:
-            mono = Polynomial._raw(variables, {exps: Fraction(1)})
-            found = images[key] = op(cls._raw(rank, variables, {index: mono}))
-        return found
-
     def apply(element):
-        cls, rank, variables = type(element), element.rank, element.variables
-        terms = element.terms
-        if not terms:
-            key = (cls,)
+        if not element.terms:
+            key = (type(element),)
             if key not in images:
                 images[key] = op(element)
             return images[key]
-        if len(terms) == 1:
-            (index, poly), = terms.items()
-            if len(poly.terms) == 1:
-                (exps, c), = poly.terms.items()
-                found = image(cls, rank, variables, index, exps)
-                return found if c == 1 else found.scaled(c)
-        acc: Dict[Index, Dict[tuple, Fraction]] = {}
-        for index, poly in terms.items():
-            for exps, c in poly.terms.items():
-                found = image(cls, rank, variables, index, exps)
-                for ix, p in found.terms.items():
-                    slot = acc.setdefault(ix, {})
-                    for e, v in p.terms.items():
-                        s = slot.get(e, 0) + c * v
-                        if s:
-                            slot[e] = s
-                        else:
-                            del slot[e]
-        out_vars = found.variables
-        return type(found)._raw(found.rank, out_vars,
-                                {ix: Polynomial._raw(out_vars, slot)
-                                 for ix, slot in acc.items() if slot})
+        pieces = []
+        for key, c in monomials(element):
+            found = images.get(key)
+            if found is None:
+                found = images[key] = op(unit_monomial(element.rank, element.variables, key))
+            pieces.append((c, found))
+        return weighted_sum(pieces)
 
     return apply
 

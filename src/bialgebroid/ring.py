@@ -16,7 +16,10 @@ Digits are ASCII 0-9, parentheses nest at most 100 deep, whitespace
 is insignificant and there is no implicit multiplication, so
 ``x^2 - 1/2*y`` parses but ``2x`` does not.  (The optional leading
 sign on an expr is a documented superset of the base grammar; it makes
-printing and parsing mutual inverses.)
+printing and parsing mutual inverses.)  An integer literal longer than
+Python's int digit limit (4300 by default) is a PolynomialError, like
+any other malformed text.  parse_rational reads one signed constant,
+['+'|'-'] rational, in the same grammar.
 """
 
 from __future__ import annotations
@@ -285,7 +288,23 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, variables) -> "Polynomial":
+        if not isinstance(text, str):
+            raise PolynomialError(f"expected polynomial text, got {type(text).__name__}")
         return _Parser(text, tuple(variables)).parse()
+
+
+def parse_rational(text: str) -> Fraction:
+    """A signed rational constant, ['+'|'-'] int ('/' nat)?, as in polynomial
+    text; anything else, a zero denominator included, is a PolynomialError."""
+    return _Parser(text, ()).parse_rational()
+
+
+def _int_literal(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise PolynomialError(
+            f"integer literal of {len(text)} digits exceeds Python's int digit limit", pos) from None
 
 
 # Deepest parenthesis nesting the parser accepts.  Each level costs four
@@ -328,17 +347,33 @@ class _Parser:
 
     def parse(self) -> Polynomial:
         result = self._expr()
+        self._expect_eof()
+        return result
+
+    def parse_rational(self) -> Fraction:
+        sign = self._sign()
+        kind, val, pos = self._peek()
+        if kind != "int":
+            raise PolynomialError(f"expected a rational number, found {val or 'end of input'!r}", pos)
+        value = self._base().constant_value() * sign
+        self._expect_eof()
+        return value
+
+    def _expect_eof(self):
         kind, val, pos = self._peek()
         if kind != "eof":
             raise PolynomialError(f"trailing input starting with {val!r}", pos)
-        return result
 
-    def _expr(self) -> Polynomial:
-        sign = 1
+    def _sign(self) -> int:
+        """Consume an optional leading '+' or '-'."""
         kind, val, _ = self._peek()
         if kind == "op" and val in "+-":
             self.i += 1
-            sign = -1 if val == "-" else 1
+            return -1 if val == "-" else 1
+        return 1
+
+    def _expr(self) -> Polynomial:
+        sign = self._sign()
         result = self._term() * sign
         while True:
             kind, val, _ = self._peek()
@@ -367,20 +402,20 @@ class _Parser:
             kind, val, pos = self._next()
             if kind != "int":
                 raise PolynomialError(f"expected an integer exponent, found {val or 'end of input'!r}", pos)
-            return base ** int(val)
+            return base ** _int_literal(val, pos)
         return base
 
     def _base(self) -> Polynomial:
         kind, val, pos = self._next()
         if kind == "int":
-            num = int(val)
+            num = _int_literal(val, pos)
             kind2, val2, _ = self._peek()
             if kind2 == "op" and val2 == "/":
                 self.i += 1
                 kind3, val3, pos3 = self._next()
                 if kind3 != "int":
                     raise PolynomialError(f"expected a denominator, found {val3 or 'end of input'!r}", pos3)
-                den = int(val3)
+                den = _int_literal(val3, pos3)
                 if den == 0:
                     raise PolynomialError("zero denominator", pos3)
                 return Polynomial.const(self.variables, Fraction(num, den))

@@ -74,7 +74,10 @@ def _structure_from_subdoc(sub: dict, rank: int, coords, kind: str,
     brackets = {}
     for key, entry in sub["brackets"].items():
         i_text, j_text = key.split(",")
-        i, j = int(i_text), int(j_text)
+        try:
+            i, j = int(i_text), int(j_text)
+        except ValueError:  # more digits than int() converts: far out of range
+            i = j = 0
         if not (1 <= i < j <= rank):
             raise DocumentError(
                 f"{where}.brackets key '{key}' must satisfy 1 <= i < j <= {rank}")

@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from bialgebroid import InternalError, cli
+from bialgebroid import ExteriorError, InternalError, cli
 from bialgebroid.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
@@ -33,6 +36,8 @@ GOLDEN_CASES = [
     ("modular-poisson-linear", 0, ["modular", "tests/fixtures/poisson-linear.json"]),
     ("example-a-plus-b", 0,
      ["example", "a-plus-b", "--a", "1", "--b", "2", "--c", "3", "--d", "4"]),
+    ("identities-courant-broken-rank3", 1,
+     ["identities", "tests/fixtures/broken-rank3.json", "--suite", "courant"]),
 ]
 
 
@@ -168,6 +173,82 @@ def test_deeply_nested_json_option_is_input_error(capsys, argv):
     assert "nests too deeply" in json.loads(out)["error"]
 
 
+LONG_INT = "1" * 5000  # longer than Python's default 4300-digit int() limit
+
+
+def _doc_with(tmp_path, name, edit):
+    doc = json.loads((ROOT / "tests/fixtures/a-plus-b.json").read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("long-key.json", lambda doc: doc["A"]["brackets"].update({f"1,{LONG_INT}": ["1", "0"]})),
+    ("long-literal.json", lambda doc: doc["A"]["brackets"]["1,2"].__setitem__(0, LONG_INT)),
+    ("long-denominator.json",
+     lambda doc: doc["A"]["brackets"]["1,2"].__setitem__(0, "1/" + LONG_INT)),
+])
+def test_integer_past_the_digit_limit_in_a_document_is_input_error(capsys, tmp_path, name, edit):
+    code, out = run(capsys, "check", _doc_with(tmp_path, name, edit))
+    body = json.loads(out)
+    assert code == 2 and "internal" not in body, body
+
+
+def test_json_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):
+    path = tmp_path / "long-rank.json"
+    path.write_text((ROOT / "tests/fixtures/a-plus-b.json").read_text()
+                    .replace('"rank": 2', f'"rank": {LONG_INT}'))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "is not valid JSON" in json.loads(out)["error"]
+
+
+def test_document_that_is_not_utf8_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes((ROOT / "tests/fixtures/a-plus-b.json").read_text()
+                     .replace('"a-plus-b"', '"\u00e9"').encode("latin-1"))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "utf-8" in json.loads(out)["error"]
+
+
+def test_lambda_entry_that_is_not_text_is_input_error(capsys):
+    code, out = run(capsys, "example", "exact", "tests/fixtures/tangent-r3.json",
+                    "--lambda", '{"1,2": 5}')
+    assert code == 2
+    assert "expected polynomial text" in json.loads(out)["error"]
+
+
+def _cli_subprocess(*argv):
+    """Run the CLI in a fresh interpreter; a parse that runs away times out
+    here instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "bialgebroid.cli", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("value", ["1/0", "1e999999999", "1.5", "abc", "", "\u0663",
+                                   "1/-2", LONG_INT, "1/" + LONG_INT],
+                         ids=lambda v: f"{v[:4]}...{len(v)}-chars" if len(v) > 40 else None)
+def test_example_a_plus_b_bad_parameter_is_input_error(value):
+    result = _cli_subprocess("example", "a-plus-b", "--a", value,
+                             "--b", "2", "--c", "3", "--d", "4")
+    body = json.loads(result.stdout)
+    assert result.returncode == 2 and body["exit_status"] == 2
+    assert "internal" not in body
+    assert body["error"].startswith("--a must be an integer or p/q: ")
+
+
+def test_example_a_plus_b_takes_signed_integers_and_fractions(capsys):
+    code, out = run(capsys, "example", "a-plus-b", "--a", "-3", "--b", "+2",
+                    "--c", "1/2", "--d=-7/3")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"a": "-3", "b": "2", "c": "1/2", "d": "-7/3"}
+
+
 # -- internal faults ----------------------------------------------------------------
 
 
@@ -175,8 +256,14 @@ def test_internal_error_is_not_an_input_error():
     assert not issubclass(InternalError, ValueError)
 
 
+def test_input_errors_are_the_package_classes():
+    assert ValueError not in cli._INPUT_ERRORS
+    assert ExteriorError in cli._INPUT_ERRORS and issubclass(ExteriorError, ValueError)
+
+
 @pytest.mark.parametrize("fault", [InternalError("check failed (internal error)"),
-                                   ZeroDivisionError("division by zero")])
+                                   ZeroDivisionError("division by zero"),
+                                   ValueError("a bug, not bad input")])
 def test_internal_fault_is_exit_3(capsys, monkeypatch, fault):
     def broken_suite(pair):
         raise fault

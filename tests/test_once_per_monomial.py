@@ -1,5 +1,6 @@
-"""exterior.once_per_monomial: exact against the direct operators, and
-scoped to one decision call."""
+"""exterior.once_per_monomial and the Dorfman bracket taken once per pair of
+section monomials: exact against the direct operators, and scoped to one
+decision call."""
 
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bialgebroid import (Form, Multivector, Polynomial, corollary_suite,
-                         courant_axioms, dirac_apply, dirac_square,
-                         dirac_star_apply, dirac_star_square, generator_check,
+from bialgebroid import (Form, Multivector, Polynomial, SectionE, coordinate_monomials,
+                         corollary_suite, courant_axioms, dirac_apply, dirac_square,
+                         dirac_star_apply, dirac_star_square, dorfman, generator_check,
                          is_lie_bialgebroid, laplacian, theorem_c_suite)
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import once_per_monomial
@@ -110,6 +111,79 @@ def test_generator_check_applies_D_once_per_monomial(corpus, monkeypatch):
     # nothing is kept between calls: the same work again, and the same answer
     seen.clear()
     assert generator_check(P).to_json() == first
+    assert len(seen) == calls
+
+
+@st.composite
+def sections(draw, rank, coords):
+    """Sections of the double: rational combinations of x^gamma e_i and
+    x^gamma eps^j with |gamma| <= 3, either part (or both) may be zero."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in coords]).filter(lambda e: sum(e) <= 3)
+    poly = st.dictionaries(exps, rationals, max_size=3).map(lambda t: Polynomial(coords, t))
+    slots = st.sampled_from([(i,) for i in range(1, rank + 1)])
+    vec = draw(st.dictionaries(slots, poly, max_size=rank))
+    cov = draw(st.dictionaries(slots, poly, max_size=rank))
+    return SectionE(Multivector(rank, coords, vec), Form(rank, coords, cov))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_once_per_monomial_pair_equals_dorfman(all_pairs, data):
+    P = data.draw(st.sampled_from(all_pairs))
+    xs = data.draw(st.lists(sections(P.rank, P.coordinates), min_size=1, max_size=3))
+    bracket = pair_module._once_per_monomial_dorfman(P)
+    # every ordered pair, so later brackets reuse the images of earlier ones
+    for x in xs + [xs[0] + xs[-1], xs[0].scaled(Fraction(-3, 2))]:
+        for y in xs + [SectionE.zero(P.rank, P.coordinates)]:
+            for a, b in ((x, y), (y, x)):
+                assert bracket(a, b) == dorfman(P, a, b), (P.label, str(a), str(b))
+
+
+def test_bracket_on_monomial_sections_and_zero(all_pairs):
+    """Every ordered pair of sections x^gamma e_i, x^gamma eps^j (|gamma| <= 1),
+    of their sum and of zero, through one wrapper: images stored for one
+    exponent must not stand in for another."""
+    for P in all_pairs:
+        units = [SectionE.of(vec=P.basis_e(i).scaled(f)) for i in range(1, P.rank + 1)
+                 for f in coordinate_monomials(P.coordinates, 1)]
+        units += [SectionE.of(cov=P.basis_eps(i).scaled(f)) for i in range(1, P.rank + 1)
+                  for f in coordinate_monomials(P.coordinates, 1)]
+        total = units[0]
+        for e in units[1:]:
+            total = total + e
+        inputs = units + [total, SectionE.zero(P.rank, P.coordinates)]
+        bracket = pair_module._once_per_monomial_dorfman(P)
+        for a in inputs:
+            for b in inputs:
+                assert bracket(a, b) == dorfman(P, a, b), (P.label, str(a), str(b))
+
+
+def _section_key(e):
+    return (_key(e.vec), _key(e.cov))
+
+
+def test_courant_axioms_bracket_once_per_monomial_pair(corpus, monkeypatch):
+    P = dict(corpus)["exact-so3"]
+    assert P.rank == 3 and P.coordinates == ()
+    seen = []
+    direct = pair_module.dorfman
+
+    def counting(pair, e1, e2):
+        seen.append((e1, e2))
+        return direct(pair, e1, e2)
+
+    monkeypatch.setattr(pair_module, "dorfman", counting)
+    first = courant_axioms(P).to_json()
+    calls = len(seen)
+    for e1, e2 in seen:
+        for e in (e1, e2):
+            parts = [part for part in (e.vec, e.cov) if not part.is_zero()]
+            assert len(parts) == 1 and _is_probe_monomial(parts[0]), str(e)
+    assert len({(_section_key(e1), _section_key(e2)) for e1, e2 in seen}) == calls
+    assert 0 < calls <= (2 * P.rank) ** 2
+    # nothing is kept between calls: the same work again, and the same answer
+    seen.clear()
+    assert courant_axioms(P).to_json() == first
     assert len(seen) == calls
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bialgebroid import Polynomial, PolynomialError, divergence, field_bracket
+from bialgebroid.ring import parse_rational
 
 XY = ("x", "y")
 XYZ = ("x1", "x2", "x3")
@@ -59,13 +60,39 @@ BAD_INPUTS = [
     "x^-2",
     "",
     "\u0661 + x",  # a non-ASCII digit
+    "1" * 5000,  # longer than Python's default 4300-digit int() limit
+    "1/" + "1" * 5000,
+    "x^" + "1" * 5000,
+    7,  # not text at all
 ]
 
 
-@pytest.mark.parametrize("text", BAD_INPUTS)
+def long_text_id(value):
+    """A short test id for the 5000-character inputs; pytest's own for the rest."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:4]}...{len(value)}-chars"
+    return None
+
+
+@pytest.mark.parametrize("text", BAD_INPUTS, ids=long_text_id)
 def test_parse_rejects(text):
     with pytest.raises(PolynomialError):
         poly(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-3", Fraction(-3)), ("+2", Fraction(2)), ("0", Fraction(0)),
+    ("1/2", Fraction(1, 2)), ("-7/3", Fraction(-7, 3)), (" 6 / 4 ", Fraction(3, 2)),
+])
+def test_parse_rational(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "1/0", "1.5", "1e3", "x", "1/-2", "--1", "1/2/3",
+                                  "2*3", "(1)", "\u0663", "1" * 5000], ids=long_text_id)
+def test_parse_rational_rejects(text):
+    with pytest.raises(PolynomialError):
+        parse_rational(text)
 
 
 def test_parse_error_carries_position():
