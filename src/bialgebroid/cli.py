@@ -13,7 +13,8 @@ Subcommands:
 * ``example a-plus-b|poisson|exact|pn ...``: build a documented example
   family, run its identity report, and embed the pair document.  The
   a-plus-b parameters are rationals in the polynomial grammar's form
-  (ring.parse_rational): a signed ASCII integer or p/q with q != 0.
+  (ring.parse_rational): a signed ASCII integer or p/q with q != 0, as
+  ``--d -7/3`` or ``--d=-7/3``.
 
 Exit codes: 0 all checked properties hold, 1 a property failed (report
 carries a witness), 2 input, validation or usage error (a JSON document
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -63,7 +65,15 @@ class _UsageError(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises _UsageError on a rejected command line instead of exiting, so
-    that main can still print a JSON report; subparsers inherit the class."""
+    that main can still print a JSON report; subparsers inherit the class.
+
+    A signed p/q such as -7/3 is read as a value, as argparse already reads
+    -3, so that --d -7/3 means --d=-7/3 instead of a missing argument.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$|^-[0-9]*\.[0-9]+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

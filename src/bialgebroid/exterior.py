@@ -294,8 +294,9 @@ def retype(element: GradedElement) -> GradedElement:
 def monomials(element: GradedElement):
     """The terms c x^gamma e_I of element as ((class, I, gamma), c) pairs.
 
-    The key names the monomial together with its class, as once_per_monomial
-    stores images; unit_monomial turns a key back into the element.
+    The key names the monomial together with its class, as the
+    once-per-monomial wrappers store images; unit_monomial turns a key back
+    into the element.
     """
     cls = type(element)
     return [((cls, index, exps), c)
@@ -362,6 +363,49 @@ def once_per_monomial(op):
                 found = images[key] = op(unit_monomial(element.rank, element.variables, key))
             pieces.append((c, found))
         return weighted_sum(pieces)
+
+    return apply
+
+
+def once_per_monomial_pair(op):
+    """Wrap a two-slot operator so that it is applied once per pair of monomials.
+
+    op(x, t) must be additive in each slot and commute with constant scaling
+    there, as a Lie derivative L_x t and the Dorfman bracket x o t do; it need
+    not be C-infinity-linear in either slot, so an image is stored under the
+    (class, I, gamma) of both slots, never under the indices alone.  A slot
+    takes a GradedElement or a tuple of them read as their sum (the two parts
+    of a section of the double).  op sees unit monomials x^gamma e_I in both
+    slots and returns a value shaped like the second slot: an element of its
+    class, or a tuple with one element per part.  Every other value is the
+    Fraction-weighted sum of stored images, part by part, which is exactly
+    op(x, t); a zero slot gives zero without calling op.  As with
+    once_per_monomial, build one inside each computation and let it go on
+    return.
+    """
+    images = {}
+
+    def apply(x, t):
+        parts = t if isinstance(t, tuple) else (t,)
+        rank, variables = parts[0].rank, parts[0].variables
+        right = []
+        for part in parts:
+            right += monomials(part)
+        pieces = []
+        for part in x if isinstance(x, tuple) else (x,):
+            for k1, c1 in monomials(part):
+                for k2, c2 in right:
+                    found = images.get((k1, k2))
+                    if found is None:
+                        found = images[k1, k2] = op(unit_monomial(rank, variables, k1),
+                                                    unit_monomial(rank, variables, k2))
+                    pieces.append((c1 * c2, found))
+        if parts is not t:
+            return weighted_sum(pieces) if pieces else type(t).zero(rank, variables)
+        if not pieces:
+            return tuple(type(part).zero(rank, variables) for part in parts)
+        return tuple([weighted_sum([(c, found[i]) for c, found in pieces])
+                      for i in range(len(parts))])
 
     return apply
 

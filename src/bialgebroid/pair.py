@@ -50,9 +50,14 @@ constant c, but it is not C-infinity-bilinear (x o (f y) = f (x o y) +
 (rho(x) f) y, and the first slot carries a D f term), so an image is
 stored under the (class, I, gamma) of both slots.  courant_axioms brackets
 a few dozen monomial pairs this way instead of making thousands of direct
-calls.  The wrapper is built inside the call and dropped on return;
-nothing is stored on the pair, so a repeated call does the same work
-again.
+calls.  The Lie derivatives L_x t of thm-c (c)/(d) get the same two-slot
+treatment for the same reasons (L_{fx} t and L_x(f t) are not f L_x t),
+through the one loop both share, exterior.once_per_monomial_pair.  There
+the defect operator has order <= 1 in its form argument, so its
+tensoriality is checked on the coordinates x_a alone (the argument is in
+_defect_witness).  Each wrapper is built inside the call and dropped on
+return; nothing is stored on the pair, so a repeated call does the same
+work again.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary, validate_algebroid
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
-                       interior_by_multivector, monomials, once_per_monomial, pairing,
-                       retype, unit_monomial, weighted_sum)
+                       interior_by_multivector, once_per_monomial, once_per_monomial_pair,
+                       pairing, retype)
 from .ring import Polynomial, divergence, field_bracket
 
 
@@ -183,6 +188,14 @@ class SectionE:
                 raise PairError("SectionE parts must be purely degree 1")
         self.vec = vec
         self.cov = cov
+
+    @classmethod
+    def _raw(cls, vec: Multivector, cov: Form) -> "SectionE":
+        """A section from parts already known to be degree 1 in one frame."""
+        self = object.__new__(cls)
+        self.vec = vec
+        self.cov = cov
+        return self
 
     @classmethod
     def zero(cls, rank: int, variables) -> "SectionE":
@@ -523,28 +536,17 @@ def _once_per_monomial_dorfman(P: BialgebroidPair):
     """dorfman(P, ., .) run once per pair of section monomials, keyed by the
     (class, I, gamma) of both slots; any other bracket is the Fraction-weighted
     sum of the stored images (see the module docstring for why that is exact)."""
-    rank, variables = P.rank, P.coordinates
-    images = {}
 
-    def section(key) -> SectionE:
-        unit = unit_monomial(rank, variables, key)
-        return SectionE.of(vec=unit) if key[0] is Multivector else SectionE.of(cov=unit)
+    def section(part) -> SectionE:
+        return SectionE.of(vec=part) if isinstance(part, Multivector) else SectionE.of(cov=part)
 
-    def apply(e1: SectionE, e2: SectionE) -> SectionE:
-        pieces = []
-        right = monomials(e2.vec) + monomials(e2.cov)
-        for k1, c1 in monomials(e1.vec) + monomials(e1.cov):
-            for k2, c2 in right:
-                found = images.get((k1, k2))
-                if found is None:
-                    found = images[k1, k2] = dorfman(P, section(k1), section(k2))
-                pieces.append((c1 * c2, found))
-        if not pieces:
-            return SectionE.zero(rank, variables)
-        return SectionE(weighted_sum([(c, e.vec) for c, e in pieces]),
-                        weighted_sum([(c, e.cov) for c, e in pieces]))
+    def op(a, b):
+        e = dorfman(P, section(a), section(b))
+        return e.vec, e.cov
 
-    return apply
+    bracket = once_per_monomial_pair(op)
+    # a sum of brackets of sections is a section: no need to check it again
+    return lambda e1, e2: SectionE._raw(*bracket((e1.vec, e1.cov), (e2.vec, e2.cov)))
 
 
 def clifford_act(e: SectionE, w: Multivector) -> Multivector:
@@ -674,18 +676,39 @@ def _wedge_derivation_witness(P: BialgebroidPair, probes, lap) -> Optional[str]:
     return None
 
 
+def _once_per_monomial_lie(P: BialgebroidPair):
+    """L_x t along a degree-1 Multivector or Form x, once per pair of monomials."""
+    return once_per_monomial_pair(
+        lambda x, t: (lie_by_multivector if isinstance(x, Multivector) else lie_by_form)(P, x, t))
+
+
 def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Optional[str]:
     """First failure of (c): the commutator defect of (u, 0) o (0, theta)
-    acting on forms is tensorial with trace 2 <d theta, dstar u>."""
+    acting on forms is tensorial with trace 2 <d theta, dstar u>.
+
+    The defect operator is top = L_e - (L_u L_theta - L_theta L_u) with
+    e = (u, 0) o (0, theta).  Each L is additive in both slots and commutes
+    with constants there, so one wrapper takes it once per pair of monomials
+    for the whole call.  Tensoriality needs only the coordinates as
+    lin_funcs: top has order <= 1 in eta, since every L along a degree-1
+    section satisfies L_x(f eta) = f L_x eta + (rho(x) f) eta, and in the
+    commutator the cross terms (rho(u) f) L_theta eta and (rho(theta) f)
+    L_u eta cancel.  So top(f eta) - f top(eta) = X(f) eta with the vector
+    field X = rho(e) - [rho(u), rho(theta)]: a derivation in f, which
+    vanishes for every polynomial f iff it vanishes for every f = x_a.  The
+    x_a come first among the monomials, so the witness is the one that the
+    family of all f with |gamma| <= 2 would give.
+    """
+    lie = _once_per_monomial_lie(P)
+    d_forms = [P.d(th) for th in deg1_form]
     for u in deg1_mv:
         du = P.dstar(u)
-        for th in deg1_form:
+        for th, dth in zip(deg1_form, d_forms):
             e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
 
             def top(eta: Form) -> Form:
-                second = lie_by_multivector(P, u, lie_by_form(P, th, eta)) \
-                    - lie_by_form(P, th, lie_by_multivector(P, u, eta))
-                return lie_by_section(P, e, eta) - second
+                second = lie(u, lie(th, eta)) - lie(th, lie(u, eta))
+                return lie(e.vec, eta) + lie(e.cov, eta) - second
 
             base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
             for f in lin_funcs:
@@ -697,7 +720,7 @@ def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Option
             trace = Polynomial.zero(P.coordinates)
             for j in range(1, P.rank + 1):
                 trace = trace + pairing(base[j - 1], P.basis_e(j))
-            want = 2 * pairing(P.d(th), du)
+            want = 2 * pairing(dth, du)
             if trace != want:
                 return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
     return None
@@ -709,20 +732,21 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     (a) graded Leibniz for dstar; (i) the Laplacian is a wedge derivation;
     (k) it is half the sum of the modular Lie derivatives, and (e) is (k)
     on functions and degree-1 sections; (c) the commutator-defect operator
-    is tensorial with the stated trace.  Each multivector probe list is
-    mv_all filtered by degree, in its order, and (i), (k) and (e) share one
-    Laplacian, applied once per monomial.
+    is tensorial with the stated trace, checked on f = x_a (see
+    _defect_witness).  Each multivector probe list is mv_all filtered by
+    degree, in its order, and (i), (k) and (e) share one Laplacian, applied
+    once per monomial.
     """
     mv_all = multivector_probes(P, PROBE_DEGREE)
     low = [u for u in mv_all if u.max_degree() <= 1]
-    funcs = coordinate_monomials(P.coordinates, PROBE_DEGREE)
     lap = _once_per_monomial_laplacian(P)
     return {
         "a": _leibniz_dstar_witness(P, [u for u in mv_all if u.max_degree() <= 2]),
         "i": _wedge_derivation_witness(P, mv_all, lap),
         "k": _modular_lie_witness(P, mv_all, lap),
         "c": _defect_witness(P, [u for u in low if u.max_degree() == 1],
-                             degree1_form_probes(P, PROBE_DEGREE), funcs[1:]),
+                             degree1_form_probes(P, PROBE_DEGREE),
+                             coordinate_monomials(P.coordinates, 1)[1:]),
         "e": _modular_lie_witness(P, low, lap),
     }
 

@@ -12,18 +12,20 @@ The text format is the one used by every file format in this package:
     base     := rational | name | '(' expr ')'
     rational := int ('/' nat)?
 
-Digits are ASCII 0-9, parentheses nest at most 100 deep, whitespace
-is insignificant and there is no implicit multiplication, so
-``x^2 - 1/2*y`` parses but ``2x`` does not.  (The optional leading
-sign on an expr is a documented superset of the base grammar; it makes
-printing and parsing mutual inverses.)  An integer literal longer than
-Python's int digit limit (4300 by default) is a PolynomialError, like
-any other malformed text.  parse_rational reads one signed constant,
-['+'|'-'] rational, in the same grammar.
+Digits are ASCII 0-9, parentheses nest at most 100 deep, a power stays
+within fixed bounds on its degree, term count and constant size (see
+_MAX_POWER_DEGREE), whitespace is insignificant and there is no implicit
+multiplication, so ``x^2 - 1/2*y`` parses but ``2x`` does not.  (The
+optional leading sign on an expr is a documented superset of the base
+grammar; it makes printing and parsing mutual inverses.)  An integer
+literal longer than Python's int digit limit (4300 by default) is a
+PolynomialError, like any other malformed text.  parse_rational reads
+one signed constant, ['+'|'-'] rational, in the same grammar.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Tuple
@@ -311,6 +313,33 @@ def _int_literal(text: str, pos: int) -> int:
 # Python frames, so this bound keeps a parse far below the recursion limit.
 _MAX_NESTING = 100
 
+# Largest power base^n the parser computes.  A non-constant power may have
+# total degree up to _MAX_POWER_DEGREE and, by the multinomial count, up to
+# _MAX_POWER_TERMS terms; a constant one up to about _MAX_POWER_BITS bits in
+# its numerator or denominator.  A larger power is refused before any
+# multiplication: without a bound, "(x1+x2+x3+1)^100000" runs for minutes.
+_MAX_POWER_DEGREE = 64
+_MAX_POWER_TERMS = 2000
+_MAX_POWER_BITS = 4096
+
+
+def _check_power(base: Polynomial, n: int, exponent: str, pos: int) -> None:
+    """Raise PolynomialError at pos if base^n passes a _MAX_POWER_* bound."""
+    if base.is_constant():
+        c = base.constant_value()
+        # floor(log2) of the larger part, so a result at the bound passes
+        if n * (max(abs(c.numerator), c.denominator).bit_length() - 1) > _MAX_POWER_BITS:
+            raise PolynomialError(
+                f"power ^{exponent} of a constant exceeds {_MAX_POWER_BITS} bits", pos)
+        return
+    if base.total_degree() * n > _MAX_POWER_DEGREE:
+        raise PolynomialError(
+            f"power ^{exponent} exceeds total degree {_MAX_POWER_DEGREE}", pos)
+    if math.comb(len(base.terms) + n - 1, n) > _MAX_POWER_TERMS:
+        raise PolynomialError(
+            f"power ^{exponent} of {len(base.terms)} terms may exceed "
+            f"{_MAX_POWER_TERMS} terms", pos)
+
 
 class _Parser:
     """Recursive-descent parser for the polynomial grammar above."""
@@ -402,7 +431,9 @@ class _Parser:
             kind, val, pos = self._next()
             if kind != "int":
                 raise PolynomialError(f"expected an integer exponent, found {val or 'end of input'!r}", pos)
-            return base ** _int_literal(val, pos)
+            n = _int_literal(val, pos)
+            _check_power(base, n, val, pos)
+            return base ** n
         return base
 
     def _base(self) -> Polynomial:

@@ -1,13 +1,17 @@
 """Shared structures: a corpus of known-good pairs plus incompatible ones."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bialgebroid import (AlgebroidStructure, BialgebroidPair, BivectorData,
                          Multivector, PoissonManifoldData, Polynomial, a_plus_b,
                          exact_from_bivector, find_counterexample_pairs,
-                         poisson_double, tangent_algebroid)
+                         pair_from_json, poisson_double, tangent_algebroid)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def const(value, coords=()):
@@ -105,3 +109,17 @@ def counterexamples():
 def failing_pairs(counterexamples):
     """Every known non-bialgebroid: the two over a point and one over R^2."""
     return list(counterexamples) + [tangent_against_solvable()]
+
+
+PN_FIXTURES = ("pn-diag-x1-1-1", "pn-diag-x1-x2-x3-lambda-x3")
+
+
+@pytest.fixture(scope="session")
+def pn_failing_pairs():
+    """Incompatible Poisson-Nijenhuis pairs over R^3: TR^3 deformed by
+    N = diag(x1, 1, 1), resp. diag(x1, x2, x3), against the cotangent
+    algebroid of lambda e1^e2 with lambda = 1, resp. x3.  Their thm-c c/d
+    defects are not tensorial on a coordinate times eps^1, so they tell a
+    tensoriality check that keeps the x_a from one that drops them."""
+    return [pair_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+            for name in PN_FIXTURES]

@@ -13,7 +13,9 @@ from bialgebroid import (AlgebroidError, BialgebroidPair, Form, Multivector,
                          dorfman, f_tilde, f_tilde_star, generator_check,
                          interior_by_form, is_lie_bialgebroid, metric,
                          multivector_probes, pairing, rho_apply, theorem_c_suite)
-from bialgebroid.pair import section_probes
+from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
+                              degree1_multivector_probes, lie_by_form,
+                              lie_by_multivector, lie_by_section, section_probes)
 
 from conftest import (const, heisenberg, heisenberg_triangular_pair,
                       point_algebra, poisson_data)
@@ -243,6 +245,53 @@ def test_degree3_probes_reach_the_library_verdicts(corpus, failing_pairs):
         assert square_defect == (not dirac_square(P).is_scalar), label
         leibniz_defect = _leibniz_defect_found(P, section_probes(P, 3))
         assert leibniz_defect == (not is_lie_bialgebroid(P).passed), label
+
+
+def _defect_witness_oracle(P):
+    """thm-c/c computed directly: every Lie derivative by a direct call, and
+    tensoriality of the defect operator checked on every f with |gamma| <= 2."""
+    lin_funcs = coordinate_monomials(P.coordinates, 2)[1:]
+    for u in degree1_multivector_probes(P, 2):
+        du = P.dstar(u)
+        for th in degree1_form_probes(P, 2):
+            e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
+
+            def top(eta):
+                second = lie_by_multivector(P, u, lie_by_form(P, th, eta)) \
+                    - lie_by_form(P, th, lie_by_multivector(P, u, eta))
+                return lie_by_section(P, e, eta) - second
+
+            base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
+            for f in lin_funcs:
+                for j in range(1, P.rank + 1):
+                    probe = Form.monomial(P.rank, P.coordinates, (j,), f)
+                    if top(probe) != base[j - 1].scaled(f):
+                        return (f"u = {u}; theta = {th}; defect operator is not "
+                                f"tensorial on ({f}) eps[{j}]")
+            trace = Polynomial.zero(P.coordinates)
+            for j in range(1, P.rank + 1):
+                trace = trace + pairing(base[j - 1], P.basis_e(j))
+            want = 2 * pairing(P.d(th), du)
+            if trace != want:
+                return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
+    return None
+
+
+def test_defect_tensoriality_on_coordinates_matches_the_full_family(
+        corpus, failing_pairs, pn_failing_pairs):
+    """Oracle for the order-1 reduction of thm-c (c)/(d): the library's
+    witnesses are the ones found with direct Lie derivatives and every f
+    with |gamma| <= 2."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
+        rep = theorem_c_suite(P)
+        c, d = rep.record("thm-c/c").witness, rep.record("thm-c/d").witness
+        assert c == _defect_witness_oracle(P), label
+        mirror = _defect_witness_oracle(P.flipped())
+        assert d == (None if mirror is None else MIRROR_PREFIX + mirror), label
+        if P in pn_failing_pairs:
+            # found only on a coordinate times eps^j: the x_a must stay in the family
+            for witness in (c, d):
+                assert "defect operator is not tensorial on (x" in witness, label
 
 
 def test_every_export_resolves_once():

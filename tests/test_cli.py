@@ -38,6 +38,8 @@ GOLDEN_CASES = [
      ["example", "a-plus-b", "--a", "1", "--b", "2", "--c", "3", "--d", "4"]),
     ("identities-courant-broken-rank3", 1,
      ["identities", "tests/fixtures/broken-rank3.json", "--suite", "courant"]),
+    ("identities-theorem-c-pn-diag-x1-1-1", 1,
+     ["identities", "tests/fixtures/pn-diag-x1-1-1.json", "--suite", "theorem-c"]),
 ]
 
 
@@ -247,6 +249,23 @@ def test_example_a_plus_b_takes_signed_integers_and_fractions(capsys):
                     "--c", "1/2", "--d=-7/3")
     assert code == 0
     assert json.loads(out)["parameters"] == {"a": "-3", "b": "2", "c": "1/2", "d": "-7/3"}
+
+
+def test_example_a_plus_b_takes_a_negative_fraction_as_a_separate_argument(capsys):
+    argv = ["example", "a-plus-b", "--a", "1", "--b", "-2", "--c", "3"]
+    code, out = run(capsys, *argv, "--d", "-7/3")
+    assert (code, out) == run(capsys, *argv, "--d=-7/3")
+    assert code == 0
+    assert json.loads(out)["parameters"]["d"] == "-7/3"
+
+
+def test_oversized_power_is_input_error():
+    result = _cli_subprocess("example", "exact", "tests/fixtures/tangent-r3.json",
+                             "--lambda", '{"1,2": "(x1+x2+x3+1)^100000"}')
+    body = json.loads(result.stdout)
+    assert result.returncode == 2 and body["exit_status"] == 2
+    assert "internal" not in body
+    assert body["error"] == "power ^100000 exceeds total degree 64 (at position 13)"
 
 
 # -- internal faults ----------------------------------------------------------------

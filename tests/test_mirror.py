@@ -74,8 +74,8 @@ def test_mirror_operators_match_the_form_side_formulas(all_pairs):
             assert laplacian(P, theta) == lap, (label, theta)
 
 
-def test_every_theorem_c_item_fails_on_failing_pairs(failing_pairs):
-    for P in failing_pairs:
+def test_every_theorem_c_item_fails_on_failing_pairs(failing_pairs, pn_failing_pairs):
+    for P in failing_pairs + pn_failing_pairs:
         rep = theorem_c_suite(P)
         assert [r.id for r in rep.records] == THEOREM_C_IDS
         assert not any(r.passed for r in rep.records), P.label

@@ -1,6 +1,6 @@
-"""exterior.once_per_monomial and the Dorfman bracket taken once per pair of
-section monomials: exact against the direct operators, and scoped to one
-decision call."""
+"""exterior.once_per_monomial, and the Dorfman bracket and the Lie derivatives
+taken once per pair of monomials through exterior.once_per_monomial_pair:
+exact against the direct operators, and scoped to one decision call."""
 
 from fractions import Fraction
 
@@ -14,6 +14,8 @@ from bialgebroid import (Form, Multivector, Polynomial, SectionE, coordinate_mon
                          is_lie_bialgebroid, laplacian, theorem_c_suite)
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import once_per_monomial
+from bialgebroid.pair import (degree1_form_probes, degree1_multivector_probes,
+                              lie_by_form, lie_by_multivector)
 
 
 @pytest.fixture(scope="session")
@@ -115,15 +117,19 @@ def test_generator_check_applies_D_once_per_monomial(corpus, monkeypatch):
 
 
 @st.composite
-def sections(draw, rank, coords):
-    """Sections of the double: rational combinations of x^gamma e_i and
-    x^gamma eps^j with |gamma| <= 3, either part (or both) may be zero."""
+def degree1(draw, cls, rank, coords):
+    """Degree-1 elements: rational combinations of x^gamma e_i (or x^gamma
+    eps^j) with |gamma| <= 3; may be zero."""
     exps = st.tuples(*[st.integers(0, 2) for _ in coords]).filter(lambda e: sum(e) <= 3)
     poly = st.dictionaries(exps, rationals, max_size=3).map(lambda t: Polynomial(coords, t))
     slots = st.sampled_from([(i,) for i in range(1, rank + 1)])
-    vec = draw(st.dictionaries(slots, poly, max_size=rank))
-    cov = draw(st.dictionaries(slots, poly, max_size=rank))
-    return SectionE(Multivector(rank, coords, vec), Form(rank, coords, cov))
+    return cls(rank, coords, draw(st.dictionaries(slots, poly, max_size=rank)))
+
+
+@st.composite
+def sections(draw, rank, coords):
+    """Sections of the double; either part (or both) may be zero."""
+    return SectionE(draw(degree1(Multivector, rank, coords)), draw(degree1(Form, rank, coords)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,6 +191,76 @@ def test_courant_axioms_bracket_once_per_monomial_pair(corpus, monkeypatch):
     seen.clear()
     assert courant_axioms(P).to_json() == first
     assert len(seen) == calls
+
+
+def lie_direct(P, x, t):
+    return (lie_by_multivector if isinstance(x, Multivector) else lie_by_form)(P, x, t)
+
+
+def test_lie_once_per_monomial_pair_on_monomials_and_zero(all_pairs):
+    """Every ordered pair of x^gamma e_i and x^gamma eps^j (|gamma| <= 1), of
+    the sum of each kind and of zero, through one wrapper: Lie derivatives
+    along either side, on Multivector and Form targets.  Images stored for
+    one exponent must not stand in for another."""
+    for P in all_pairs:
+        monos = coordinate_monomials(P.coordinates, 1)
+        inputs = []
+        for cls in (Multivector, Form):
+            units = [cls.monomial(P.rank, P.coordinates, (i,), f)
+                     for i in range(1, P.rank + 1) for f in monos]
+            total = units[0]
+            for x in units[1:]:
+                total = total + x
+            inputs += units + [total, cls.zero(P.rank, P.coordinates)]
+        lie = pair_module._once_per_monomial_lie(P)
+        for x in inputs:
+            for t in inputs:
+                got, want = lie(x, t), lie_direct(P, x, t)
+                assert type(got) is type(want) and got == want, (P.label, str(x), str(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lie_once_per_monomial_pair_equals_the_direct_one(all_pairs, data):
+    P = data.draw(st.sampled_from(all_pairs))
+    classes = st.sampled_from([Multivector, Form])
+    xs = data.draw(st.lists(classes.flatmap(lambda c: degree1(c, P.rank, P.coordinates)),
+                            min_size=1, max_size=3))
+    ts = data.draw(st.lists(classes.flatmap(lambda c: elements(c, P.rank, P.coordinates)),
+                            min_size=1, max_size=3))
+    lie = pair_module._once_per_monomial_lie(P)
+    # every pair, so later derivatives reuse the images of earlier ones
+    for x in xs + [xs[0].scaled(Fraction(-3, 2))]:
+        for t in ts + [ts[0] + ts[0].scaled(Fraction(1, 3))]:
+            got, want = lie(x, t), lie_direct(P, x, t)
+            assert type(got) is type(want) and got == want, (P.label, str(x), str(t))
+
+
+def test_defect_witness_applies_lie_once_per_monomial_pair(corpus, monkeypatch):
+    P = dict(corpus)["poisson-linear"]
+    seen = []
+    for name in ("lie_by_multivector", "lie_by_form"):
+        def counting(pair, x, t, direct=getattr(pair_module, name)):
+            seen.append((x, t))
+            return direct(pair, x, t)
+
+        monkeypatch.setattr(pair_module, name, counting)
+    args = (P, degree1_multivector_probes(P, 2), degree1_form_probes(P, 2),
+            coordinate_monomials(P.coordinates, 1)[1:])
+    before = dict(vars(P))
+    first = pair_module._defect_witness(*args)
+    calls = len(seen)
+    assert calls > 0
+    for x, t in seen:
+        assert not x.is_zero() and not t.is_zero(), (str(x), str(t))
+        assert _is_probe_monomial(x) and _is_probe_monomial(t), (str(x), str(t))
+    assert len({(type(x), _key(x), type(t), _key(t)) for x, t in seen}) == calls
+    # nothing is kept between calls, on the pair or elsewhere
+    seen.clear()
+    assert pair_module._defect_witness(*args) == first
+    assert len(seen) == calls
+    assert vars(P).keys() == before.keys()
+    assert all(vars(P)[k] is v for k, v in before.items())
 
 
 SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bialgebroid import Polynomial, PolynomialError, divergence, field_bracket
+from bialgebroid import ring
 from bialgebroid.ring import parse_rational
 
 XY = ("x", "y")
@@ -111,6 +112,28 @@ def test_parse_bounds_parenthesis_nesting():
     assert caught.value.position == 100
     with pytest.raises(PolynomialError):
         poly("(" * 3000 + "x" + ")" * 3000)
+
+
+def test_parse_bounds_powers():
+    """Powers up to the fixed bounds parse; one past any bound is refused at
+    the exponent, before anything is multiplied."""
+    assert poly("x^64").total_degree() == ring._MAX_POWER_DEGREE == 64
+    assert len(poly("(x + 1)^64").terms) == 65
+    # the multinomial count C(t + 1, 2) of a square of t terms: 1953 for
+    # t = 62, 2016 for t = 63
+    monos = [f"x^{i}*y^{d - i}" for d in range(11) for i in range(d + 1)]
+    assert len(poly(f"({' + '.join(monos[:62])})^2").terms) <= ring._MAX_POWER_TERMS == 2000
+    with pytest.raises(PolynomialError):
+        poly(f"({' + '.join(monos[:63])})^2")
+    assert poly("2^4096") == poly(str(2 ** ring._MAX_POWER_BITS))
+    assert poly("(-1/2)^4096") == Polynomial.const(("x", "y"), Fraction(1, 2 ** 4096))
+    assert poly("1^" + "9" * 100) == poly("1") and poly("0^" + "9" * 100) == poly("0")
+    for text, position in [("x^65", 2), ("(x*y)^33", 6), ("(x + y + 1)^62", 12),
+                           ("2^4097", 2), ("(1/3)^4097", 6), ("x^" + "9" * 4000, 2),
+                           ("((x + 1)^8)^9", 12), ("x + (x + y + 1)^100000", 16)]:
+        with pytest.raises(PolynomialError) as caught:
+            poly(text)
+        assert caught.value.position == position, text
 
 
 def exponents(coords):
