@@ -108,12 +108,6 @@ class AlgebroidStructure:
     def basis_section(self, i: int):
         return self.section_cls.basis(self.rank, self.coordinates, i)
 
-    def basis_dual(self, j: int):
-        return self.dual_cls.basis(self.rank, self.coordinates, j)
-
-    def scalar_section(self, value):
-        return self.section_cls.scalar(self.rank, self.coordinates, value)
-
     # -- anchor -----------------------------------------------------------
 
     def anchor_field(self, u) -> Tuple[Polynomial, ...]:

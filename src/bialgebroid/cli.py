@@ -45,9 +45,8 @@ from .constructions import (BivectorData, ConstructionError, NijenhuisData,
                             exact_identities, pn_hierarchy, pn_identities,
                             poisson_double, poisson_homology_check)
 from .exterior import ExteriorError, Multivector
-from .pair import (PROBE_DEGREE, PairError, PreconditionError, corollary_suite,
-                   courant_axioms, dirac_square, f_tilde, generator_check,
-                   theorem_c_suite)
+from .pair import (PROBE_DEGREE, PairError, corollary_suite, courant_axioms,
+                   dirac_square, f_tilde, generator_check, theorem_c_suite)
 from .ring import PolynomialError, parse_rational
 from .serialize import (DocumentError, algebroid_from_json, document_to_structures,
                         pair_from_json, pair_to_json)
@@ -396,10 +395,6 @@ def main(argv: Optional[list] = None) -> int:
         command_echo = {"command": args.command}
     try:
         body, code = handler(args)
-    except PreconditionError as exc:
-        body = dict(command_echo)
-        body["error"] = str(exc)
-        return _emit(body, 2, args.output, started)
     except _INPUT_ERRORS as exc:
         body = dict(command_echo)
         body["error"] = str(exc)

@@ -12,10 +12,11 @@ The text format is the one used by every file format in this package:
     base     := rational | name | '(' expr ')'
     rational := int ('/' nat)?
 
-Digits are ASCII 0-9, parentheses nest at most 100 deep, a power stays
-within fixed bounds on its degree, term count and constant size (see
-_MAX_POWER_DEGREE), whitespace is insignificant and there is no implicit
-multiplication, so ``x^2 - 1/2*y`` parses but ``2x`` does not.  (The
+Digits are ASCII 0-9, parentheses nest at most 100 deep, a power or a
+product stays within fixed bounds on its degree, term count and
+coefficient size (see _MAX_POWER_DEGREE), whitespace is insignificant
+and there is no implicit multiplication, so ``x^2 - 1/2*y`` parses but
+``2x`` does not.  (The
 optional leading sign on an expr is a documented superset of the base
 grammar; it makes printing and parsing mutual inverses.)  An integer
 literal longer than Python's int digit limit (4300 by default) is a
@@ -313,24 +314,31 @@ def _int_literal(text: str, pos: int) -> int:
 # Python frames, so this bound keeps a parse far below the recursion limit.
 _MAX_NESTING = 100
 
-# Largest power base^n the parser computes.  A non-constant power may have
-# total degree up to _MAX_POWER_DEGREE and, by the multinomial count, up to
-# _MAX_POWER_TERMS terms; a constant one up to about _MAX_POWER_BITS bits in
-# its numerator or denominator.  A larger power is refused before any
-# multiplication: without a bound, "(x1+x2+x3+1)^100000" runs for minutes.
+# Largest power base^n or product a*b the parser computes.  A non-constant
+# result may have total degree up to _MAX_POWER_DEGREE and, by the
+# multinomial count of a power or the la*lb count of a product, up to
+# _MAX_POWER_TERMS terms; any result has coefficients of up to about
+# _MAX_POWER_BITS bits in numerator or denominator.  A larger result is
+# refused before any multiplication: without a bound, "(x1+x2+x3+1)^100000"
+# runs for minutes, and so does a product of two powers within the bounds.
 _MAX_POWER_DEGREE = 64
 _MAX_POWER_TERMS = 2000
 _MAX_POWER_BITS = 4096
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    """floor(log2) of the largest numerator or denominator of p, 0 for p = 0."""
+    return max((max(abs(c.numerator), c.denominator).bit_length() - 1
+                for c in p.terms.values()), default=0)
+
+
 def _check_power(base: Polynomial, n: int, exponent: str, pos: int) -> None:
     """Raise PolynomialError at pos if base^n passes a _MAX_POWER_* bound."""
+    # n * floor(log2) of the larger part, so a constant power at the bound passes
+    if n * _coefficient_bits(base) > _MAX_POWER_BITS:
+        raise PolynomialError(
+            f"power ^{exponent} exceeds {_MAX_POWER_BITS} coefficient bits", pos)
     if base.is_constant():
-        c = base.constant_value()
-        # floor(log2) of the larger part, so a result at the bound passes
-        if n * (max(abs(c.numerator), c.denominator).bit_length() - 1) > _MAX_POWER_BITS:
-            raise PolynomialError(
-                f"power ^{exponent} of a constant exceeds {_MAX_POWER_BITS} bits", pos)
         return
     if base.total_degree() * n > _MAX_POWER_DEGREE:
         raise PolynomialError(
@@ -338,6 +346,18 @@ def _check_power(base: Polynomial, n: int, exponent: str, pos: int) -> None:
     if math.comb(len(base.terms) + n - 1, n) > _MAX_POWER_TERMS:
         raise PolynomialError(
             f"power ^{exponent} of {len(base.terms)} terms may exceed "
+            f"{_MAX_POWER_TERMS} terms", pos)
+
+
+def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
+    """Raise PolynomialError at pos if a*b passes a _MAX_POWER_* bound."""
+    if _coefficient_bits(a) + _coefficient_bits(b) > _MAX_POWER_BITS:
+        raise PolynomialError(f"product exceeds {_MAX_POWER_BITS} coefficient bits", pos)
+    if a.total_degree() + b.total_degree() > _MAX_POWER_DEGREE:
+        raise PolynomialError(f"product exceeds total degree {_MAX_POWER_DEGREE}", pos)
+    if len(a.terms) * len(b.terms) > _MAX_POWER_TERMS:
+        raise PolynomialError(
+            f"product of {len(a.terms)} and {len(b.terms)} terms may exceed "
             f"{_MAX_POWER_TERMS} terms", pos)
 
 
@@ -416,10 +436,12 @@ class _Parser:
     def _term(self) -> Polynomial:
         result = self._factor()
         while True:
-            kind, val, _ = self._peek()
+            kind, val, pos = self._peek()
             if kind == "op" and val == "*":
                 self.i += 1
-                result = result * self._factor()
+                factor = self._factor()
+                _check_product(result, factor, pos)
+                result = result * factor
             else:
                 return result
 

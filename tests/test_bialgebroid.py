@@ -14,8 +14,8 @@ from bialgebroid import (AlgebroidError, BialgebroidPair, Form, Multivector,
                          interior_by_form, is_lie_bialgebroid, metric,
                          multivector_probes, pairing, rho_apply, theorem_c_suite)
 from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
-                              degree1_multivector_probes, lie_by_form,
-                              lie_by_multivector, lie_by_section, section_probes)
+                              degree1_multivector_probes, laplacian, lie_by_form,
+                              lie_by_multivector, lie_by_section)
 
 from conftest import (const, heisenberg, heisenberg_triangular_pair,
                       point_algebra, poisson_data)
@@ -223,28 +223,60 @@ def test_clifford_anticommutator_is_metric(ab):
 # -- probe machinery -------------------------------------------------------------
 
 
-def _leibniz_defect_found(P, probes):
-    dstar = {id(u): P.dstar(u) for u in probes}
-    for u in probes:
-        sign = -1 if u.max_degree() % 2 == 0 else 1
-        for v in probes:
-            lhs = P.dstar(P.A.schouten(u, v))
-            rhs = P.A.schouten(dstar[id(u)], v) + P.A.schouten(u, dstar[id(v)]).scaled(sign)
+def _derivation_oracle(P, probes, op, product, sign, names):
+    """First failure of op(u v) = op(u) v + sign^(|u|-1) u op(v) on every
+    ordered pair of probes, with op and product applied directly, or None."""
+    images = [op(u) for u in probes]
+    for u, op_u in zip(probes, images):
+        s = sign ** ((u.max_degree() - 1) % 2)
+        for v, op_v in zip(probes, images):
+            lhs = op(product(u, v))
+            rhs = product(op_u, v) + product(u, op_v).scaled(s)
             if lhs != rhs:
-                return True
-    return False
+                return f"u = {u}; v = {v}; {names[0]} = {lhs}; {names[1]} = {rhs}"
+    return None
 
 
-def test_degree3_probes_reach_the_library_verdicts(corpus, failing_pairs):
+def _leibniz_oracle(P, probes):
+    return _derivation_oracle(P, [u for u in probes if u.max_degree() <= 2], P.dstar,
+                              P.A.schouten, -1, ("dstar[u,v]", "Leibniz side"))
+
+
+def test_degree3_probes_reach_the_library_verdicts(corpus, failing_pairs, pn_failing_pairs):
     """Exactness oracle: probes one degree past PROBE_DEGREE find a defect
-    exactly when the library's degree-2 decision does."""
-    for label, P in corpus + [(P.label, P) for P in failing_pairs]:
+    exactly when the library's decision does."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
         ft = f_tilde(P)
-        square_defect = any(dirac_apply(P, dirac_apply(P, u)) != u.scaled(ft)
-                            for u in multivector_probes(P, 3))
+        probes = multivector_probes(P, 3)
+        square_defect = any(dirac_apply(P, dirac_apply(P, u)) != u.scaled(ft) for u in probes)
         assert square_defect == (not dirac_square(P).is_scalar), label
-        leibniz_defect = _leibniz_defect_found(P, section_probes(P, 3))
+        leibniz_defect = _leibniz_oracle(P, probes) is not None
         assert leibniz_defect == (not is_lie_bialgebroid(P).passed), label
+
+
+def test_derivation_identities_on_generators_match_all_probe_pairs(
+        corpus, failing_pairs, pn_failing_pairs):
+    """Oracle for the generator reduction: the Leibniz rule and the Laplacian
+    derivation identities checked on every pair of probes x^gamma e_I with
+    |gamma| <= 2 give the library's witnesses, on P and on P.flipped()."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
+        thm = theorem_c_suite(P)
+        for Q, prefix, a, i in ((P, "", "thm-c/a", "thm-c/i"),
+                                (P.flipped(), MIRROR_PREFIX, "thm-c/b", "thm-c/j")):
+            probes = multivector_probes(Q, 2)
+            lap = lambda u, Q=Q: laplacian(Q, u)
+            leibniz = _leibniz_oracle(Q, probes)
+            wedge = _derivation_oracle(Q, probes, lap, Multivector.wedge, 1,
+                                       ("Lap(u^v)", "derivation side"))
+            assert is_lie_bialgebroid(Q).record("leibniz-dstar").witness == leibniz, label
+            for rid, want in ((a, leibniz), (i, wedge)):
+                assert thm.record(rid).witness == (None if want is None else prefix + want), label
+            if leibniz is None:
+                bracket = _derivation_oracle(Q, [u for u in probes if u.max_degree() <= 2], lap,
+                                             Q.A.schouten, 1, ("Lap[u,v]", "derivation side"))
+                cor = corollary_suite(Q)
+                assert cor.record("cor-brood/g14").witness == wedge, label
+                assert cor.record("cor-brood/g15").witness == bracket, label
 
 
 def _defect_witness_oracle(P):

@@ -268,6 +268,20 @@ def test_oversized_power_is_input_error():
     assert body["error"] == "power ^100000 exceeds total degree 64 (at position 13)"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("(x1+x2+x3+1)^20*(x1+x2+x3+1)^20",
+     "product of 1771 and 1771 terms may exceed 2000 terms (at position 15)"),
+    ("2^4096*2^4096*2^4096*2^4096", "product exceeds 4096 coefficient bits (at position 6)"),
+])
+def test_oversized_product_is_input_error(text, error):
+    result = _cli_subprocess("example", "exact", "tests/fixtures/tangent-r3.json",
+                             "--lambda", json.dumps({"1,2": text}))
+    body = json.loads(result.stdout)
+    assert result.returncode == 2 and body["exit_status"] == 2
+    assert "internal" not in body
+    assert body["error"] == error
+
+
 # -- internal faults ----------------------------------------------------------------
 
 

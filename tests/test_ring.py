@@ -136,6 +136,26 @@ def test_parse_bounds_powers():
         assert caught.value.position == position, text
 
 
+def test_parse_bounds_products():
+    """Products up to the same bounds parse; one past any bound is refused
+    at the '*', before the factors are multiplied."""
+    assert poly("x^32*x^32") == poly("x^64")
+    monos = [f"x^{i}*y^{d - i}" for d in range(12) for i in range(d + 1)]
+
+    def total(k):
+        return f"({' + '.join(monos[:k])})"
+
+    assert len(poly(f"{total(40)}*{total(50)}").terms) <= ring._MAX_POWER_TERMS
+    assert poly("2^2048*2^2048") == poly("2^4096")
+    assert poly("(2^2048*x)^2") == poly("2^4096*x^2")
+    for text, position in [("x^32*x^33", 4), ("2^2048*2^2049", 6), ("(2^2048*x)^3", 11),
+                           ("2^4096*x*2", 8), ("x*(1/2)^4096*2", 12),
+                           (f"{total(41)}*{total(49)}", len(total(41)))]:
+        with pytest.raises(PolynomialError) as caught:
+            poly(text)
+        assert caught.value.position == position, text
+
+
 def exponents(coords):
     return st.tuples(*[st.integers(min_value=0, max_value=3) for _ in coords])
 
