@@ -15,9 +15,9 @@ from .algebroid import (AlgebroidError, AlgebroidStructure, ValidationReport,
 from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, InternalError,
                    ModularData, PairError, PreconditionError, ScalarReport,
                    SectionE, clifford_act, coordinate_monomials, corollary_suite,
-                   courant_axioms, dee, default_courant_samples, dirac_apply,
-                   dirac_square, dirac_star_apply, dirac_star_square, dorfman,
-                   f_tilde, f_tilde_star, form_probes, generator_check,
+                   courant_axioms, dee, dirac_apply, dirac_square,
+                   dirac_star_apply, dirac_star_square, dorfman, f_tilde,
+                   f_tilde_star, form_probes, generator_check,
                    is_lie_bialgebroid, laplacian, lie_by_form,
                    lie_by_multivector, lie_by_section, metric,
                    modular_cocycles, multivector_probes, rho_apply, rho_field,
@@ -41,7 +41,7 @@ __all__ = [
     "BialgebroidPair", "IdentityRecord", "IdentityReport", "InternalError", "ModularData",
     "PairError", "PreconditionError", "ScalarReport",
     "SectionE", "clifford_act", "coordinate_monomials", "corollary_suite",
-    "courant_axioms", "dee", "default_courant_samples", "dirac_apply",
+    "courant_axioms", "dee", "dirac_apply",
     "dirac_square", "dirac_star_apply", "dirac_star_square", "dorfman",
     "f_tilde", "f_tilde_star", "form_probes", "generator_check",
     "is_lie_bialgebroid", "laplacian", "lie_by_form", "lie_by_multivector",

@@ -326,16 +326,25 @@ _MAX_POWER_TERMS = 2000
 _MAX_POWER_BITS = 4096
 
 
+def _bits(c: Fraction) -> int:
+    """floor(log2) of the larger of |numerator| and denominator of c."""
+    return max(abs(c.numerator), c.denominator).bit_length() - 1
+
+
 def _coefficient_bits(p: Polynomial) -> int:
     """floor(log2) of the largest numerator or denominator of p, 0 for p = 0."""
-    return max((max(abs(c.numerator), c.denominator).bit_length() - 1
-                for c in p.terms.values()), default=0)
+    return max(map(_bits, p.terms.values()), default=0)
 
 
 def _check_power(base: Polynomial, n: int, exponent: str, pos: int) -> None:
     """Raise PolynomialError at pos if base^n passes a _MAX_POWER_* bound."""
-    # n * floor(log2) of the larger part, so a constant power at the bound passes
-    if n * _coefficient_bits(base) > _MAX_POWER_BITS:
+    # n * floor(log2 m) <= floor(log2 m^n): refuse on the first before computing
+    # the second, which measures a constant power as _check_product measures
+    # its factors
+    bits = n * _coefficient_bits(base)
+    if base.is_constant() and 0 < bits <= _MAX_POWER_BITS:
+        bits = _bits(next(iter(base.terms.values())) ** n)
+    if bits > _MAX_POWER_BITS:
         raise PolynomialError(
             f"power ^{exponent} exceeds {_MAX_POWER_BITS} coefficient bits", pos)
     if base.is_constant():

@@ -77,6 +77,17 @@ def tangent_against_solvable():
     return BialgebroidPair(tangent_algebroid(coords), dual, label="tangent-vs-solvable")
 
 
+def tangent_against_tangent():
+    """TR^2 against TR^2 with zero bracket and anchor eps_i -> d/dx_i: not a
+    bialgebroid, since a a_*^T is not skew.  Every Dorfman bracket of frame
+    sections vanishes, so its Courant anchor defect shows only on the x_a e_i
+    and x_a eps^i, never on the frame."""
+    coords = ("x1", "x2")
+    zero, one = Polynomial.zero(coords), Polynomial.const(coords, 1)
+    dual = AlgebroidStructure(2, coords, [[one, zero], [zero, one]], {}, "covector")
+    return BialgebroidPair(tangent_algebroid(coords), dual, label="tangent-vs-tangent")
+
+
 def build_corpus():
     """(label, pair) for every known bialgebroid used across the suites."""
     return [
@@ -107,8 +118,8 @@ def counterexamples():
 
 @pytest.fixture(scope="session")
 def failing_pairs(counterexamples):
-    """Every known non-bialgebroid: the two over a point and one over R^2."""
-    return list(counterexamples) + [tangent_against_solvable()]
+    """Every known non-bialgebroid: the two over a point and two over R^2."""
+    return list(counterexamples) + [tangent_against_solvable(), tangent_against_tangent()]
 
 
 PN_FIXTURES = ("pn-diag-x1-1-1", "pn-diag-x1-x2-x3-lambda-x3")

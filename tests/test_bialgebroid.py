@@ -1,3 +1,5 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,10 @@ from bialgebroid import (AlgebroidError, BialgebroidPair, Form, Multivector,
                          dirac_square, dirac_star_apply, dirac_star_square,
                          dorfman, f_tilde, f_tilde_star, generator_check,
                          interior_by_form, is_lie_bialgebroid, metric,
-                         multivector_probes, pairing, rho_apply, theorem_c_suite)
+                         multivector_probes, pairing, rho_apply, rho_field,
+                         theorem_c_suite)
+from bialgebroid import pair as pair_module
+from bialgebroid.ring import field_bracket
 from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
                               degree1_multivector_probes, laplacian, lie_by_form,
                               lie_by_multivector, lie_by_section)
@@ -113,8 +118,8 @@ def test_generator_check_passes(factory):
 # -- incompatible pairs ----------------------------------------------------------
 
 
-def test_counterexample_fails_exactly_as_expected(failing_pairs):
-    for P in failing_pairs:
+def test_counterexample_fails_exactly_as_expected(failing_pairs, pn_failing_pairs):
+    for P in failing_pairs + pn_failing_pairs:
         leib = is_lie_bialgebroid(P)
         assert not leib.passed, P.label
         assert "Leibniz" in (leib.record("leibniz-dstar").witness or ""), P.label
@@ -133,18 +138,19 @@ def test_counterexample_theorem_c(failing_pairs):
         assert "thm-c/a" in failed and "thm-c/k" in failed, P.label
 
 
-def test_counterexample_courant_g1_only(failing_pairs):
-    for P in failing_pairs:
+def test_counterexample_courant_g1_only(failing_pairs, pn_failing_pairs):
+    for P in failing_pairs + pn_failing_pairs:
         rep = courant_axioms(P)
         failed = {r.id for r in rep.records if not r.passed}
         # over a point the anchor and every D f vanish, so only g1 can fail;
-        # over R^2 the anchor (g2) and D f o x = 0 (g5) fail as well
+        # over a base the anchor (g2) and D f o x = 0 (g5) fail as well, and
+        # on these pairs g1 holds on the frame and fails only through g2
         want = {"courant/g1", "courant/g2", "courant/g5"} if P.coordinates else {"courant/g1"}
         assert failed == want, P.label
 
 
-def test_counterexample_generator(failing_pairs):
-    for P in failing_pairs:
+def test_counterexample_generator(failing_pairs, pn_failing_pairs):
+    for P in failing_pairs + pn_failing_pairs:
         rep = generator_check(P)
         failed = {r.id for r in rep.records if not r.passed}
         assert failed == {"generator/square-scalar"}, P.label
@@ -324,6 +330,63 @@ def test_defect_tensoriality_on_coordinates_matches_the_full_family(
             # found only on a coordinate times eps^j: the x_a must stay in the family
             for witness in (c, d):
                 assert "defect operator is not tensorial on (x" in witness, label
+
+
+def _courant_oracle(P, degree):
+    """Pass flag of each Courant record with every slot running over the
+    sections x^gamma e_i, x^gamma eps^i and the functions x^gamma with
+    |gamma| <= degree: no reduction by the order of the defects.  Brackets,
+    anchors and metric values of the sections are each computed once."""
+    funcs = coordinate_monomials(P.coordinates, degree)
+    secs = [SectionE.of(vec=P.basis_e(i).scaled(f)) for i in range(1, P.rank + 1) for f in funcs] \
+        + [SectionE.of(cov=P.basis_eps(i).scaled(f)) for i in range(1, P.rank + 1) for f in funcs]
+    bracket = pair_module._once_per_monomial_dorfman(P)
+    idx = range(len(secs))
+    br = [[bracket(x, y) for y in secs] for x in secs]
+    met = [[metric(x, y) for y in secs] for x in secs]
+    rho = [rho_field(P, x) for x in secs]
+
+    def along(i, g):  # rho(secs[i]) g
+        return sum((c * g.diff(v) for c, v in zip(rho[i], P.coordinates)),
+                   Polynomial.zero(P.coordinates))
+
+    @functools.cache
+    def nested(i, j, k):  # secs[i] o (secs[j] o secs[k])
+        return bracket(secs[i], br[j][k])
+
+    # <x o y, z> for every triple; the metric is symmetric
+    mbr = [[[metric(br[i][j], z) for z in secs] for j in idx] for i in idx]
+    pairs = list(itertools.product(idx, repeat=2))
+    triples = list(itertools.product(idx, repeat=3))
+    return {
+        "courant/g1": all(nested(i, j, k) == bracket(br[i][j], secs[k]) + nested(j, i, k)
+                          for i, j, k in triples),
+        "courant/g2": all(rho_field(P, br[i][j]) == field_bracket(rho[i], rho[j], P.coordinates)
+                          for i, j in pairs),
+        "courant/g3": all(bracket(secs[i], secs[j].scaled(f)) == br[i][j].scaled(f)
+                          + secs[j].scaled(along(i, f))
+                          for (i, j), f in itertools.product(pairs, funcs)),
+        "courant/g4": all(br[i][j] + br[j][i] == dee(P, met[i][j]).scaled(2) for i, j in pairs),
+        "courant/g5": all(bracket(dee(P, f), x).is_zero() for f in funcs for x in secs),
+        "courant/g6": all(along(i, met[j][k]) == mbr[i][j][k] + mbr[i][k][j]
+                          for i, j, k in triples),
+        "courant/anchor": all(metric(dee(P, f), secs[i]) * 2 == along(i, f)
+                              for f in funcs for i in idx),
+    }
+
+
+def test_courant_records_match_every_slot(corpus, failing_pairs, pn_failing_pairs):
+    """Oracle for the order reductions of courant_axioms: each record's pass
+    flag equals a check with every slot over the monomial families, |gamma|
+    <= 2 (|gamma| <= 1 on the pairs over R^3), and the suite passes exactly
+    when D^2 is a scalar (Liu-Weinstein-Xu)."""
+    cases = [(label, P, 2) for label, P in corpus + [(P.label, P) for P in failing_pairs]] \
+        + [(P.label, P, 1) for P in pn_failing_pairs]
+    for label, P, degree in cases:
+        rep = courant_axioms(P)
+        want = _courant_oracle(P, degree)
+        assert {r.id: r.passed for r in rep.records} == want, label
+        assert rep.passed == dirac_square(P).is_scalar, label
 
 
 def test_every_export_resolves_once():

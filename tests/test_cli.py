@@ -40,6 +40,8 @@ GOLDEN_CASES = [
      ["identities", "tests/fixtures/broken-rank3.json", "--suite", "courant"]),
     ("identities-theorem-c-pn-diag-x1-1-1", 1,
      ["identities", "tests/fixtures/pn-diag-x1-1-1.json", "--suite", "theorem-c"]),
+    ("identities-courant-pn-diag-x1-1-1", 1,
+     ["identities", "tests/fixtures/pn-diag-x1-1-1.json", "--suite", "courant"]),
 ]
 
 

@@ -128,8 +128,13 @@ def test_parse_bounds_powers():
     assert poly("2^4096") == poly(str(2 ** ring._MAX_POWER_BITS))
     assert poly("(-1/2)^4096") == Polynomial.const(("x", "y"), Fraction(1, 2 ** 4096))
     assert poly("1^" + "9" * 100) == poly("1") and poly("0^" + "9" * 100) == poly("0")
+    # a constant power is measured by its actual bits, as a product's factors
+    # are: 3^2584 has 4095 of them, 3^2585 has 4097
+    assert poly("(1/3)^2584") == Polynomial.const(("x", "y"), Fraction(1, 3 ** 2584))
+    assert poly("x*(1/3)^2584") == poly("x") * poly("(1/3)^2584")
     for text, position in [("x^65", 2), ("(x*y)^33", 6), ("(x + y + 1)^62", 12),
-                           ("2^4097", 2), ("(1/3)^4097", 6), ("x^" + "9" * 4000, 2),
+                           ("2^4097", 2), ("(1/3)^4097", 6), ("(1/3)^2585", 6),
+                           ("(1/3)^4096", 6), ("x^" + "9" * 4000, 2),
                            ("((x + 1)^8)^9", 12), ("x + (x + y + 1)^100000", 16)]:
         with pytest.raises(PolynomialError) as caught:
             poly(text)
