@@ -317,10 +317,12 @@ _MAX_NESTING = 100
 # Largest power base^n or product a*b the parser computes.  A non-constant
 # result may have total degree up to _MAX_POWER_DEGREE and, by the
 # multinomial count of a power or the la*lb count of a product, up to
-# _MAX_POWER_TERMS terms; any result has coefficients of up to about
-# _MAX_POWER_BITS bits in numerator or denominator.  A larger result is
-# refused before any multiplication: without a bound, "(x1+x2+x3+1)^100000"
-# runs for minutes, and so does a product of two powers within the bounds.
+# _MAX_POWER_TERMS terms; a power has coefficients of at most
+# _MAX_POWER_BITS bits in numerator or denominator, a product of about as
+# many.  A result past the degree or term bound, or one whose factors' bits
+# alone pass the bit bound, is refused before any multiplication: without
+# a bound, "(x1+x2+x3+1)^100000" runs for minutes, and so does a product of
+# two powers within the bounds.
 _MAX_POWER_DEGREE = 64
 _MAX_POWER_TERMS = 2000
 _MAX_POWER_BITS = 4096
@@ -336,26 +338,31 @@ def _coefficient_bits(p: Polynomial) -> int:
     return max(map(_bits, p.terms.values()), default=0)
 
 
-def _check_power(base: Polynomial, n: int, exponent: str, pos: int) -> None:
-    """Raise PolynomialError at pos if base^n passes a _MAX_POWER_* bound."""
-    # n * floor(log2 m) <= floor(log2 m^n): refuse on the first before computing
-    # the second, which measures a constant power as _check_product measures
-    # its factors
-    bits = n * _coefficient_bits(base)
-    if base.is_constant() and 0 < bits <= _MAX_POWER_BITS:
-        bits = _bits(next(iter(base.terms.values())) ** n)
-    if bits > _MAX_POWER_BITS:
-        raise PolynomialError(
-            f"power ^{exponent} exceeds {_MAX_POWER_BITS} coefficient bits", pos)
-    if base.is_constant():
-        return
+def _power(base: Polynomial, n: int, exponent: str, pos: int) -> Polynomial:
+    """base^n, or PolynomialError at pos if it passes a _MAX_POWER_* bound.
+
+    The total degree, the multinomial term count and n * floor(log2 m) <=
+    floor(log2 m^n) bound the work before anything is multiplied; the power
+    is then measured by its actual bits, as _check_product measures its
+    factors.
+    """
+    too_large = PolynomialError(
+        f"power ^{exponent} exceeds {_MAX_POWER_BITS} coefficient bits", pos)
+    if n * _coefficient_bits(base) > _MAX_POWER_BITS:
+        raise too_large
     if base.total_degree() * n > _MAX_POWER_DEGREE:
         raise PolynomialError(
             f"power ^{exponent} exceeds total degree {_MAX_POWER_DEGREE}", pos)
-    if math.comb(len(base.terms) + n - 1, n) > _MAX_POWER_TERMS:
+    # a base of at most one term has a power of at most one (and 0^0 would
+    # make math.comb(-1, 0) raise)
+    if len(base.terms) > 1 and math.comb(len(base.terms) + n - 1, n) > _MAX_POWER_TERMS:
         raise PolynomialError(
             f"power ^{exponent} of {len(base.terms)} terms may exceed "
             f"{_MAX_POWER_TERMS} terms", pos)
+    power = base ** n
+    if _coefficient_bits(power) > _MAX_POWER_BITS:
+        raise too_large
+    return power
 
 
 def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
@@ -463,8 +470,7 @@ class _Parser:
             if kind != "int":
                 raise PolynomialError(f"expected an integer exponent, found {val or 'end of input'!r}", pos)
             n = _int_literal(val, pos)
-            _check_power(base, n, val, pos)
-            return base ** n
+            return _power(base, n, val, pos)
         return base
 
     def _base(self) -> Polynomial:

@@ -13,18 +13,18 @@ A pair document looks like
     }
 
 with every coefficient a polynomial string over the declared coordinates.
-Bracket keys are "i,j" with i < j; all-zero entries are omitted.  Loading
-validates against the shipped JSON schema first, then re-checks the rules
-a schema cannot express (index ranges, matrix shapes, polynomial syntax).
+Bracket keys are "i,j" with i < j; all-zero entries are omitted.  The
+layout is the one `schemas/*.json` publishes, and it is checked in the walk
+that reads each field: a wrong key set or type is a "schema violation at
+<path>", with `base_dim` and `rank` JSON integers proper (2.0 and true are
+refused).  The same walk then checks what a schema cannot express: index
+ranges, matrix shapes and polynomial syntax.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+import re
 from typing import Dict, Tuple
-
-import jsonschema
 
 from .algebroid import AlgebroidStructure
 from .exterior import FrameData
@@ -36,21 +36,68 @@ class DocumentError(ValueError):
     pass
 
 
-def _load_schema(name: str) -> dict:
-    path = resources.files("bialgebroid").joinpath(f"schemas/{name}")
-    return json.loads(path.read_text(encoding="utf-8"))
+_SIDE_KEYS = ("anchor", "brackets")
+_BRACKET_KEY = re.compile(r"[1-9][0-9]*,[1-9][0-9]*")
 
 
-PAIR_SCHEMA = _load_schema("pair-spec.schema.json")
-ALGEBROID_SCHEMA = _load_schema("algebroid-spec.schema.json")
+def _violation(where: str, message: str) -> DocumentError:
+    return DocumentError(f"schema violation at {where}: {message}")
 
 
-def _check_schema(doc, schema) -> None:
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(document root)"
-        raise DocumentError(f"schema violation at {where}: {exc.message}") from exc
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """value if it is a JSON object, array or string as kind says."""
+    if not isinstance(value, kind):
+        raise _violation(where, f"must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _object(value, where: str, required=(), optional=()) -> dict:
+    """value if it is an object with every required key and no other key
+    than required and optional ones."""
+    _typed(value, dict, where)
+    for key in required:
+        if key not in value:
+            raise _violation(where, f"{key!r} is a required property")
+    for key in value:
+        if key not in required and key not in optional:
+            raise _violation(where, f"unexpected property {key!r}")
+    return value
+
+
+def _strings(value, where: str) -> list:
+    """value if it is an array of strings."""
+    for i, v in enumerate(_typed(value, list, where)):
+        _typed(v, str, f"{where}/{i}")
+    return value
+
+
+def _natural(value, where: str, minimum: int) -> int:
+    """value if it is a JSON integer, not 2.0 or true, of at least minimum."""
+    if type(value) is not int or value < minimum:
+        raise _violation(where, f"must be an integer >= {minimum}")
+    return value
+
+
+def _header(doc, required, optional=()) -> Tuple[tuple, int, str, str]:
+    """Check the fields a pair and a single-structure document share; return
+    the coordinates, the rank, the label and the density text."""
+    _object(doc, "(document root)", ("base_dim", "coordinates", "rank") + required, optional)
+    base_dim = _natural(doc["base_dim"], "base_dim", 0)
+    coords = tuple(_strings(doc["coordinates"], "coordinates"))
+    if "" in coords:
+        raise _violation(f"coordinates/{coords.index('')}", "must be a non-empty string")
+    rank = _natural(doc["rank"], "rank", 1)
+    label = _typed(doc.get("label", ""), str, "label")
+    frame = _object(doc.get("frame", {}), "frame", optional=("s_density",))
+    density = _typed(frame.get("s_density", "1"), str, "frame/s_density")
+    if len(coords) != base_dim:
+        raise DocumentError("coordinates must list exactly base_dim names")
+    if len(set(coords)) != len(coords):
+        raise DocumentError("coordinate names must be distinct")
+    return coords, rank, label, density
 
 
 def _parse_poly(text: str, coords, where: str) -> Polynomial:
@@ -60,9 +107,11 @@ def _parse_poly(text: str, coords, where: str) -> Polynomial:
         raise DocumentError(f"bad polynomial at {where}: {exc}") from exc
 
 
-def _structure_from_subdoc(sub: dict, rank: int, coords, kind: str,
+def _structure_from_subdoc(sub, rank: int, coords, kind: str,
                            where: str) -> AlgebroidStructure:
-    anchor = sub["anchor"]
+    _object(sub, where, _SIDE_KEYS)
+    anchor = [_strings(row, f"{where}/anchor/{i}")
+              for i, row in enumerate(_typed(sub["anchor"], list, f"{where}/anchor"))]
     if len(anchor) != rank:
         raise DocumentError(f"{where}.anchor must have {rank} rows")
     rows = []
@@ -72,7 +121,10 @@ def _structure_from_subdoc(sub: dict, rank: int, coords, kind: str,
                 f"{where}.anchor row {i} must have {len(coords)} entries")
         rows.append([_parse_poly(v, coords, f"{where}.anchor[{i}]") for v in row])
     brackets = {}
-    for key, entry in sub["brackets"].items():
+    for key, entry in _typed(sub["brackets"], dict, f"{where}/brackets").items():
+        if not (isinstance(key, str) and _BRACKET_KEY.fullmatch(key)):
+            raise _violation(f"{where}/brackets", f"key {key!r} is not of the form 'i,j'")
+        _strings(entry, f"{where}/brackets/{key}")
         i_text, j_text = key.split(",")
         try:
             i, j = int(i_text), int(j_text)
@@ -92,18 +144,11 @@ def _structure_from_subdoc(sub: dict, rank: int, coords, kind: str,
 def document_to_structures(doc: dict) -> Tuple[AlgebroidStructure, AlgebroidStructure,
                                                FrameData, str]:
     """Parse a pair document without running the algebroid-axiom checks."""
-    _check_schema(doc, PAIR_SCHEMA)
-    coords = tuple(doc["coordinates"])
-    if len(coords) != doc["base_dim"]:
-        raise DocumentError("coordinates must list exactly base_dim names")
-    if len(set(coords)) != len(coords):
-        raise DocumentError("coordinate names must be distinct")
-    rank = doc["rank"]
+    coords, rank, label, density = _header(doc, ("A", "Astar"), ("frame", "label"))
     A = _structure_from_subdoc(doc["A"], rank, coords, "vector", "A")
     Astar = _structure_from_subdoc(doc["Astar"], rank, coords, "covector", "Astar")
-    density = doc.get("frame", {}).get("s_density", "1")
     frame = FrameData(rank, coords, _parse_poly(density, coords, "frame.s_density"))
-    return A, Astar, frame, doc.get("label", "")
+    return A, Astar, frame, label
 
 
 def pair_from_json(doc: dict) -> BialgebroidPair:
@@ -137,10 +182,6 @@ def pair_to_json(P: BialgebroidPair) -> dict:
 
 def algebroid_from_json(doc: dict, kind: str = "vector") -> AlgebroidStructure:
     """Parse a single-structure document (used by the example builders)."""
-    _check_schema(doc, ALGEBROID_SCHEMA)
-    coords = tuple(doc["coordinates"])
-    if len(coords) != doc["base_dim"]:
-        raise DocumentError("coordinates must list exactly base_dim names")
-    if len(set(coords)) != len(coords):
-        raise DocumentError("coordinate names must be distinct")
-    return _structure_from_subdoc(doc, doc["rank"], coords, kind, "(root)")
+    coords, rank, _label, _density = _header(doc, _SIDE_KEYS)
+    side = {key: doc[key] for key in _SIDE_KEYS}
+    return _structure_from_subdoc(side, rank, coords, kind, "(root)")

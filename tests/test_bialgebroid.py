@@ -332,6 +332,45 @@ def test_defect_tensoriality_on_coordinates_matches_the_full_family(
                 assert "defect operator is not tensorial on (x" in witness, label
 
 
+def _commutator_function_oracle(P):
+    """generator/commutator-function on every f with |gamma| <= 2, with D
+    applied directly."""
+    for f in coordinate_monomials(P.coordinates, 2):
+        df = dee(P, f)
+        for w in multivector_probes(P, 1):
+            lhs = pair_module.dirac_apply(P, w.scaled(f)) - pair_module.dirac_apply(P, w).scaled(f)
+            rhs = clifford_act(df, w)
+            if lhs != rhs:
+                return f"f = {f}; w = {w}; [D, f] w = {lhs}; Clifford(D f) w = {rhs}"
+    return None
+
+
+def _differentiated(u, names):
+    """u with each coefficient differentiated by the coordinates names."""
+    return Multivector(u.rank, u.variables, {ix: functools.reduce(Polynomial.diff, names, p)
+                                             for ix, p in u.terms.items()})
+
+
+def test_commutator_function_on_coordinates_matches_the_full_family(
+        corpus, failing_pairs, pn_failing_pairs, monkeypatch):
+    """Oracle for the derivation reduction of generator/commutator-function:
+    its witness is the one found on every f with |gamma| <= 2, on every
+    pair and on pairs whose D is broken by a first- or a second-order term
+    in the coordinates."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
+        got = generator_check(P).record("generator/commutator-function").witness
+        assert got == _commutator_function_oracle(P) is None, label
+    direct = pair_module.dirac_apply
+    for label in ("poisson-linear", "poisson-zero"):
+        P = dict(corpus)[label]
+        for names in [P.coordinates[-1:], P.coordinates[:1] + P.coordinates[-1:]]:
+            monkeypatch.setattr(pair_module, "dirac_apply",
+                                lambda Q, u, names=names: direct(Q, u) + _differentiated(u, names))
+            got = generator_check(P).record("generator/commutator-function").witness
+            assert got is not None and got == _commutator_function_oracle(P), (label, names)
+            monkeypatch.setattr(pair_module, "dirac_apply", direct)
+
+
 def _courant_oracle(P, degree):
     """Pass flag of each Courant record with every slot running over the
     sections x^gamma e_i, x^gamma eps^i and the functions x^gamma with

@@ -180,8 +180,8 @@ def test_deeply_nested_json_option_is_input_error(capsys, argv):
 LONG_INT = "1" * 5000  # longer than Python's default 4300-digit int() limit
 
 
-def _doc_with(tmp_path, name, edit):
-    doc = json.loads((ROOT / "tests/fixtures/a-plus-b.json").read_text())
+def _doc_with(tmp_path, name, edit, fixture="a-plus-b.json"):
+    doc = json.loads((ROOT / "tests/fixtures" / fixture).read_text())
     edit(doc)
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -198,6 +198,19 @@ def test_integer_past_the_digit_limit_in_a_document_is_input_error(capsys, tmp_p
     code, out = run(capsys, "check", _doc_with(tmp_path, name, edit))
     body = json.loads(out)
     assert code == 2 and "internal" not in body, body
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "modular"])
+@pytest.mark.parametrize("key, value", [("rank", 2.0), ("base_dim", 2.0), ("rank", True)])
+def test_header_number_that_is_not_a_json_integer_is_input_error(capsys, tmp_path, command,
+                                                                  key, value):
+    # poisson-linear has base_dim 2 and rank 2: only the JSON type is wrong
+    path = _doc_with(tmp_path, "not-an-integer.json", lambda doc: doc.__setitem__(key, value),
+                     "poisson-linear.json")
+    code, out = run(capsys, command, path)
+    body = json.loads(out)
+    assert code == 2 and "internal" not in body, body
+    assert body["error"].startswith(f"schema violation at {key}: must be an integer"), body
 
 
 def test_json_integer_past_the_digit_limit_is_input_error(capsys, tmp_path):

@@ -116,7 +116,8 @@ def test_parse_bounds_parenthesis_nesting():
 
 def test_parse_bounds_powers():
     """Powers up to the fixed bounds parse; one past any bound is refused at
-    the exponent, before anything is multiplied."""
+    the exponent, past the degree or term bound before anything is
+    multiplied."""
     assert poly("x^64").total_degree() == ring._MAX_POWER_DEGREE == 64
     assert len(poly("(x + 1)^64").terms) == 65
     # the multinomial count C(t + 1, 2) of a square of t terms: 1953 for
@@ -128,14 +129,19 @@ def test_parse_bounds_powers():
     assert poly("2^4096") == poly(str(2 ** ring._MAX_POWER_BITS))
     assert poly("(-1/2)^4096") == Polynomial.const(("x", "y"), Fraction(1, 2 ** 4096))
     assert poly("1^" + "9" * 100) == poly("1") and poly("0^" + "9" * 100) == poly("0")
-    # a constant power is measured by its actual bits, as a product's factors
-    # are: 3^2584 has 4095 of them, 3^2585 has 4097
+    assert poly("0^0") == poly("1") and poly("(-1)^" + "9" * 4000) == poly("-1")
+    # a power is measured by its actual bits, as a product's factors are:
+    # 3^2584 has 4095 of them, 3^2585 has 4097; with m = 2^65 - 1,
+    # 64 * floor(log2 m) = 4096 but m^64 has 4160, with or without a factor x
+    # outside the power
     assert poly("(1/3)^2584") == Polynomial.const(("x", "y"), Fraction(1, 3 ** 2584))
     assert poly("x*(1/3)^2584") == poly("x") * poly("(1/3)^2584")
     for text, position in [("x^65", 2), ("(x*y)^33", 6), ("(x + y + 1)^62", 12),
                            ("2^4097", 2), ("(1/3)^4097", 6), ("(1/3)^2585", 6),
                            ("(1/3)^4096", 6), ("x^" + "9" * 4000, 2),
-                           ("((x + 1)^8)^9", 12), ("x + (x + y + 1)^100000", 16)]:
+                           ("((x + 1)^8)^9", 12), ("x + (x + y + 1)^100000", 16),
+                           ("(x + 1/36893488147419103231)^64", 29),
+                           ("x*(x + 1/36893488147419103231)^64", 31)]:
         with pytest.raises(PolynomialError) as caught:
             poly(text)
         assert caught.value.position == position, text
