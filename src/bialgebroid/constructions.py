@@ -22,6 +22,7 @@ both halves re-validated by the BialgebroidPair constructor.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,7 +33,7 @@ from .pair import (PROBE_DEGREE, BialgebroidPair, IdentityRecord, IdentityReport
                    PreconditionError, degree1_form_probes, dirac_square,
                    f_tilde, form_probes, is_lie_bialgebroid, laplacian,
                    lie_by_multivector, modular_cocycles, multivector_probes)
-from .ring import Polynomial
+from .ring import _MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial
 
 
 class ConstructionError(ValueError):
@@ -224,11 +225,41 @@ class NijenhuisData:
         self.variables = coords
 
     def power(self, l: int) -> List[List[Polynomial]]:
+        self._check_power(l)
         out = _mat_identity(self.rank, self.variables)
         base = [list(row) for row in self.matrix]
         for _ in range(l):
             out = _mat_mul(out, base, self.variables)
         return out
+
+    def _check_power(self, l: int) -> None:
+        """Raise ConstructionError if N^l may pass a ring._MAX_POWER_* bound,
+        before anything is multiplied.
+
+        l is an exponent, so it may not pass the degree bound either; that
+        also keeps the l matrix products of power short.  An entry of N^l is
+        a sum of products of l entries of N, so its degree is at most l times
+        the largest entry degree, and its monomials are products of l of the
+        t distinct monomials of N, at most C(t + l - 1, l) of them.  With q
+        the common denominator of N's coefficients and s the sum of the
+        |q c| over them, its numerators are at most s^l and its denominators
+        divide q^l, so l times the bit length of max(s, q) bounds its bits.
+        """
+        if l > _MAX_POWER_DEGREE:
+            raise ConstructionError(f"N^{l}: the index exceeds {_MAX_POWER_DEGREE}")
+        entries = [p for row in self.matrix for p in row]
+        monomials = {e for p in entries for e in p.terms}
+        coeffs = [c for p in entries for c in p.terms.values()]
+        q = math.lcm(*(c.denominator for c in coeffs))
+        s = sum(abs(c.numerator) * (q // c.denominator) for c in coeffs)
+        degree = max((p.total_degree() for p in entries), default=0)
+        if l * degree > _MAX_POWER_DEGREE:
+            raise ConstructionError(f"N^{l} may exceed total degree {_MAX_POWER_DEGREE}")
+        if len(monomials) > 1 and math.comb(len(monomials) + l - 1, l) > _MAX_POWER_TERMS:
+            raise ConstructionError(
+                f"N^{l} of {len(monomials)} monomials may exceed {_MAX_POWER_TERMS} terms")
+        if l * max(s, q).bit_length() > _MAX_POWER_BITS:
+            raise ConstructionError(f"N^{l} may exceed {_MAX_POWER_BITS} coefficient bits")
 
     def trace_power(self, l: int) -> Polynomial:
         mat = self.power(l)

@@ -24,7 +24,8 @@ from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
 
 from conftest import (const, heisenberg, heisenberg_triangular_pair,
                       point_algebra, poisson_data)
-from bialgebroid import poisson_double
+from bialgebroid import PoissonManifoldData, poisson_double
+from bialgebroid.exterior import once_per_monomial
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +370,98 @@ def test_commutator_function_on_coordinates_matches_the_full_family(
             got = generator_check(P).record("generator/commutator-function").witness
             assert got is not None and got == _commutator_function_oracle(P), (label, names)
             monkeypatch.setattr(pair_module, "dirac_apply", direct)
+
+
+def _derived_bracket_oracle(P):
+    """generator/derived-bracket on the order-1 families whatever the other
+    records say: every section x^gamma e_i, x^gamma eps^i and spinor
+    x^gamma e_I with |gamma| <= 1, each Dorfman bracket by a direct call."""
+    sections, spinors = pair_module._double_sections(P, 1), multivector_probes(P, 1)
+    D = pair_module._once_per_monomial_dirac(P)
+    commutators = [once_per_monomial(lambda u, e=e: D(clifford_act(e, u)) + clifford_act(e, D(u)))
+                   for e in sections]
+    for e2 in sections:
+        for e1, d_e1 in zip(sections, commutators):
+            target = dorfman(P, e1, e2)
+            for w in spinors:
+                lhs = d_e1(clifford_act(e2, w)) - clifford_act(e2, d_e1(w))
+                rhs = clifford_act(target, w)
+                if lhs != rhs:
+                    return (f"e1 = {e1}; e2 = {e2}; w = {w}; "
+                            f"[[D,e1],e2] w = {lhs}; Clifford(e1 o e2) w = {rhs}")
+    return None
+
+
+def _odd_tensorial_terms(P):
+    """Two C-infinity-linear odd operators that break the derived bracket
+    but leave [D, f] and the anchor relation alone, on a rank-3 pair over
+    R^3: x1 e_1 ^ iota_{eps^2} iota_{eps^3}, and u -> x1 u_{23} e_2, which
+    is nonzero only on the e_2 ^ e_3 component of u."""
+    x1 = Polynomial.parse("x1", P.coordinates)
+
+    def wedge_contract(u):
+        inner = interior_by_form(P.basis_eps(2), interior_by_form(P.basis_eps(3), u))
+        return P.basis_e(1).scaled(x1).wedge(inner)
+
+    def matrix_unit(u):
+        return Multivector.monomial(P.rank, P.coordinates, (2,), x1 * u.coefficient((2, 3)))
+
+    return [("x1 e1 ^ iota iota", wedge_contract), ("x1 u_23 e2", matrix_unit)]
+
+
+def test_derived_bracket_on_the_frame_matches_the_full_family(
+        corpus, failing_pairs, pn_failing_pairs, monkeypatch):
+    """Oracle for the frame reduction of generator/derived-bracket: its
+    witness is the one found on the order-1 families, on every pair, on a
+    D broken by a C-infinity-linear term (the frame path, [D, f] and the
+    anchor relation hold) and on a D broken by a coordinate derivative
+    (the fallback path, [D, f] fails)."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
+        got = generator_check(P).record("generator/derived-bracket").witness
+        assert got == _derived_bracket_oracle(P) is None, label
+    direct = pair_module.dirac_apply
+    P = pn_failing_pairs[0]
+    for name, term in _odd_tensorial_terms(P):
+        monkeypatch.setattr(pair_module, "dirac_apply",
+                            lambda Q, u, term=term: direct(Q, u) + term(u))
+        rep = generator_check(P)
+        assert rep.record("generator/commutator-function").passed, name
+        assert rep.record("generator/anchor").passed, name
+        got = rep.record("generator/derived-bracket").witness
+        assert got is not None and got == _derived_bracket_oracle(P), name
+        monkeypatch.setattr(pair_module, "dirac_apply", direct)
+    # the first failing spinor of the matrix unit has degree 2
+    assert "; w = e[2,3]; " in got
+    for label in ("poisson-linear", "poisson-zero"):
+        P = dict(corpus)[label]
+        names = P.coordinates[-1:]
+        monkeypatch.setattr(pair_module, "dirac_apply",
+                            lambda Q, u: direct(Q, u) + _differentiated(u, names))
+        rep = generator_check(P)
+        assert not rep.record("generator/commutator-function").passed, label
+        got = rep.record("generator/derived-bracket").witness
+        assert got is not None and got == _derived_bracket_oracle(P), label
+        monkeypatch.setattr(pair_module, "dirac_apply", direct)
+
+
+def test_derived_bracket_brackets_each_frame_pair_once(monkeypatch):
+    """With [D, f] and the anchor relation holding, generator_check makes
+    (2n)^2 direct Dorfman calls, one per ordered pair of frame sections:
+    36 on the so(3)* double over R^3."""
+    P = poisson_double(PoissonManifoldData(3, [["0", "x3", "-x2"], ["-x3", "0", "x1"],
+                                                ["x2", "-x1", "0"]]))
+    seen = []
+    direct = pair_module.dorfman
+
+    def counting(pair, e1, e2):
+        seen.append((str(e1), str(e2)))
+        return direct(pair, e1, e2)
+
+    monkeypatch.setattr(pair_module, "dorfman", counting)
+    assert generator_check(P).passed
+    frame = [str(e) for e in pair_module._double_sections(P, 0)]
+    assert sorted(seen) == sorted(itertools.product(frame, repeat=2))
+    assert len(seen) == (2 * P.rank) ** 2 == 36
 
 
 def _courant_oracle(P, degree):

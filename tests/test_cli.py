@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bialgebroid import ExteriorError, InternalError, cli
 from bialgebroid.cli import build_parser, main
@@ -297,6 +302,60 @@ def test_oversized_product_is_input_error(text, error):
     assert body["error"] == error
 
 
+# -- fuzzed documents ----------------------------------------------------------------
+
+# the polynomial grammar's tokens, a few that pass a bound, and junk
+_POLY_TOKENS = ["x1", "x2", "y", "0", "1", "2", "3", "/", "+", "-", "*", "^", "(", ")", " ",
+                "x1^99", "9" * 30, "1/0", "2x", "#", ".", ",", "\u00e9", "\u0663", "\x00", "e"]
+_WELL_FORMED = ["0", "1", "-1", "1/2", "x1", "-x2", "2*x1", "x1*x2", "x1^2", "x1 - x2"]
+_poly_text = st.one_of(st.sampled_from(_WELL_FORMED),
+                       st.lists(st.sampled_from(_POLY_TOKENS), max_size=6).map("".join))
+_BRACKET_KEYS = ["1,2", "1,2", "2,1", "1,1", "1,3", "0,1", "1, 2", "01,2", "a,b", "1,2,3", ""]
+
+
+@st.composite
+def _pair_documents(draw):
+    """Pair documents of rank <= 2 over at most two coordinates, with fuzzed
+    polynomial text and bracket keys that may be invalid."""
+    base_dim = draw(st.integers(0, 2))
+    rank = draw(st.integers(1, 2))
+
+    def side():
+        anchor = [[draw(_poly_text) for _ in range(base_dim)] for _ in range(rank)]
+        keys = draw(st.lists(st.sampled_from(_BRACKET_KEYS), max_size=2, unique=True))
+        return {"anchor": anchor,
+                "brackets": {key: [draw(_poly_text) for _ in range(rank)] for key in keys}}
+
+    doc = {"base_dim": base_dim, "coordinates": ["x1", "x2"][:base_dim], "rank": rank,
+           "A": side(), "Astar": side()}
+    if draw(st.booleans()):
+        doc["frame"] = {"s_density": draw(_poly_text)}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir():
+    with tempfile.TemporaryDirectory() as folder:
+        yield Path(folder)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_pair_documents(), command=st.sampled_from(["validate", "check"]))
+def test_fuzzed_document_keeps_the_exit_contract(fuzz_dir, doc, command):
+    """Any such document gives exit 0, 1 or 2 with a JSON report whose
+    exit_status matches, and never an internal fault."""
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, str(path)])
+    body = json.loads(out.getvalue())
+    assert code in (0, 1, 2), body
+    assert body["exit_status"] == code
+    assert "internal" not in body
+
+
 # -- internal faults ----------------------------------------------------------------
 
 
@@ -363,6 +422,21 @@ def test_example_pn_rejects_bad_matrix(capsys):
                     "--lambda", '{"1,2": "1"}')
     assert code == 2
     assert "torsion" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("n_rows, k, l, error", [
+    ('[["x1","0","0"],["0","x1","0"],["0","0","1"]]', "100000", "1",
+     "N^100000: the index exceeds 64"),
+    ('[["3","0","0"],["0","3","0"],["0","0","1"]]', "10000", "0",
+     "N^10000: the index exceeds 64"),
+])
+def test_example_pn_oversized_hierarchy_index_is_input_error(n_rows, k, l, error):
+    result = _cli_subprocess("example", "pn", "tests/fixtures/tangent-r3.json", "--n", n_rows,
+                             "--lambda", '{"1,2": "1"}', "--k", k, "--l", l)
+    body = json.loads(result.stdout)
+    assert result.returncode == 2 and body["exit_status"] == 2
+    assert "internal" not in body
+    assert body["error"] == error
 
 
 # -- text rendering -----------------------------------------------------------------

@@ -194,6 +194,22 @@ def test_nijenhuis_powers_and_traces():
     assert N.apply(u, 2) == u.scaled(x1 * x1)
 
 
+@pytest.mark.parametrize("corner, l, error", [
+    ("1", 65, "N^65: the index exceeds 64"),
+    ("x1^2", 33, "N^33 may exceed total degree 64"),
+    ("x1+x2+x3", 21, "N^21 of 4 monomials may exceed 2000 terms"),
+    ("2^100", 41, "N^41 may exceed 4096 coefficient bits"),
+])
+def test_nijenhuis_power_past_a_ring_bound_is_refused(corner, l, error):
+    """N^l is refused by the bounds of a power in polynomial text, before
+    any product, and the index just below each refusal is computed."""
+    N = NijenhuisData([[corner, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], R3)
+    with pytest.raises(ConstructionError) as err:
+        N.power(l)
+    assert str(err.value) == error
+    assert N.power(l - 1)[0][0] == Polynomial.parse(corner, R3) ** (l - 1)
+
+
 # -- tangent/cotangent doubles --------------------------------------------------------
 
 
