@@ -18,10 +18,8 @@ from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, InternalErro
                    courant_axioms, dee, dirac_apply, dirac_square,
                    dirac_star_apply, dirac_star_square, dorfman, f_tilde,
                    f_tilde_star, form_probes, generator_check,
-                   is_lie_bialgebroid, laplacian, lie_by_form,
-                   lie_by_multivector, lie_by_section, metric,
-                   modular_cocycles, multivector_probes, rho_apply, rho_field,
-                   theorem_c_suite)
+                   is_lie_bialgebroid, laplacian, metric, modular_cocycles,
+                   multivector_probes, rho_apply, rho_field, theorem_c_suite)
 from .constructions import (BivectorData, ConstructionError, NijenhuisData,
                             PoissonManifoldData, a_plus_b, exact_from_bivector,
                             exact_identities, find_counterexample_pairs,
@@ -44,8 +42,7 @@ __all__ = [
     "courant_axioms", "dee", "dirac_apply",
     "dirac_square", "dirac_star_apply", "dirac_star_square", "dorfman",
     "f_tilde", "f_tilde_star", "form_probes", "generator_check",
-    "is_lie_bialgebroid", "laplacian", "lie_by_form", "lie_by_multivector",
-    "lie_by_section", "metric", "modular_cocycles",
+    "is_lie_bialgebroid", "laplacian", "metric", "modular_cocycles",
     "multivector_probes", "rho_apply", "rho_field", "theorem_c_suite",
     "BivectorData", "ConstructionError", "NijenhuisData",
     "PoissonManifoldData", "a_plus_b", "exact_from_bivector",

@@ -48,8 +48,8 @@ from .exterior import ExteriorError, Multivector
 from .pair import (PROBE_DEGREE, PairError, corollary_suite, courant_axioms,
                    dirac_square, f_tilde, generator_check, theorem_c_suite)
 from .ring import PolynomialError, parse_rational
-from .serialize import (DocumentError, algebroid_from_json, document_to_structures,
-                        pair_from_json, pair_to_json)
+from .serialize import (_BRACKET_KEY, DocumentError, algebroid_from_json,
+                        document_to_structures, pair_from_json, pair_to_json)
 
 # The package's own input classes only: a plain ValueError is a fault of
 # this package (exit 3), so every ValueError that input can raise is turned
@@ -184,11 +184,13 @@ def _bivector_from_arg(raw, rank: int, coords) -> BivectorData:
     from .ring import Polynomial
     terms = {}
     for key, value in raw.items():
-        i_text, _, j_text = key.partition(",")
+        if not _BRACKET_KEY.fullmatch(key):
+            raise DocumentError(f"--lambda key '{key}' is not of the form 'i,j'")
+        i_text, j_text = key.split(",")
         try:
             i, j = int(i_text), int(j_text)
-        except ValueError:
-            raise DocumentError(f"--lambda key '{key}' is not of the form 'i,j'")
+        except ValueError:  # more digits than int() converts: far out of range
+            i = j = 0
         if not (1 <= i < j <= rank):
             raise DocumentError(f"--lambda key '{key}' must satisfy 1 <= i < j <= {rank}")
         poly = Polynomial.parse(value, coords)

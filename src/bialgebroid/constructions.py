@@ -30,9 +30,8 @@ from .algebroid import AlgebroidStructure, bv_boundary
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
                        interior_by_multivector, pairing)
 from .pair import (PROBE_DEGREE, BialgebroidPair, IdentityRecord, IdentityReport,
-                   PreconditionError, degree1_form_probes, dirac_square,
-                   f_tilde, form_probes, is_lie_bialgebroid, laplacian,
-                   lie_by_multivector, modular_cocycles, multivector_probes)
+                   PreconditionError, _modular_class, degree1_form_probes, dirac_square,
+                   form_probes, is_lie_bialgebroid, laplacian, multivector_probes)
 from .ring import _MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial
 
 
@@ -270,9 +269,16 @@ class NijenhuisData:
 
     def apply(self, u: Multivector, l: int = 1) -> Multivector:
         """N^l on a degree-1 multivector, componentwise."""
+        return self._act(self.power(l), u)
+
+    def dual_apply(self, theta: Form, l: int = 1) -> Form:
+        """(N*)^l on a degree-1 form: apply's loop on the transpose of N^l."""
+        return self._act(list(zip(*self.power(l))), theta)
+
+    def _act(self, mat, u):
+        """The matrix mat on the components of a degree-1 element u."""
         if u.degrees() not in ([], [1]):
             raise ConstructionError("N acts on degree-1 sections")
-        mat = self.power(l)
         comps = [u.coefficient((j + 1,)) for j in range(self.rank)]
         out = {}
         for i in range(self.rank):
@@ -281,22 +287,7 @@ class NijenhuisData:
                 acc = acc + mat[i][j] * comps[j]
             if not acc.is_zero():
                 out[(i + 1,)] = acc
-        return Multivector(u.rank, u.variables, out)
-
-    def dual_apply(self, theta: Form, l: int = 1) -> Form:
-        """(N*)^l on a degree-1 form: transpose action on components."""
-        if theta.degrees() not in ([], [1]):
-            raise ConstructionError("N* acts on degree-1 forms")
-        mat = self.power(l)
-        comps = [theta.coefficient((i + 1,)) for i in range(self.rank)]
-        out = {}
-        for j in range(self.rank):
-            acc = Polynomial.zero(self.variables)
-            for i in range(self.rank):
-                acc = acc + mat[i][j] * comps[i]
-            if not acc.is_zero():
-                out[(j + 1,)] = acc
-        return Form(theta.rank, theta.variables, out)
+        return type(u)(u.rank, u.variables, out)
 
     def validate(self, A: AlgebroidStructure) -> None:
         """Vanishing torsion [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]) on basis pairs."""
@@ -420,8 +411,7 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
     # xi_l = d(trace N^l) + (N*)^l xi0, with d and xi0 of the undeformed side
     wit = None
     for step in (1, 2, 3):
-        Al = _deformed_structure(A, N, step)
-        xi_l = modular_cocycles(BialgebroidPair(Al, base_pair.Astar, frame)).xi0
+        xi_l = _modular_class(_deformed_structure(A, N, step), frame)
         closed = A.differential(Form.scalar(n, coords, N.trace_power(step))) \
             + N.dual_apply(xi0, step)
         if xi_l != closed:
@@ -610,7 +600,7 @@ def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
     wit = None
     for th in probes_f:
         lhs = laplacian(P, th)
-        rhs = lie_by_multivector(P, x_omega, th)
+        rhs = P.A.lie_derivative(x_omega, th)
         if lhs != rhs:
             wit = f"theta = {th}; Lap* = {lhs}; L_X = {rhs}"
             break

@@ -525,12 +525,6 @@ def inverse_omega_sharp(frame: FrameData, phi: Form) -> Multivector:
 
 
 def inverse_v_sharp(frame: FrameData, u: Multivector) -> Form:
-    """Inverse of v_sharp, same sign rule with the two sides exchanged."""
-    n = frame.rank
-    out = Form.zero(n, frame.variables)
-    for l in u.degrees():
-        piece = omega_sharp(frame, u.homogeneous(l))
-        if ((n - l) * (n - 1)) & 1:
-            piece = -piece
-        out = out + piece
-    return out
+    """Inverse of v_sharp: inverse_omega_sharp with the two sides exchanged,
+    since omega and vee have the same terms."""
+    return retype(inverse_omega_sharp(frame, retype(u)))

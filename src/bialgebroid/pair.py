@@ -4,7 +4,7 @@ A BialgebroidPair holds two validated AlgebroidStructures on dual frames
 (the primal side acting on Multivectors, the dual side on Forms) plus the
 trivializing FrameData.  On top of that this module builds:
 
-* the modular cocycles X_0 and xi_0 of the pair,
+* the modular cocycles X_0 of A* and xi_0 of A,
 * the boundary operators and Laplacians on both sides,
 * the metric, Dorfman bracket, and Clifford action of the double,
 * the odd operator
@@ -17,7 +17,9 @@ and decides exactly, on a finite probe family, whether D^2 is
 multiplication by a function.  Because every operator involved is a
 differential operator of order at most two with polynomial coefficients,
 evaluating on all x^gamma e_I with |gamma| <= PROBE_DEGREE = 2 is a
-complete decision procedure, not a heuristic.
+complete decision procedure, not a heuristic.  dirac_square and
+generator_check share that scan (_square_witness); only dirac_square
+also checks the square formula.
 
 The compatibility criterion (the derivation property of dstar over the
 bracket), the twelve-part equivalence suite, the corollary identities,
@@ -39,15 +41,20 @@ and the anchor relation hold, since these make its defect
 C-infinity-trilinear, and on the order-1 families otherwise; the argument
 is in its docstring.
 
-Mirrors by duality.  (A, A*) is a Lie bialgebroid exactly when (A*, A)
-is (Mackenzie-Xu), so every A*-side object is the A-side one computed on
-BialgebroidPair.flipped(): the same frame with A*'s data as the vector
-side and A's as the covector side, elements moved across by the zero-copy
-exterior.retype.  The mirror operator on forms, f~*, the 'Astar'
-Laplacian and the items (b), (d), (f), (j), (l) of the equivalence suite
-have no code of their own.  A mirror witness is the primal witness found
-on the flipped pair, so it names flipped elements (e[i] there is eps^i
-here) and carries the prefix "on (A*, A): ".
+Mirrors by duality.  Each formula is written once.  A formula about one
+algebroid is written over AlgebroidStructure, whose section_kind picks
+Multivector or Form sections: the modular cocycle (_modular_class, run
+on A for xi_0 and on A* for X_0) and the Lie derivative
+(AlgebroidStructure.lie_derivative, along A or along A*).  A formula
+about the pair is written for (A, A*) and mirrored through
+BialgebroidPair.flipped(), since (A, A*) is a Lie bialgebroid exactly
+when (A*, A) is (Mackenzie-Xu): the same frame with A*'s data as the
+vector side and A's as the covector side, elements moved across by the
+zero-copy exterior.retype.  The mirror operator on forms, f~*, the
+'Astar' Laplacian and the items (b), (d), (f), (j), (l) of the
+equivalence suite have no code of their own.  A mirror witness is the
+primal witness found on the flipped pair, so it names flipped elements
+(e[i] there is eps^i here) and carries the prefix "on (A*, A): ".
 
 Each operator once per monomial.  The probe loops apply D and the
 Laplacians to sums, products and brackets of probes, and those inputs
@@ -408,42 +415,35 @@ def degree1_form_probes(P: BialgebroidPair, coord_degree: int) -> List[Form]:
 
 
 def modular_cocycles(P: BialgebroidPair) -> ModularData:
-    """Frame components of the modular cocycles.
+    """Frame components of the modular cocycles: xi_0 is the modular class
+    of A and X_0 that of A*, each from _modular_class."""
+    return ModularData(x0=_modular_class(P.Astar, P.frame), xi0=_modular_class(P.A, P.frame))
 
-    <xi_0, e_i> = div_s(a(e_i)) + (coefficient of [e_i, V] on V) and
-    <X_0, eps^j> = (coefficient of [eps^j, Omega]_* on Omega) + div_s(a_*(eps^j)).
-    The defining equations are re-checked on probes x_a e_i (they must be
-    C-infinity-linear for valid structures; failure means an
+
+def _modular_class(side: AlgebroidStructure, frame: FrameData):
+    """The modular cocycle of one algebroid, an element of its dual exterior
+    algebra, with components <class, s_i> = div_s(rho(s_i)) + (coefficient
+    of [s_i, top] on top) for the frame s_i and the top element of the
+    algebroid's own exterior algebra (V on A, Omega on A*).
+    The defining equation is re-checked on x_a s_i (it must be
+    C-infinity-linear for a valid structure; failure means an
     implementation bug, so it raises InternalError).
     """
-    n, coords = P.rank, P.coordinates
-    top = P.frame.top_index
+    n, coords = side.rank, side.coordinates
+    top = side.section_cls.monomial(n, coords, frame.top_index, 1)
 
-    def xi_component(u: Multivector) -> Polynomial:
-        lead = P.A.schouten(u, P.frame.vee).coefficient(top)
-        return divergence(P.A.anchor_field(u), coords) + lead
+    def component(s) -> Polynomial:
+        lead = side.schouten(s, top).coefficient(frame.top_index)
+        return divergence(side.anchor_field(s), coords) + lead
 
-    def x_component(theta: Form) -> Polynomial:
-        lead = P.Astar.schouten(theta, P.frame.omega).coefficient(top)
-        return divergence(P.Astar.anchor_field(theta), coords) + lead
-
-    xi0 = Form(n, coords, {(i,): xi_component(P.basis_e(i)) for i in range(1, n + 1)})
-    x0 = Multivector(n, coords, {(j,): x_component(P.basis_eps(j)) for j in range(1, n + 1)})
-
+    comps = [component(side.basis_section(i)) for i in range(1, n + 1)]
     for f in coordinate_monomials(coords, 1)[1:]:
         for i in range(1, n + 1):
-            probe = Multivector.monomial(n, coords, (i,), f)
-            want = pairing(xi0, probe)
-            if xi_component(probe) != want:
+            probe = side.section_cls.monomial(n, coords, (i,), f)
+            if component(probe) != comps[i - 1] * f:
                 raise InternalError(
                     f"modular defining relation is not tensorial on {probe} (internal error)")
-        for j in range(1, n + 1):
-            probe = Form.monomial(n, coords, (j,), f)
-            want = pairing(probe, x0)
-            if x_component(probe) != want:
-                raise InternalError(
-                    f"dual modular defining relation is not tensorial on {probe} (internal error)")
-    return ModularData(x0=x0, xi0=xi0)
+    return side.dual_cls(n, coords, {(i,): c for i, c in enumerate(comps, start=1)})
 
 
 def f_tilde(P: BialgebroidPair) -> Polynomial:
@@ -473,29 +473,11 @@ def laplacian(P: BialgebroidPair, target):
     return P.dstar(P.boundary(target)) + P.boundary(P.dstar(target))
 
 
-def lie_by_multivector(P: BialgebroidPair, x: Multivector, target):
-    """Lie derivative along a degree-1 section of the primal side."""
-    if isinstance(target, Multivector):
-        return P.A.schouten(x, target)
-    return P.A.lie_derivative(x, target)
-
-
-def lie_by_form(P: BialgebroidPair, theta: Form, target):
-    """Lie derivative along a degree-1 section of the dual side."""
-    if isinstance(target, Form):
-        return P.Astar.schouten(theta, target)
-    return P.Astar.lie_derivative(theta, target)
-
-
-def lie_by_section(P: BialgebroidPair, e: SectionE, target):
-    return lie_by_multivector(P, e.vec, target) + lie_by_form(P, e.cov, target)
-
-
 def _half_modular_lie(P: BialgebroidPair, target):
     """1/2 (L_{X_0} + L_{xi_0}) target."""
     mod = P.modular
-    return (lie_by_multivector(P, mod.x0, target)
-            + lie_by_form(P, mod.xi0, target)).scaled(Fraction(1, 2))
+    return (P.A.lie_derivative(mod.x0, target)
+            + P.Astar.lie_derivative(mod.xi0, target)).scaled(Fraction(1, 2))
 
 
 # -- double: metric, D, Dorfman, Clifford ----------------------------------------
@@ -519,10 +501,8 @@ def rho_field(P: BialgebroidPair, e: SectionE) -> Tuple[Polynomial, ...]:
 
 
 def rho_apply(P: BialgebroidPair, e: SectionE, f: Polynomial) -> Polynomial:
-    out = Polynomial.zero(P.coordinates)
-    for comp, name in zip(rho_field(P, e), P.coordinates):
-        out = out + comp * f.diff(name)
-    return out
+    """rho(e) f = a(vec) f + a_*(cov) f."""
+    return P.A.anchor_apply(e.vec, f) + P.Astar.anchor_apply(e.cov, f)
 
 
 def dorfman(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
@@ -587,30 +567,32 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     probes; its failure would indicate an implementation fault and is
     reported in square_formula_ok rather than swallowed.
     """
-    return _dirac_square(P, _once_per_monomial_dirac(P))
+    D, ft = _once_per_monomial_dirac(P), f_tilde(P)
+    probes = multivector_probes(P, PROBE_DEGREE)
+    witness = _square_witness(probes, D, ft)
+    report = ScalarReport(is_scalar=witness is None, f_tilde=ft, witness=witness)
+    for u in probes:
+        sq = D(D(u))
+        formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
+        if sq != formula:
+            report.square_formula_ok = False
+            report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
+            break
+    return report
 
 
 def _once_per_monomial_dirac(P: BialgebroidPair):
     return once_per_monomial(lambda u: dirac_apply(P, u))
 
 
-def _dirac_square(P: BialgebroidPair, D) -> ScalarReport:
-    """dirac_square with D applied through the caller's once_per_monomial wrapper."""
-    ft = f_tilde(P)
-    report = ScalarReport(is_scalar=True, f_tilde=ft)
-    for u in multivector_probes(P, PROBE_DEGREE):
-        sq = D(D(u))
-        residual = sq - u.scaled(ft)
-        if not residual.is_zero() and report.is_scalar:
-            report.is_scalar = False
-            report.witness = f"u = {u}; D^2 u - f~ u = {residual}"
-        formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
-        if sq != formula and report.square_formula_ok:
-            report.square_formula_ok = False
-            report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
-        if not report.is_scalar and not report.square_formula_ok:
-            break
-    return report
+def _square_witness(probes, D, ft: Polynomial) -> Optional[str]:
+    """First failure of D^2 u = f~ u over the probes, with D applied through
+    the caller's once_per_monomial wrapper, or None."""
+    for u in probes:
+        residual = D(D(u)) - u.scaled(ft)
+        if not residual.is_zero():
+            return f"u = {u}; D^2 u - f~ u = {residual}"
+    return None
 
 
 def dirac_star_square(P: BialgebroidPair) -> ScalarReport:
@@ -696,7 +678,7 @@ def _modular_lie_failure(P: BialgebroidPair, probes, lap) \
 def _once_per_monomial_lie(P: BialgebroidPair):
     """L_x t along a degree-1 Multivector or Form x, once per pair of monomials."""
     return once_per_monomial_pair(
-        lambda x, t: (lie_by_multivector if isinstance(x, Multivector) else lie_by_form)(P, x, t))
+        lambda x, t: (P.A if isinstance(x, Multivector) else P.Astar).lie_derivative(x, t))
 
 
 def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Optional[str]:
@@ -825,19 +807,14 @@ def corollary_suite(P: BialgebroidPair) -> IdentityReport:
     report = IdentityReport(suite="corollaries")
     add = report.records.append
     coords = P.coordinates
-    vee, omega = P.frame.vee, P.frame.omega
 
-    lx_v = lie_by_multivector(P, mod.x0, vee)
-    lxi_v = lie_by_form(P, mod.xi0, vee)
-    ok = lx_v == -lxi_v
-    add(IdentityRecord("cor-blistering/m", ok,
-                       None if ok else f"L_X0 V = {lx_v}; -L_xi0 V = {-lxi_v}"))
-
-    lx_o = lie_by_multivector(P, mod.x0, omega)
-    lxi_o = lie_by_form(P, mod.xi0, omega)
-    ok = lx_o == -lxi_o
-    add(IdentityRecord("cor-blistering/n", ok,
-                       None if ok else f"L_X0 Omega = {lx_o}; -L_xi0 Omega = {-lxi_o}"))
+    lie = {}  # top element -> (L_X0 top, L_xi0 top), read again by q and r
+    for rid, name, top in (("m", "V", P.frame.vee), ("n", "Omega", P.frame.omega)):
+        lx, lxi = P.A.lie_derivative(mod.x0, top), P.Astar.lie_derivative(mod.xi0, top)
+        lie[name] = lx, lxi
+        ok = lx == -lxi
+        add(IdentityRecord(f"cor-blistering/{rid}", ok,
+                           None if ok else f"L_X0 {name} = {lx}; -L_xi0 {name} = {-lxi}"))
 
     bs_xi = P.boundary_star(mod.xi0).scalar_part()
     b_x = P.boundary(mod.x0).scalar_part()
@@ -859,12 +836,12 @@ def corollary_suite(P: BialgebroidPair) -> IdentityReport:
     add(IdentityRecord("cor-brood/g15", wit is None, wit))
 
     ft4 = f_tilde(P) * 4
-    lhs_q = lie_by_multivector(P, mod.x0, omega).coefficient(P.frame.top_index) + div_x
+    lhs_q = lie["Omega"][0].coefficient(P.frame.top_index) + div_x
     ok = lhs_q == ft4
     add(IdentityRecord("cor-commissoner/q", ok,
                        None if ok else f"L_X0 (Omega (x) s) / (Omega (x) s) = {lhs_q}; 4 f~ = {ft4}"))
 
-    lhs_r = div_xi + lie_by_form(P, mod.xi0, vee).coefficient(P.frame.top_index)
+    lhs_r = div_xi + lie["V"][1].coefficient(P.frame.top_index)
     ok = lhs_r == ft4
     add(IdentityRecord("cor-commissoner/r", ok,
                        None if ok else f"L_xi0 (s (x) V) / (s (x) V) = {lhs_r}; 4 f~ = {ft4}"))
@@ -1106,9 +1083,8 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
                 break
     add(IdentityRecord("generator/derived-bracket", wit is None, wit))
 
-    sq = _dirac_square(P, D)
-    wit = None if sq.is_scalar else sq.witness
-    add(IdentityRecord("generator/square-scalar", sq.is_scalar, wit))
+    wit = _square_witness(multivector_probes(P, PROBE_DEGREE), D, f_tilde(P))
+    add(IdentityRecord("generator/square-scalar", wit is None, wit))
 
     add(IdentityRecord("generator/anchor", anchor is None, anchor))
 

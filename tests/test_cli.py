@@ -416,6 +416,21 @@ def test_example_pn(capsys):
     assert {r["id"] for r in body["suite"]["identities"]} >= {"pn/scene", "pn/legality"}
 
 
+PN_N = '[["x1","0","0"],["0","x1","0"],["0","0","1"]]'
+
+
+@pytest.mark.parametrize("family", ["exact", "pn"])
+@pytest.mark.parametrize("key", ["1,\u0662", "1, 2", "+1,2", "01,2", "1,0_2", "1,2,3", ","])
+def test_lambda_key_outside_the_document_grammar_is_input_error(capsys, family, key):
+    # "1,2" itself is accepted: test_example_exact and test_example_pn
+    extra = ["--n", PN_N] if family == "pn" else []
+    code, out = run(capsys, "example", family, "tests/fixtures/tangent-r3.json", *extra,
+                    "--lambda", json.dumps({key: "1"}))
+    body = json.loads(out)
+    assert code == 2 and "internal" not in body
+    assert body["error"] == f"--lambda key '{key}' is not of the form 'i,j'"
+
+
 def test_example_pn_rejects_bad_matrix(capsys):
     code, out = run(capsys, "example", "pn", "tests/fixtures/tangent-r3.json",
                     "--n", '[["1","0","0"],["0","1","0"],["0","0","x1"]]',

@@ -1,4 +1,5 @@
-"""The A*-side mirrors are the A-side code run on the flipped pair (A*, A).
+"""The A*-side mirrors are the A-side code run on the flipped pair (A*, A),
+and the one-algebroid formulas are written once for either side.
 
 The direct form-side formulas stay here as oracles for the delegations.
 """
@@ -9,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from bialgebroid import (BialgebroidPair, Form, Multivector, Polynomial,
-                         dirac_star_apply, f_tilde_star, form_probes,
-                         interior_by_multivector, laplacian, modular_cocycles,
-                         pairing, retype, theorem_c_suite)
+                         coordinate_monomials, dirac_star_apply, divergence,
+                         f_tilde_star, form_probes, interior_by_multivector,
+                         laplacian, modular_cocycles, pairing, pn_desk_instance,
+                         retype, theorem_c_suite)
 from bialgebroid.pair import MIRROR_PREFIX
 
 from test_cli import ROOT, run
@@ -60,6 +62,55 @@ def test_swapped_modular_data_is_the_flipped_pairs_own(all_pairs):
         recomputed = modular_cocycles(P.flipped())
         assert P.flipped().modular.x0 == recomputed.x0 == retype(P.modular.xi0), label
         assert P.flipped().modular.xi0 == recomputed.xi0 == retype(P.modular.x0), label
+
+
+def modular_oracle(P):
+    """<xi_0, e_i> and <X_0, eps^j>, each side written out by hand."""
+    n, coords = P.rank, P.coordinates
+    top = P.frame.top_index
+
+    def xi_component(u):
+        lead = P.A.schouten(u, P.frame.vee).coefficient(top)
+        return divergence(P.A.anchor_field(u), coords) + lead
+
+    def x_component(theta):
+        lead = P.Astar.schouten(theta, P.frame.omega).coefficient(top)
+        return divergence(P.Astar.anchor_field(theta), coords) + lead
+
+    xi0 = Form(n, coords, {(i,): xi_component(P.basis_e(i)) for i in range(1, n + 1)})
+    x0 = Multivector(n, coords, {(j,): x_component(P.basis_eps(j)) for j in range(1, n + 1)})
+    for f in coordinate_monomials(coords, 1)[1:]:
+        for i in range(1, n + 1):
+            probe = Multivector.monomial(n, coords, (i,), f)
+            assert xi_component(probe) == pairing(xi0, probe), (P.label, str(probe))
+            probe = Form.monomial(n, coords, (i,), f)
+            assert x_component(probe) == pairing(probe, x0), (P.label, str(probe))
+    return x0, xi0
+
+
+def test_modular_cocycles_match_the_two_sided_formulas(corpus, failing_pairs, pn_failing_pairs):
+    for P in [P for _label, P in corpus] + failing_pairs + pn_failing_pairs:
+        for Q in (P, P.flipped()):
+            x0, xi0 = modular_oracle(Q)
+            got = modular_cocycles(Q)
+            assert (got.x0, got.xi0) == (x0, xi0), Q.label
+
+
+def test_dual_apply_is_the_transpose_action():
+    """NijenhuisData.dual_apply against the transpose loop written out."""
+    _A, N, _L = pn_desk_instance()
+    coords = N.variables
+    forms = [Form.monomial(3, coords, (j,), f)
+             for j in range(1, 4) for f in coordinate_monomials(coords, 1)]
+    forms.append(sum(forms[1:], forms[0]))
+    for l in range(4):
+        mat = N.power(l)
+        for theta in forms:
+            comps = [theta.coefficient((i + 1,)) for i in range(3)]
+            want = Form(3, coords, {(j + 1,): sum((mat[i][j] * comps[i] for i in range(3)),
+                                                  Polynomial.zero(coords))
+                                    for j in range(3)})
+            assert N.dual_apply(theta, l) == want, (l, str(theta))
 
 
 def test_mirror_operators_match_the_form_side_formulas(all_pairs):
