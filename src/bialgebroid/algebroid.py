@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .exterior import (Form, FrameData, GradedElement, Multivector,
-                       inverse_omega_sharp, inverse_v_sharp,
                        interior_by_form, interior_by_multivector,
-                       omega_sharp, v_sharp)
+                       inverse_omega_sharp, omega_sharp, retype)
 from .ring import Polynomial, field_bracket
 
 Key = Tuple[int, int]
@@ -297,20 +296,20 @@ def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):
     contraction with the degreewise sign of the double-contraction rule.
     Squares to zero and generates the Schouten bracket; both are tested,
     not assumed.
+
+    Written once, for Multivector sections and top = omega.  On Form
+    sections top is vee, which has the same terms as omega, so the same
+    formula runs with each element moved across by retype.
     """
     if not isinstance(u, algebroid.section_cls):
         raise AlgebroidError(f"bv_boundary expects a {algebroid.section_cls.__name__}")
     if frame.rank != algebroid.rank or frame.variables != algebroid.coordinates:
         raise AlgebroidError("frame does not match the algebroid")
+    across = retype if algebroid.section_kind == "covector" else (lambda element: element)
     out = algebroid.zero_section()
     for l in u.degrees():
-        beta = u.homogeneous(l)
-        if algebroid.section_kind == "vector":
-            phi = omega_sharp(frame, beta)
-            res = inverse_omega_sharp(frame, algebroid.differential(phi))
-        else:
-            phi = v_sharp(frame, beta)
-            res = inverse_v_sharp(frame, algebroid.differential(phi))
+        phi = across(omega_sharp(frame, across(u.homogeneous(l))))
+        res = across(inverse_omega_sharp(frame, across(algebroid.differential(phi))))
         if l % 2:
             res = -res
         out = out + res

@@ -7,7 +7,8 @@ Subcommands:
 * ``check <spec.json>``: decide whether the square of the Dirac-type
   operator is multiplication by a function; prints the function or the
   failing probe.  The probes x^gamma e_I have |gamma| <= 2, the degree
-  the order-2 argument fixes (pair.PROBE_DEGREE); it is not an option.
+  the order-2 argument fixes (pair.PROBE_DEGREE), and are products of at
+  most 3 generators x_a, e_i (pair.dirac_square); it is not an option.
 * ``identities <spec.json> --suite theorem-c|corollaries|courant|generator``.
 * ``modular <spec.json>``: the two modular cocycles and the square scalar.
 * ``example a-plus-b|poisson|exact|pn ...``: build a documented example

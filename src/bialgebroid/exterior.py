@@ -508,8 +508,9 @@ def omega_sharp(frame: FrameData, u: Multivector) -> Form:
 
 
 def v_sharp(frame: FrameData, theta: Form) -> Multivector:
-    """V-flat contraction theta -> iota_theta vee."""
-    return interior_by_form(theta, frame.vee)
+    """V-flat contraction theta -> iota_theta vee: omega_sharp with the two
+    sides exchanged, since omega and vee have the same terms."""
+    return retype(omega_sharp(frame, retype(theta)))
 
 
 def inverse_omega_sharp(frame: FrameData, phi: Form) -> Multivector:

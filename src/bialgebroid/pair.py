@@ -14,12 +14,15 @@ trivializing FrameData.  On top of that this module builds:
   acting on multivectors, and its mirror on forms,
 
 and decides exactly, on a finite probe family, whether D^2 is
-multiplication by a function.  Because every operator involved is a
-differential operator of order at most two with polynomial coefficients,
-evaluating on all x^gamma e_I with |gamma| <= PROBE_DEGREE = 2 is a
-complete decision procedure, not a heuristic.  dirac_square and
-generator_check share that scan (_square_witness); only dirac_square
-also checks the square formula.
+multiplication by a function.  Every operator involved is a differential
+operator with polynomial coefficients whose order is bounded twice: in
+the base coordinates (<= 2, which fixes |gamma| <= PROBE_DEGREE = 2) and
+over the whole supercommutative algebra wedge A = Poly[x] (x) Lambda[e]
+(<= 2 for D^2 - f~, <= 3 for the square formula).  So the products
+x^gamma e_I of at most 2, resp. 3, generators x_a, e_i with |gamma| <= 2
+(_generator_products) decide each exactly; the argument is in
+dirac_square.  dirac_square and generator_check share the scalar scan
+(_square_witness); only dirac_square also checks the square formula.
 
 The compatibility criterion (the derivation property of dstar over the
 bracket), the twelve-part equivalence suite, the corollary identities,
@@ -116,13 +119,15 @@ def _mirror_witness(witness: Optional[str]) -> Optional[str]:
 
 
 PROBE_DEGREE = 2
-"""Coefficient degree of the probe families x^gamma e_I, |gamma| <= 2.
+"""Largest coefficient degree |gamma| of a probe x^gamma e_I.
 
-Fixed by the order of the operators, so it is not a setting.  D, the
-Laplacians and dstar are differential operators of order <= 2 in the
-base coordinates with polynomial coefficients, and so are D^2 - f~ and
-the defects the suites compare (a bilinear identity has order <= 2 in
-each argument slot).  Such an operator acts as L(g e_I) =
+Fixed by the order of the operators, so it is not a setting.  Orders are
+counted twice.
+
+In the base coordinates: D, the Laplacians and dstar are differential
+operators of order <= 2 in the x with polynomial coefficients, and so are
+D^2 - f~ and the defects the suites compare (a bilinear identity has
+order <= 2 in each argument slot).  Such an operator acts as L(g e_I) =
 sum_{|alpha| <= 2} c_{alpha,I} d^alpha g with polynomial-coefficient
 elements c_{alpha,I}, and L(x^gamma e_I) = sum_{alpha <= gamma}
 c_{alpha,I} gamma!/(gamma - alpha)! x^(gamma - alpha) is triangular in
@@ -130,6 +135,15 @@ them, so the values on all x^gamma e_I with |gamma| <= 2 determine every
 c_{alpha,I}: L vanishes iff it vanishes on those probes.  A smaller
 degree misses second-order terms; a larger one reaches the same verdict
 more slowly.
+
+Over the whole algebra wedge A = Poly[x] (x) Lambda[e], generated by the
+x_a and the e_i (Koszul 1985: dstar and the Lie derivatives are
+derivations, of order 1, and the boundary is a BV operator, of order 2):
+D^2 - f~ and the (k) defect Lap - 1/2 (L_{X_0} + L_{xi_0}) have order
+<= 2, and the square-formula defect has order <= 3.  An operator of order
+<= k is fixed by its values on products of at most k generators, so only
+the x^gamma e_I with |gamma| <= 2 and |gamma| + |I| <= k are needed
+(_generator_products).  No probe has |gamma| > 2 in any family.
 """
 
 
@@ -381,12 +395,17 @@ def coordinate_monomials(variables, max_degree: int) -> List[Polynomial]:
     return out
 
 
-def _graded_probes(cls, rank, variables, coord_degree, max_index_size):
+def _graded_probes(cls, rank, variables, coord_degree, max_index_size, total_degree=None):
+    """x^gamma e_I with |gamma| <= coord_degree and |I| <= max_index_size, and
+    |gamma| + |I| <= total_degree if given: by |I|, then I, then the degree
+    of x^gamma."""
     monos = coordinate_monomials(variables, coord_degree)
     out = []
     for size in range(0, min(max_index_size, rank) + 1):
+        kept = monos if total_degree is None else \
+            [f for f in monos if f.total_degree() <= total_degree - size]
         for index in itertools.combinations(range(1, rank + 1), size):
-            for f in monos:
+            for f in kept:
                 out.append(cls.monomial(rank, variables, index, f))
     return out
 
@@ -397,6 +416,14 @@ def multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivecto
 
 def form_probes(P: BialgebroidPair, coord_degree: int) -> List[Form]:
     return _graded_probes(Form, P.rank, P.coordinates, coord_degree, P.rank)
+
+
+def _generator_products(P: BialgebroidPair, k: int) -> List[Multivector]:
+    """The products x^gamma e_I of at most k generators x_a, e_i with
+    |gamma| <= PROBE_DEGREE, in the order of multivector_probes, which they
+    are a subsequence of.  An operator of order <= k over wedge A vanishes
+    iff it vanishes on them (see PROBE_DEGREE and dirac_square)."""
+    return _graded_probes(Multivector, P.rank, P.coordinates, min(k, PROBE_DEGREE), k, k)
 
 
 def degree1_multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:
@@ -563,22 +590,56 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     """Decide whether D^2 is multiplication by a function.
 
     Also checks, for every pair, the unconditional square formula
-    D^2 u = (1/2 (L_{X_0} + L_{xi_0}) - Laplacian) u + f~ u on the same
-    probes; its failure would indicate an implementation fault and is
-    reported in square_formula_ok rather than swallowed.
+    D^2 u = (1/2 (L_{X_0} + L_{xi_0}) - Laplacian) u + f~ u; its failure
+    would indicate an implementation fault and is reported in
+    square_formula_ok rather than swallowed.
+
+    Both run on products of generators (_generator_products), which is
+    exact by the order of each defect over wedge A (see PROBE_DEGREE).  D
+    has order <= 2, so D^2 = 1/2 [D, D] has order <= 3, and so has the
+    formula's defect: it is checked on the products of at most 3
+    generators without using the formula.  Once the formula holds,
+    D^2 - f~ = 1/2 (L_{X_0} + L_{xi_0}) - Laplacian has order <= 2, and the
+    scalar scan runs on the products of at most 2; if the formula fails,
+    the scan runs on those of at most 3, so the verdict never rests on the
+    formula.  An operator Q of order <= k satisfies Q(a_0 .. a_k) = a signed
+    sum of Q(a_S) times the other factors over the proper subsets S, so if
+    Q fails at x^gamma e_I, it fails at some x^gamma' e_I' with I' in I,
+    gamma' <= gamma and |gamma'| + |I'| <= k.  The probes are ordered by
+    |I| and then by the degree of x^gamma, so that sub-product comes no
+    later: both witnesses are the ones that all x^gamma e_I with
+    |gamma| <= 2 (multivector_probes) would give.
+
+    D and the formula's Laplacian read one set of dstar and boundary
+    images, each taken once per monomial (_once_per_monomial_view): the
+    Laplacian d_* boundary u + boundary d_* u uses exactly the images that
+    D(D(u)) has already taken.
     """
-    D, ft = _once_per_monomial_dirac(P), f_tilde(P)
-    probes = multivector_probes(P, PROBE_DEGREE)
-    witness = _square_witness(probes, D, ft)
-    report = ScalarReport(is_scalar=witness is None, f_tilde=ft, witness=witness)
-    for u in probes:
+    view = _once_per_monomial_view(P)
+    D, ft = _once_per_monomial_dirac(view), f_tilde(P)
+    report = ScalarReport(is_scalar=True, f_tilde=ft)
+    for u in _generator_products(P, 3):
         sq = D(D(u))
-        formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
+        formula = _half_modular_lie(P, u) - laplacian(view, u) + u.scaled(ft)
         if sq != formula:
             report.square_formula_ok = False
             report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
             break
+    report.witness = _square_witness(
+        _generator_products(P, 2 if report.square_formula_ok else 3), D, ft)
+    report.is_scalar = report.witness is None
     return report
+
+
+def _once_per_monomial_view(P: BialgebroidPair) -> BialgebroidPair:
+    """P for one decision call, with dstar and boundary applied once per
+    monomial, so that the operators written over P (dirac_apply, laplacian)
+    share those images when called on the view.  Built like flipped(), and
+    nothing is stored on P: the images go when the view does."""
+    view = object.__new__(BialgebroidPair)
+    view.__dict__.update(vars(P), _modular=P.modular, dstar=once_per_monomial(P.dstar),
+                         boundary=once_per_monomial(P.boundary))
+    return view
 
 
 def _once_per_monomial_dirac(P: BialgebroidPair):
@@ -607,6 +668,14 @@ def dirac_star_square(P: BialgebroidPair) -> ScalarReport:
 # -- compatibility and the identity suites ----------------------------------------------
 
 
+def _generators(P: BialgebroidPair) -> List[Multivector]:
+    """The generators x_1..x_m, e_1..e_n of wedge A = Poly[x] (x) Lambda[e],
+    in the order of multivector_probes."""
+    n, coords = P.rank, P.coordinates
+    return [Multivector.scalar(n, coords, x) for x in coordinate_monomials(coords, 1)[1:]] \
+        + [P.basis_e(i) for i in range(1, n + 1)]
+
+
 def _derivation_witness(P: BialgebroidPair, op, product, sign: int, names) -> Optional[str]:
     """First failure of op(u v) = op(u) v + sign^(|u|-1) u op(v) over the
     ordered pairs of the generators [x_1..x_m, e_1..e_n] of
@@ -633,9 +702,7 @@ def _derivation_witness(P: BialgebroidPair, op, product, sign: int, names) -> Op
     of u and of v, and those come no later in the probe order (x_a before
     x^gamma at I = (), e_i before x^gamma e_i and every |I| >= 2).
     """
-    n, coords = P.rank, P.coordinates
-    gens = [Multivector.scalar(n, coords, x) for x in coordinate_monomials(coords, 1)[1:]] \
-        + [P.basis_e(i) for i in range(1, n + 1)]
+    gens = _generators(P)
     images = [op(g) for g in gens]
     lhs_name, rhs_name = names
     for u, op_u in zip(gens, images):
@@ -733,20 +800,22 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     _derivation_witness); (k) the Laplacian is half the sum of the modular
     Lie derivatives, and (e) is (k) on functions and degree-1 sections;
     (c) the commutator-defect operator is tensorial with the stated trace,
-    checked on f = x_a (see _defect_witness).  The probes of (e) are the
-    degree <= 1 prefix of those of (k) (index sizes 0 and 1 come first in
-    _graded_probes), so (e) fails exactly when (k)'s first failing probe
-    has degree <= 1, with the same witness, and needs no scan of its own.
+    checked on f = x_a (see _defect_witness).  The (k) defect
+    Lap - 1/2 (L_{X_0} + L_{xi_0}) has order <= 2 over wedge A (see
+    PROBE_DEGREE), so it runs on the products of at most 2 generators, with
+    the witness that all x^gamma e_I with |gamma| <= 2 would give (the
+    sub-product argument of dirac_square).  (e) fails exactly when the
+    first failure of (k) on that full family has degree <= 1, and that
+    failure is then (k)'s witness here too, so (e) needs no scan of its own.
     (i) and (k) share one Laplacian, applied once per monomial.
     """
-    mv_all = multivector_probes(P, PROBE_DEGREE)
     lap = _once_per_monomial_laplacian(P)
-    k_probe, k_wit = _modular_lie_failure(P, mv_all, lap)
+    k_probe, k_wit = _modular_lie_failure(P, _generator_products(P, 2), lap)
     return {
         "a": _derivation_witness(P, P.dstar, P.A.schouten, -1, ("dstar[u,v]", "Leibniz side")),
         "i": _derivation_witness(P, lap, Multivector.wedge, 1, ("Lap(u^v)", "derivation side")),
         "k": k_wit,
-        "c": _defect_witness(P, [u for u in mv_all if u.max_degree() == 1],
+        "c": _defect_witness(P, degree1_multivector_probes(P, PROBE_DEGREE),
                              degree1_form_probes(P, PROBE_DEGREE),
                              coordinate_monomials(P.coordinates, 1)[1:]),
         "e": k_wit if k_probe is not None and k_probe.max_degree() <= 1 else None,
@@ -1083,7 +1152,9 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
                 break
     add(IdentityRecord("generator/derived-bracket", wit is None, wit))
 
-    wit = _square_witness(multivector_probes(P, PROBE_DEGREE), D, f_tilde(P))
+    # D^2 - f~ has order <= 2 over wedge A by the square formula, which
+    # dirac_square checks (see its docstring)
+    wit = _square_witness(_generator_products(P, 2), D, f_tilde(P))
     add(IdentityRecord("generator/square-scalar", wit is None, wit))
 
     add(IdentityRecord("generator/anchor", anchor is None, anchor))

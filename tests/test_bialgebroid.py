@@ -16,6 +16,7 @@ from bialgebroid import (AlgebroidError, BialgebroidPair, Form, Multivector,
                          interior_by_form, is_lie_bialgebroid, metric,
                          multivector_probes, pairing, rho_apply, rho_field,
                          theorem_c_suite)
+from bialgebroid import ScalarReport
 from bialgebroid import pair as pair_module
 from bialgebroid.ring import field_bracket
 from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
@@ -282,6 +283,101 @@ def test_degree3_probes_reach_the_library_verdicts(corpus, failing_pairs, pn_fai
         assert square_defect == (not dirac_square(P).is_scalar), label
         leibniz_defect = _leibniz_oracle(P, probes) is not None
         assert leibniz_defect == (not is_lie_bialgebroid(P).passed), label
+
+
+def _dirac_square_oracle(P):
+    """dirac_square on every x^gamma e_I with |gamma| <= 2, each operator by
+    a direct call: the scalar scan and the square formula on one family."""
+    ft = f_tilde(P)
+    witness = formula_witness = None
+    for u in multivector_probes(P, 2):
+        sq = pair_module.dirac_apply(P, pair_module.dirac_apply(P, u))
+        residual = sq - u.scaled(ft)
+        if witness is None and not residual.is_zero():
+            witness = f"u = {u}; D^2 u - f~ u = {residual}"
+        formula = pair_module._half_modular_lie(P, u) - pair_module.laplacian(P, u) + u.scaled(ft)
+        if formula_witness is None and sq != formula:
+            formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
+    return ScalarReport(witness is None, ft, witness, formula_witness is None,
+                        formula_witness).to_json()
+
+
+def _modular_lie_oracle(P):
+    """thm-c (k) and (e) of P on every x^gamma e_I with |gamma| <= 2, each
+    Laplacian by a direct call; (e) is (k) on the probes with |I| <= 1."""
+    k = e = None
+    for u in multivector_probes(P, 2):
+        lap, rhs = laplacian(P, u), pair_module._half_modular_lie(P, u)
+        if lap != rhs:
+            wit = f"u = {u}; Lap u = {lap}; half modular Lie = {rhs}"
+            k = k or wit
+            if u.max_degree() <= 1:
+                e = e or wit
+    return k, e
+
+
+def test_generator_products_are_the_short_products_in_probe_order():
+    """_generator_products(P, k) keeps the x^gamma e_I of multivector_probes
+    with |gamma| + |I| <= k, in their order: 25 and 53 probes for k = 2, 3
+    at m = n = 3, 41 and 109 at m = n = 4, against 80 and 240 for all."""
+    for m, sizes in ((3, (25, 53, 80)), (4, (41, 109, 240))):
+        coords = tuple(f"x{a}" for a in range(1, m + 1))
+        zero = [["0"] * m for _ in range(m)]
+        P = poisson_double(PoissonManifoldData(m, zero, coords))
+        full = [str(u) for u in multivector_probes(P, 2)]
+        for k, size in zip((2, 3), sizes):
+            got = [str(u) for u in pair_module._generator_products(P, k)]
+            assert len(got) == size
+            assert got == [str(u) for u in multivector_probes(P, 2)
+                           if u.max_degree() + max(p.total_degree() for p in u.terms.values()) <= k]
+        assert len(full) == sizes[2]
+
+
+def test_square_decisions_on_generator_products_match_the_full_family(
+        corpus, failing_pairs, pn_failing_pairs):
+    """Oracle for the order reduction of dirac_square, generator/square-scalar
+    and thm-c (k), (l), (e), (f): the reports are the ones found on every
+    x^gamma e_I with |gamma| <= 2 with direct operator calls, witnesses and
+    None included, on P and on P.flipped()."""
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
+        thm = theorem_c_suite(P)
+        for Q, prefix, k, e in ((P, "", "thm-c/k", "thm-c/e"),
+                                (P.flipped(), MIRROR_PREFIX, "thm-c/l", "thm-c/f")):
+            want = _dirac_square_oracle(Q)
+            assert dirac_square(Q).to_json() == want, label
+            rec = generator_check(Q).record("generator/square-scalar")
+            assert (rec.passed, rec.witness) == (want["is_scalar"], want.get("witness")), label
+            for rid, wit in zip((k, e), _modular_lie_oracle(Q)):
+                assert thm.record(rid).witness == (None if wit is None else prefix + wit), label
+
+
+def test_square_formula_is_checked_on_products_of_three_generators(corpus, monkeypatch):
+    """A D broken by e_1 ^ iota_{eps^1} iota_{eps^3}, an odd term of order 2,
+    keeps D^2 of order <= 3, and on the triangular Heisenberg pair its
+    formula defect first shows on e_1 ^ e_2 ^ e_3, a product of three
+    generators.  dirac_square finds it and then scans the products of at
+    most three generators for the scalar, as the full family does."""
+    P = dict(corpus)["triangular-heisenberg"]
+    direct = pair_module.dirac_apply
+
+    def broken(Q, u):
+        inner = interior_by_form(Q.basis_eps(1), interior_by_form(Q.basis_eps(3), u))
+        return direct(Q, u) + Q.basis_e(1).wedge(inner)
+
+    monkeypatch.setattr(pair_module, "dirac_apply", broken)
+    got, want = dirac_square(P).to_json(), _dirac_square_oracle(P)
+    assert got == want
+    assert not got["square_formula_ok"]
+    assert got["formula_witness"].startswith("u = e[1,2,3]; ")
+
+
+def test_dirac_square_stores_nothing_on_the_pair(corpus):
+    P = dict(corpus)["poisson-linear"]
+    P.flipped()
+    before = dict(vars(P))
+    dirac_square(P)
+    assert vars(P) == before
+    assert "dstar" not in vars(P) and "boundary" not in vars(P)
 
 
 def test_derivation_identities_on_generators_match_all_probe_pairs(

@@ -339,17 +339,22 @@ def fuzz_dir():
         yield Path(folder)
 
 
-@settings(max_examples=80, deadline=None,
+_FUZZED_COMMANDS = [["validate"], ["check"], ["modular"]] + [
+    ["identities", "--suite", suite] for suite in ("theorem-c", "corollaries", "courant", "generator")]
+
+
+@settings(max_examples=210, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_pair_documents(), command=st.sampled_from(["validate", "check"]))
+@given(doc=_pair_documents(), command=st.sampled_from(_FUZZED_COMMANDS))
 def test_fuzzed_document_keeps_the_exit_contract(fuzz_dir, doc, command):
     """Any such document gives exit 0, 1 or 2 with a JSON report whose
-    exit_status matches, and never an internal fault."""
+    exit_status matches, and never an internal fault, for every command
+    that reads a pair document."""
     path = fuzz_dir / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, str(path)])
+        code = main([command[0], str(path), *command[1:]])
     body = json.loads(out.getvalue())
     assert code in (0, 1, 2), body
     assert body["exit_status"] == code

@@ -1,3 +1,5 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,11 @@ from bialgebroid import (BivectorData, ConstructionError, Form, Multivector,
                          pn_hierarchy, pn_identities, poisson_double,
                          poisson_homology_check, tangent_algebroid)
 
-from conftest import (const, heisenberg, heisenberg_exact_pair,
+from bialgebroid import algebroid_from_json, multivector_probes, pair_to_json
+from bialgebroid import constructions
+from bialgebroid.constructions import _dstar_bracket_witness, _mat_identity
+
+from conftest import (FIXTURES, const, heisenberg, heisenberg_exact_pair,
                       heisenberg_triangular_pair, point_algebra, poisson_data,
                       so3_exact_pair)
 
@@ -80,6 +86,46 @@ def test_exact_identities_pass(builder, index):
     assert {"exact/descend", "exact/combat", "exact/square-zero"} <= ids
     # the extra differential identity only applies when [Lambda, Lambda] = 0
     assert ("exact/triangular-dstar" in ids) == L.is_poisson(P.A)
+
+
+def _dstar_bracket_oracle(P, Lambda):
+    """dstar u = [Lambda, u] on every x^gamma e_I with |gamma| <= 2."""
+    for u in multivector_probes(P, 2):
+        lhs, rhs = P.dstar(u), P.A.schouten(Lambda, u)
+        if lhs != rhs:
+            return f"u = {u}; dstar u = {lhs}; [Lambda, u] = {rhs}"
+    return None
+
+
+def _tangent_r3_exact_pair(text):
+    """The pair of `example exact tests/fixtures/tangent-r3.json --lambda
+    '{"1,2": text}'`."""
+    A = algebroid_from_json(json.loads((FIXTURES / "tangent-r3.json").read_text()), "vector")
+    L = BivectorData(Multivector.monomial(3, R3, (1, 2), Polynomial.parse(text, R3)))
+    return exact_from_bivector(A, L), L
+
+
+def test_triangular_dstar_on_generators_matches_the_full_family():
+    """Oracle for the generator reduction of exact/triangular-dstar: the
+    record, and the check against bivectors the pair was not built from,
+    give the witness of the full probe family."""
+    cases = [(P, bivector(P.A, index)) for P, index in (
+        (heisenberg_triangular_pair(), (1, 3)), (heisenberg_exact_pair(), (1, 2)),
+        (so3_exact_pair(), (1, 2)))]
+    cases += [_tangent_r3_exact_pair(text) for text in ("1", "x3")]
+    failures = 0
+    for P, L in cases:
+        rep = exact_identities(P, L)
+        if L.is_poisson(P.A):
+            assert rep.record("exact/triangular-dstar").witness == _dstar_bracket_oracle(P, L.Lambda)
+        others = [L.Lambda.scaled(2), bivector(P.A, (2, 3)).Lambda]
+        if P.coordinates:
+            others.append(bivector(P.A, (1, 3), Polynomial.parse("x1*x2", R3)).Lambda)
+        for Lambda in [L.Lambda] + others:
+            want = _dstar_bracket_oracle(P, Lambda)
+            assert _dstar_bracket_witness(P, Lambda) == want, (P.label, str(Lambda))
+            failures += want is not None
+    assert failures >= 8
 
 
 def test_exact_identities_requires_matching_pair():
@@ -159,6 +205,49 @@ def test_pn_hierarchy_squares_to_zero(k, l):
     rep = dirac_square(P)
     assert rep.is_scalar and rep.square_formula_ok
     assert rep.f_tilde.is_zero()
+
+
+def _uncached_power(N, l):
+    """N^l by l products from the identity, on every call."""
+    N._check_power(l)
+    out = _mat_identity(N.rank, N.variables)
+    for _ in range(l):
+        out = constructions._mat_mul(out, [list(row) for row in N.matrix], N.variables)
+    return out
+
+
+def test_nijenhuis_powers_are_built_once_per_instance(monkeypatch):
+    """pn_identities reads N^1..N^3 again and again; each is one product of
+    the power below it by N, taken once for the instance, and the reports
+    are the ones that powers taken afresh on every call give."""
+    products = []
+    direct = constructions._mat_mul
+
+    def counting(X, Y, coords):
+        if sys._getframe(1).f_code is NijenhuisData.power.__code__:
+            products.append(X)
+        return direct(X, Y, coords)
+
+    A, N, L = pn_desk_instance()
+    N = NijenhuisData(N.matrix, N.variables)  # no power built yet
+    monkeypatch.setattr(constructions, "_mat_mul", counting)
+    pn_identities(A, N, L, 2, 2)
+    assert len(products) == 3
+    monkeypatch.setattr(constructions, "_mat_mul", direct)
+
+    def reports(N):
+        return [(pn_identities(A, N, L, k, l).to_json(), pair_to_json(pn_hierarchy(A, N, L, k, l)))
+                for k in range(3) for l in range(3)]
+
+    cached = reports(pn_desk_instance()[1])
+    monkeypatch.setattr(NijenhuisData, "power", _uncached_power)
+    assert cached == reports(pn_desk_instance()[1])
+
+
+def test_nijenhuis_power_refuses_a_negative_index():
+    _A, N, _L = pn_desk_instance()
+    with pytest.raises(ConstructionError):
+        N.power(-1)
 
 
 def test_pn_rejects_negative_indices():
