@@ -17,7 +17,7 @@ from .pair import (BialgebroidPair, IdentityRecord, IdentityReport, InternalErro
                    SectionE, clifford_act, coordinate_monomials, corollary_suite,
                    courant_axioms, dee, dirac_apply, dirac_square,
                    dirac_star_apply, dirac_star_square, dorfman, f_tilde,
-                   f_tilde_star, form_probes, generator_check,
+                   f_tilde_star, generator_check,
                    is_lie_bialgebroid, laplacian, metric, modular_cocycles,
                    multivector_probes, rho_apply, rho_field, theorem_c_suite)
 from .constructions import (BivectorData, ConstructionError, NijenhuisData,
@@ -41,7 +41,7 @@ __all__ = [
     "SectionE", "clifford_act", "coordinate_monomials", "corollary_suite",
     "courant_axioms", "dee", "dirac_apply",
     "dirac_square", "dirac_star_apply", "dirac_star_square", "dorfman",
-    "f_tilde", "f_tilde_star", "form_probes", "generator_check",
+    "f_tilde", "f_tilde_star", "generator_check",
     "is_lie_bialgebroid", "laplacian", "metric", "modular_cocycles",
     "multivector_probes", "rho_apply", "rho_field", "theorem_c_suite",
     "BivectorData", "ConstructionError", "NijenhuisData",

@@ -414,15 +414,12 @@ def multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivecto
     return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree, P.rank)
 
 
-def form_probes(P: BialgebroidPair, coord_degree: int) -> List[Form]:
-    return _graded_probes(Form, P.rank, P.coordinates, coord_degree, P.rank)
-
-
 def _generator_products(P: BialgebroidPair, k: int) -> List[Multivector]:
     """The products x^gamma e_I of at most k generators x_a, e_i with
     |gamma| <= PROBE_DEGREE, in the order of multivector_probes, which they
     are a subsequence of.  An operator of order <= k over wedge A vanishes
-    iff it vanishes on them (see PROBE_DEGREE and dirac_square)."""
+    iff it vanishes on them (see PROBE_DEGREE and dirac_square).  For k = 1
+    they are 1 followed by the generators x_1..x_m, e_1..e_n."""
     return _graded_probes(Multivector, P.rank, P.coordinates, min(k, PROBE_DEGREE), k, k)
 
 
@@ -668,14 +665,6 @@ def dirac_star_square(P: BialgebroidPair) -> ScalarReport:
 # -- compatibility and the identity suites ----------------------------------------------
 
 
-def _generators(P: BialgebroidPair) -> List[Multivector]:
-    """The generators x_1..x_m, e_1..e_n of wedge A = Poly[x] (x) Lambda[e],
-    in the order of multivector_probes."""
-    n, coords = P.rank, P.coordinates
-    return [Multivector.scalar(n, coords, x) for x in coordinate_monomials(coords, 1)[1:]] \
-        + [P.basis_e(i) for i in range(1, n + 1)]
-
-
 def _derivation_witness(P: BialgebroidPair, op, product, sign: int, names) -> Optional[str]:
     """First failure of op(u v) = op(u) v + sign^(|u|-1) u op(v) over the
     ordered pairs of the generators [x_1..x_m, e_1..e_n] of
@@ -702,7 +691,7 @@ def _derivation_witness(P: BialgebroidPair, op, product, sign: int, names) -> Op
     of u and of v, and those come no later in the probe order (x_a before
     x^gamma at I = (), e_i before x^gamma e_i and every |I| >= 2).
     """
-    gens = _generators(P)
+    gens = _generator_products(P, 1)[1:]
     images = [op(g) for g in gens]
     lhs_name, rhs_name = names
     for u, op_u in zip(gens, images):
@@ -1081,7 +1070,12 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     action c is linear over functions.  With K(1) = 0, induction on the
     monomials gives K = 0 on every polynomial exactly when K(x_a) = 0 for
     each a.  The x_a follow 1 in the order of the full family |gamma| <= 2,
-    and K(1) never fails, so the witness is the one that family finds.
+    and K(1) never fails, so the witness is the one that family finds.  Its
+    spinor w runs over 1 and the generators x_a, e_i: K(f) has order <= 1
+    over wedge A ([D, f] lowers the order 2 of D by one, (D f).vec ^ . has
+    order 0, iota_{(D f).cov} is a derivation), so a failure at x^gamma e_I
+    shows at 1 or at a generator factor, which comes no later: the witness
+    is again that of all x^gamma e_I with |gamma| <= 1.
     The anchor relation A(e, f) = 2 <D f, e> - rho(e) f runs on the x_a
     and the frame (see _anchor_witness).
 
@@ -1107,7 +1101,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     report = IdentityReport(suite="generator")
     add = report.records.append
 
-    w_probes = multivector_probes(P, 1)
+    w_probes = _generator_products(P, 1)
     D = _once_per_monomial_dirac(P)
 
     wit = None

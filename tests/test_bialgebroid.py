@@ -471,23 +471,37 @@ def _differentiated(u, names):
                                              for ix, p in u.terms.items()})
 
 
+def _of_degree_at_least_1(u):
+    return Multivector(u.rank, u.variables, {ix: p for ix, p in u.terms.items() if ix})
+
+
 def test_commutator_function_on_coordinates_matches_the_full_family(
         corpus, failing_pairs, pn_failing_pairs, monkeypatch):
-    """Oracle for the derivation reduction of generator/commutator-function:
-    its witness is the one found on every f with |gamma| <= 2, on every
-    pair and on pairs whose D is broken by a first- or a second-order term
-    in the coordinates."""
+    """Oracle for the reductions of generator/commutator-function, f to the
+    x_a and w to 1 and the generators x_a, e_i: its witness is the one found
+    on every f with |gamma| <= 2 and w with |gamma| <= 1, on every pair and
+    its flip, and on pairs whose D is broken by a first- or a second-order
+    term in the coordinates, or by d/dx_m on the terms of degree >= 1 only,
+    whose failure first shows at w = e_1."""
     for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
-        got = generator_check(P).record("generator/commutator-function").witness
-        assert got == _commutator_function_oracle(P) is None, label
+        for Q in (P, P.flipped()):
+            got = generator_check(Q).record("generator/commutator-function").witness
+            assert got == _commutator_function_oracle(Q) is None, label
     direct = pair_module.dirac_apply
     for label in ("poisson-linear", "poisson-zero"):
         P = dict(corpus)[label]
-        for names in [P.coordinates[-1:], P.coordinates[:1] + P.coordinates[-1:]]:
+        last = P.coordinates[-1:]
+        breaks = [lambda u, names=names: _differentiated(u, names)
+                  for names in (last, P.coordinates[:1] + last)]
+        breaks.append(lambda u: _differentiated(_of_degree_at_least_1(u), last))
+        for index, extra in enumerate(breaks):
             monkeypatch.setattr(pair_module, "dirac_apply",
-                                lambda Q, u, names=names: direct(Q, u) + _differentiated(u, names))
-            got = generator_check(P).record("generator/commutator-function").witness
-            assert got is not None and got == _commutator_function_oracle(P), (label, names)
+                                lambda Q, u, extra=extra: direct(Q, u) + extra(u))
+            for Q in (P, P.flipped()):
+                got = generator_check(Q).record("generator/commutator-function").witness
+                assert got is not None and got == _commutator_function_oracle(Q), (label, index)
+                if index == 2:
+                    assert got.startswith(f"f = {last[0]}; w = e[1]; "), label
             monkeypatch.setattr(pair_module, "dirac_apply", direct)
 
 

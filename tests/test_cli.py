@@ -333,6 +333,28 @@ def _pair_documents(draw):
     return doc
 
 
+_CONSTANTS = ["0", "1", "-1", "2", "1/2"]
+
+
+@st.composite
+def _valid_pair_documents(draw):
+    """Rank-2 pair documents that pass the axioms, so that the suites run:
+    every rank-2 bracket satisfies Jacobi, so over a point any constant
+    brackets do, and over R^1 or R^2 so do constant brackets with zero
+    anchor.  Over R^2 the primal side may be TR^2 instead, which makes
+    most of these pairs fail the suites."""
+    base_dim = draw(st.integers(0, 2))
+
+    def constant_side():
+        return {"anchor": [["0"] * base_dim for _ in range(2)],
+                "brackets": {"1,2": [draw(st.sampled_from(_CONSTANTS)) for _ in range(2)]}}
+
+    tangent = {"anchor": [["1", "0"], ["0", "1"]], "brackets": {}}
+    primal = tangent if base_dim == 2 and draw(st.booleans()) else constant_side()
+    return {"base_dim": base_dim, "coordinates": ["x1", "x2"][:base_dim], "rank": 2,
+            "A": primal, "Astar": constant_side()}
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir():
     with tempfile.TemporaryDirectory() as folder:
@@ -343,22 +365,90 @@ _FUZZED_COMMANDS = [["validate"], ["check"], ["modular"]] + [
     ["identities", "--suite", suite] for suite in ("theorem-c", "corollaries", "courant", "generator")]
 
 
+def _assert_exit_contract(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    body = json.loads(out.getvalue())
+    assert code in (0, 1, 2), (argv, body)
+    assert body["exit_status"] == code
+    assert "internal" not in body
+
+
 @settings(max_examples=210, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_pair_documents(), command=st.sampled_from(_FUZZED_COMMANDS))
+@given(doc=st.one_of(_pair_documents(), _valid_pair_documents()),
+       command=st.sampled_from(_FUZZED_COMMANDS))
 def test_fuzzed_document_keeps_the_exit_contract(fuzz_dir, doc, command):
     """Any such document gives exit 0, 1 or 2 with a JSON report whose
     exit_status matches, and never an internal fault, for every command
     that reads a pair document."""
     path = fuzz_dir / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([command[0], str(path), *command[1:]])
-    body = json.loads(out.getvalue())
-    assert code in (0, 1, 2), body
-    assert body["exit_status"] == code
-    assert "internal" not in body
+    _assert_exit_contract([command[0], str(path), *command[1:]])
+
+
+# JSON option text that is malformed or of the wrong shape
+_JSON_JUNK = ["", "[", "{", "null", "1", '"1"', "[]", "{}", "[[]]", '[["1"]]', '{"1,2": 1}']
+# algebroid documents for `example exact` and `example pn`: TR^2, and the
+# rank-2 algebra [e1, e2] = e1 over a point
+_ALGEBROID_DOCS = {
+    "tangent-r2": {"base_dim": 2, "coordinates": ["x1", "x2"], "rank": 2,
+                   "anchor": [["1", "0"], ["0", "1"]], "brackets": {}},
+    "point-r2": {"base_dim": 0, "coordinates": [], "rank": 2,
+                 "anchor": [[], []], "brackets": {"1,2": ["1", "0"]}},
+}
+
+
+def _matrix_text(size, skew):
+    """A JSON size x size matrix of polynomial text, skew if asked, or junk."""
+    entries = st.lists(_poly_text, min_size=size * size, max_size=size * size)
+    if skew:
+        rows = entries.map(lambda ps: [["0" if i == j else ps[i * size + j] if i < j
+                                        else f"-({ps[j * size + i]})" for j in range(size)]
+                                       for i in range(size)])
+    else:
+        rows = entries.map(lambda ps: [ps[i * size:(i + 1) * size] for i in range(size)])
+    return st.one_of(st.sampled_from(_JSON_JUNK), rows.map(json.dumps))
+
+
+# diagonal N that are torsion-free on TR^2
+_DIAGONAL_N = [json.dumps([[p, "0"], ["0", q]])
+               for p, q in (("1", "1"), ("2", "2"), ("x1", "x1"), ("1", "x2"), ("x1", "1"))]
+_lambda_text = st.one_of(st.sampled_from(['{"1,2": "1"}', '{"1,2": "x1"}', '{"1,2": "-1/2"}']),
+                         st.sampled_from(_JSON_JUNK),
+                         st.dictionaries(st.sampled_from(_BRACKET_KEYS), _poly_text,
+                                         max_size=2).map(json.dumps))
+_index_text = st.sampled_from(["0", "1", "2", "0", "1", "2", "-1", "x", "", "99999"])
+
+
+@st.composite
+def _example_argvs(draw):
+    """Command lines of `example poisson`, `example exact` and `example pn`
+    with fuzzed option text."""
+    family = draw(st.sampled_from(["poisson", "exact", "pn"]))
+    if family == "poisson":
+        dim = draw(st.sampled_from(["0", "1", "2", "2", "3", "-1", "x"]))
+        size = int(dim) if dim in ("0", "1", "2") else 2
+        return ["example", "poisson", "--dim", dim, "--pi", draw(_matrix_text(size, True))]
+    spec = draw(st.sampled_from(sorted(_ALGEBROID_DOCS)))
+    argv = ["example", family, spec, "--lambda", draw(_lambda_text)]
+    if family == "pn":
+        n = draw(st.one_of(st.sampled_from(_DIAGONAL_N), _matrix_text(2, False)))
+        argv += ["--n", n, "--k", draw(_index_text), "--l", draw(_index_text)]
+    return argv
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_example_argvs())
+def test_fuzzed_example_options_keep_the_exit_contract(fuzz_dir, argv):
+    """The example builders keep the same contract on any option text."""
+    for name, doc in _ALGEBROID_DOCS.items():
+        (fuzz_dir / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    if argv[1] != "poisson":
+        argv = argv[:2] + [str(fuzz_dir / f"{argv[2]}.json")] + argv[3:]
+    _assert_exit_contract(argv)
 
 
 # -- internal faults ----------------------------------------------------------------

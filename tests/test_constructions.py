@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bialgebroid import (BivectorData, ConstructionError, Form, Multivector,
+from bialgebroid import (BivectorData, ConstructionError, Form, FrameData, Multivector,
                          NijenhuisData, PoissonManifoldData, Polynomial,
                          PreconditionError, a_plus_b, dirac_square, divergence,
                          exact_from_bivector, exact_identities,
@@ -12,9 +12,11 @@ from bialgebroid import (BivectorData, ConstructionError, Form, Multivector,
                          pn_hierarchy, pn_identities, poisson_double,
                          poisson_homology_check, tangent_algebroid)
 
-from bialgebroid import algebroid_from_json, multivector_probes, pair_to_json
+from bialgebroid import (InternalError, algebroid_from_json, interior_by_multivector,
+                         laplacian, multivector_probes, pair_to_json, retype)
 from bialgebroid import constructions
 from bialgebroid.constructions import _dstar_bracket_witness, _mat_identity
+from bialgebroid.pair import BialgebroidPair, _modular_class
 
 from conftest import (FIXTURES, const, heisenberg, heisenberg_exact_pair,
                       heisenberg_triangular_pair, point_algebra, poisson_data,
@@ -196,6 +198,43 @@ def test_pn_identities_pass():
         "pn/legality", "pn/morphism", "pn/square-zero"}
 
 
+def test_pn_identities_builds_one_pair(monkeypatch):
+    """One compatibility check and one pair, the hierarchy pair; Lambda_0..3
+    are built once each, besides the Lambda_1 of the check and the Lambda_k
+    of pn_hierarchy."""
+    A, N, L = pn_desk_instance()
+    calls = {"_check_pn_compatibility": 0, "exact_from_bivector": 0, "_shifted_bivector": 0,
+             "BialgebroidPair": 0}
+    for name in ("_check_pn_compatibility", "exact_from_bivector", "_shifted_bivector"):
+        def counting(*args, _name=name, _direct=getattr(constructions, name)):
+            calls[_name] += 1
+            return _direct(*args)
+        monkeypatch.setattr(constructions, name, counting)
+    direct_init = BialgebroidPair.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls["BialgebroidPair"] += 1
+        direct_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BialgebroidPair, "__init__", counting_init)
+    assert pn_identities(A, N, L, 1, 1).passed
+    assert calls == {"_check_pn_compatibility": 1, "exact_from_bivector": 0,
+                     "_shifted_bivector": 6, "BialgebroidPair": 1}
+
+
+def test_pn_identities_cocycles_are_those_of_the_exact_pairs():
+    """xi_0 read off A is the xi_0 of the exact pair of Lambda, and X_k read
+    off the hierarchy pair is the X_0 of the exact pair of Lambda_k."""
+    A, N, L = pn_desk_instance()
+    frame = FrameData(A.rank, A.coordinates)
+    assert _modular_class(A, frame) == exact_from_bivector(A, L).modular.xi0
+    for k in range(3):
+        Lk = constructions._shifted_bivector(A, N, L, k)
+        for l in range(3):
+            P = pn_hierarchy(A, N, L, k, l)
+            assert P.modular.x0 == exact_from_bivector(A, Lk).modular.x0, (k, l)
+
+
 @pytest.mark.parametrize("l", [0, 1, 2])
 @pytest.mark.parametrize("k", [0, 1])
 def test_pn_hierarchy_squares_to_zero(k, l):
@@ -313,6 +352,110 @@ def test_poisson_data_validation():
     assert "-4*x1*x2^2" in str(err.value)
 
 
+SO3_DUAL = [["0", "x3", "-x2"], ["-x3", "0", "x1"], ["x2", "-x1", "0"]]
+QUADRATIC_R3 = [["0", "x1*x2", "x1*x3"], ["-x1*x2", "0", "x2*x3"], ["-x1*x3", "-x2*x3", "0"]]
+POISSON_STRUCTURES = [poisson_data("zero"), poisson_data("constant"), poisson_data("linear"),
+                      PoissonManifoldData(3, SO3_DUAL), PoissonManifoldData(3, QUADRATIC_R3),
+                      PoissonManifoldData(2, [["0", "x1^2+1"], ["-x1^2-1", "0"]])]
+
+
+def assert_triangular_pair_of_pi(Pm, P):
+    """P is the pair that exact_from_bivector builds from pi on TR^m, and its
+    dual is the closed form pi#(eps^i) = sum_j pi^{ij} e_j,
+    [eps^i, eps^j] = sum_k (d_k pi^{ij}) eps^k."""
+    m, coords = Pm.base_dim, Pm.coordinates
+    T = tangent_algebroid(coords)
+    Q = exact_from_bivector(T, BivectorData(Pm.pi_multivector()))
+    assert P.label == "poisson-double" and Q.label == "triangular"
+    assert (P.A.anchor, P.A.brackets) == (T.anchor, T.brackets)
+    assert (P.Astar.anchor, P.Astar.brackets) == (Q.Astar.anchor, Q.Astar.brackets)
+    assert P.Astar.anchor == Pm.pi_components
+    closed = {(i, j): tuple(Pm.pi_components[i - 1][j - 1].diff(x) for x in coords)
+              for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+    assert P.Astar.brackets == {key: entry for key, entry in closed.items()
+                                if any(not p.is_zero() for p in entry)}
+
+
+@pytest.mark.parametrize("index", range(len(POISSON_STRUCTURES)))
+def test_poisson_double_is_the_triangular_pair_of_pi(index):
+    Pm = POISSON_STRUCTURES[index]
+    assert_triangular_pair_of_pi(Pm, poisson_double(Pm))
+
+
+def _poisson_homology_oracle(Pm):
+    """poisson_homology_check with its operator identities run on every
+    x^gamma e_I and x^gamma eps^I with |gamma| <= 2."""
+    P = poisson_double(Pm)
+    pi, x_omega = Pm.pi_multivector(), Pm.modular_field()
+    probes_m = multivector_probes(P, 2)
+    probes_f = [retype(u) for u in probes_m]
+
+    def first(probes, lhs, rhs, text):
+        for t in probes:
+            left, right = lhs(t), rhs(t)
+            if left != right:
+                return text(t, left, right)
+        return None
+
+    def del_pi(theta):
+        return interior_by_multivector(pi, P.d(theta)) - P.d(interior_by_multivector(pi, theta))
+
+    ok = P.modular.x0 == x_omega.scaled(2)
+    found = [("poisson/modular-factor",
+              None if ok else f"X0 = {P.modular.x0}; 2 X_Omega = {x_omega.scaled(2)}")]
+    found.append(("poisson/boundary-star", first(
+        probes_f, P.boundary_star, lambda th: del_pi(th) + interior_by_multivector(x_omega, th),
+        lambda th, l, r: f"theta = {th}; boundary_* = {l}; commutator form = {r}")))
+    found.append(("poisson/laplacian-star-lie", first(
+        probes_f, lambda th: constructions.laplacian(P, th),
+        lambda th: P.A.lie_derivative(x_omega, th),
+        lambda th, l, r: f"theta = {th}; Lap* = {l}; L_X = {r}")))
+    found.append(("poisson/laplacian-lie", first(
+        probes_m, lambda u: constructions.laplacian(P, u), lambda u: P.A.schouten(x_omega, u),
+        lambda u, l, r: f"u = {u}; Lap = {l}; L_X = {r}")))
+    found.append(("poisson/d-pi", first(
+        probes_m, P.dstar, lambda u: P.A.schouten(pi, u),
+        lambda u, l, r: f"u = {u}; dstar u = {l}; [pi, u] = {r}")))
+    identities = [{"id": rid, "pass": wit is None, **({} if wit is None else {"witness": wit})}
+                  for rid, wit in found]
+    return {"suite": "poisson", "pass": all(r["pass"] for r in identities),
+            "identities": identities}
+
+
+def _laplacian_with_an_order_2_fault(P, target):
+    """The Laplacian plus a term of order 2 that kills 1 and the generators:
+    iota_{e1^e2} on forms, d^2/dx1 dx2 on the coefficients of multivectors."""
+    out = laplacian(P, target)
+    if isinstance(target, Form):
+        return out + interior_by_multivector(P.basis_e(1).wedge(P.basis_e(2)), target)
+    x1, x2 = P.coordinates[:2]
+    return out + Multivector(target.rank, target.variables,
+                             {ix: p.diff(x1).diff(x2) for ix, p in target.terms.items()})
+
+
+@pytest.mark.parametrize("fault", [None, "modular-field", "laplacian"])
+def test_poisson_identities_on_generator_products_match_the_full_family(monkeypatch, fault):
+    """Oracle for the order reduction of poisson_homology_check: the report
+    is the one the full probe families give, also when modular_field is
+    deliberately doubled, which makes three identities fail on a generator,
+    and when the Laplacian carries an order-2 fault, which makes two fail
+    first on eps^1 ^ eps^2 and on x1 x2, products of two generators."""
+    if fault == "modular-field":
+        direct = PoissonManifoldData.modular_field
+        monkeypatch.setattr(PoissonManifoldData, "modular_field",
+                            lambda self: direct(self).scaled(2))
+    if fault == "laplacian":
+        monkeypatch.setattr(constructions, "laplacian", _laplacian_with_an_order_2_fault)
+    failures = []
+    for Pm in POISSON_STRUCTURES[:3] + [PoissonManifoldData(3, QUADRATIC_R3)]:
+        got = poisson_homology_check(Pm).to_json()
+        assert got == _poisson_homology_oracle(Pm), Pm.pi_components
+        failures += [r["witness"].split("; ")[0] for r in got["identities"] if not r["pass"]]
+    assert bool(failures) == (fault is not None)
+    if fault == "laplacian":
+        assert set(failures) == {"theta = eps[1,2]", "u = (x1*x2)"}
+
+
 @pytest.mark.parametrize("kind", ["zero", "constant", "linear"])
 def test_poisson_homology_check_passes(kind):
     rep = poisson_homology_check(poisson_data(kind))
@@ -359,6 +502,21 @@ def test_counterexample_sweep_is_deterministic(counterexamples):
         assert P.label == Q.label
     assert counterexamples[0].label == "counterexample-1"
     assert counterexamples[1].label == "counterexample-2"
+    minus = ("-1", "-1", "-1")
+    assert [{key: tuple(map(str, entry)) for key, entry in P.Astar.brackets.items()}
+            for P in counterexamples] == [{(1, 2): minus, (1, 3): minus, (2, 3): minus},
+                                          {(1, 2): minus, (1, 3): minus}]
+
+
+def test_counterexample_sweep_skips_only_invalid_structures(monkeypatch):
+    """A candidate that fails the algebroid axioms is skipped; any other
+    error is a fault and is not taken for a rejected candidate."""
+    def faulty(*args, **kwargs):
+        raise InternalError("fault in the pair constructor")
+
+    monkeypatch.setattr(constructions, "BialgebroidPair", faulty)
+    with pytest.raises(InternalError):
+        find_counterexample_pairs(2)
 
 
 def test_counterexamples_have_valid_sides(counterexamples):

@@ -11,8 +11,8 @@ import pytest
 
 from bialgebroid import (BialgebroidPair, Form, Multivector, Polynomial,
                          coordinate_monomials, dirac_star_apply, divergence,
-                         f_tilde_star, form_probes, interior_by_multivector,
-                         laplacian, modular_cocycles, pairing, pn_desk_instance,
+                         f_tilde_star, interior_by_multivector, laplacian,
+                         modular_cocycles, multivector_probes, pairing, pn_desk_instance,
                          retype, theorem_c_suite)
 from bialgebroid.pair import MIRROR_PREFIX
 
@@ -119,7 +119,7 @@ def test_mirror_operators_match_the_form_side_formulas(all_pairs):
         star = (pairing(mod.xi0, mod.x0) * Fraction(1, 2)
                 - P.boundary_star(mod.xi0).scalar_part()) * Fraction(1, 2)
         assert f_tilde_star(P) == star, label
-        for theta in form_probes(P, 2):
+        for theta in map(retype, multivector_probes(P, 2)):  # every x^gamma eps^I, |gamma| <= 2
             assert dirac_star_apply(P, theta) == dirac_star_oracle(P, theta), (label, theta)
             lap = P.d(P.boundary_star(theta)) + P.boundary_star(P.d(theta))
             assert laplacian(P, theta) == lap, (label, theta)
