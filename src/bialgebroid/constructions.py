@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
                        interior_by_multivector, pairing, retype)
-from .pair import (PROBE_DEGREE, BialgebroidPair, IdentityRecord, IdentityReport,
+from .pair import (BialgebroidPair, IdentityRecord, IdentityReport,
                    PreconditionError, _generator_products, _modular_class, degree1_form_probes,
                    dirac_square, is_lie_bialgebroid, laplacian)
 from .ring import _MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial
@@ -152,9 +152,15 @@ def exact_identities(P: BialgebroidPair, L: BivectorData) -> IdentityReport:
     report = IdentityReport(suite="exact")
     add = report.records.append
 
-    # boundary_star theta = -boundary(Lambda# theta) + 2 <Lambda, d theta>
+    # boundary_star theta = -boundary(Lambda# theta) + 2 <Lambda, d theta>.  The
+    # defect has order <= 1 in theta: for a function f each of its three terms
+    # changes from theta to f theta by f times itself plus a vector field
+    # applied to f (a_*(theta) f, a(Lambda# theta) f and <Lambda, d f ^ theta>).
+    # So it fails on x_a x_b eps^j only if it fails on x_b eps^j, x_a eps^j or
+    # eps^j, which come earlier: |gamma| <= 1 decides it, with the witness of
+    # all |gamma| <= 2.
     wit = None
-    for theta in degree1_form_probes(P, PROBE_DEGREE):
+    for theta in degree1_form_probes(P, 1):
         lhs = P.boundary_star(theta).scalar_part()
         rhs = -P.boundary(L.sharp(theta)).scalar_part() \
             + 2 * pairing(P.d(theta), L.Lambda)
@@ -533,14 +539,17 @@ class PoissonManifoldData:
                  coordinates: Sequence[str] | None = None):
         if base_dim < 0:
             raise ConstructionError("base_dim must be nonnegative")
+        # the shape first: it costs only the size of the given matrix, while
+        # the names below cost base_dim
+        rows = [tuple(row) for row in pi_components]
+        if len(rows) != base_dim or any(len(r) != base_dim for r in rows):
+            raise ConstructionError("pi must be an m x m matrix")
         if coordinates is None:
             coordinates = tuple(f"x{i}" for i in range(1, base_dim + 1))
         coords = tuple(coordinates)
         if len(coords) != base_dim:
             raise ConstructionError("coordinate count must equal base_dim")
-        rows = [tuple(_coerce_poly(v, coords) for v in row) for row in pi_components]
-        if len(rows) != base_dim or any(len(r) != base_dim for r in rows):
-            raise ConstructionError("pi must be an m x m matrix")
+        rows = [tuple(_coerce_poly(v, coords) for v in row) for row in rows]
         for i in range(base_dim):
             for j in range(i, base_dim):
                 if rows[i][j] != -rows[j][i]:

@@ -78,14 +78,22 @@ calls.  The Lie derivatives L_x t of thm-c (c)/(d) get the same two-slot
 treatment for the same reasons (L_{fx} t and L_x(f t) are not f L_x t),
 through the one loop both share, exterior.once_per_monomial_pair.  There
 the defect operator has order <= 1 in its form argument, so its
-tensoriality is checked on the coordinates x_a alone (the argument is in
-_defect_witness).  Each wrapper is built inside the call and dropped on
-return; nothing is stored on the pair, so a repeated call does the same
-work again.
+tensoriality is checked on the x_a times eps^1 alone.  Each wrapper is
+built inside the call and dropped on return; nothing is stored on the
+pair, so a repeated call does the same work again.
+
+Bilinear identities on sections of coefficient degree <= 1.  The defects
+of thm-c (c)/(d) and (g)/(h) have order <= 1 in each of their two
+section slots u, theta (and not 0), and a defect Q of order <= 1 obeys
+Q(x_a x_b s) = x_a Q(x_b s) + x_b Q(x_a s) - x_a x_b Q(s).  So each runs
+on the pairs of x^gamma e_i and x^gamma eps^j with |gamma| <= 1, and its
+first failure is the one that all |gamma| <= 2 would give (the arguments
+are in _defect_witness and _pairing_witnesses).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -125,16 +133,19 @@ Fixed by the order of the operators, so it is not a setting.  Orders are
 counted twice.
 
 In the base coordinates: D, the Laplacians and dstar are differential
-operators of order <= 2 in the x with polynomial coefficients, and so are
-D^2 - f~ and the defects the suites compare (a bilinear identity has
-order <= 2 in each argument slot).  Such an operator acts as L(g e_I) =
-sum_{|alpha| <= 2} c_{alpha,I} d^alpha g with polynomial-coefficient
-elements c_{alpha,I}, and L(x^gamma e_I) = sum_{alpha <= gamma}
-c_{alpha,I} gamma!/(gamma - alpha)! x^(gamma - alpha) is triangular in
-them, so the values on all x^gamma e_I with |gamma| <= 2 determine every
-c_{alpha,I}: L vanishes iff it vanishes on those probes.  A smaller
-degree misses second-order terms; a larger one reaches the same verdict
-more slowly.
+operators of order <= 2 in the x with polynomial coefficients, and so is
+D^2 - f~.  Such an operator acts as L(g e_I) = sum_{|alpha| <= 2}
+c_{alpha,I} d^alpha g with polynomial-coefficient elements c_{alpha,I},
+and L(x^gamma e_I) = sum_{alpha <= gamma} c_{alpha,I} gamma!/(gamma -
+alpha)! x^(gamma - alpha) is triangular in them, so the values on all
+x^gamma e_I with |gamma| <= 2 determine every c_{alpha,I}: L vanishes iff
+it vanishes on those probes.  A smaller degree misses second-order terms;
+a larger one reaches the same verdict more slowly.  The defects of the
+bilinear identities thm-c (c)/(d) and (g)/(h) have order <= 1 in each
+argument slot, and that of exact/descend order <= 1 in its one slot, so
+these run on the degree-1 sections x^gamma e_i, x^gamma eps^j with
+|gamma| <= 1 (the arguments are in _defect_witness, _pairing_witnesses
+and constructions.exact_identities).
 
 Over the whole algebra wedge A = Poly[x] (x) Lambda[e], generated by the
 x_a and the e_i (Koszul 1985: dstar and the Lie derivatives are
@@ -607,17 +618,17 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     later: both witnesses are the ones that all x^gamma e_I with
     |gamma| <= 2 (multivector_probes) would give.
 
-    D and the formula's Laplacian read one set of dstar and boundary
-    images, each taken once per monomial (_once_per_monomial_view): the
-    Laplacian d_* boundary u + boundary d_* u uses exactly the images that
-    D(D(u)) has already taken.
+    D, the formula's Laplacian and its Lie derivative along A* read one set
+    of dstar and boundary images, each taken once per monomial
+    (_once_per_monomial_view): the Laplacian d_* boundary u + boundary d_* u
+    uses exactly the images that D(D(u)) has already taken.
     """
     view = _once_per_monomial_view(P)
     D, ft = _once_per_monomial_dirac(view), f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
     for u in _generator_products(P, 3):
         sq = D(D(u))
-        formula = _half_modular_lie(P, u) - laplacian(view, u) + u.scaled(ft)
+        formula = _half_modular_lie(view, u) - laplacian(view, u) + u.scaled(ft)
         if sq != formula:
             report.square_formula_ok = False
             report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
@@ -629,13 +640,20 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
 
 
 def _once_per_monomial_view(P: BialgebroidPair) -> BialgebroidPair:
-    """P for one decision call, with dstar and boundary applied once per
-    monomial, so that the operators written over P (dirac_apply, laplacian)
-    share those images when called on the view.  Built like flipped(), and
-    nothing is stored on P: the images go when the view does."""
+    """P for one decision call, with the differentials of both sides (d on
+    forms, dstar on multivectors) and the boundary applied once per
+    monomial, so that the operators written over P (dirac_apply, laplacian,
+    dorfman, the Lie derivatives) share those images when called on the
+    view.  The view carries copies of A and A* whose differential is the
+    wrapped one, and d, dstar and the Cartan formula of
+    AlgebroidStructure.lie_derivative all read it.  Built like flipped(),
+    and nothing is stored on P: the images go when the view does."""
     view = object.__new__(BialgebroidPair)
-    view.__dict__.update(vars(P), _modular=P.modular, dstar=once_per_monomial(P.dstar),
-                         boundary=once_per_monomial(P.boundary))
+    view.__dict__.update(vars(P), _modular=P.modular, boundary=once_per_monomial(P.boundary))
+    for name in ("A", "Astar"):
+        side = copy.copy(getattr(P, name))
+        side.differential = once_per_monomial(side.differential)
+        setattr(view, name, side)
     return view
 
 
@@ -737,26 +755,51 @@ def _once_per_monomial_lie(P: BialgebroidPair):
         lambda x, t: (P.A if isinstance(x, Multivector) else P.Astar).lie_derivative(x, t))
 
 
-def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Optional[str]:
+def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     """First failure of (c): the commutator defect of (u, 0) o (0, theta)
     acting on forms is tensorial with trace 2 <d theta, dstar u>.
 
     The defect operator is top = L_e - (L_u L_theta - L_theta L_u) with
     e = (u, 0) o (0, theta).  Each L is additive in both slots and commutes
     with constants there, so one wrapper takes it once per pair of monomials
-    for the whole call.  Tensoriality needs only the coordinates as
-    lin_funcs: top has order <= 1 in eta, since every L along a degree-1
+    for the whole call, and the differentials that the Lie derivatives and
+    the Dorfman bracket read are taken once per monomial through
+    _once_per_monomial_view.  Tensoriality needs only f = x_a and
+    eta = eps^1: top has order <= 1 in eta, since every L along a degree-1
     section satisfies L_x(f eta) = f L_x eta + (rho(x) f) eta, and in the
     commutator the cross terms (rho(u) f) L_theta eta and (rho(theta) f)
     L_u eta cancel.  So top(f eta) - f top(eta) = X(f) eta with the vector
     field X = rho(e) - [rho(u), rho(theta)]: a derivation in f, which
-    vanishes for every polynomial f iff it vanishes for every f = x_a.  The
-    x_a come first among the monomials, so the witness is the one that the
-    family of all f with |gamma| <= 2 would give.
+    vanishes for every polynomial f iff it vanishes for every f = x_a, and
+    for every eta iff it does for eta = eps^1.  The x_a come first among
+    the monomials and eps^1 first among the eps^j, so the witness is the
+    one that all f with |gamma| <= 2 and all eps^j would give.
+
+    The pair (u, theta) runs over the x^gamma e_i and x^gamma eps^j with
+    |gamma| <= 1, because both parts of the defect have order <= 1 in each
+    slot (and not 0, so the frame alone would not do):
+    * X(u, theta) is the Courant anchor defect A((u, 0), (0, theta)), which
+      is C-infinity-linear in theta, and X(f u, theta) = f X(u, theta) +
+      <theta, u> rho(D f) (see courant_axioms);
+    * T(u, theta) = sum_j <top(eps^j), e_j> - 2 <d theta, dstar u> has
+      T(f u, theta) - f T and T(u, f theta) - f T first order in f and zero
+      at f = 1, so both are vector fields applied to f: the second-order
+      terms cancel in pairs, sum_j [a(e_j), a_*(eps^j)] f against
+      sum_i u^i [a_*(theta), a(e_i)] f in the u slot, and the two
+      [a(u), a_*(eta)] f terms, of opposite signs, in the theta slot.
+    An operator Q of order <= 1 in a slot satisfies Q(x_a x_b s) =
+    x_a Q(x_b s) + x_b Q(x_a s) - x_a x_b Q(s), and x_b s, x_a s and s come
+    before x_a x_b s in the probe order (by i, then the degree of x^gamma).
+    So the first failing pair of all sections with |gamma| <= 2 has
+    |gamma| <= 1 in both slots, and the witness is the one that family
+    would give.
     """
+    P = _once_per_monomial_view(P)  # the same pair, each differential once per monomial
+    deg1_form = degree1_form_probes(P, 1)
+    coords = coordinate_monomials(P.coordinates, 1)[1:]
     lie = _once_per_monomial_lie(P)
     d_forms = [P.d(th) for th in deg1_form]
-    for u in deg1_mv:
+    for u in degree1_multivector_probes(P, 1):
         du = P.dstar(u)
         for th, dth in zip(deg1_form, d_forms):
             e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
@@ -766,12 +809,10 @@ def _defect_witness(P: BialgebroidPair, deg1_mv, deg1_form, lin_funcs) -> Option
                 return lie(e.vec, eta) + lie(e.cov, eta) - second
 
             base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
-            for f in lin_funcs:
-                for j in range(1, P.rank + 1):
-                    probe = Form.monomial(P.rank, P.coordinates, (j,), f)
-                    if top(probe) != base[j - 1].scaled(f):
-                        return (f"u = {u}; theta = {th}; defect operator is not "
-                                f"tensorial on ({f}) eps[{j}]")
+            for f in coords:
+                if top(P.basis_eps(1).scaled(f)) != base[0].scaled(f):
+                    return (f"u = {u}; theta = {th}; defect operator is not "
+                            f"tensorial on ({f}) eps[1]")
             trace = Polynomial.zero(P.coordinates)
             for j in range(1, P.rank + 1):
                 trace = trace + pairing(base[j - 1], P.basis_e(j))
@@ -789,7 +830,8 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     _derivation_witness); (k) the Laplacian is half the sum of the modular
     Lie derivatives, and (e) is (k) on functions and degree-1 sections;
     (c) the commutator-defect operator is tensorial with the stated trace,
-    checked on f = x_a (see _defect_witness).  The (k) defect
+    checked on sections with |gamma| <= 1 and on f = x_a (see
+    _defect_witness).  The (k) defect
     Lap - 1/2 (L_{X_0} + L_{xi_0}) has order <= 2 over wedge A (see
     PROBE_DEGREE), so it runs on the products of at most 2 generators, with
     the witness that all x^gamma e_I with |gamma| <= 2 would give (the
@@ -804,20 +846,33 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
         "a": _derivation_witness(P, P.dstar, P.A.schouten, -1, ("dstar[u,v]", "Leibniz side")),
         "i": _derivation_witness(P, lap, Multivector.wedge, 1, ("Lap(u^v)", "derivation side")),
         "k": k_wit,
-        "c": _defect_witness(P, degree1_multivector_probes(P, PROBE_DEGREE),
-                             degree1_form_probes(P, PROBE_DEGREE),
-                             coordinate_monomials(P.coordinates, 1)[1:]),
+        "c": _defect_witness(P),
         "e": k_wit if k_probe is not None and k_probe.max_degree() <= 1 else None,
     }
 
 
 def _pairing_witnesses(P: BialgebroidPair) -> Tuple[Optional[str], Optional[str]]:
-    """Witnesses of (g) and (h), which share the pairing side."""
+    """Witnesses of (g) and (h), which share the pairing side.
+
+    Both run on the x^gamma e_i and x^gamma eps^j with |gamma| <= 1.  The
+    defect G(u, theta) = Lap<theta,u> - <Lap theta, u> - <theta, Lap u>,
+    with the function Laplacian of either side, has order <= 1 in each
+    slot: each Laplacian has order <= 2 (see PROBE_DEGREE), so for functions
+    g1, g2 the double commutator [[Lap, g1], g2] is multiplication by its
+    Koszul bracket {g1, g2}, and [[G, g1], g2] = ({g1, g2} - {g1, g2}')
+    <theta, u> in either slot, where {.,.} and {.,.}' belong to the
+    Laplacian on functions and to the one on the slot.  Both Laplacians
+    have the same Koszul bracket, -(<d g1, dstar g2> + <d g2, dstar g1>),
+    so that is 0.  An operator of order <= 1 in a slot fails on
+    x_a x_b s only if it fails on x_b s, x_a s or s, which come earlier in
+    the probe order, so each witness is the one that all sections with
+    |gamma| <= 2 would give (as in _defect_witness).
+    """
     wit_g = wit_h = None
     lap = _once_per_monomial_laplacian(P)
-    deg1_mv = degree1_multivector_probes(P, PROBE_DEGREE)
+    deg1_mv = degree1_multivector_probes(P, 1)
     lap_mv = [lap(u) for u in deg1_mv]
-    for th in degree1_form_probes(P, PROBE_DEGREE):
+    for th in degree1_form_probes(P, 1):
         if wit_g and wit_h:
             break
         lap_th = lap(th)

@@ -1,19 +1,19 @@
 """Every verdict on one pair is one statement (Theorem C and its corollaries):
-D^2 scalar, its mirror, the Leibniz rule of dstar, the Courant axioms of the
-double (Liu-Weinstein-Xu) and the generating-operator conditions
-(Alekseev-Xu).  Randomized pairs over a base of positive dimension hold the
-decision procedures to that, and Poisson-Nijenhuis pairs to an independent
-oracle as well: the Kosmann-Schwarzbach-Magri compatibility of (lambda, N).
-Exact pairs built from a random bivector are bialgebroids by construction,
-so every verdict on them must be True.  Each failing witness of D^2 and its
-mirror, of the Courant axioms g1 and g2 and of thm-c (c) and (d) is
-re-checked by direct operator calls (dirac_apply, dorfman, lie_derivative),
-not through the once-per-monomial wrappers the suites use.  A Poisson
-double must also be the triangular pair that exact_from_bivector builds
-from its bivector.
+D^2 scalar, its mirror, the Leibniz rule of dstar, every thm-c record, the
+Courant axioms of the double (Liu-Weinstein-Xu) and the generating-operator
+conditions (Alekseev-Xu).  Randomized pairs over a base of positive dimension
+hold the decision procedures to that, and Poisson-Nijenhuis pairs to an
+independent oracle as well: the Kosmann-Schwarzbach-Magri compatibility of
+(lambda, N).  Exact pairs built from a random bivector are bialgebroids by
+construction, so every verdict on them must be True.  Each failing witness
+of D^2 and its mirror, of the Courant axioms g1 and g2 and of thm-c (c) and
+(d) is re-checked by direct operator calls (dirac_apply, dorfman,
+lie_derivative), not through the once-per-monomial wrappers the suites use.
+A Poisson double must also be the triangular pair that exact_from_bivector
+builds from its bivector.
 
 The profile is derandomized, so a failure reproduces on every run, and the
-example counts keep the module near 10 s.
+example counts keep the module under 10 s.
 """
 
 from fractions import Fraction
@@ -219,14 +219,13 @@ def verdicts(P):
             "generator_check": generator_check(P).passed}
 
 
-def assert_agreement(P, want, with_theorem_c):
+def assert_agreement(P, want):
     found = verdicts(P)
-    if with_theorem_c:
-        thm = theorem_c_suite(P)
-        for rid, Q, prefix in (("thm-c/c", P, ""), ("thm-c/d", P.flipped(), MIRROR_PREFIX)):
-            if not thm.record(rid).passed:
-                recheck_defect_witness(Q, thm.record(rid).witness, prefix)
-        found.update((r.id, r.passed) for r in thm.records)
+    thm = theorem_c_suite(P)
+    for rid, Q, prefix in (("thm-c/c", P, ""), ("thm-c/d", P.flipped(), MIRROR_PREFIX)):
+        if not thm.record(rid).passed:
+            recheck_defect_witness(Q, thm.record(rid).witness, prefix)
+    found.update((r.id, r.passed) for r in thm.records)
     assert set(found.values()) == {want}, (pair_to_json(P), found)
 
 
@@ -234,15 +233,14 @@ def assert_agreement(P, want, with_theorem_c):
 @given(pn_pairs(2))
 def test_verdicts_agree_with_pn_compatibility_over_the_plane(drawn):
     P, compatible = drawn
-    assert_agreement(P, compatible, with_theorem_c=True)
+    assert_agreement(P, compatible)
 
 
 @settings(AGREEMENT, max_examples=6)
 @given(pn_pairs(3))
 def test_verdicts_agree_with_pn_compatibility_over_space(drawn):
-    # theorem_c_suite costs seconds per passing pair at m = 3, so it is left out here
     P, compatible = drawn
-    assert_agreement(P, compatible, with_theorem_c=False)
+    assert_agreement(P, compatible)
 
 
 @settings(AGREEMENT, max_examples=3)
@@ -250,22 +248,22 @@ def test_verdicts_agree_with_pn_compatibility_over_space(drawn):
 def test_verdicts_agree_on_poisson_doubles_over_the_plane(Pm):
     P = poisson_double(Pm)
     assert_triangular_pair_of_pi(Pm, P)
-    assert_agreement(P, True, with_theorem_c=True)
+    assert_agreement(P, True)
 
 
 @settings(AGREEMENT, max_examples=6)
 @given(point_exact_pairs())
 def test_verdicts_hold_on_exact_pairs_over_a_point(P):
-    assert_agreement(P, True, with_theorem_c=True)
+    assert_agreement(P, True)
 
 
 @settings(AGREEMENT, max_examples=2)
 @given(plane_exact_pairs())
 def test_verdicts_hold_on_exact_pairs_over_the_plane(P):
-    assert_agreement(P, True, with_theorem_c=True)
+    assert_agreement(P, True)
 
 
 def test_failure_witnesses_of_the_failing_pairs_recheck(failing_pairs):
     # over a point there is no coordinate to break tensoriality: (c) and (d) fail at the trace
     for P in failing_pairs:
-        assert_agreement(P, False, with_theorem_c=True)
+        assert_agreement(P, False)

@@ -437,9 +437,9 @@ def _defect_witness_oracle(P):
 
 def test_defect_tensoriality_on_coordinates_matches_the_full_family(
         corpus, failing_pairs, pn_failing_pairs):
-    """Oracle for the order-1 reduction of thm-c (c)/(d): the library's
-    witnesses are the ones found with direct Lie derivatives and every f
-    with |gamma| <= 2."""
+    """Oracle for the order-1 reductions of thm-c (c)/(d): the library's
+    witnesses are the ones found with direct Lie derivatives on all
+    sections u, theta, every f with |gamma| <= 2 and every eps^j."""
     for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
         rep = theorem_c_suite(P)
         c, d = rep.record("thm-c/c").witness, rep.record("thm-c/d").witness
@@ -450,6 +450,46 @@ def test_defect_tensoriality_on_coordinates_matches_the_full_family(
             # found only on a coordinate times eps^j: the x_a must stay in the family
             for witness in (c, d):
                 assert "defect operator is not tensorial on (x" in witness, label
+
+
+def _pairing_witnesses_oracle(P):
+    """thm-c (g) and (h) computed directly: every Laplacian by a direct call,
+    on every pair of degree-1 sections with |gamma| <= 2."""
+    wit_g = wit_h = None
+    deg1_mv = degree1_multivector_probes(P, 2)
+    lap_mv = [laplacian(P, u) for u in deg1_mv]
+    for th in degree1_form_probes(P, 2):
+        lap_th = laplacian(P, th)
+        for u, lap_u in zip(deg1_mv, lap_mv):
+            h = pairing(th, u)
+            rhs = pairing(lap_th, u) + pairing(th, lap_u)
+            lhs_g = laplacian(P, P.scalar_form(h)).scalar_part()
+            if lhs_g != rhs and wit_g is None:
+                wit_g = f"theta = {th}; u = {u}; Lap*<theta,u> = {lhs_g}; pairing side = {rhs}"
+            lhs_h = laplacian(P, P.scalar_mv(h)).scalar_part()
+            if lhs_h != rhs and wit_h is None:
+                wit_h = f"theta = {th}; u = {u}; Lap<theta,u> = {lhs_h}; pairing side = {rhs}"
+            if wit_g and wit_h:
+                return wit_g, wit_h
+    return wit_g, wit_h
+
+
+def test_pairing_identities_on_degree_one_sections_match_the_full_family(
+        corpus, failing_pairs, pn_failing_pairs):
+    """Oracle for the order-1 reduction of thm-c (g)/(h): the witnesses,
+    None included, are the ones found with direct Laplacians on all
+    sections with |gamma| <= 2, on each pair and on its flip."""
+    failures = []
+    for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
+        rep = theorem_c_suite(P)
+        found = rep.record("thm-c/g").witness, rep.record("thm-c/h").witness
+        assert found == _pairing_witnesses_oracle(P), label
+        assert pair_module._pairing_witnesses(P.flipped()) == \
+            _pairing_witnesses_oracle(P.flipped()), label
+        failures += [w for w in found if w is not None]
+    assert len(failures) >= 12
+    # some are found only on a coordinate multiple: the x_a must stay in the family
+    assert any("(x" in w for w in failures)
 
 
 def _commutator_function_oracle(P):

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from bialgebroid import (InternalError, algebroid_from_json, interior_by_multive
                          laplacian, multivector_probes, pair_to_json, retype)
 from bialgebroid import constructions
 from bialgebroid.constructions import _dstar_bracket_witness, _mat_identity
-from bialgebroid.pair import BialgebroidPair, _modular_class
+from bialgebroid.pair import BialgebroidPair, _modular_class, degree1_form_probes
 
 from conftest import (FIXTURES, const, heisenberg, heisenberg_exact_pair,
                       heisenberg_triangular_pair, point_algebra, poisson_data,
@@ -129,6 +130,37 @@ def test_triangular_dstar_on_generators_matches_the_full_family():
             failures += want is not None
     assert failures >= 8
 
+
+
+def _descend_oracle(P, L):
+    """exact/descend on every x^gamma eps^j with |gamma| <= 2."""
+    for theta in degree1_form_probes(P, 2):
+        lhs = P.boundary_star(theta).scalar_part()
+        rhs = -P.boundary(L.sharp(theta)).scalar_part() + 2 * pairing(P.d(theta), L.Lambda)
+        if lhs != rhs:
+            return f"theta = {theta}; boundary_* theta = {lhs}; closed form = {rhs}"
+    return None
+
+
+def test_descend_on_degree_one_forms_matches_the_full_family(monkeypatch):
+    """Oracle for the order-1 reduction of exact/descend: the record gives
+    the witness of all x^gamma eps^j with |gamma| <= 2, as it is and with
+    an order-1 fault in boundary_* that first shows on x1 eps^1."""
+    cases = [_tangent_r3_exact_pair(text) for text in ("1", "x3", "x1*x2")]
+    for P, L in cases:
+        assert exact_identities(P, L).record("exact/descend").witness is None
+        assert _descend_oracle(P, L) is None
+    direct = BialgebroidPair.boundary_star
+
+    def faulty(self, theta):
+        return direct(self, theta) + self.scalar_form(
+            theta.coefficient((1,)).diff(self.coordinates[0]))
+
+    monkeypatch.setattr(BialgebroidPair, "boundary_star", faulty)
+    for P, L in cases:
+        witness = exact_identities(P, L).record("exact/descend").witness
+        assert witness == _descend_oracle(P, L), str(L.Lambda)
+        assert witness.startswith("theta = (x1)*eps[1]; "), witness
 
 def test_exact_identities_requires_matching_pair():
     P = heisenberg_exact_pair()
@@ -350,6 +382,20 @@ def test_poisson_data_validation():
     with pytest.raises(ConstructionError) as err:
         PoissonManifoldData(3, bad)
     assert "-4*x1*x2^2" in str(err.value)
+
+
+
+def test_poisson_data_checks_the_shape_before_naming_coordinates():
+    """A matrix of the wrong shape is refused before the base_dim coordinate
+    names are built, so a huge base_dim costs no memory."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError, match="m x m"):
+            PoissonManifoldData(10**6, [])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 SO3_DUAL = [["0", "x3", "-x2"], ["-x3", "0", "x1"], ["x2", "-x1", "0"]]

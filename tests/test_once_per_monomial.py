@@ -14,7 +14,6 @@ from bialgebroid import (Form, Multivector, Polynomial, SectionE, coordinate_mon
                          is_lie_bialgebroid, laplacian, theorem_c_suite)
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import once_per_monomial
-from bialgebroid.pair import degree1_form_probes, degree1_multivector_probes
 
 
 @pytest.fixture(scope="session")
@@ -246,10 +245,8 @@ def test_defect_witness_applies_lie_once_per_monomial_pair(corpus, monkeypatch):
         return wrap(counting)
 
     monkeypatch.setattr(pair_module, "once_per_monomial_pair", counting_wrapper)
-    args = (P, degree1_multivector_probes(P, 2), degree1_form_probes(P, 2),
-            coordinate_monomials(P.coordinates, 1)[1:])
     before = dict(vars(P))
-    first = pair_module._defect_witness(*args)
+    first = pair_module._defect_witness(P)
     calls = len(seen)
     assert calls > 0
     for x, t in seen:
@@ -258,7 +255,7 @@ def test_defect_witness_applies_lie_once_per_monomial_pair(corpus, monkeypatch):
     assert len({(type(x), _key(x), type(t), _key(t)) for x, t in seen}) == calls
     # nothing is kept between calls, on the pair or elsewhere
     seen.clear()
-    assert pair_module._defect_witness(*args) == first
+    assert pair_module._defect_witness(P) == first
     assert len(seen) == calls
     assert vars(P).keys() == before.keys()
     assert all(vars(P)[k] is v for k, v in before.items())
