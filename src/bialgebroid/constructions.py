@@ -31,8 +31,9 @@ from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
                        interior_by_multivector, pairing, retype)
 from .pair import (BialgebroidPair, IdentityRecord, IdentityReport,
-                   PreconditionError, _generator_products, _modular_class, degree1_form_probes,
-                   dirac_square, is_lie_bialgebroid, laplacian)
+                   PreconditionError, _generator_products, _modular_class,
+                   _once_per_monomial_view, degree1_form_probes, dirac_square,
+                   is_lie_bialgebroid, laplacian)
 from .ring import _MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial
 
 
@@ -120,9 +121,7 @@ def _dual_structure_from_bivector(A: AlgebroidStructure, L: BivectorData) -> Alg
             if out.degrees() not in ([], [1]):
                 raise ConstructionError(
                     f"induced bracket of eps[{i}], eps[{j}] is not degree 1: {out}")
-            entry = tuple(out.coefficient((k,)) for k in range(1, n + 1))
-            if any(not p.is_zero() for p in entry):
-                brackets[(i, j)] = entry
+            brackets[(i, j)] = tuple(out.coefficient((k,)) for k in range(1, n + 1))
     return AlgebroidStructure(n, coords, anchor, brackets, "covector")
 
 
@@ -144,8 +143,10 @@ def exact_identities(P: BialgebroidPair, L: BivectorData) -> IdentityReport:
     """Closed-form checks available for pairs built by exact_from_bivector.
 
     exact/triangular-dstar runs on the generators x_a, e_i of wedge A (see
-    _dstar_bracket_witness).
+    _dstar_bracket_witness).  Every check runs on one once-per-monomial
+    view of P, which dirac_square shares.
     """
+    P = _once_per_monomial_view(P)
     expected = _dual_structure_from_bivector(P.A, L)
     if expected.anchor != P.Astar.anchor or expected.brackets != P.Astar.brackets:
         raise PreconditionError("pair was not built from this bivector")
@@ -356,9 +357,7 @@ def _deformed_structure(A: AlgebroidStructure, N: NijenhuisData, l: int) -> Alge
             x, y = A.basis_section(i), A.basis_section(j)
             out = A.schouten(N.apply(x, l), y) + A.schouten(x, N.apply(y, l)) \
                 - N.apply(A.schouten(x, y), l)
-            entry = tuple(out.coefficient((k,)) for k in range(1, n + 1))
-            if any(not p.is_zero() for p in entry):
-                brackets[(i, j)] = entry
+            brackets[(i, j)] = tuple(out.coefficient((k,)) for k in range(1, n + 1))
     return AlgebroidStructure(n, coords, anchor, brackets, "vector")
 
 
@@ -603,7 +602,7 @@ def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
     |gamma| <= 2, by the sub-product argument of dirac_square.  poisson/d-pi
     is exact/triangular-dstar for pi.
     """
-    P = poisson_double(Pm)
+    P = _once_per_monomial_view(poisson_double(Pm))
     pi = Pm.pi_multivector()
     x_omega = Pm.modular_field()
     report = IdentityReport(suite="poisson")
@@ -673,11 +672,8 @@ def find_counterexample_pairs(count: int = 2) -> List[BialgebroidPair]:
         if not any(signs):
             continue
         consts = [Polynomial.const(coords, v) for v in signs]
-        brackets = {}
-        for slot, key in enumerate(((1, 2), (1, 3), (2, 3))):
-            entry = tuple(consts[3 * slot: 3 * slot + 3])
-            if any(not p.is_zero() for p in entry):
-                brackets[key] = entry
+        brackets = {key: tuple(consts[3 * slot: 3 * slot + 3])
+                    for slot, key in enumerate(((1, 2), (1, 3), (2, 3)))}
         try:
             Astar = AlgebroidStructure(3, coords, [[], [], []], brackets, "covector")
             P = BialgebroidPair(A, Astar, label=f"counterexample-{len(found) + 1}")

@@ -59,28 +59,19 @@ equivalence suite have no code of their own.  A mirror witness is the
 primal witness found on the flipped pair, so it names flipped elements
 (e[i] there is eps^i here) and carries the prefix "on (A*, A): ".
 
-Each operator once per monomial.  The probe loops apply D and the
-Laplacians to sums, products and brackets of probes, and those inputs
-are combinations of a few hundred monomials x^gamma e_I.  The operators
-are additive and commute with constant scaling (they are real-linear, not
-C-infinity-linear), so each decision call wraps them in
-exterior.once_per_monomial: an operator runs once per (I, gamma) met in
-that call, and every other value is the Fraction-weighted sum of stored
-images, exactly what a direct application gives.  The Dorfman bracket
-is handled the same way, once per pair of section monomials (x^gamma e_i
-or x^gamma eps^j in each slot): it is additive in each slot and commutes
-with constant scaling there, because rho(x) c = 0 and d c = 0 for a
-constant c, but it is not C-infinity-bilinear (x o (f y) = f (x o y) +
-(rho(x) f) y, and the first slot carries a D f term), so an image is
-stored under the (class, I, gamma) of both slots.  courant_axioms brackets
-a few dozen monomial pairs this way instead of making thousands of direct
-calls.  The Lie derivatives L_x t of thm-c (c)/(d) get the same two-slot
-treatment for the same reasons (L_{fx} t and L_x(f t) are not f L_x t),
-through the one loop both share, exterior.once_per_monomial_pair.  There
-the defect operator has order <= 1 in its form argument, so its
-tensoriality is checked on the x_a times eps^1 alone.  Each wrapper is
-built inside the call and dropped on return; nothing is stored on the
-pair, so a repeated call does the same work again.
+Each operator once per monomial.  Every decision and report that loops
+operators over probes runs on _once_per_monomial_view(P), the one place
+that decides what a call shares: there both differentials and the
+boundary run once per monomial x^gamma e_I met in the call, so D, the
+Laplacians, the Lie derivatives and the Dorfman bracket read one set of
+images, on P and on its mirror alike.  The operators are additive and
+commute with constant scaling but are not C-infinity-linear, so an image
+is stored under the full monomial, exponent included, and every other
+value is the Fraction-weighted sum of stored images: the direct value.
+Composites that repeat inside a call keep a wrapper of their own: D and
+[D, c(e)] once per monomial, the Dorfman bracket and the Lie derivatives
+L_x t once per pair of monomials (exterior.once_per_monomial_pair).
+Nothing is stored on the pair; the images go with the view.
 
 Bilinear identities on sections of coefficient degree <= 1.  The defects
 of thm-c (c)/(d) and (g)/(h) have order <= 1 in each of their two
@@ -94,6 +85,7 @@ are in _defect_witness and _pairing_witnesses).
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -618,17 +610,16 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     later: both witnesses are the ones that all x^gamma e_I with
     |gamma| <= 2 (multivector_probes) would give.
 
-    D, the formula's Laplacian and its Lie derivative along A* read one set
-    of dstar and boundary images, each taken once per monomial
-    (_once_per_monomial_view): the Laplacian d_* boundary u + boundary d_* u
-    uses exactly the images that D(D(u)) has already taken.
+    D, the formula's Laplacian and its Lie derivative along A* run on the
+    view (_once_per_monomial_view): the Laplacian d_* boundary u +
+    boundary d_* u reads exactly the images that D(D(u)) has already taken.
     """
-    view = _once_per_monomial_view(P)
-    D, ft = _once_per_monomial_dirac(view), f_tilde(P)
+    P = _once_per_monomial_view(P)
+    D, ft = _once_per_monomial_dirac(P), f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
     for u in _generator_products(P, 3):
         sq = D(D(u))
-        formula = _half_modular_lie(view, u) - laplacian(view, u) + u.scaled(ft)
+        formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
         if sq != formula:
             report.square_formula_ok = False
             report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
@@ -639,22 +630,35 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     return report
 
 
+class _OncePerMonomialView(BialgebroidPair):
+    """P for one decision call: copies of A and A* whose differential (d on
+    forms, dstar on multivectors) runs once per monomial, and the boundary,
+    read through the view's own A, likewise.  Every operator written over
+    the pair (dirac_apply, laplacian, dorfman, the Cartan formula of
+    AlgebroidStructure.lie_derivative) then shares those images when called
+    on the view.  flipped() is the view of P.flipped(), built on first use,
+    whose flipped() is this view again, so the mirror operators share them
+    too.  Nothing is stored on P: the images go when the view does."""
+
+    def __init__(self, P: BialgebroidPair):
+        self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
+        for name in ("A", "Astar"):
+            side = copy.copy(getattr(P, name))
+            side.differential = once_per_monomial(side.differential)
+            setattr(self, name, side)
+        self.boundary = once_per_monomial(self.boundary)
+
+    def flipped(self) -> "BialgebroidPair":
+        if self._flipped is None:
+            self._flipped = _OncePerMonomialView(self._pair.flipped())
+            self._flipped._flipped = self
+        return self._flipped
+
+
 def _once_per_monomial_view(P: BialgebroidPair) -> BialgebroidPair:
-    """P for one decision call, with the differentials of both sides (d on
-    forms, dstar on multivectors) and the boundary applied once per
-    monomial, so that the operators written over P (dirac_apply, laplacian,
-    dorfman, the Lie derivatives) share those images when called on the
-    view.  The view carries copies of A and A* whose differential is the
-    wrapped one, and d, dstar and the Cartan formula of
-    AlgebroidStructure.lie_derivative all read it.  Built like flipped(),
-    and nothing is stored on P: the images go when the view does."""
-    view = object.__new__(BialgebroidPair)
-    view.__dict__.update(vars(P), _modular=P.modular, boundary=once_per_monomial(P.boundary))
-    for name in ("A", "Astar"):
-        side = copy.copy(getattr(P, name))
-        side.differential = once_per_monomial(side.differential)
-        setattr(view, name, side)
-    return view
+    """The view of P for one call (_OncePerMonomialView); a view of a view is
+    that view, so nested decisions share one set of images."""
+    return P if isinstance(P, _OncePerMonomialView) else _OncePerMonomialView(P)
 
 
 def _once_per_monomial_dirac(P: BialgebroidPair):
@@ -728,24 +732,21 @@ def is_lie_bialgebroid(P: BialgebroidPair) -> IdentityReport:
     Checked on the generators x_a, e_i, which decides the condition
     exactly (see _derivation_witness).
     """
+    P = _once_per_monomial_view(P)
     witness = _derivation_witness(P, P.dstar, P.A.schouten, -1, ("dstar[u,v]", "Leibniz side"))
     report = IdentityReport(suite="leibniz")
     report.records.append(IdentityRecord("leibniz-dstar", witness is None, witness))
     return report
 
 
-def _once_per_monomial_laplacian(P: BialgebroidPair):
-    return once_per_monomial(lambda target: laplacian(P, target))
-
-
-def _modular_lie_failure(P: BialgebroidPair, probes, lap) \
+def _modular_lie_failure(P: BialgebroidPair, probes) \
         -> Tuple[Optional[Multivector], Optional[str]]:
-    """First u with Lap u = lap(u) != 1/2 (L_{X_0} + L_{xi_0}) u and its
-    witness, or (None, None)."""
+    """First u with Lap u != 1/2 (L_{X_0} + L_{xi_0}) u and its witness, or
+    (None, None)."""
     for u in probes:
-        rhs = _half_modular_lie(P, u)
-        if lap(u) != rhs:
-            return u, f"u = {u}; Lap u = {lap(u)}; half modular Lie = {rhs}"
+        lap, rhs = laplacian(P, u), _half_modular_lie(P, u)
+        if lap != rhs:
+            return u, f"u = {u}; Lap u = {lap}; half modular Lie = {rhs}"
     return None, None
 
 
@@ -762,9 +763,9 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     The defect operator is top = L_e - (L_u L_theta - L_theta L_u) with
     e = (u, 0) o (0, theta).  Each L is additive in both slots and commutes
     with constants there, so one wrapper takes it once per pair of monomials
-    for the whole call, and the differentials that the Lie derivatives and
-    the Dorfman bracket read are taken once per monomial through
-    _once_per_monomial_view.  Tensoriality needs only f = x_a and
+    for the whole call; on the caller's view (theorem_c_suite) the
+    differentials that the Lie derivatives and the Dorfman bracket read are
+    shared as well.  Tensoriality needs only f = x_a and
     eta = eps^1: top has order <= 1 in eta, since every L along a degree-1
     section satisfies L_x(f eta) = f L_x eta + (rho(x) f) eta, and in the
     commutator the cross terms (rho(u) f) L_theta eta and (rho(theta) f)
@@ -794,7 +795,6 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     |gamma| <= 1 in both slots, and the witness is the one that family
     would give.
     """
-    P = _once_per_monomial_view(P)  # the same pair, each differential once per monomial
     deg1_form = degree1_form_probes(P, 1)
     coords = coordinate_monomials(P.coordinates, 1)[1:]
     lie = _once_per_monomial_lie(P)
@@ -838,10 +838,9 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     sub-product argument of dirac_square).  (e) fails exactly when the
     first failure of (k) on that full family has degree <= 1, and that
     failure is then (k)'s witness here too, so (e) needs no scan of its own.
-    (i) and (k) share one Laplacian, applied once per monomial.
     """
-    lap = _once_per_monomial_laplacian(P)
-    k_probe, k_wit = _modular_lie_failure(P, _generator_products(P, 2), lap)
+    lap = functools.partial(laplacian, P)
+    k_probe, k_wit = _modular_lie_failure(P, _generator_products(P, 2))
     return {
         "a": _derivation_witness(P, P.dstar, P.A.schouten, -1, ("dstar[u,v]", "Leibniz side")),
         "i": _derivation_witness(P, lap, Multivector.wedge, 1, ("Lap(u^v)", "derivation side")),
@@ -869,7 +868,7 @@ def _pairing_witnesses(P: BialgebroidPair) -> Tuple[Optional[str], Optional[str]
     |gamma| <= 2 would give (as in _defect_witness).
     """
     wit_g = wit_h = None
-    lap = _once_per_monomial_laplacian(P)
+    lap = functools.partial(laplacian, P)
     deg1_mv = degree1_multivector_probes(P, 1)
     lap_mv = [lap(u) for u in deg1_mv]
     for th in degree1_form_probes(P, 1):
@@ -899,6 +898,7 @@ def theorem_c_suite(P: BialgebroidPair) -> IdentityReport:
     The A-side items a, i, k, c, e run on P; their mirrors b, j, l, d, f
     are the same checks on P.flipped().  (g) and (h) run as one loop.
     """
+    P = _once_per_monomial_view(P)
     primal = _theorem_c_primal(P)
     mirror = {_MIRROR_ID[k]: _mirror_witness(w)
               for k, w in _theorem_c_primal(P.flipped()).items()}
@@ -912,6 +912,7 @@ def theorem_c_suite(P: BialgebroidPair) -> IdentityReport:
 
 def corollary_suite(P: BialgebroidPair) -> IdentityReport:
     """Modular-cocycle corollaries; requires the pair to be compatible."""
+    P = _once_per_monomial_view(P)
     gate = is_lie_bialgebroid(P)
     if not gate.passed:
         raise PreconditionError(
@@ -942,7 +943,7 @@ def corollary_suite(P: BialgebroidPair) -> IdentityReport:
                        None if ok else f"L_X0 s / s = {div_x}; L_xi0 s / s = {div_xi}"))
 
     # derivation of the Gerstenhaber structure by the Laplacian
-    lap = _once_per_monomial_laplacian(P)
+    lap = functools.partial(laplacian, P)
     wit = _derivation_witness(P, lap, Multivector.wedge, 1, ("Lap(u^v)", "derivation side"))
     add(IdentityRecord("cor-brood/g14", wit is None, wit))
     wit = _derivation_witness(P, lap, P.A.schouten, 1, ("Lap[u,v]", "derivation side"))
@@ -1042,6 +1043,7 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
     so it runs on X x F (see _anchor_witness).  Over a point X is empty,
     N = F, and only g1 can fail.
     """
+    P = _once_per_monomial_view(P)
     frame, near = _double_sections(P, 0), _double_sections(P, 1)
     coords = coordinate_monomials(P.coordinates, 1)[1:]
     report = IdentityReport(suite="courant")
@@ -1153,6 +1155,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     order, and the first failure of the larger family lies in the smaller.
     Over a point the two families coincide.
     """
+    P = _once_per_monomial_view(P)
     report = IdentityReport(suite="generator")
     add = report.records.append
 

@@ -24,7 +24,7 @@ ranges, matrix shapes and polynomial syntax.
 from __future__ import annotations
 
 import re
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .algebroid import AlgebroidStructure
 from .exterior import FrameData
@@ -157,13 +157,9 @@ def pair_from_json(doc: dict) -> BialgebroidPair:
 
 
 def _structure_to_subdoc(alg: AlgebroidStructure) -> dict:
-    brackets: Dict[str, list] = {}
-    for (i, j) in sorted(alg.brackets):
-        entry = alg.brackets[(i, j)]
-        if any(not p.is_zero() for p in entry):
-            brackets[f"{i},{j}"] = [str(p) for p in entry]
     return {"anchor": [[str(p) for p in row] for row in alg.anchor],
-            "brackets": brackets}
+            "brackets": {f"{i},{j}": [str(p) for p in entry]
+                         for (i, j), entry in sorted(alg.brackets.items())}}
 
 
 def pair_to_json(P: BialgebroidPair) -> dict:

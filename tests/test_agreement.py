@@ -6,9 +6,10 @@ hold the decision procedures to that, and Poisson-Nijenhuis pairs to an
 independent oracle as well: the Kosmann-Schwarzbach-Magri compatibility of
 (lambda, N).  Exact pairs built from a random bivector are bialgebroids by
 construction, so every verdict on them must be True.  Each failing witness
-of D^2 and its mirror, of the Courant axioms g1 and g2 and of thm-c (c) and
-(d) is re-checked by direct operator calls (dirac_apply, dorfman,
-lie_derivative), not through the once-per-monomial wrappers the suites use.
+of D^2 and its mirror, of the Courant axioms g1 and g2, of thm-c (c) and
+(d) and of every generator record is re-checked by direct operator calls
+(dirac_apply, clifford_act, dee, dorfman, lie_derivative) on the pair
+itself, not through the once-per-monomial view and wrappers the suites use.
 A Poisson double must also be the triangular pair that exact_from_bivector
 builds from its bivector.
 
@@ -16,18 +17,22 @@ The profile is derandomized, so a failure reproduces on every run, and the
 example counts keep the module under 10 s.
 """
 
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bialgebroid import (AlgebroidError, AlgebroidStructure, BialgebroidPair, BivectorData,
-                         ConstructionError, Form, Multivector, NijenhuisData,
-                         PoissonManifoldData, Polynomial, SectionE, coordinate_monomials,
-                         courant_axioms, dirac_apply, dirac_square, dirac_star_square, dorfman,
-                         exact_from_bivector, f_tilde, field_bracket, generator_check,
-                         is_lie_bialgebroid, multivector_probes, pair_to_json, pairing,
-                         poisson_double, rho_field, tangent_algebroid, theorem_c_suite)
+                         ConstructionError, Form, IdentityRecord, IdentityReport, Multivector,
+                         NijenhuisData, PoissonManifoldData, Polynomial, SectionE, clifford_act,
+                         coordinate_monomials, courant_axioms, dee, dirac_apply, dirac_square,
+                         dirac_star_square, dorfman, exact_from_bivector, f_tilde, field_bracket,
+                         generator_check, is_lie_bialgebroid, metric, multivector_probes,
+                         pair_to_json, pairing, poisson_double, rho_apply, rho_field,
+                         tangent_algebroid, theorem_c_suite)
+from bialgebroid import pair as pair_module
 from bialgebroid.constructions import _check_pn_compatibility, _deformed_structure
 from bialgebroid.pair import (MIRROR_PREFIX, _double_sections, degree1_form_probes,
                               degree1_multivector_probes)
@@ -204,6 +209,49 @@ def recheck_defect_witness(P, witness, prefix=""):
                                     f"2<dstar u, d theta> = {want}")
 
 
+def recheck_generator_witnesses(P, report):
+    """Each failing generator record names functions, sections and spinors
+    on which its two sides, from direct dirac_apply, clifford_act, dee and
+    dorfman calls, differ and print as in the witness; square-scalar is
+    re-checked as dirac_square's witness is."""
+    functions = coordinate_monomials(P.coordinates, 1)[1:]
+    sections, spinors = _double_sections(P, 1), multivector_probes(P, 1)
+
+    def D(u):
+        return dirac_apply(P, u)
+
+    rec = report.record("generator/commutator-function")
+    if not rec.passed:
+        (_f, f_text), (_w, w_text) = _fields(rec.witness)[:2]
+        f, w = _named(functions, f_text), _named(spinors, w_text)
+        lhs, rhs = D(w.scaled(f)) - D(w).scaled(f), clifford_act(dee(P, f), w)
+        assert lhs != rhs, rec.witness
+        assert rec.witness == f"f = {f}; w = {w}; [D, f] w = {lhs}; Clifford(D f) w = {rhs}"
+    rec = report.record("generator/derived-bracket")
+    if not rec.passed:
+        e1, e2 = (_named(sections, value) for _name, value in _fields(rec.witness)[:2])
+        w = _named(spinors, _fields(rec.witness)[2][1])
+
+        def commutator(u):  # [D, c(e1)] u
+            return D(clifford_act(e1, u)) + clifford_act(e1, D(u))
+
+        lhs = commutator(clifford_act(e2, w)) - clifford_act(e2, commutator(w))
+        rhs = clifford_act(dorfman(P, e1, e2), w)
+        assert lhs != rhs, rec.witness
+        assert rec.witness == (f"e1 = {e1}; e2 = {e2}; w = {w}; "
+                               f"[[D,e1],e2] w = {lhs}; Clifford(e1 o e2) w = {rhs}")
+    rec = report.record("generator/square-scalar")
+    if not rec.passed:
+        recheck_square_witness(P, rec.witness)
+    rec = report.record("generator/anchor")
+    if not rec.passed:
+        (_f, f_text), (_x, x_text) = _fields(rec.witness)[:2]
+        f, x = _named(functions, f_text), _named(_double_sections(P, 0), x_text)
+        lhs, rhs = metric(dee(P, f), x) * 2, rho_apply(P, x, f)
+        assert lhs != rhs, rec.witness
+        assert rec.witness == f"f = {f}; x = {x}; 2<Df,x> = {lhs}; rho(x)f = {rhs}"
+
+
 def verdicts(P):
     square, mirror = dirac_square(P), dirac_star_square(P)
     if not square.is_scalar:
@@ -212,11 +260,13 @@ def verdicts(P):
         recheck_square_witness(P.flipped(), mirror.witness, MIRROR_PREFIX)
     courant = courant_axioms(P)
     recheck_courant_witnesses(P, courant)
+    generator = generator_check(P)
+    recheck_generator_witnesses(P, generator)
     return {"dirac_square": square.is_scalar,
             "dirac_star_square": mirror.is_scalar,
             "is_lie_bialgebroid": is_lie_bialgebroid(P).passed,
             "courant_axioms": courant.passed,
-            "generator_check": generator_check(P).passed}
+            "generator_check": generator.passed}
 
 
 def assert_agreement(P, want):
@@ -267,3 +317,34 @@ def test_failure_witnesses_of_the_failing_pairs_recheck(failing_pairs):
     # over a point there is no coordinate to break tensoriality: (c) and (d) fail at the trace
     for P in failing_pairs:
         assert_agreement(P, False)
+
+
+def test_generator_rechecks_reject_a_wrong_witness(corpus, monkeypatch):
+    """The generator re-checks are not vacuous.  On the drawn pairs only
+    generator/square-scalar fails, so the other three are fed faults: with
+    e_1 ^ d/dx1 added to D and f eps^1 to D f, every generator record
+    fails; the re-checks accept those witnesses when they run the same
+    faulty operators, and reject each of them with the direct ones."""
+    P = dict(corpus)["poisson-linear"]
+    x1 = P.coordinates[0]
+
+    def faulty_dirac(Q, u, direct=dirac_apply):
+        shifted = Multivector(u.rank, u.variables, {ix: p.diff(x1) for ix, p in u.terms.items()})
+        return direct(Q, u) + Q.basis_e(1).wedge(shifted)
+
+    def faulty_dee(Q, f, direct=dee):
+        df = direct(Q, f)
+        return SectionE(df.vec, df.cov + Q.basis_eps(1).scaled(f))
+
+    for module in (pair_module, sys.modules[__name__]):
+        monkeypatch.setattr(module, "dirac_apply", faulty_dirac)
+        monkeypatch.setattr(module, "dee", faulty_dee)
+    report = generator_check(P)
+    assert not any(r.passed for r in report.records)
+    recheck_generator_witnesses(P, report)
+    monkeypatch.undo()
+    for failing in report.records:
+        alone = IdentityReport(report.suite, [r if r is failing else IdentityRecord(r.id, True)
+                                              for r in report.records])
+        with pytest.raises(AssertionError):
+            recheck_generator_witnesses(P, alone)

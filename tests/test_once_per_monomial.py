@@ -1,6 +1,7 @@
 """exterior.once_per_monomial, and the Dorfman bracket and the Lie derivatives
 taken once per pair of monomials through exterior.once_per_monomial_pair:
-exact against the direct operators, and scoped to one decision call."""
+exact against the direct operators, and scoped to one decision call, in
+which the once-per-monomial view takes each differential image once."""
 
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bialgebroid import (Form, Multivector, Polynomial, SectionE, coordinate_monomials,
-                         corollary_suite, courant_axioms, dirac_apply, dirac_square,
-                         dirac_star_apply, dirac_star_square, dorfman, generator_check,
-                         is_lie_bialgebroid, laplacian, theorem_c_suite)
+from bialgebroid import (AlgebroidStructure, Form, Multivector, Polynomial, SectionE,
+                         coordinate_monomials, corollary_suite, courant_axioms, dirac_apply,
+                         dirac_square, dirac_star_apply, dirac_star_square, dorfman,
+                         generator_check, is_lie_bialgebroid, laplacian, theorem_c_suite)
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import once_per_monomial
 
@@ -266,13 +267,45 @@ SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
 
 
 def test_suites_store_nothing_on_the_pair(corpus):
+    """No suite leaves anything on P, on its two structures or on its flip
+    (the modular cocycles and the flip are P's own caches, taken first)."""
     P = dict(corpus)["poisson-linear"]
-    P.flipped()  # computes and keeps the modular cocycles and the flipped pair
     twin = P.flipped()
-    before = dict(vars(P)), dict(vars(twin))
+    owners = (P, P.A, P.Astar, twin, twin.A, twin.Astar)
+    before = [dict(vars(owner)) for owner in owners]
     for suite in SUITES:
         suite(P)
-        after = dict(vars(P)), dict(vars(twin))
-        for old, new in zip(before, after):
+        for owner, old in zip(owners, before):
+            new = vars(owner)
             assert new.keys() == old.keys(), suite.__name__
             assert all(new[k] is old[k] for k in old), suite.__name__
+        assert "dstar" not in vars(P) and "boundary" not in vars(P)
+
+
+def _element_key(w):
+    """The class, indices and exact coefficients of an element."""
+    return type(w), tuple(sorted((ix, tuple(sorted(p.terms.items())))
+                                 for ix, p in w.terms.items()))
+
+
+def test_every_decision_takes_one_differential_per_monomial(corpus, monkeypatch):
+    """Each decision takes the differential once per distinct (structure,
+    input): d, dstar and the boundary read one once-per-monomial view for
+    the whole call, on the pair and on its mirror, and so does every
+    operator built on them (D, the Laplacians, the Lie derivatives, the
+    Dorfman bracket)."""
+    P = dict(corpus)["poisson-linear"]
+    P.flipped()
+    seen = []
+    direct = AlgebroidStructure.differential
+
+    def counting(side, w):
+        seen.append((side, _element_key(w)))
+        return direct(side, w)
+
+    monkeypatch.setattr(AlgebroidStructure, "differential", counting)
+    for suite in SUITES:
+        seen.clear()
+        suite(P)
+        assert seen, suite.__name__
+        assert len(set(seen)) == len(seen), (suite.__name__, len(seen), len(set(seen)))
