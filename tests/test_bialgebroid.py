@@ -371,6 +371,15 @@ def test_square_formula_is_checked_on_products_of_three_generators(corpus, monke
     assert got["formula_witness"].startswith("u = e[1,2,3]; ")
 
 
+def test_dirac_square_stores_nothing_on_the_pair(corpus):
+    P = dict(corpus)["poisson-linear"]
+    P.flipped()
+    before = dict(vars(P))
+    dirac_square(P)
+    assert vars(P) == before
+    assert "dstar" not in vars(P) and "boundary" not in vars(P)
+
+
 def test_derivation_identities_on_generators_match_all_probe_pairs(
         corpus, failing_pairs, pn_failing_pairs):
     """Oracle for the generator reduction: the Leibniz rule and the Laplacian
