@@ -8,7 +8,7 @@ Subcommands:
   operator is multiplication by a function; prints the function or the
   failing probe.  The probes x^gamma e_I have |gamma| <= 2, the degree
   the order-2 argument fixes (pair.PROBE_DEGREE), and are products of at
-  most 3 generators x_a, e_i (pair.dirac_square); it is not an option.
+  most 2 generators x_a, e_i (pair.dirac_square); it is not an option.
 * ``identities <spec.json> --suite theorem-c|corollaries|courant|generator``.
 * ``modular <spec.json>``: the two modular cocycles and the square scalar.
 * ``example a-plus-b|poisson|exact|pn ...``: build a documented example
@@ -232,7 +232,7 @@ def _cmd_example_poisson(args) -> Tuple[dict, int]:
     pair = poisson_double(data)
     report = poisson_homology_check(data)
     square = dirac_square(pair)
-    ok = report.passed and square.is_scalar
+    ok = report.passed and square.is_scalar and square.square_formula_ok
     body = {
         "command": "example",
         "family": "poisson",
@@ -240,8 +240,11 @@ def _cmd_example_poisson(args) -> Tuple[dict, int]:
         "pair": pair_to_json(pair),
         "suite": report.to_json(),
         "f_tilde": str(square.f_tilde),
-        "pass": ok,
     }
+    for key in ("witness", "formula_witness"):
+        if getattr(square, key) is not None:
+            body[key] = getattr(square, key)
+    body["pass"] = ok
     return body, 0 if ok else 1
 
 

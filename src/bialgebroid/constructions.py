@@ -176,16 +176,22 @@ def exact_identities(P: BialgebroidPair, L: BivectorData) -> IdentityReport:
     add(IdentityRecord("exact/combat", ok,
                        None if ok else f"X0 = {mod.x0}; 2 boundary Lambda - Lambda# xi0 = {closed}"))
 
-    sq = dirac_square(P)
-    ok = sq.is_scalar and sq.f_tilde.is_zero()
-    add(IdentityRecord("exact/square-zero", ok,
-                       None if ok else sq.witness or f"f~ = {sq.f_tilde}"))
+    add(_square_zero_record(P, "exact/square-zero"))
 
     if L.is_poisson(P.A):
         wit = _dstar_bracket_witness(P, L.Lambda)
         add(IdentityRecord("exact/triangular-dstar", wit is None, wit))
 
     return report
+
+
+def _square_zero_record(P: BialgebroidPair, rid: str) -> IdentityRecord:
+    """D^2 = 0: dirac_square finds D^2 a function, its square formula holding,
+    and f~ = 0.  The witness is the first of the three that fails."""
+    sq = dirac_square(P)
+    ok = sq.is_scalar and sq.square_formula_ok and sq.f_tilde.is_zero()
+    return IdentityRecord(rid, ok, None if ok else
+                          sq.witness or sq.formula_witness or f"f~ = {sq.f_tilde}")
 
 
 def _dstar_bracket_witness(P: BialgebroidPair, Lambda: Multivector) -> Optional[str]:
@@ -477,10 +483,7 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
             break
     add(IdentityRecord("pn/morphism", wit is None, wit))
 
-    sq = dirac_square(P)
-    ok = sq.is_scalar and sq.f_tilde.is_zero()
-    add(IdentityRecord("pn/square-zero", ok,
-                       None if ok else sq.witness or f"f~ = {sq.f_tilde}"))
+    add(_square_zero_record(P, "pn/square-zero"))
 
     return report
 

@@ -13,16 +13,13 @@ trivializing FrameData.  On top of that this module builds:
 
   acting on multivectors, and its mirror on forms,
 
-and decides exactly, on a finite probe family, whether D^2 is
-multiplication by a function.  Every operator involved is a differential
-operator with polynomial coefficients whose order is bounded twice: in
-the base coordinates (<= 2, which fixes |gamma| <= PROBE_DEGREE = 2) and
-over the whole supercommutative algebra wedge A = Poly[x] (x) Lambda[e]
-(<= 2 for D^2 - f~, <= 3 for the square formula).  So the products
-x^gamma e_I of at most 2, resp. 3, generators x_a, e_i with |gamma| <= 2
-(_generator_products) decide each exactly; the argument is in
-dirac_square.  dirac_square and generator_check share the scalar scan
-(_square_witness); only dirac_square also checks the square formula.
+and decides exactly whether D^2 is multiplication by a function, on the
+products x^gamma e_I of at most 2 generators x_a, e_i
+(_generator_products): D^2 - f~ has order <= 2 in the base coordinates
+(which fixes |gamma| <= PROBE_DEGREE = 2) and over the supercommutative
+algebra wedge A = Poly[x] (x) Lambda[e], by construction (the argument is
+in dirac_square).  dirac_square and generator_check share the scalar
+scan (_square_witness); only dirac_square also checks the square formula.
 
 The compatibility criterion (the derivation property of dstar over the
 bracket), the twelve-part equivalence suite, the corollary identities,
@@ -64,22 +61,16 @@ operators over probes runs on _once_per_monomial_view(P), the one place
 that decides what a call shares: there both differentials and the
 boundary run once per monomial x^gamma e_I met in the call, so D, the
 Laplacians, the Lie derivatives and the Dorfman bracket read one set of
-images, on P and on its mirror alike.  The operators are additive and
-commute with constant scaling but are not C-infinity-linear, so an image
-is stored under the full monomial, exponent included, and every other
-value is the Fraction-weighted sum of stored images: the direct value.
+images on P, and the mirror operators one on the view's mirror, which
+keeps its own although its algebroids are the view's two, swapped.  The
+operators are additive and commute with constant scaling but are not
+C-infinity-linear, so an image is stored under the full monomial,
+exponent included, and every other value is the Fraction-weighted sum of
+stored images: the direct value.
 Composites that repeat inside a call keep a wrapper of their own: D and
 [D, c(e)] once per monomial, the Dorfman bracket and the Lie derivatives
 L_x t once per pair of monomials (exterior.once_per_monomial_pair).
 Nothing is stored on the pair; the images go with the view.
-
-Bilinear identities on sections of coefficient degree <= 1.  The defects
-of thm-c (c)/(d) and (g)/(h) have order <= 1 in each of their two
-section slots u, theta (and not 0), and a defect Q of order <= 1 obeys
-Q(x_a x_b s) = x_a Q(x_b s) + x_b Q(x_a s) - x_a x_b Q(s).  So each runs
-on the pairs of x^gamma e_i and x^gamma eps^j with |gamma| <= 1, and its
-first failure is the one that all |gamma| <= 2 would give (the arguments
-are in _defect_witness and _pairing_witnesses).
 """
 
 from __future__ import annotations
@@ -139,14 +130,11 @@ these run on the degree-1 sections x^gamma e_i, x^gamma eps^j with
 |gamma| <= 1 (the arguments are in _defect_witness, _pairing_witnesses
 and constructions.exact_identities).
 
-Over the whole algebra wedge A = Poly[x] (x) Lambda[e], generated by the
-x_a and the e_i (Koszul 1985: dstar and the Lie derivatives are
-derivations, of order 1, and the boundary is a BV operator, of order 2):
-D^2 - f~ and the (k) defect Lap - 1/2 (L_{X_0} + L_{xi_0}) have order
-<= 2, and the square-formula defect has order <= 3.  An operator of order
-<= k is fixed by its values on products of at most k generators, so only
-the x^gamma e_I with |gamma| <= 2 and |gamma| + |I| <= k are needed
-(_generator_products).  No probe has |gamma| > 2 in any family.
+Over the whole algebra wedge A = Poly[x] (x) Lambda[e], D^2 - f~, the
+square-formula defect and the (k) defect have order <= 2 (see
+dirac_square), and an operator of order <= k is fixed by its values on
+the products of at most k generators x_a, e_i (_generator_products).  No
+probe has |gamma| > 2 in any family.
 """
 
 
@@ -594,38 +582,42 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     would indicate an implementation fault and is reported in
     square_formula_ok rather than swallowed.
 
-    Both run on products of generators (_generator_products), which is
-    exact by the order of each defect over wedge A (see PROBE_DEGREE).  D
-    has order <= 2, so D^2 = 1/2 [D, D] has order <= 3, and so has the
-    formula's defect: it is checked on the products of at most 3
-    generators without using the formula.  Once the formula holds,
-    D^2 - f~ = 1/2 (L_{X_0} + L_{xi_0}) - Laplacian has order <= 2, and the
-    scalar scan runs on the products of at most 2; if the formula fails,
-    the scan runs on those of at most 3, so the verdict never rests on the
-    formula.  An operator Q of order <= k satisfies Q(a_0 .. a_k) = a signed
-    sum of Q(a_S) times the other factors over the proper subsets S, so if
-    Q fails at x^gamma e_I, it fails at some x^gamma' e_I' with I' in I,
-    gamma' <= gamma and |gamma'| + |I'| <= k.  The probes are ordered by
-    |I| and then by the degree of x^gamma, so that sub-product comes no
-    later: both witnesses are the ones that all x^gamma e_I with
-    |gamma| <= 2 (multivector_probes) would give.
+    Both run on the products of at most 2 generators x_a, e_i
+    (_generator_products), exactly by construction, whether or not the
+    formula holds: D^2 - f~ and the formula's defect have order <= 2 over
+    wedge A.  In D^2 = 1/2 [D, D] with D = dstar - boundary +
+    1/2 (X_0 ^ . + iota_{xi_0}), dstar^2 = 0 and boundary^2 = 0, since both
+    halves pass validate_algebroid in BialgebroidPair.__init__ (flipped()
+    and the view reuse them) and the boundary is d_A conjugated by the top
+    contraction.  Each other term is a commutator of two of dstar,
+    iota_{xi_0} (derivations, of order 1), X_0 ^ . (order 0) and the
+    boundary (a BV operator, of order 2; Koszul 1985), never the boundary
+    with itself, and a commutator's order is at most the sum of the two
+    less one, so it has order <= 2; the formula adds the Lie derivatives,
+    which are derivations.  An operator Q of order <= 2 satisfies Q(a_0 a_1 a_2) = a signed sum of
+    Q(a_S) times the other factors over the proper subsets S, so if Q fails
+    at x^gamma e_I, it fails at some x^gamma' e_I' with I' in I,
+    gamma' <= gamma and |gamma'| + |I'| <= 2.  The probes are ordered by |I|
+    and then by the degree of x^gamma, so that sub-product comes no later:
+    both witnesses are the ones that all x^gamma e_I with |gamma| <= 2
+    (multivector_probes) would give.
 
     D, the formula's Laplacian and its Lie derivative along A* run on the
-    view (_once_per_monomial_view): the Laplacian d_* boundary u +
-    boundary d_* u reads exactly the images that D(D(u)) has already taken.
+    view (_once_per_monomial_view): the Laplacian reads exactly the images
+    that D(D(u)) has already taken.
     """
     P = _once_per_monomial_view(P)
     D, ft = _once_per_monomial_dirac(P), f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
-    for u in _generator_products(P, 3):
+    probes = _generator_products(P, 2)
+    for u in probes:
         sq = D(D(u))
         formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
         if sq != formula:
             report.square_formula_ok = False
             report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
             break
-    report.witness = _square_witness(
-        _generator_products(P, 2 if report.square_formula_ok else 3), D, ft)
+    report.witness = _square_witness(probes, D, ft)
     report.is_scalar = report.witness is None
     return report
 
@@ -637,8 +629,9 @@ class _OncePerMonomialView(BialgebroidPair):
     the pair (dirac_apply, laplacian, dorfman, the Cartan formula of
     AlgebroidStructure.lie_derivative) then shares those images when called
     on the view.  flipped() is the view of P.flipped(), built on first use,
-    whose flipped() is this view again, so the mirror operators share them
-    too.  Nothing is stored on P: the images go when the view does."""
+    whose flipped() is this view again: the mirror operators of a call
+    share its images, which are its own, not this view's.  Nothing is
+    stored on P: the images go when the view does."""
 
     def __init__(self, P: BialgebroidPair):
         self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
@@ -831,13 +824,12 @@ def _theorem_c_primal(P: BialgebroidPair) -> Dict[str, Optional[str]]:
     Lie derivatives, and (e) is (k) on functions and degree-1 sections;
     (c) the commutator-defect operator is tensorial with the stated trace,
     checked on sections with |gamma| <= 1 and on f = x_a (see
-    _defect_witness).  The (k) defect
-    Lap - 1/2 (L_{X_0} + L_{xi_0}) has order <= 2 over wedge A (see
-    PROBE_DEGREE), so it runs on the products of at most 2 generators, with
-    the witness that all x^gamma e_I with |gamma| <= 2 would give (the
-    sub-product argument of dirac_square).  (e) fails exactly when the
-    first failure of (k) on that full family has degree <= 1, and that
-    failure is then (k)'s witness here too, so (e) needs no scan of its own.
+    _defect_witness).  The (k) defect Lap - 1/2 (L_{X_0} + L_{xi_0}) has
+    order <= 2 over wedge A, so it runs on the products of at most 2
+    generators, with the witness that all x^gamma e_I with |gamma| <= 2
+    would give (see dirac_square).  (e) fails exactly when the first
+    failure of (k) on that full family has degree <= 1, and that failure
+    is then (k)'s witness here too, so (e) needs no scan of its own.
     """
     lap = functools.partial(laplacian, P)
     k_probe, k_wit = _modular_lie_failure(P, _generator_products(P, 2))
@@ -1204,8 +1196,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
                 break
     add(IdentityRecord("generator/derived-bracket", wit is None, wit))
 
-    # D^2 - f~ has order <= 2 over wedge A by the square formula, which
-    # dirac_square checks (see its docstring)
+    # D^2 - f~ has order <= 2 over wedge A by construction (see dirac_square)
     wit = _square_witness(_generator_products(P, 2), D, f_tilde(P))
     add(IdentityRecord("generator/square-scalar", wit is None, wit))
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from bialgebroid import (AlgebroidError, BialgebroidPair, Form, Multivector,
                          interior_by_form, is_lie_bialgebroid, metric,
                          multivector_probes, pairing, rho_apply, rho_field,
                          theorem_c_suite)
-from bialgebroid import ScalarReport
+from bialgebroid import (BivectorData, ScalarReport, cli, exact_identities, pn_desk_instance,
+                         pn_hierarchy, pn_identities)
 from bialgebroid import pair as pair_module
 from bialgebroid.ring import field_bracket
 from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
@@ -351,24 +353,53 @@ def test_square_decisions_on_generator_products_match_the_full_family(
                 assert thm.record(rid).witness == (None if wit is None else prefix + wit), label
 
 
-def test_square_formula_is_checked_on_products_of_three_generators(corpus, monkeypatch):
-    """A D broken by e_1 ^ iota_{eps^1} iota_{eps^3}, an odd term of order 2,
-    keeps D^2 of order <= 3, and on the triangular Heisenberg pair its
-    formula defect first shows on e_1 ^ e_2 ^ e_3, a product of three
-    generators.  dirac_square finds it and then scans the products of at
-    most three generators for the scalar, as the full family does."""
+def _plus_an_order_2_fault(op):
+    """op plus e_1 ^ e_2 ^ iota_{eps^1} iota_{eps^2} on Multivectors: a term
+    of order 2 over wedge A that kills 1 and the generators and first shows
+    on e_1 ^ e_2."""
+
+    def broken(Q, target):
+        out = op(Q, target)
+        if isinstance(target, Form):
+            return out
+        inner = interior_by_form(Q.basis_eps(1), interior_by_form(Q.basis_eps(2), target))
+        return out + Q.basis_e(1).wedge(Q.basis_e(2)).wedge(inner)
+
+    return broken
+
+
+def test_square_formula_fault_of_order_2_shows_on_two_generators(corpus, monkeypatch):
+    """A fault inside the order argument: the formula's Laplacian broken by
+    an order-2 term, which leaves D untouched.  On the triangular Heisenberg
+    pair its formula defect first shows on e_1 ^ e_2, a product of two
+    generators, where the full family finds it too."""
     P = dict(corpus)["triangular-heisenberg"]
-    direct = pair_module.dirac_apply
-
-    def broken(Q, u):
-        inner = interior_by_form(Q.basis_eps(1), interior_by_form(Q.basis_eps(3), u))
-        return direct(Q, u) + Q.basis_e(1).wedge(inner)
-
-    monkeypatch.setattr(pair_module, "dirac_apply", broken)
+    monkeypatch.setattr(pair_module, "laplacian", _plus_an_order_2_fault(laplacian))
     got, want = dirac_square(P).to_json(), _dirac_square_oracle(P)
     assert got == want
-    assert not got["square_formula_ok"]
-    assert got["formula_witness"].startswith("u = e[1,2,3]; ")
+    assert got["is_scalar"] and not got["square_formula_ok"]
+    assert got["formula_witness"].startswith("u = e[1,2]; ")
+
+
+def test_square_zero_consumers_fail_with_the_square_formula(corpus, monkeypatch, capsys):
+    """exact/square-zero, pn/square-zero and `example poisson` read
+    square_formula_ok as well as is_scalar: with the formula's half modular
+    Lie derivative broken, which no other record of theirs reads, each fails
+    with the formula witness."""
+    monkeypatch.setattr(pair_module, "_half_modular_lie",
+                        _plus_an_order_2_fault(pair_module._half_modular_lie))
+    P = dict(corpus)["triangular-heisenberg"]
+    L = BivectorData(Multivector.monomial(3, (), (1, 3), const(1)))
+    A, N, Lpn = pn_desk_instance()
+    for rec, Q in ((exact_identities(P, L).record("exact/square-zero"), P),
+                   (pn_identities(A, N, Lpn).record("pn/square-zero"), pn_hierarchy(A, N, Lpn, 1, 1))):
+        want = dirac_square(Q)
+        assert want.is_scalar and not want.square_formula_ok
+        assert (rec.passed, rec.witness) == (False, want.formula_witness)
+    code = cli.main(["example", "poisson", "--dim", "2", "--pi", '[["0", "x1"], ["-x1", "0"]]'])
+    body = json.loads(capsys.readouterr().out)
+    assert (code, body["pass"], body["suite"]["pass"]) == (1, False, True)
+    assert body["formula_witness"].startswith("u = e[1,2]; ")
 
 
 def test_dirac_square_stores_nothing_on_the_pair(corpus):

@@ -291,9 +291,11 @@ def _element_key(w):
 def test_every_decision_takes_one_differential_per_monomial(corpus, monkeypatch):
     """Each decision takes the differential once per distinct (structure,
     input): d, dstar and the boundary read one once-per-monomial view for
-    the whole call, on the pair and on its mirror, and so does every
-    operator built on them (D, the Laplacians, the Lie derivatives, the
-    Dorfman bracket)."""
+    the whole call, and so does every operator built on them (D, the
+    Laplacians, the Lie derivatives, the Dorfman bracket).  The mirror
+    operators read the view's mirror, whose structures are copies of their
+    own: it keeps its own images, so the key is the structure object, not
+    its data."""
     P = dict(corpus)["poisson-linear"]
     P.flipped()
     seen = []
