@@ -139,12 +139,17 @@ def _cmd_check(args) -> Tuple[dict, int]:
         "square_formula_ok": report.square_formula_ok,
         "f_tilde": str(report.f_tilde),
     }
-    if report.witness is not None:
-        body["witness"] = report.witness
-    if report.formula_witness is not None:
-        body["formula_witness"] = report.formula_witness
+    _add_square_witnesses(body, report)
     body["pass"] = ok
     return body, 0 if ok else 1
+
+
+def _add_square_witnesses(body: dict, report) -> None:
+    """Add a dirac_square report's witness and formula_witness to body, each
+    only when set, so a passing report adds neither."""
+    for key in ("witness", "formula_witness"):
+        if getattr(report, key) is not None:
+            body[key] = getattr(report, key)
 
 
 _SUITES = {
@@ -219,8 +224,9 @@ def _cmd_example_a_plus_b(args) -> Tuple[dict, int]:
         "pair": pair_to_json(pair),
         "is_scalar": report.is_scalar,
         "f_tilde": str(report.f_tilde),
-        "pass": ok,
     }
+    _add_square_witnesses(body, report)
+    body["pass"] = ok
     return body, 0 if ok else 1
 
 
@@ -241,9 +247,7 @@ def _cmd_example_poisson(args) -> Tuple[dict, int]:
         "suite": report.to_json(),
         "f_tilde": str(square.f_tilde),
     }
-    for key in ("witness", "formula_witness"):
-        if getattr(square, key) is not None:
-            body[key] = getattr(square, key)
+    _add_square_witnesses(body, square)
     body["pass"] = ok
     return body, 0 if ok else 1
 

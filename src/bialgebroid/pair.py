@@ -58,11 +58,12 @@ primal witness found on the flipped pair, so it names flipped elements
 
 Each operator once per monomial.  Every decision and report that loops
 operators over probes runs on _once_per_monomial_view(P), the one place
-that decides what a call shares: there both differentials and the
-boundary run once per monomial x^gamma e_I met in the call, so D, the
+that decides what a call shares: there both differentials and both
+boundaries run once per monomial x^gamma e_I met in the call, so D, the
 Laplacians, the Lie derivatives and the Dorfman bracket read one set of
-images on P, and the mirror operators one on the view's mirror, which
-keeps its own although its algebroids are the view's two, swapped.  The
+images per algebroid, and the mirror operators read the same set: the
+view's mirror carries the view's two algebroids swapped and reaches their
+images through retype, storing none of its own.  The
 operators are additive and commute with constant scaling but are not
 C-infinity-linear, so an image is stored under the full monomial,
 exponent included, and every other value is the Fraction-weighted sum of
@@ -515,6 +516,15 @@ def rho_field(P: BialgebroidPair, e: SectionE) -> Tuple[Polynomial, ...]:
     return tuple(p + q for p, q in zip(av, ac))
 
 
+def _anchor_defect(P: BialgebroidPair, rho_x, rho_y, x_o_y: SectionE):
+    """rho(x o y) and [rho x, rho y] componentwise, given x o y and the
+    fields rho x, rho y, and the first component a at which the Courant
+    anchor defect, their difference, is nonzero (None when it vanishes)."""
+    lhs = rho_field(P, x_o_y)
+    rhs = field_bracket(rho_x, rho_y, P.coordinates)
+    return lhs, rhs, next((a for a, (p, q) in enumerate(zip(lhs, rhs)) if p != q), None)
+
+
 def rho_apply(P: BialgebroidPair, e: SectionE, f: Polynomial) -> Polynomial:
     """rho(e) f = a(vec) f + a_*(cov) f."""
     return P.A.anchor_apply(e.vec, f) + P.Astar.anchor_apply(e.cov, f)
@@ -624,14 +634,18 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
 
 class _OncePerMonomialView(BialgebroidPair):
     """P for one decision call: copies of A and A* whose differential (d on
-    forms, dstar on multivectors) runs once per monomial, and the boundary,
-    read through the view's own A, likewise.  Every operator written over
-    the pair (dirac_apply, laplacian, dorfman, the Cartan formula of
-    AlgebroidStructure.lie_derivative) then shares those images when called
-    on the view.  flipped() is the view of P.flipped(), built on first use,
-    whose flipped() is this view again: the mirror operators of a call
-    share its images, which are its own, not this view's.  Nothing is
-    stored on P: the images go when the view does."""
+    forms, dstar on multivectors) runs once per monomial, and the two
+    boundaries, read through the view's own A and A*, likewise.  Every
+    operator written over the pair (dirac_apply, laplacian, dorfman, the
+    Cartan formula of AlgebroidStructure.lie_derivative) then shares those
+    images when called on the view.  flipped() is a view of P.flipped(),
+    built on first use, whose flipped() is this view again.  It stores no
+    images of its own: its A is A*'s data on the vector side, so its
+    differential is this view's dstar moved across by retype, and likewise
+    its dstar is this view's d and its two boundaries this view's
+    boundary_star and boundary.  So the mirror operators of a call read the
+    same images as the primal ones.  Nothing is stored on P: the images go
+    when the view does."""
 
     def __init__(self, P: BialgebroidPair):
         self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
@@ -640,12 +654,26 @@ class _OncePerMonomialView(BialgebroidPair):
             side.differential = once_per_monomial(side.differential)
             setattr(self, name, side)
         self.boundary = once_per_monomial(self.boundary)
+        self.boundary_star = once_per_monomial(self.boundary_star)
 
     def flipped(self) -> "BialgebroidPair":
         if self._flipped is None:
-            self._flipped = _OncePerMonomialView(self._pair.flipped())
-            self._flipped._flipped = self
+            twin = self._pair.flipped()
+            mirror = object.__new__(_OncePerMonomialView)
+            mirror.__dict__.update(vars(twin), _modular=twin.modular, _flipped=self, _pair=twin)
+            for name, op in (("A", self.Astar.differential), ("Astar", self.A.differential)):
+                side = copy.copy(getattr(twin, name))
+                side.differential = _across(op)
+                setattr(mirror, name, side)
+            mirror.boundary = _across(self.boundary_star)
+            mirror.boundary_star = _across(self.boundary)
+            self._flipped = mirror
         return self._flipped
+
+
+def _across(op):
+    """op on the other frame: the same images read as Multivectors <-> Forms."""
+    return lambda w: retype(op(retype(w)))
 
 
 def _once_per_monomial_view(P: BialgebroidPair) -> BialgebroidPair:
@@ -758,16 +786,19 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     with constants there, so one wrapper takes it once per pair of monomials
     for the whole call; on the caller's view (theorem_c_suite) the
     differentials that the Lie derivatives and the Dorfman bracket read are
-    shared as well.  Tensoriality needs only f = x_a and
-    eta = eps^1: top has order <= 1 in eta, since every L along a degree-1
-    section satisfies L_x(f eta) = f L_x eta + (rho(x) f) eta, and in the
-    commutator the cross terms (rho(u) f) L_theta eta and (rho(theta) f)
-    L_u eta cancel.  So top(f eta) - f top(eta) = X(f) eta with the vector
-    field X = rho(e) - [rho(u), rho(theta)]: a derivation in f, which
-    vanishes for every polynomial f iff it vanishes for every f = x_a, and
-    for every eta iff it does for eta = eps^1.  The x_a come first among
-    the monomials and eps^1 first among the eps^j, so the witness is the
-    one that all f with |gamma| <= 2 and all eps^j would give.
+    shared as well.  Tensoriality is read off the anchor field, with no
+    evaluation of top on f eta: every L along a degree-1 section satisfies
+    L_x(f eta) = f L_x eta + (rho(x) f) eta, and in the commutator the
+    cross terms (rho(u) f) L_theta eta and (rho(theta) f) L_u eta cancel.
+    So top(f eta) - f top(eta) = X(f) eta with the vector field
+    X = rho(e) - [rho(u), rho(theta)], the Courant anchor defect of
+    ((u, 0), (0, theta)) that courant/g2 computes (_anchor_defect).  X is a
+    derivation in f, which vanishes for every polynomial f iff
+    X(x_a) = X^a vanishes for every a, and for every eta iff it does for
+    eta = eps^1.  The x_a come first among the monomials and eps^1 first
+    among the eps^j, so the witness, which names x_a for the first a with
+    X^a != 0 and eps^1, is the one that all f with |gamma| <= 2 and all
+    eps^j would give.
 
     The pair (u, theta) runs over the x^gamma e_i and x^gamma eps^j with
     |gamma| <= 1, because both parts of the defect have order <= 1 in each
@@ -789,26 +820,27 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     would give.
     """
     deg1_form = degree1_form_probes(P, 1)
-    coords = coordinate_monomials(P.coordinates, 1)[1:]
     lie = _once_per_monomial_lie(P)
     d_forms = [P.d(th) for th in deg1_form]
+    form_sections = [SectionE.of(cov=th) for th in deg1_form]
+    form_fields = [rho_field(P, s) for s in form_sections]
     for u in degree1_multivector_probes(P, 1):
-        du = P.dstar(u)
-        for th, dth in zip(deg1_form, d_forms):
-            e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
+        du, su = P.dstar(u), SectionE.of(vec=u)
+        rho_u = rho_field(P, su)
+        for th, dth, sth, rho_th in zip(deg1_form, d_forms, form_sections, form_fields):
+            e = dorfman(P, su, sth)
+            _, _, a = _anchor_defect(P, rho_u, rho_th, e)
+            if a is not None:
+                return (f"u = {u}; theta = {th}; defect operator is not "
+                        f"tensorial on ({P.coordinates[a]}) eps[1]")
 
             def top(eta: Form) -> Form:
                 second = lie(u, lie(th, eta)) - lie(th, lie(u, eta))
                 return lie(e.vec, eta) + lie(e.cov, eta) - second
 
-            base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
-            for f in coords:
-                if top(P.basis_eps(1).scaled(f)) != base[0].scaled(f):
-                    return (f"u = {u}; theta = {th}; defect operator is not "
-                            f"tensorial on ({f}) eps[1]")
             trace = Polynomial.zero(P.coordinates)
             for j in range(1, P.rank + 1):
-                trace = trace + pairing(base[j - 1], P.basis_e(j))
+                trace = trace + pairing(top(P.basis_eps(j)), P.basis_e(j))
             want = 2 * pairing(dth, du)
             if trace != want:
                 return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
@@ -1026,11 +1058,20 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
       iff A does, and A(x, z) is a vector field, seen on the x_a: g5 runs
       on X x N and holds exactly when g2 does;
     * J(x, y, f z) = f J(x, y, z) - A(x, y)(f) z;
-    * when A = 0, J is totally skew (by g4, g5 and g6), so by the line above
-      it is C-infinity-trilinear and g1 holds iff it holds on F^3.  When g2
-      fails at (x, y), pick x_a with A(x, y)(x_a) != 0: J(x, y, z) or
-      J(x, y, x_a z) is nonzero for z = F[0], so g1 fails too, and if F^3
-      holds that triple is its witness.
+    * on F, <x, y> is constant, so D<x, y> = 0 and rho(x)<y, z> = 0.  Then
+      g4 gives J(x, y, z) + J(y, x, z) = -2 D<x, y> o z = 0, and g4 with g6
+      gives J(x, y, z) + J(x, z, y) = x o 2 D<y, z> - 2 D(rho(x)<y, z>) = 0.
+      So J is totally skew on F^3 for every dual pair, whether or not g2
+      holds: it vanishes on a triple with a repeated section, and the first
+      failing triple of F^3 (in product order) is sorted, since its sorted
+      permutation fails too and comes no later.  g1 runs on the C(2n, 3)
+      sorted triples of distinct frame sections;
+    * when A = 0, J is totally skew everywhere (by g4, g5 and g6), so by
+      the J(x, y, f z) line it is C-infinity-trilinear and g1 holds iff it
+      holds on F^3.  When g2 fails at (x, y), pick x_a with
+      A(x, y)(x_a) != 0: J(x, y, z) or J(x, y, x_a z) is nonzero for
+      z = F[0], so g1 fails too, and if F^3 holds that triple is its
+      witness.
     The anchor relation is C-infinity-linear in x and a derivation in f,
     so it runs on X x F (see _anchor_witness).  Over a point X is empty,
     N = F, and only g1 can fail.
@@ -1046,17 +1087,16 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
         return bracket(x, bracket(y, z)) - bracket(bracket(x, y), z) - bracket(y, bracket(x, z))
 
     wit2 = defect = None
-    for x, y in itertools.product(near, frame):
-        lhs = rho_field(P, bracket(x, y))
-        rhs = field_bracket(rho_field(P, x), rho_field(P, y), P.coordinates)
-        a = next((a for a, (p, q) in enumerate(zip(lhs, rhs)) if p != q), None)
+    with_fields = [[(x, rho_field(P, x)) for x in family] for family in (near, frame)]
+    for (x, rho_x), (y, rho_y) in itertools.product(*with_fields):
+        lhs, rhs, a = _anchor_defect(P, rho_x, rho_y, bracket(x, y))
         if a is not None:
             wit2 = (f"x = {x}; y = {y}; rho(x o y) = {tuple(map(str, lhs))}; "
                     f"[rho x, rho y] = {tuple(map(str, rhs))}")
             defect = x, y, a
             break
 
-    wit = next((f"x = {x}; y = {y}; z = {z}" for x, y, z in itertools.product(frame, repeat=3)
+    wit = next((f"x = {x}; y = {y}; z = {z}" for x, y, z in itertools.combinations(frame, 3)
                 if not jacobiator(x, y, z).is_zero()), None)
     if wit is None and defect is not None:
         x, y, a = defect

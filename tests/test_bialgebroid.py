@@ -382,10 +382,10 @@ def test_square_formula_fault_of_order_2_shows_on_two_generators(corpus, monkeyp
 
 
 def test_square_zero_consumers_fail_with_the_square_formula(corpus, monkeypatch, capsys):
-    """exact/square-zero, pn/square-zero and `example poisson` read
-    square_formula_ok as well as is_scalar: with the formula's half modular
-    Lie derivative broken, which no other record of theirs reads, each fails
-    with the formula witness."""
+    """exact/square-zero, pn/square-zero, `example poisson` and `example
+    a-plus-b` read square_formula_ok as well as is_scalar: with the
+    formula's half modular Lie derivative broken, which no other record of
+    theirs reads, each fails with the formula witness."""
     monkeypatch.setattr(pair_module, "_half_modular_lie",
                         _plus_an_order_2_fault(pair_module._half_modular_lie))
     P = dict(corpus)["triangular-heisenberg"]
@@ -400,6 +400,10 @@ def test_square_zero_consumers_fail_with_the_square_formula(corpus, monkeypatch,
     body = json.loads(capsys.readouterr().out)
     assert (code, body["pass"], body["suite"]["pass"]) == (1, False, True)
     assert body["formula_witness"].startswith("u = e[1,2]; ")
+    code = cli.main(["example", "a-plus-b", "--a", "1", "--b", "2", "--c", "3", "--d", "4"])
+    body = json.loads(capsys.readouterr().out)
+    assert (code, body["pass"], body["is_scalar"]) == (1, False, True)
+    assert "witness" not in body and body["formula_witness"].startswith("u = e[1,2]; ")
 
 
 def test_dirac_square_stores_nothing_on_the_pair(corpus):
@@ -669,60 +673,105 @@ def test_derived_bracket_brackets_each_frame_pair_once(monkeypatch):
 
 
 def _courant_oracle(P, degree):
-    """Pass flag of each Courant record with every slot running over the
-    sections x^gamma e_i, x^gamma eps^i and the functions x^gamma with
-    |gamma| <= degree: no reduction by the order of the defects.  Brackets,
-    anchors and metric values of the sections are each computed once."""
+    """g1's witness and the pass flags of the Courant records, found with
+    every slot running over the sections x^gamma e_i, x^gamma eps^i and the
+    functions x^gamma with |gamma| <= degree (at least 1): no reduction by
+    the order of the defects.
+
+    The witness is found without the skewness of the Jacobiator on the
+    frame: the first failing triple of F^3 in product order, else, when g2
+    fails first at (x, y) in N x F and at component a, (x, y, F[0]) or
+    (x, y, x_a F[0]), where F = e_1, eps^1, .., e_n, eps^n and N adds the
+    x_a e_i, x_a eps^i after each e_i, eps^i, as in courant_axioms.  The
+    flags come from a function, so a caller that wants the witness alone
+    pays only for the brackets it reads.  Brackets, anchors and metric
+    values of the sections are each computed once, and the witness and the
+    flags share them."""
     funcs = coordinate_monomials(P.coordinates, degree)
     secs = [SectionE.of(vec=P.basis_e(i).scaled(f)) for i in range(1, P.rank + 1) for f in funcs] \
         + [SectionE.of(cov=P.basis_eps(i).scaled(f)) for i in range(1, P.rank + 1) for f in funcs]
     bracket = pair_module._once_per_monomial_dorfman(P)
     idx = range(len(secs))
-    br = [[bracket(x, y) for y in secs] for x in secs]
-    met = [[metric(x, y) for y in secs] for x in secs]
     rho = [rho_field(P, x) for x in secs]
+
+    @functools.cache
+    def br(i, j):  # secs[i] o secs[j]
+        return bracket(secs[i], secs[j])
+
+    @functools.cache
+    def nested(i, j, k):  # secs[i] o (secs[j] o secs[k])
+        return bracket(secs[i], br(j, k))
+
+    def jacobiator_vanishes(i, j, k):
+        return nested(i, j, k) == bracket(br(i, j), secs[k]) + nested(j, i, k)
+
+    def anchor_defect(i, j):  # the first a with rho(x o y)^a != [rho x, rho y]^a, or None
+        lhs, rhs = rho_field(P, br(i, j)), field_bracket(rho[i], rho[j], P.coordinates)
+        return next((a for a, (p, q) in enumerate(zip(lhs, rhs)) if p != q), None)
+
+    n, size, near_size = P.rank, len(funcs), 1 + len(P.coordinates)
+    frame = [s for i in range(n) for s in (i * size, (n + i) * size)]
+    near = [s + k for i in range(n) for k in range(near_size) for s in (i * size, (n + i) * size)]
+    found = next(((i, j, k) for i, j, k in itertools.product(frame, repeat=3)
+                  if not jacobiator_vanishes(i, j, k)), None)
+    if found is None:
+        defect = next(((i, j, a) for i, j in itertools.product(near, frame)
+                       for a in [anchor_defect(i, j)] if a is not None), None)
+        if defect is not None:
+            i, j, a = defect
+            # secs[1 + a] is x_a e_1: funcs lists 1, then x_1 .. x_m
+            found = next((i, j, k) for k in (frame[0], 1 + a) if not jacobiator_vanishes(i, j, k))
+    g1_witness = None if found is None else \
+        "x = {}; y = {}; z = {}".format(*(secs[t] for t in found))
 
     def along(i, g):  # rho(secs[i]) g
         return sum((c * g.diff(v) for c, v in zip(rho[i], P.coordinates)),
                    Polynomial.zero(P.coordinates))
 
-    @functools.cache
-    def nested(i, j, k):  # secs[i] o (secs[j] o secs[k])
-        return bracket(secs[i], br[j][k])
+    def flags():
+        met = [[metric(x, y) for y in secs] for x in secs]
+        # <x o y, z> for every triple; the metric is symmetric
+        mbr = [[[metric(br(i, j), z) for z in secs] for j in idx] for i in idx]
+        pairs = list(itertools.product(idx, repeat=2))
+        triples = list(itertools.product(idx, repeat=3))
+        return {
+            "courant/g1": all(jacobiator_vanishes(i, j, k) for i, j, k in triples),
+            "courant/g2": all(anchor_defect(i, j) is None for i, j in pairs),
+            "courant/g3": all(bracket(secs[i], secs[j].scaled(f)) == br(i, j).scaled(f)
+                              + secs[j].scaled(along(i, f))
+                              for (i, j), f in itertools.product(pairs, funcs)),
+            "courant/g4": all(br(i, j) + br(j, i) == dee(P, met[i][j]).scaled(2)
+                              for i, j in pairs),
+            "courant/g5": all(bracket(dee(P, f), x).is_zero() for f in funcs for x in secs),
+            "courant/g6": all(along(i, met[j][k]) == mbr[i][j][k] + mbr[i][k][j]
+                              for i, j, k in triples),
+            "courant/anchor": all(metric(dee(P, f), secs[i]) * 2 == along(i, f)
+                                  for f in funcs for i in idx),
+        }
 
-    # <x o y, z> for every triple; the metric is symmetric
-    mbr = [[[metric(br[i][j], z) for z in secs] for j in idx] for i in idx]
-    pairs = list(itertools.product(idx, repeat=2))
-    triples = list(itertools.product(idx, repeat=3))
-    return {
-        "courant/g1": all(nested(i, j, k) == bracket(br[i][j], secs[k]) + nested(j, i, k)
-                          for i, j, k in triples),
-        "courant/g2": all(rho_field(P, br[i][j]) == field_bracket(rho[i], rho[j], P.coordinates)
-                          for i, j in pairs),
-        "courant/g3": all(bracket(secs[i], secs[j].scaled(f)) == br[i][j].scaled(f)
-                          + secs[j].scaled(along(i, f))
-                          for (i, j), f in itertools.product(pairs, funcs)),
-        "courant/g4": all(br[i][j] + br[j][i] == dee(P, met[i][j]).scaled(2) for i, j in pairs),
-        "courant/g5": all(bracket(dee(P, f), x).is_zero() for f in funcs for x in secs),
-        "courant/g6": all(along(i, met[j][k]) == mbr[i][j][k] + mbr[i][k][j]
-                          for i, j, k in triples),
-        "courant/anchor": all(metric(dee(P, f), secs[i]) * 2 == along(i, f)
-                              for f in funcs for i in idx),
-    }
+    return g1_witness, flags
 
 
 def test_courant_records_match_every_slot(corpus, failing_pairs, pn_failing_pairs):
     """Oracle for the order reductions of courant_axioms: each record's pass
     flag equals a check with every slot over the monomial families, |gamma|
-    <= 2 (|gamma| <= 1 on the pairs over R^3), and the suite passes exactly
-    when D^2 is a scalar (Liu-Weinstein-Xu)."""
+    <= 2 (|gamma| <= 1 on the pairs over R^3), g1's witness, None included,
+    equals the one found on all of F^3, on P and on P.flipped(), and the
+    suite passes exactly when D^2 is a scalar (Liu-Weinstein-Xu)."""
     cases = [(label, P, 2) for label, P in corpus + [(P.label, P) for P in failing_pairs]] \
         + [(P.label, P, 1) for P in pn_failing_pairs]
+    g1_failures = 0
     for label, P, degree in cases:
         rep = courant_axioms(P)
-        want = _courant_oracle(P, degree)
-        assert {r.id: r.passed for r in rep.records} == want, label
+        g1_witness, flags = _courant_oracle(P, degree)
+        assert {r.id: r.passed for r in rep.records} == flags(), label
+        assert rep.record("courant/g1").witness == g1_witness, label
         assert rep.passed == dirac_square(P).is_scalar, label
+        # the witness reads sections with |gamma| <= 1 only
+        mirror = _courant_oracle(P.flipped(), 1)[0]
+        assert courant_axioms(P.flipped()).record("courant/g1").witness == mirror, label
+        g1_failures += (g1_witness is not None) + (mirror is not None)
+    assert g1_failures == 2 * (len(failing_pairs) + len(pn_failing_pairs))
 
 
 def test_every_export_resolves_once():

@@ -282,27 +282,32 @@ def test_suites_store_nothing_on_the_pair(corpus):
         assert "dstar" not in vars(P) and "boundary" not in vars(P)
 
 
-def _element_key(w):
-    """The class, indices and exact coefficients of an element."""
-    return type(w), tuple(sorted((ix, tuple(sorted(p.terms.items())))
-                                 for ix, p in w.terms.items()))
+def _terms_key(w):
+    """The indices and exact coefficients of an element, whatever its class."""
+    return tuple(sorted((ix, tuple(sorted(p.terms.items()))) for ix, p in w.terms.items()))
+
+
+def _data_key(side):
+    """The anchor and bracket data of an algebroid, whichever side it is on."""
+    return (tuple(tuple(map(str, row)) for row in side.anchor),
+            tuple(sorted((key, tuple(map(str, comps))) for key, comps in side.brackets.items())))
 
 
 def test_every_decision_takes_one_differential_per_monomial(corpus, monkeypatch):
-    """Each decision takes the differential once per distinct (structure,
-    input): d, dstar and the boundary read one once-per-monomial view for
-    the whole call, and so does every operator built on them (D, the
-    Laplacians, the Lie derivatives, the Dorfman bracket).  The mirror
-    operators read the view's mirror, whose structures are copies of their
-    own: it keeps its own images, so the key is the structure object, not
-    its data."""
+    """Each decision takes the differential once per distinct (algebroid
+    data, input): d, dstar and both boundaries read one once-per-monomial
+    view for the whole call, and so does every operator built on them (D,
+    the Laplacians, the Lie derivatives, the Dorfman bracket).  The view's
+    mirror carries the same two algebroids on the other sides and reads the
+    view's images through retype, so the key is the algebroid's data and
+    the input's terms, not the structure object or the input's class."""
     P = dict(corpus)["poisson-linear"]
     P.flipped()
     seen = []
     direct = AlgebroidStructure.differential
 
     def counting(side, w):
-        seen.append((side, _element_key(w)))
+        seen.append((_data_key(side), _terms_key(w)))
         return direct(side, w)
 
     monkeypatch.setattr(AlgebroidStructure, "differential", counting)
