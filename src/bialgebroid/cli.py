@@ -49,7 +49,7 @@ from .exterior import ExteriorError, Multivector
 from .pair import (PROBE_DEGREE, PairError, corollary_suite, courant_axioms,
                    dirac_square, f_tilde, generator_check, theorem_c_suite)
 from .ring import PolynomialError, parse_rational
-from .serialize import (_BRACKET_KEY, DocumentError, algebroid_from_json,
+from .serialize import (_BRACKET_KEY, DocumentError, _bracket_indices, algebroid_from_json,
                         document_to_structures, pair_from_json, pair_to_json)
 
 # The package's own input classes only: a plain ValueError is a fault of
@@ -192,13 +192,7 @@ def _bivector_from_arg(raw, rank: int, coords) -> BivectorData:
     for key, value in raw.items():
         if not _BRACKET_KEY.fullmatch(key):
             raise DocumentError(f"--lambda key '{key}' is not of the form 'i,j'")
-        i_text, j_text = key.split(",")
-        try:
-            i, j = int(i_text), int(j_text)
-        except ValueError:  # more digits than int() converts: far out of range
-            i = j = 0
-        if not (1 <= i < j <= rank):
-            raise DocumentError(f"--lambda key '{key}' must satisfy 1 <= i < j <= {rank}")
+        i, j = _bracket_indices(key, rank, "--lambda")
         poly = Polynomial.parse(value, coords)
         if not poly.is_zero():
             terms[(i, j)] = poly

@@ -34,7 +34,8 @@ from .pair import (BialgebroidPair, IdentityRecord, IdentityReport,
                    PreconditionError, _generator_products, _modular_class,
                    _once_per_monomial_view, degree1_form_probes, dirac_square,
                    is_lie_bialgebroid, laplacian)
-from .ring import _MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial
+from .ring import (_MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial,
+                   divergence, first_non_skew, identity_matrix, matrix_product)
 
 
 class ConstructionError(ValueError):
@@ -54,11 +55,8 @@ def _coerce_poly(value, variables) -> Polynomial:
 def tangent_algebroid(coordinates: Sequence[str]) -> AlgebroidStructure:
     """The tangent structure on R^m: identity anchor, vanishing brackets."""
     coords = tuple(coordinates)
-    m = len(coords)
-    one = Polynomial.const(coords, 1)
-    zero = Polynomial.zero(coords)
-    anchor = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    return AlgebroidStructure(m, coords, anchor, {}, "vector")
+    anchor = identity_matrix(len(coords), coords)
+    return AlgebroidStructure(len(coords), coords, anchor, {}, "vector")
 
 
 # -- bivector data and exact pairs --------------------------------------------------
@@ -217,25 +215,6 @@ def _dstar_bracket_witness(P: BialgebroidPair, Lambda: Multivector) -> Optional[
 # -- Nijenhuis data and PN hierarchies ------------------------------------------------
 
 
-def _mat_mul(A, B, coords):
-    n = len(A)
-    zero = Polynomial.zero(coords)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + A[i][k] * B[k][j]
-            out[i][j] = acc
-    return out
-
-
-def _mat_identity(n, coords):
-    one = Polynomial.const(coords, 1)
-    zero = Polynomial.zero(coords)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 class NijenhuisData:
     """A torsion-free endomorphism of the frame, as an n x n matrix.
 
@@ -254,7 +233,7 @@ class NijenhuisData:
         self.matrix = tuple(rows)
         self.rank = n
         self.variables = coords
-        self._powers = [_mat_identity(n, coords)]  # N^0, N^1, ... as built so far
+        self._powers = [identity_matrix(n, coords)]  # N^0, N^1, ... as built so far
 
     def power(self, l: int) -> List[List[Polynomial]]:
         """N^l, built once per instance: N^j is N^(j-1) N, so the first call
@@ -265,7 +244,7 @@ class NijenhuisData:
         if l >= len(self._powers):
             self._check_power(l)
             while len(self._powers) <= l:
-                self._powers.append(_mat_mul(self._powers[-1], self.matrix, self.variables))
+                self._powers.append(matrix_product(self._powers[-1], self.matrix, self.variables))
         return self._powers[l]
 
     def _check_power(self, l: int) -> None:
@@ -316,15 +295,9 @@ class NijenhuisData:
         """The matrix mat on the components of a degree-1 element u."""
         if u.degrees() not in ([], [1]):
             raise ConstructionError("N acts on degree-1 sections")
-        comps = [u.coefficient((j + 1,)) for j in range(self.rank)]
-        out = {}
-        for i in range(self.rank):
-            acc = Polynomial.zero(self.variables)
-            for j in range(self.rank):
-                acc = acc + mat[i][j] * comps[j]
-            if not acc.is_zero():
-                out[(i + 1,)] = acc
-        return type(u)(u.rank, u.variables, out)
+        column = [[u.coefficient((j + 1,))] for j in range(self.rank)]
+        image = matrix_product(mat, column, self.variables)
+        return type(u)(u.rank, u.variables, {(i + 1,): p for i, (p,) in enumerate(image)})
 
     def validate(self, A: AlgebroidStructure) -> None:
         """Vanishing torsion [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]) on basis pairs."""
@@ -372,12 +345,11 @@ def _shifted_bivector(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
     """Lambda_k with Lambda_k# = N^k o Lambda#; requires the result to be skew."""
     n, coords = A.rank, A.coordinates
     S = L.sharp_matrix()
-    Sk = _mat_mul(N.power(k), S, coords)
-    for i in range(n):
-        for j in range(i, n):
-            if Sk[i][j] != -Sk[j][i]:
-                raise ConstructionError(
-                    f"N^{k} o Lambda# is not skew at ({i + 1}, {j + 1})")
+    Sk = matrix_product(N.power(k), S, coords)
+    asym = first_non_skew(Sk)
+    if asym is not None:
+        raise ConstructionError(
+            f"N^{k} o Lambda# is not skew at ({asym[0] + 1}, {asym[1] + 1})")
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -395,8 +367,8 @@ def _check_pn_compatibility(A: AlgebroidStructure, N: NijenhuisData, L: Bivector
             f"[Lambda, Lambda] = {A.schouten(L.Lambda, L.Lambda)}, not 0")
     n, coords = A.rank, A.coordinates
     S = L.sharp_matrix()
-    lhs = _mat_mul(S, [[N.matrix[j][i] for j in range(n)] for i in range(n)], coords)
-    rhs = _mat_mul([list(r) for r in N.matrix], S, coords)
+    lhs = matrix_product(S, list(zip(*N.matrix)), coords)
+    rhs = matrix_product(N.matrix, S, coords)
     for i in range(n):
         for j in range(n):
             if lhs[i][j] != rhs[i][j]:
@@ -552,10 +524,9 @@ class PoissonManifoldData:
         if len(coords) != base_dim:
             raise ConstructionError("coordinate count must equal base_dim")
         rows = [tuple(_coerce_poly(v, coords) for v in row) for row in rows]
-        for i in range(base_dim):
-            for j in range(i, base_dim):
-                if rows[i][j] != -rows[j][i]:
-                    raise ConstructionError(f"pi is not skew at ({i + 1}, {j + 1})")
+        asym = first_non_skew(rows)
+        if asym is not None:
+            raise ConstructionError(f"pi is not skew at ({asym[0] + 1}, {asym[1] + 1})")
         self.base_dim = base_dim
         self.coordinates = coords
         self.pi_components = tuple(rows)
@@ -575,12 +546,10 @@ class PoissonManifoldData:
     def modular_field(self) -> Multivector:
         """X_Omega with components X(x_j) = sum_k d_k pi^{jk}."""
         terms = {}
-        for j in range(1, self.base_dim + 1):
-            acc = Polynomial.zero(self.coordinates)
-            for k in range(1, self.base_dim + 1):
-                acc = acc + self.pi_components[j - 1][k - 1].diff(self.coordinates[k - 1])
-            if not acc.is_zero():
-                terms[(j,)] = acc
+        for j, row in enumerate(self.pi_components, start=1):
+            div = divergence(row, self.coordinates)
+            if not div.is_zero():
+                terms[(j,)] = div
         return Multivector(self.base_dim, self.coordinates, terms)
 
 

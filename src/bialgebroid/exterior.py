@@ -338,24 +338,23 @@ def weighted_sum(pieces):
 def once_per_monomial(op):
     """Wrap an additive operator so that it is applied once per monomial x^gamma e_I.
 
-    op must be additive and commute with constant scaling, as D, d, d_*,
-    the boundaries and the Laplacians do; it need not be C-infinity-linear,
-    so an image is stored under the element's class, index I and exponent
-    gamma together, never under I alone.  Every other input is then the
-    Fraction-weighted sum of the stored images of its monomials, which is
-    exactly op(input), of op's own output type.  The inputs must share one
+    op must be additive, commute with constant scaling and keep its input's
+    class, as D, d, d_*, the boundaries and the Laplacians do; it need not
+    be C-infinity-linear, so an image is stored under the element's class,
+    index I and exponent gamma together, never under I alone.  Every other
+    input is then the Fraction-weighted sum of the stored images of its
+    monomials, which is exactly op(input).  The inputs must share one
     rank and variable context, as they do inside one computation on one
-    pair.  The images live as long as the returned callable, so build one
-    inside each computation and let it go on return.
+    pair.  A zero input is returned as it is, the zero of its class,
+    without calling op, as in once_per_monomial_pair.  The images live as
+    long as the returned callable, so build one inside each computation and
+    let it go on return.
     """
     images = {}
 
     def apply(element):
         if not element.terms:
-            key = (type(element),)
-            if key not in images:
-                images[key] = op(element)
-            return images[key]
+            return element
         pieces = []
         for key, c in monomials(element):
             found = images.get(key)

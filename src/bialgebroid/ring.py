@@ -22,6 +22,10 @@ grammar; it makes printing and parsing mutual inverses.)  An integer
 literal longer than Python's int digit limit (4300 by default) is a
 PolynomialError, like any other malformed text.  parse_rational reads
 one signed constant, ['+'|'-'] rational, in the same grammar.
+
+The module ends with the base-geometry formulas that every other layer
+uses, each written once: divergence, a vector field applied to a function,
+the bracket of two fields, and polynomial matrices.
 """
 
 from __future__ import annotations
@@ -515,13 +519,53 @@ def divergence(components, variables) -> Polynomial:
     return out
 
 
+def apply_field(y, f: Polynomial, variables) -> Polynomial:
+    """Y f = sum_a Y^a d(f)/d(x_a) for a base vector field Y given by
+    components; a zero component, or a zero derivative, costs no product."""
+    out = Polynomial.zero(variables)
+    for comp, name in zip(y, variables):
+        if comp:
+            df = f.diff(name)
+            if df:
+                out = out + comp * df
+    return out
+
+
 def field_bracket(y, z, variables):
-    """Commutator [Y, Z] of base vector fields given componentwise."""
-    variables = tuple(variables)
+    """Commutator [Y, Z] of base vector fields given componentwise:
+    [Y, Z]^b = Y(Z^b) - Z(Y^b)."""
+    return tuple(apply_field(y, zb, variables) - apply_field(z, yb, variables)
+                 for yb, zb in zip(y, z))
+
+
+def identity_matrix(n: int, variables):
+    """The n x n identity matrix of polynomials, as a list of rows."""
+    one, zero = Polynomial.const(variables, 1), Polynomial.zero(variables)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def matrix_product(a, b, variables):
+    """The product of a p x q and a q x r polynomial matrix, as a list of p
+    rows of r entries; r is read off b's rows, so q = 0 gives p empty rows."""
+    zero = Polynomial.zero(variables)
+    r = len(b[0]) if b else 0
     out = []
-    for b in range(len(variables)):
-        acc = Polynomial.zero(variables)
-        for a, name in enumerate(variables):
-            acc = acc + y[a] * z[b].diff(name) - z[a] * y[b].diff(name)
+    for row in a:
+        acc = [zero] * r
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y if y else s for s, y in zip(acc, b_row)]
         out.append(acc)
-    return tuple(out)
+    return out
+
+
+def first_non_skew(matrix):
+    """The first (i, j), 0-based and row by row, with matrix[i][j] !=
+    -matrix[j][i], or None for a skew matrix.  It always has i <= j: an
+    entry below the diagonal fails only with its mirror above it, which
+    comes earlier."""
+    for i, row in enumerate(matrix):
+        for j in range(i, len(matrix)):
+            if row[j] != -matrix[j][i]:
+                return i, j
+    return None

@@ -107,6 +107,19 @@ def _parse_poly(text: str, coords, where: str) -> Polynomial:
         raise DocumentError(f"bad polynomial at {where}: {exc}") from exc
 
 
+def _bracket_indices(key: str, rank: int, owner: str) -> Tuple[int, int]:
+    """(i, j) of a key "i,j" that _BRACKET_KEY matches, or a DocumentError
+    naming owner unless 1 <= i < j <= rank."""
+    i_text, j_text = key.split(",")
+    try:
+        i, j = int(i_text), int(j_text)
+    except ValueError:  # more digits than int() converts: far out of range
+        i = j = 0
+    if not (1 <= i < j <= rank):
+        raise DocumentError(f"{owner} key '{key}' must satisfy 1 <= i < j <= {rank}")
+    return i, j
+
+
 def _structure_from_subdoc(sub, rank: int, coords, kind: str,
                            where: str) -> AlgebroidStructure:
     _object(sub, where, _SIDE_KEYS)
@@ -125,14 +138,7 @@ def _structure_from_subdoc(sub, rank: int, coords, kind: str,
         if not (isinstance(key, str) and _BRACKET_KEY.fullmatch(key)):
             raise _violation(f"{where}/brackets", f"key {key!r} is not of the form 'i,j'")
         _strings(entry, f"{where}/brackets/{key}")
-        i_text, j_text = key.split(",")
-        try:
-            i, j = int(i_text), int(j_text)
-        except ValueError:  # more digits than int() converts: far out of range
-            i = j = 0
-        if not (1 <= i < j <= rank):
-            raise DocumentError(
-                f"{where}.brackets key '{key}' must satisfy 1 <= i < j <= {rank}")
+        i, j = _bracket_indices(key, rank, f"{where}.brackets")
         if len(entry) != rank:
             raise DocumentError(
                 f"{where}.brackets['{key}'] must have {rank} components")

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bialgebroid import (AlgebroidError, AlgebroidStructure, FrameData, Form,
                          Multivector, Polynomial, bv_boundary, field_bracket,
@@ -209,6 +210,35 @@ def test_schouten_on_functions_is_anchor():
     u = alg.basis_section(1)
     expected = alg.anchor_apply(u, f)
     assert alg.schouten(u, Multivector.scalar(2, R2, f)) == Multivector.scalar(2, R2, expected)
+
+
+def _full_sum_anchor_apply(alg, u, f):
+    """rho(u) f = sum_i sum_a u^i rho_i^a d_a f over every index, zero or not."""
+    out = Polynomial.zero(alg.coordinates)
+    for i, row in enumerate(alg.anchor, start=1):
+        for comp, name in zip(row, alg.coordinates):
+            out = out + u.coefficient((i,)) * comp * f.diff(name)
+    return out
+
+
+def _r2_polynomials(max_size):
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(monomials, coefficients, max_size=max_size).map(
+        lambda terms: Polynomial(R2, terms))
+
+
+@settings(max_examples=40)
+@given(st.lists(_r2_polynomials(2), min_size=4, max_size=4),
+       st.lists(_r2_polynomials(2), min_size=2, max_size=2), _r2_polynomials(4))
+def test_anchor_apply_matches_the_full_sum(anchor, coeffs, f):
+    """Anchors with zero entries (max_size 2 draws many empty polynomials)."""
+    alg = AlgebroidStructure(2, R2, [anchor[:2], anchor[2:]], {}, "vector")
+    u = Multivector(2, R2, {(i,): c for i, c in enumerate(coeffs, start=1)})
+    assert alg.anchor_apply(u, f) == _full_sum_anchor_apply(alg, u, f)
+    for i in (1, 2):
+        assert alg.differential(Form.scalar(2, R2, f)).coefficient((i,)) == \
+            _full_sum_anchor_apply(alg, alg.basis_section(i), f)
 
 
 def test_lie_derivative_is_pairing_derivation():

@@ -205,6 +205,20 @@ def test_integer_past_the_digit_limit_in_a_document_is_input_error(capsys, tmp_p
     assert code == 2 and "internal" not in body, body
 
 
+def test_bracket_key_past_the_digit_limit_is_out_of_range_on_both_paths(capsys, tmp_path):
+    """A document key and a --lambda key go through one parse, with one message."""
+    key = f"1,{LONG_INT}"
+    path = _doc_with(tmp_path, "long-key.json",
+                     lambda doc: doc["A"]["brackets"].update({key: ["1", "0"]}))
+    code, out = run(capsys, "check", path)
+    assert code == 2
+    assert json.loads(out)["error"] == f"A.brackets key '{key}' must satisfy 1 <= i < j <= 2"
+    code, out = run(capsys, "example", "exact", "tests/fixtures/tangent-r3.json",
+                    "--lambda", json.dumps({key: "1"}))
+    assert code == 2
+    assert json.loads(out)["error"] == f"--lambda key '{key}' must satisfy 1 <= i < j <= 3"
+
+
 @pytest.mark.parametrize("command", ["validate", "check", "modular"])
 @pytest.mark.parametrize("key, value", [("rank", 2.0), ("base_dim", 2.0), ("rank", True)])
 def test_header_number_that_is_not_a_json_integer_is_input_error(capsys, tmp_path, command,

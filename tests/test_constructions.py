@@ -16,8 +16,9 @@ from bialgebroid import (BivectorData, ConstructionError, Form, FrameData, Multi
 from bialgebroid import (InternalError, algebroid_from_json, interior_by_multivector,
                          laplacian, multivector_probes, pair_to_json, retype)
 from bialgebroid import constructions
-from bialgebroid.constructions import _dstar_bracket_witness, _mat_identity
+from bialgebroid.constructions import _dstar_bracket_witness
 from bialgebroid.pair import BialgebroidPair, _modular_class, degree1_form_probes
+from bialgebroid.ring import identity_matrix
 
 from conftest import (FIXTURES, const, heisenberg, heisenberg_exact_pair,
                       heisenberg_triangular_pair, point_algebra, poisson_data,
@@ -281,9 +282,9 @@ def test_pn_hierarchy_squares_to_zero(k, l):
 def _uncached_power(N, l):
     """N^l by l products from the identity, on every call."""
     N._check_power(l)
-    out = _mat_identity(N.rank, N.variables)
+    out = identity_matrix(N.rank, N.variables)
     for _ in range(l):
-        out = constructions._mat_mul(out, [list(row) for row in N.matrix], N.variables)
+        out = constructions.matrix_product(out, N.matrix, N.variables)
     return out
 
 
@@ -292,7 +293,7 @@ def test_nijenhuis_powers_are_built_once_per_instance(monkeypatch):
     the power below it by N, taken once for the instance, and the reports
     are the ones that powers taken afresh on every call give."""
     products = []
-    direct = constructions._mat_mul
+    direct = constructions.matrix_product
 
     def counting(X, Y, coords):
         if sys._getframe(1).f_code is NijenhuisData.power.__code__:
@@ -301,10 +302,10 @@ def test_nijenhuis_powers_are_built_once_per_instance(monkeypatch):
 
     A, N, L = pn_desk_instance()
     N = NijenhuisData(N.matrix, N.variables)  # no power built yet
-    monkeypatch.setattr(constructions, "_mat_mul", counting)
+    monkeypatch.setattr(constructions, "matrix_product", counting)
     pn_identities(A, N, L, 2, 2)
     assert len(products) == 3
-    monkeypatch.setattr(constructions, "_mat_mul", direct)
+    monkeypatch.setattr(constructions, "matrix_product", direct)
 
     def reports(N):
         return [(pn_identities(A, N, L, k, l).to_json(), pair_to_json(pn_hierarchy(A, N, L, k, l)))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bialgebroid import Polynomial, PolynomialError, divergence, field_bracket
 from bialgebroid import ring
-from bialgebroid.ring import parse_rational
+from bialgebroid.ring import apply_field, parse_rational
 
 XY = ("x", "y")
 XYZ = ("x1", "x2", "x3")
@@ -244,6 +244,57 @@ def test_field_bracket_oracle():
     y3 = (poly("0"), poly("x"))
     y4 = (poly("y"), poly("0"))
     assert field_bracket(y3, y4, XY) == (poly("x"), poly("-y"))
+
+
+def _full_sum_field_bracket(y, z, variables):
+    """[Y, Z] by the full sum over every component, zero or not."""
+    out = []
+    for b in range(len(variables)):
+        acc = Polynomial.zero(variables)
+        for a, name in enumerate(variables):
+            acc = acc + y[a] * z[b].diff(name) - z[a] * y[b].diff(name)
+        out.append(acc)
+    return tuple(out)
+
+
+def fields(coords=XYZ):
+    """Base vector fields whose components are often zero."""
+    component = st.one_of(st.just(Polynomial.zero(coords)), polynomials(coords))
+    return st.tuples(*[component] * len(coords))
+
+
+@settings(max_examples=60)
+@given(fields(), fields(), polynomials(XYZ))
+def test_shared_field_helpers_match_the_full_sums(y, z, f):
+    assert apply_field(y, f, XYZ) == sum(
+        (c * f.diff(name) for c, name in zip(y, XYZ)), Polynomial.zero(XYZ))
+    assert field_bracket(y, z, XYZ) == _full_sum_field_bracket(y, z, XYZ)
+
+
+def _nonzero_products(y, f):
+    """The products Y^a d_a f with neither factor zero."""
+    return sum(1 for c, name in zip(y, XYZ) if c and f.diff(name))
+
+
+@settings(max_examples=30)
+@given(fields(), fields(), polynomials(XYZ))
+def test_a_zero_component_costs_no_product(y, z, f):
+    calls = []
+    direct = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return direct(self, other)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        monkeypatch.setattr(Polynomial, "__rmul__", counting)
+        apply_field(y, f, XYZ)
+        assert len(calls) == _nonzero_products(y, f)
+        del calls[:]
+        field_bracket(y, z, XYZ)
+        assert len(calls) == sum(_nonzero_products(y, zb) + _nonzero_products(z, yb)
+                                 for yb, zb in zip(y, z))
 
 
 @given(polynomials())
