@@ -294,6 +294,8 @@ def _render_text(body: dict) -> str:
 
     def walk(prefix: str, value):
         if isinstance(value, dict):
+            if not value:
+                lines.append(f"{prefix}: {{}}")
             for key, sub in value.items():
                 walk(f"{prefix}.{key}" if prefix else key, sub)
         elif isinstance(value, list):

@@ -672,6 +672,44 @@ def test_derived_bracket_brackets_each_frame_pair_once(monkeypatch):
     assert len(seen) == (2 * P.rank) ** 2 == 36
 
 
+def test_courant_and_generator_apply_no_anchor_to_functions(corpus, failing_pairs,
+                                                            pn_failing_pairs, monkeypatch):
+    """Every function the Courant and generator records apply an anchor to
+    is a coordinate x_a or a frame metric <y, z>, a constant, so they read
+    rho(x) x_a off the anchor field of x and call rho_apply nowhere."""
+    seen = []
+    direct = pair_module.rho_apply
+
+    def counting(pair, e, f):
+        seen.append((str(e), str(f)))
+        return direct(pair, e, f)
+
+    monkeypatch.setattr(pair_module, "rho_apply", counting)
+    for P in [P for _label, P in corpus] + list(failing_pairs) + list(pn_failing_pairs):
+        courant_axioms(P)
+        generator_check(P)
+        assert seen == [], P.label
+
+
+def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):
+    """theorem_c_suite makes 256 Lie derivative calls on poisson-linear: the
+    trace of each defect operator is read off its value on the top form, so
+    no defect operator runs on the n eps^j."""
+    P = dict(corpus)["poisson-linear"]
+    # the modular cocycles and the flip are P's own caches; take them first
+    P.flipped().modular, P.modular
+    seen = []
+    direct = bialgebroid.AlgebroidStructure.lie_derivative
+
+    def counting(side, x, target):
+        seen.append((str(x), str(target)))
+        return direct(side, x, target)
+
+    monkeypatch.setattr(bialgebroid.AlgebroidStructure, "lie_derivative", counting)
+    assert theorem_c_suite(P).passed
+    assert len(seen) == 256
+
+
 def _courant_oracle(P, degree):
     """g1's witness and the pass flags of the Courant records, found with
     every slot running over the sections x^gamma e_i, x^gamma eps^i and the

@@ -583,6 +583,16 @@ def test_text_output_nested_keys(capsys):
     assert "A.witnesses[0].kind: jacobi" in out
 
 
+def test_text_output_prints_empty_objects_and_lists(capsys):
+    """An empty object prints as `{}`, as an empty list prints as `[]`: the
+    abelian A of a Poisson double has no brackets."""
+    main(["--output", "text", "example", "poisson", "--dim", "2",
+          "--pi", '[["0","x1"],["-x1","0"]]'])
+    lines = capsys.readouterr().out.splitlines()
+    assert "pair.A.brackets: {}" in lines
+    assert "pair.Astar.brackets.1,2[0]: 1" in lines
+
+
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "bialgebroid"
