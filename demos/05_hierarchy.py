@@ -11,9 +11,8 @@ square scalar zero.
 from bialgebroid import (dirac_square, pn_desk_instance, pn_hierarchy,
                          pn_identities)
 
-# A deterministic search over diagonal candidates on R^3 finds the first
-# nontrivial compatible triple: N = diag(x1, x1, 1) with Lambda = e1 ^ e2
-# over the tangent structure.
+# The desk instance is a nontrivial compatible triple on R^3:
+# N = diag(x1, x1, 1) with Lambda = e1 ^ e2 over the tangent structure.
 A, N, L = pn_desk_instance()
 print("N =", [[str(p) for p in row] for row in N.matrix])
 print("Lambda =", L.Lambda)

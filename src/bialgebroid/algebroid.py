@@ -90,10 +90,6 @@ class AlgebroidStructure:
     # -- frame bookkeeping ------------------------------------------------
 
     @property
-    def base_dim(self) -> int:
-        return len(self.coordinates)
-
-    @property
     def section_cls(self):
         return Multivector if self.section_kind == "vector" else Form
 

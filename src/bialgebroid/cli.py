@@ -193,9 +193,7 @@ def _bivector_from_arg(raw, rank: int, coords) -> BivectorData:
         if not _BRACKET_KEY.fullmatch(key):
             raise DocumentError(f"--lambda key '{key}' is not of the form 'i,j'")
         i, j = _bracket_indices(key, rank, "--lambda")
-        poly = Polynomial.parse(value, coords)
-        if not poly.is_zero():
-            terms[(i, j)] = poly
+        terms[(i, j)] = Polynomial.parse(value, coords)
     return BivectorData(Multivector(rank, coords, terms))
 
 
@@ -246,23 +244,28 @@ def _cmd_example_poisson(args) -> Tuple[dict, int]:
     return body, 0 if ok else 1
 
 
-def _cmd_example_exact(args) -> Tuple[dict, int]:
-    A = algebroid_from_json(_load_doc(args.spec), "vector")
-    lam = _parse_json(args.lam, "--lambda")
-    L = _bivector_from_arg(lam, A.rank, A.coordinates)
-    pair = exact_from_bivector(A, L)
-    report = exact_identities(pair, L)
+def _example_report(args, parameters: dict, pair, report) -> Tuple[dict, int]:
+    """The report of an example family built on an algebroid document: the
+    pair, its identity report and its square scalar."""
     body = {
         "command": "example",
-        "family": "exact",
+        "family": args.family,
         "input": args.spec,
-        "parameters": {"lambda": lam},
+        "parameters": parameters,
         "pair": pair_to_json(pair),
         "suite": report.to_json(),
         "f_tilde": str(f_tilde(pair)),
         "pass": report.passed,
     }
     return body, 0 if report.passed else 1
+
+
+def _cmd_example_exact(args) -> Tuple[dict, int]:
+    A = algebroid_from_json(_load_doc(args.spec), "vector")
+    lam = _parse_json(args.lam, "--lambda")
+    L = _bivector_from_arg(lam, A.rank, A.coordinates)
+    pair = exact_from_bivector(A, L)
+    return _example_report(args, {"lambda": lam}, pair, exact_identities(pair, L))
 
 
 def _cmd_example_pn(args) -> Tuple[dict, int]:
@@ -274,19 +277,8 @@ def _cmd_example_pn(args) -> Tuple[dict, int]:
     lam = _parse_json(args.lam, "--lambda")
     L = _bivector_from_arg(lam, A.rank, A.coordinates)
     pair = pn_hierarchy(A, N, L, args.k, args.l)
-    report = pn_identities(A, N, L, args.k, args.l)
-    body = {
-        "command": "example",
-        "family": "pn",
-        "input": args.spec,
-        "parameters": {"n": n_rows, "lambda": lam,
-                       "k": args.k, "l": args.l},
-        "pair": pair_to_json(pair),
-        "suite": report.to_json(),
-        "f_tilde": str(f_tilde(pair)),
-        "pass": report.passed,
-    }
-    return body, 0 if report.passed else 1
+    return _example_report(args, {"n": n_rows, "lambda": lam, "k": args.k, "l": args.l},
+                           pair, pn_identities(A, N, L, args.k, args.l))
 
 
 def _render_text(body: dict) -> str:

@@ -108,19 +108,26 @@ def _migrant_bracket(A: AlgebroidStructure, L: BivectorData,
     return lead - tail
 
 
-def _dual_structure_from_bivector(A: AlgebroidStructure, L: BivectorData) -> AlgebroidStructure:
+def _tabulated(A: AlgebroidStructure, kind: str, frame, image, bracket) -> AlgebroidStructure:
+    """The structure of the given kind on A's base and rank whose anchor
+    sends the frame section s_i = frame.basis(n, coords, i) to the anchor
+    field of image(s_i) under A, and whose bracket of s_i, s_j (i < j) is
+    bracket(s_i, s_j), which must have degree 1."""
     n, coords = A.rank, A.coordinates
-    anchor = [list(A.anchor_field(L.sharp(Form.basis(n, coords, i))))
-              for i in range(1, n + 1)]
+    sections = [frame.basis(n, coords, i) for i in range(1, n + 1)]
+    anchor = [list(A.anchor_field(image(s))) for s in sections]
     brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = _migrant_bracket(A, L, Form.basis(n, coords, i), Form.basis(n, coords, j))
-            if out.degrees() not in ([], [1]):
-                raise ConstructionError(
-                    f"induced bracket of eps[{i}], eps[{j}] is not degree 1: {out}")
-            brackets[(i, j)] = tuple(out.coefficient((k,)) for k in range(1, n + 1))
-    return AlgebroidStructure(n, coords, anchor, brackets, "covector")
+    for (i, s), (j, t) in itertools.combinations(enumerate(sections, start=1), 2):
+        out = bracket(s, t)
+        if out.degrees() not in ([], [1]):
+            raise ConstructionError(f"induced bracket of {s}, {t} is not degree 1: {out}")
+        brackets[(i, j)] = tuple(out.coefficient((k,)) for k in range(1, n + 1))
+    return AlgebroidStructure(n, coords, anchor, brackets, kind)
+
+
+def _dual_structure_from_bivector(A: AlgebroidStructure, L: BivectorData) -> AlgebroidStructure:
+    return _tabulated(A, "covector", Form, L.sharp,
+                      lambda xi, theta: _migrant_bracket(A, L, xi, theta))
 
 
 def exact_from_bivector(A: AlgebroidStructure, L: BivectorData,
@@ -278,10 +285,7 @@ class NijenhuisData:
 
     def trace_power(self, l: int) -> Polynomial:
         mat = self.power(l)
-        acc = Polynomial.zero(self.variables)
-        for i in range(self.rank):
-            acc = acc + mat[i][i]
-        return acc
+        return sum((mat[i][i] for i in range(self.rank)), Polynomial.zero(self.variables))
 
     def apply(self, u: Multivector, l: int = 1) -> Multivector:
         """N^l on a degree-1 multivector, componentwise."""
@@ -303,41 +307,26 @@ class NijenhuisData:
         """Vanishing torsion [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]) on basis pairs."""
         if A.rank != self.rank or A.coordinates != self.variables:
             raise ConstructionError("N does not act on this algebroid")
-        for i in range(1, A.rank + 1):
-            for j in range(i + 1, A.rank + 1):
-                x, y = A.basis_section(i), A.basis_section(j)
-                nx, ny = self.apply(x), self.apply(y)
-                torsion = A.schouten(nx, ny) - self.apply(
-                    A.schouten(nx, y) + A.schouten(x, ny) - self.apply(A.schouten(x, y)))
-                if not torsion.is_zero():
-                    raise ConstructionError(
-                        f"Nijenhuis torsion on (e[{i}], e[{j}]) is {torsion}, not 0")
-
-    def is_scalar_multiple(self) -> bool:
-        diag = self.matrix[0][0]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                want = diag if i == j else Polynomial.zero(self.variables)
-                if self.matrix[i][j] != want:
-                    return False
-        return True
+        for i, j in itertools.combinations(range(1, A.rank + 1), 2):
+            x, y = A.basis_section(i), A.basis_section(j)
+            nx, ny = self.apply(x), self.apply(y)
+            torsion = A.schouten(nx, ny) - self.apply(
+                A.schouten(nx, y) + A.schouten(x, ny) - self.apply(A.schouten(x, y)))
+            if not torsion.is_zero():
+                raise ConstructionError(
+                    f"Nijenhuis torsion on (e[{i}], e[{j}]) is {torsion}, not 0")
 
 
 def _deformed_structure(A: AlgebroidStructure, N: NijenhuisData, l: int) -> AlgebroidStructure:
     """A_l: bracket [N^l X, Y] + [X, N^l Y] - N^l [X, Y], anchor a o N^l."""
     if l == 0:
         return A
-    n, coords = A.rank, A.coordinates
-    anchor = [list(A.anchor_field(N.apply(A.basis_section(i), l)))
-              for i in range(1, n + 1)]
-    brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            x, y = A.basis_section(i), A.basis_section(j)
-            out = A.schouten(N.apply(x, l), y) + A.schouten(x, N.apply(y, l)) \
-                - N.apply(A.schouten(x, y), l)
-            brackets[(i, j)] = tuple(out.coefficient((k,)) for k in range(1, n + 1))
-    return AlgebroidStructure(n, coords, anchor, brackets, "vector")
+
+    def bracket(x, y):
+        return A.schouten(N.apply(x, l), y) + A.schouten(x, N.apply(y, l)) \
+            - N.apply(A.schouten(x, y), l)
+
+    return _tabulated(A, "vector", Multivector, lambda x: N.apply(x, l), bracket)
 
 
 def _shifted_bivector(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
@@ -350,13 +339,8 @@ def _shifted_bivector(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
     if asym is not None:
         raise ConstructionError(
             f"N^{k} o Lambda# is not skew at ({asym[0] + 1}, {asym[1] + 1})")
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            coeff = Sk[j - 1][i - 1]
-            if not coeff.is_zero():
-                terms[(i, j)] = coeff
-    return BivectorData(Multivector(n, coords, terms))
+    return BivectorData(Multivector(n, coords, {(i + 1, j + 1): Sk[j][i]
+                                                for i, j in itertools.combinations(range(n), 2)}))
 
 
 def _check_pn_compatibility(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData) -> None:
@@ -378,17 +362,16 @@ def _check_pn_compatibility(A: AlgebroidStructure, N: NijenhuisData, L: Bivector
     # bracket compatibility on frame pairs; with matching anchors this
     # extends to all sections by tensoriality of the difference
     L1 = _shifted_bivector(A, N, L, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi, th = Form.basis(n, coords, i), Form.basis(n, coords, j)
-            direct = _migrant_bracket(A, L1, xi, th)
-            deformed = _migrant_bracket(A, L, N.dual_apply(xi), th) \
-                + _migrant_bracket(A, L, xi, N.dual_apply(th)) \
-                - N.dual_apply(_migrant_bracket(A, L, xi, th))
-            if direct != deformed:
-                raise ConstructionError(
-                    f"deformed dual brackets disagree on (eps[{i}], eps[{j}]): "
-                    f"{direct} vs {deformed}")
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        xi, th = Form.basis(n, coords, i), Form.basis(n, coords, j)
+        direct = _migrant_bracket(A, L1, xi, th)
+        deformed = _migrant_bracket(A, L, N.dual_apply(xi), th) \
+            + _migrant_bracket(A, L, xi, N.dual_apply(th)) \
+            - N.dual_apply(_migrant_bracket(A, L, xi, th))
+        if direct != deformed:
+            raise ConstructionError(
+                f"deformed dual brackets disagree on (eps[{i}], eps[{j}]): "
+                f"{direct} vs {deformed}")
 
 
 def pn_hierarchy(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
@@ -461,32 +444,20 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
 
 
 def pn_desk_instance() -> Tuple[AlgebroidStructure, NijenhuisData, BivectorData]:
-    """Deterministic small search for a nontrivial compatible triple on R^3.
+    """A nontrivial compatible Poisson-Nijenhuis triple on R^3: the tangent
+    structure, N = diag(x1, x1, 1) and Lambda = e1 ^ e2.
 
-    Candidates are diagonal N with entries in (1, x1, x2, x3) over the
-    tangent structure with Lambda = e1 ^ e2; the first candidate that is
-    torsion-free and compatible, is not a scalar multiple of the
-    identity, and moves Lambda# is returned.
+    N is torsion-free and not a scalar multiple of the identity, Lambda is
+    Poisson, Lambda# N* = N Lambda# and the deformed dual brackets agree
+    (pn_hierarchy checks all but the scalar test on every use), and
+    Lambda_1 = x1 e1 ^ e2 is not Lambda.  Among the diagonal N with entries
+    in (1, x1, x2, x3), in itertools.product order, it is the first triple
+    with these properties.
     """
     coords = ("x1", "x2", "x3")
-    A = tangent_algebroid(coords)
-    L = BivectorData(Multivector.monomial(3, coords, (1, 2), Polynomial.const(coords, 1)))
-    pool = [Polynomial.const(coords, 1)] + [Polynomial.variable(coords, v) for v in coords]
-    for entries in itertools.product(pool, repeat=3):
-        zero = Polynomial.zero(coords)
-        N = NijenhuisData([[entries[i] if i == j else zero for j in range(3)]
-                           for i in range(3)], coords)
-        if N.is_scalar_multiple():
-            continue
-        try:
-            _check_pn_compatibility(A, N, L)
-            moved = _shifted_bivector(A, N, L, 1)
-        except ConstructionError:
-            continue
-        if moved.Lambda == L.Lambda:
-            continue
-        return A, N, L
-    raise ConstructionError("no compatible instance in the search window")
+    N = NijenhuisData([["x1", "0", "0"], ["0", "x1", "0"], ["0", "0", "1"]], coords)
+    L = BivectorData(Multivector.monomial(3, coords, (1, 2), 1))
+    return tangent_algebroid(coords), N, L
 
 
 # -- the rank-2 family over a point ----------------------------------------------------
@@ -511,8 +482,8 @@ class PoissonManifoldData:
 
     def __init__(self, base_dim: int, pi_components: Sequence[Sequence],
                  coordinates: Sequence[str] | None = None):
-        if base_dim < 0:
-            raise ConstructionError("base_dim must be nonnegative")
+        if base_dim < 1:
+            raise ConstructionError("base_dim must be at least 1")
         # the shape first: it costs only the size of the given matrix, while
         # the names below cost base_dim
         rows = [tuple(row) for row in pi_components]
@@ -535,22 +506,16 @@ class PoissonManifoldData:
             raise ConstructionError(f"[pi, pi] = {square}, not 0")
 
     def pi_multivector(self) -> Multivector:
-        terms = {}
-        for i in range(1, self.base_dim + 1):
-            for j in range(i + 1, self.base_dim + 1):
-                coeff = self.pi_components[i - 1][j - 1]
-                if not coeff.is_zero():
-                    terms[(i, j)] = coeff
-        return Multivector(self.base_dim, self.coordinates, terms)
+        pi = self.pi_components
+        return Multivector(self.base_dim, self.coordinates,
+                           {(i + 1, j + 1): pi[i][j]
+                            for i, j in itertools.combinations(range(self.base_dim), 2)})
 
     def modular_field(self) -> Multivector:
         """X_Omega with components X(x_j) = sum_k d_k pi^{jk}."""
-        terms = {}
-        for j, row in enumerate(self.pi_components, start=1):
-            div = divergence(row, self.coordinates)
-            if not div.is_zero():
-                terms[(j,)] = div
-        return Multivector(self.base_dim, self.coordinates, terms)
+        return Multivector(self.base_dim, self.coordinates,
+                           {(j,): divergence(row, self.coordinates)
+                            for j, row in enumerate(self.pi_components, start=1)})
 
 
 def poisson_double(Pm: PoissonManifoldData, frame: FrameData | None = None) -> BialgebroidPair:

@@ -64,6 +64,8 @@ def _contract_sign(dual: Index, target: Index):
     first, each taking the first slot of what remains of the target.
     Returns None when some dual index is missing from the target.
     """
+    if len(dual) > len(target):
+        return None
     remaining = list(target)
     sign = 1
     for j in dual:
@@ -75,6 +77,30 @@ def _contract_sign(dual: Index, target: Index):
             sign = -sign
         remaining.pop(t)
     return sign, tuple(remaining)
+
+
+def _signed_product(left: "GradedElement", right: "GradedElement", rule, result_cls):
+    """The sum of sign * p * q x_K over the terms p x_I of left and q x_J of
+    right, where rule(I, J) gives (sign, K), or None for a vanishing product:
+    _merge_sign for the wedge, _contract_sign for the interior product.  The
+    result is a result_cls in right's rank and variable context."""
+    out: Dict[Index, Polynomial] = {}
+    for i1, p1 in left.terms.items():
+        for i2, p2 in right.terms.items():
+            hit = rule(i1, i2)
+            if hit is None:
+                continue
+            sign, key = hit
+            q = p1 * p2
+            if sign < 0:
+                q = -q
+            s = out.get(key)
+            s = q if s is None else s + q
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return result_cls._raw(right.rank, right.variables, out)
 
 
 class GradedElement:
@@ -219,23 +245,7 @@ class GradedElement:
 
     def wedge(self, other: "GradedElement"):
         self._check_compatible(other)
-        out: Dict[Index, Polynomial] = {}
-        for i1, p1 in self.terms.items():
-            for i2, p2 in other.terms.items():
-                merged = _merge_sign(i1, i2)
-                if merged is None:
-                    continue
-                sign, key = merged
-                q = p1 * p2
-                if sign < 0:
-                    q = -q
-                s = out.get(key)
-                s = q if s is None else s + q
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return type(self)._raw(self.rank, self.variables, out)
+        return _signed_product(self, other, _merge_sign, type(self))
 
     # -- comparison and printing ------------------------------------------
 
@@ -431,25 +441,7 @@ def interior_by_multivector(u: Multivector, theta: Form) -> Form:
 
 
 def _interior(dual: GradedElement, target: GradedElement, result_cls):
-    out: Dict[Index, Polynomial] = {}
-    for jx, pj in dual.terms.items():
-        for kx, pk in target.terms.items():
-            if len(jx) > len(kx):
-                continue
-            hit = _contract_sign(jx, kx)
-            if hit is None:
-                continue
-            sign, rest = hit
-            q = pj * pk
-            if sign < 0:
-                q = -q
-            s = out.get(rest)
-            s = q if s is None else s + q
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return result_cls._raw(target.rank, target.variables, out)
+    return _signed_product(dual, target, _contract_sign, result_cls)
 
 
 def pairing(theta: Form, u: Multivector) -> Polynomial:

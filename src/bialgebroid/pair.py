@@ -388,10 +388,11 @@ def coordinate_monomials(variables, max_degree: int) -> List[Polynomial]:
     return out
 
 
-def _graded_probes(cls, rank, variables, coord_degree, max_index_size, total_degree=None):
+def _graded_probes(P: BialgebroidPair, coord_degree, max_index_size, total_degree=None):
     """x^gamma e_I with |gamma| <= coord_degree and |I| <= max_index_size, and
     |gamma| + |I| <= total_degree if given: by |I|, then I, then the degree
     of x^gamma."""
+    rank, variables = P.rank, P.coordinates
     monos = coordinate_monomials(variables, coord_degree)
     out = []
     for size in range(0, min(max_index_size, rank) + 1):
@@ -399,12 +400,12 @@ def _graded_probes(cls, rank, variables, coord_degree, max_index_size, total_deg
             [f for f in monos if f.total_degree() <= total_degree - size]
         for index in itertools.combinations(range(1, rank + 1), size):
             for f in kept:
-                out.append(cls.monomial(rank, variables, index, f))
+                out.append(Multivector.monomial(rank, variables, index, f))
     return out
 
 
 def multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:
-    return _graded_probes(Multivector, P.rank, P.coordinates, coord_degree, P.rank)
+    return _graded_probes(P, coord_degree, P.rank)
 
 
 def _generator_products(P: BialgebroidPair, k: int) -> List[Multivector]:
@@ -413,7 +414,7 @@ def _generator_products(P: BialgebroidPair, k: int) -> List[Multivector]:
     are a subsequence of.  An operator of order <= k over wedge A vanishes
     iff it vanishes on them (see PROBE_DEGREE and dirac_square).  For k = 1
     they are 1 followed by the generators x_1..x_m, e_1..e_n."""
-    return _graded_probes(Multivector, P.rank, P.coordinates, min(k, PROBE_DEGREE), k, k)
+    return _graded_probes(P, min(k, PROBE_DEGREE), k, k)
 
 
 def degree1_multivector_probes(P: BialgebroidPair, coord_degree: int) -> List[Multivector]:

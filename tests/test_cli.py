@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bialgebroid import ExteriorError, InternalError, cli
+from bialgebroid import ExteriorError, InternalError, cli, pair_from_json
 from bialgebroid.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
@@ -526,6 +526,27 @@ def test_example_pn(capsys):
 
 
 PN_N = '[["x1","0","0"],["0","x1","0"],["0","0","1"]]'
+
+
+@pytest.mark.parametrize("argv", [
+    ["poisson", "--dim", "0", "--pi", "[]"],
+    ["poisson", "--dim", "1", "--pi", '[["0"]]'],
+    ["poisson", "--dim", "2", "--pi", '[["0", "x1"], ["-x1", "0"]]'],
+    ["a-plus-b", "--a", "1", "--b", "2", "--c", "3", "--d", "4"],
+    ["exact", "tests/fixtures/tangent-r3.json", "--lambda", '{"1,2": "1"}'],
+    ["pn", "tests/fixtures/tangent-r3.json", "--n", PN_N, "--lambda", '{"1,2": "1"}',
+     "--k", "1", "--l", "1"],
+])
+def test_example_reports_embed_a_loadable_pair_or_exit_2(capsys, argv):
+    """An example refuses its input (exit 2) or embeds a pair document that
+    `check` would load: over a base of dimension 0 the Poisson double has
+    rank 0, which the pair schema refuses."""
+    code, out = run(capsys, "example", *argv)
+    body = json.loads(out)
+    if code == 2:
+        assert "pair" not in body and "internal" not in body
+    else:
+        pair_from_json(body["pair"])
 
 
 @pytest.mark.parametrize("family", ["exact", "pn"])

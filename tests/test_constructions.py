@@ -219,6 +219,10 @@ def test_desk_instance_is_frozen():
     assert N.matrix == ((x1, zero, zero), (zero, x1, zero), (zero, zero, one))
     assert L.Lambda == Multivector.monomial(3, R3, (1, 2), one)
     assert A.coordinates == R3
+    # what makes the triple a nontrivial PN desk instance
+    constructions._check_pn_compatibility(A, N, L)
+    assert N.matrix[0][0] != N.matrix[2][2]  # not a scalar multiple of the identity
+    assert constructions._shifted_bivector(A, N, L, 1).Lambda != L.Lambda
 
 
 def test_pn_identities_pass():
