@@ -11,15 +11,25 @@ uses Multivector, and the dual side uses Form, so that formulas written
 once (differential, Schouten bracket, Lie derivative, boundary operator)
 apply verbatim to either half.
 
-The differential acts on the dual exterior algebra as the odd derivation
-with d f = sum_i (rho(e_i) f) eps^i and
-d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j; d o d = 0 exactly when the
-Jacobi and anchor-morphism axioms hold, which is what validate_algebroid
-decides (with polynomial witnesses).
+Both the differential and the Schouten bracket are derivations, each fixed
+by its values on functions and on frame generators (Kosmann-Schwarzbach
+1995; Xu 1999), and both run through one loop, AlgebroidStructure._derive:
+
+    delta(p x_J) = delta(p) ^ x_J + p sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t}.
+
+The differential is the odd derivation of the dual exterior algebra with
+d f = sum_i (rho(e_i) f) eps^i and d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j;
+d o d = 0 exactly when the Jacobi and anchor-morphism axioms hold, which is
+what validate_algebroid decides (with polynomial witnesses).
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
-[u, v] = -(-1)^((|u|-1)(|v|-1)) [v, u].
+[u, v] = -(-1)^((|u|-1)(|v|-1)) [v, u].  So [p e_I, .] is the derivation of
+parity |I| - 1, and its value on a generator e_m is -[e_m, p e_I], the even
+derivation [e_m, .] on p e_I: the same loop, run twice.
+
+The boundary operator is the differential conjugated by the top
+contraction (exterior._complement), one formula for both section kinds.
 """
 
 from __future__ import annotations
@@ -27,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .exterior import (Form, FrameData, GradedElement, Multivector,
-                       interior_by_form, interior_by_multivector,
-                       inverse_omega_sharp, omega_sharp, retype)
+from .exterior import (Form, FrameData, GradedElement, Index, Multivector, _accumulate,
+                       _complement, _inverse_sign, _merge_sign, interior_by_form,
+                       interior_by_multivector)
 from .ring import Polynomial, apply_field, field_bracket
 
 Key = Tuple[int, int]
@@ -78,7 +88,7 @@ class AlgebroidStructure:
         self.brackets = clean
 
         self._bracket_cache: Dict[Key, GradedElement] = {}
-        self._d_basis_cache: Dict[int, GradedElement] = {}
+        self._d_basis_cache: Dict[int, Dict[Index, Polynomial]] = {}
 
     def _check_poly(self, p):
         if not isinstance(p, Polynomial):
@@ -122,10 +132,6 @@ class AlgebroidStructure:
                     comps[a] = comps[a] + p * entry
         return tuple(comps)
 
-    def anchor_apply(self, u, f: Polynomial) -> Polynomial:
-        """rho(u) f for a degree-1 section u and a base function f."""
-        return apply_field(self.anchor_field(u), f, self.coordinates)
-
     # -- bracket on frame sections ------------------------------------------
 
     def bracket_pair(self, i: int, j: int):
@@ -145,114 +151,93 @@ class AlgebroidStructure:
             self._bracket_cache[(i, j)] = cached
         return cached
 
-    # -- differential ---------------------------------------------------------
+    # -- the derivation loop ------------------------------------------------------
 
-    def _d_function(self, f: Polynomial):
-        out = {}
-        for i in range(1, self.rank + 1):
-            c = apply_field(self.anchor[i - 1], f, self.coordinates)
-            if not c.is_zero():
-                out[(i,)] = c
-        return self.dual_cls._raw(self.rank, self.coordinates, out)
+    def _derive(self, out: Dict[Index, Polynomial], p: Polynomial, J: Index,
+                head: Dict[Index, Polynomial], image, odd: bool) -> None:
+        """Add delta(p x_J) into out, for the derivation delta with
+        delta(p) = head (as terms) and delta(x_j) = image(j) (as terms):
 
-    def _d_basis(self, k: int):
+            delta(p x_J) = delta(p) ^ x_J
+                + p sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t},
+
+        the sign (-1)^t for an odd derivation and +1 for an even one.  Each
+        image is placed by _merge_sign on index tuples, with no temporary
+        element."""
+        for K, c in head.items():
+            hit = _merge_sign(K, J)
+            if hit is not None:
+                _accumulate(out, hit[1], c if hit[0] > 0 else -c)
+        for t, j in enumerate(J):
+            pre, post = J[:t], J[t + 1:]
+            flip = odd and t % 2 == 1
+            for K, c in image(j).items():
+                left = _merge_sign(pre, K)
+                right = left and _merge_sign(left[1], post)
+                if right:
+                    q = p * c
+                    _accumulate(out, right[1], q if (left[0] * right[0] > 0) != flip else -q)
+
+    def _d_basis(self, k: int) -> Dict[Index, Polynomial]:
+        """The terms of d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j."""
         cached = self._d_basis_cache.get(k)
         if cached is None:
-            acc = self.dual_cls.zero(self.rank, self.coordinates)
-            for (i, j), comps in self.brackets.items():
-                c = comps[k - 1]
-                if not c.is_zero():
-                    acc = acc + self.dual_cls.monomial(self.rank, self.coordinates, (i, j), -c)
-            self._d_basis_cache[k] = cached = acc
+            cached = self._d_basis_cache[k] = {
+                key: -comps[k - 1] for key, comps in self.brackets.items() if comps[k - 1]}
         return cached
 
     def differential(self, w):
-        """Chevalley-Eilenberg differential on the dual exterior algebra."""
+        """Chevalley-Eilenberg differential on the dual exterior algebra: the
+        odd derivation with d p = sum_i (rho(e_i) p) eps^i and d eps^k from
+        the structure functions (_d_basis)."""
         if not isinstance(w, self.dual_cls):
             raise AlgebroidError(f"differential expects a {self.dual_cls.__name__}")
         if w.rank != self.rank or w.variables != self.coordinates:
             raise AlgebroidError("rank or variable context mismatch")
-        out = self.dual_cls.zero(self.rank, self.coordinates)
-        one = Polynomial.const(self.coordinates, 1)
+        out: Dict[Index, Polynomial] = {}
         for J, p in w.terms.items():
-            df = self._d_function(p)
-            if not df.is_zero():
-                out = out + df.wedge(self.dual_cls.monomial(self.rank, self.coordinates, J, one))
-            for t in range(len(J)):
-                de = self._d_basis(J[t])
-                if de.is_zero():
-                    continue
-                pre = self.dual_cls.monomial(self.rank, self.coordinates, J[:t], p if t % 2 == 0 else -p)
-                piece = pre.wedge(de).wedge(
-                    self.dual_cls.monomial(self.rank, self.coordinates, J[t + 1:], one))
-                out = out + piece
-        return out
+            head = {(i,): apply_field(row, p, self.coordinates)
+                    for i, row in enumerate(self.anchor, start=1)}
+            self._derive(out, p, J, head, self._d_basis, True)
+        return self.dual_cls._raw(self.rank, self.coordinates, out)
 
     # -- Schouten bracket ------------------------------------------------------
 
+    def _bracket_with_basis(self, p: Polynomial, I: Index, m: int) -> Dict[Index, Polynomial]:
+        """The terms of [p e_I, e_m] = -[e_m, p e_I], where -[e_m, .] is the
+        even derivation with -[e_m, p] = -rho(e_m) p and -[e_m, e_i] = [e_i, e_m]."""
+        out: Dict[Index, Polynomial] = {}
+        head = {(): -apply_field(self.anchor[m - 1], p, self.coordinates)}
+        self._derive(out, p, I, head, lambda i: self.bracket_pair(i, m).terms, False)
+        return out
+
     def schouten(self, u, v):
-        """Schouten bracket of two sections of the exterior algebra of A."""
+        """Schouten bracket of two sections of the exterior algebra of A.
+
+        For a term p e_I of u with |I| = k, [p e_I, .] is the derivation of
+        parity k - 1 with [p e_I, q] = p sum_t (-1)^(k-1-t) (rho(e_{I_t}) q)
+        e_{I without I_t} and [p e_I, e_m] = -[e_m, p e_I]."""
         for w in (u, v):
             if not isinstance(w, self.section_cls):
                 raise AlgebroidError(f"schouten expects {self.section_cls.__name__} arguments")
             if w.rank != self.rank or w.variables != self.coordinates:
                 raise AlgebroidError("rank or variable context mismatch")
-        out = self.zero_section()
-        for I, pu in u.terms.items():
-            for J, pv in v.terms.items():
-                out = out + self._schouten_monomials(pu, I, pv, J)
-        return out
+        out: Dict[Index, Polynomial] = {}
+        for I, p in u.terms.items():
+            k, images = len(I), {}
 
-    def _mono(self, index, coeff):
-        return self.section_cls.monomial(self.rank, self.coordinates, index, coeff)
+            def image(m):
+                if m not in images:
+                    images[m] = self._bracket_with_basis(p, I, m)
+                return images[m]
 
-    def _schouten_monomials(self, pu, I, pv, J):
-        k, l = len(I), len(J)
-        if k == 0 and l == 0:
-            return self.zero_section()
-        if k == 0:
-            # [f, v] = (-1)^|v| [v, f]
-            res = self._schouten_monomials(pv, J, pu, I)
-            return res if l % 2 == 0 else -res
-        # peel the left coefficient:
-        # [f A, B] = f [A, B] - (-1)^((k-1)(l-1)) [B, f] ^ A
-        out = self._schouten_basis_left(I, pv, J)
-        if not pu.is_constant() or pu.constant_value() != 1:
-            out = out.scaled(pu)
-        if not pu.is_constant() and l > 0:
-            corr = self._schouten_monomials(pv, J, pu, ())  # [B, f]
-            if not corr.is_zero():
-                term = corr.wedge(self._mono(I, Polynomial.const(self.coordinates, 1)))
-                if ((k - 1) * (l - 1)) % 2 == 0:
-                    out = out - term
-                else:
-                    out = out + term
-        return out
-
-    def _schouten_basis_left(self, I, pv, J):
-        """[e_I, pv e_J] for a bare basis monomial on the left."""
-        k, l = len(I), len(J)
-        one = Polynomial.const(self.coordinates, 1)
-        if k == 1:
-            i = I[0]
-            out = self.zero_section()
-            dpv = apply_field(self.anchor[i - 1], pv, self.coordinates)
-            if not dpv.is_zero():
-                out = out + self._mono(J, dpv)
-            for t in range(l):
-                br = self.bracket_pair(i, J[t])
-                if br.is_zero():
-                    continue
-                piece = self._mono(J[:t], pv).wedge(br).wedge(self._mono(J[t + 1:], one))
-                out = out + piece
-            return out
-        # [e_i ^ e_R, B] = e_i ^ [e_R, B] + (-1)^((k-1)(l-1)) [e_i, B] ^ e_R
-        head, rest = I[0], I[1:]
-        first = self._mono((head,), one).wedge(self._schouten_basis_left(rest, pv, J))
-        second = self._schouten_basis_left((head,), pv, J).wedge(self._mono(rest, one))
-        if ((k - 1) * (l - 1)) % 2:
-            second = -second
-        return first + second
+            for J, q in v.terms.items():
+                head: Dict[Index, Polynomial] = {}
+                for t, i in enumerate(I):
+                    c = p * apply_field(self.anchor[i - 1], q, self.coordinates)
+                    head[I[:t] + I[t + 1:]] = c if (k - 1 - t) % 2 == 0 else -c
+                self._derive(out, q, J, head, image, bool((k - 1) & 1))
+        return self.section_cls._raw(self.rank, self.coordinates, out)
 
     # -- Lie derivative -----------------------------------------------------------
 
@@ -278,31 +263,22 @@ class AlgebroidStructure:
 
 
 def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):
-    """Boundary operator on sections obtained by conjugating d with the top contraction.
+    """Boundary operator on sections: d conjugated by the top contraction.
 
-    Degreewise on |u| = l:  boundary u = (-1)^l inv(d(iota_u top)), where
-    top is the degree-n element on the side dual to u and inv undoes the
-    contraction with the degreewise sign of the double-contraction rule.
+    On |u| = l, boundary u = (-1)^l inv(d(iota_u top)), where top is the
+    degree-n element on the side dual to u and inv undoes the contraction
+    with the sign of the double-contraction rule.  Both contractions are
+    exterior._complement, which reads only the terms, so the one formula
+    serves both section kinds and mixed degrees, with one differential call.
     Squares to zero and generates the Schouten bracket; both are tested,
     not assumed.
-
-    Written once, for Multivector sections and top = omega.  On Form
-    sections top is vee, which has the same terms as omega, so the same
-    formula runs with each element moved across by retype.
     """
     if not isinstance(u, algebroid.section_cls):
         raise AlgebroidError(f"bv_boundary expects a {algebroid.section_cls.__name__}")
     if frame.rank != algebroid.rank or frame.variables != algebroid.coordinates:
         raise AlgebroidError("frame does not match the algebroid")
-    across = retype if algebroid.section_kind == "covector" else (lambda element: element)
-    out = algebroid.zero_section()
-    for l in u.degrees():
-        phi = across(omega_sharp(frame, across(u.homogeneous(l))))
-        res = across(inverse_omega_sharp(frame, across(algebroid.differential(phi))))
-        if l % 2:
-            res = -res
-        out = out + res
-    return out
+    phi = _complement(u, algebroid.dual_cls, lambda l: -1 if l & 1 else 1)
+    return _complement(algebroid.differential(phi), algebroid.section_cls, _inverse_sign(frame))
 
 
 @dataclass

@@ -42,9 +42,9 @@ from typing import Optional, Tuple
 
 from .algebroid import AlgebroidError, validate_algebroid
 from .constructions import (BivectorData, ConstructionError, NijenhuisData,
-                            PoissonManifoldData, a_plus_b, exact_from_bivector,
-                            exact_identities, pn_hierarchy, pn_identities,
-                            poisson_double, poisson_homology_check)
+                            PoissonManifoldData, _pn_pair_and_identities, a_plus_b,
+                            exact_from_bivector, exact_identities, poisson_double,
+                            poisson_homology_check)
 from .exterior import ExteriorError, Multivector
 from .pair import (PROBE_DEGREE, PairError, corollary_suite, courant_axioms,
                    dirac_square, f_tilde, generator_check, theorem_c_suite)
@@ -276,9 +276,9 @@ def _cmd_example_pn(args) -> Tuple[dict, int]:
     N = NijenhuisData(n_rows, A.coordinates)
     lam = _parse_json(args.lam, "--lambda")
     L = _bivector_from_arg(lam, A.rank, A.coordinates)
-    pair = pn_hierarchy(A, N, L, args.k, args.l)
+    pair, report = _pn_pair_and_identities(A, N, L, args.k, args.l)
     return _example_report(args, {"n": n_rows, "lambda": lam, "k": args.k, "l": args.l},
-                           pair, pn_identities(A, N, L, args.k, args.l))
+                           pair, report)
 
 
 def _render_text(body: dict) -> str:

@@ -391,6 +391,13 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
     """Hierarchy identities for a compatible Poisson-Nijenhuis triple, read
     off the modular cocycles of A and of the one pair (A_l, A*_k) that
     pn_hierarchy builds and checks: X_k is that pair's X_0."""
+    return _pn_pair_and_identities(A, N, L, k, l)[1]
+
+
+def _pn_pair_and_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
+                            k: int, l: int) -> Tuple[BialgebroidPair, IdentityReport]:
+    """The pair (A_l, A*_k) and the report of pn_identities, from one
+    pn_hierarchy call."""
     n, coords = A.rank, A.coordinates
     frame = FrameData(n, coords)
     P = pn_hierarchy(A, N, L, k, l, frame)
@@ -400,10 +407,12 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
     xi0 = _modular_class(A, frame)
     shifted = [_shifted_bivector(A, N, L, step) for step in range(4)]
 
-    # xi_l = d(trace N^l) + (N*)^l xi0, with d and xi0 of the undeformed side
+    # xi_l = d(trace N^l) + (N*)^l xi0, with d and xi0 of the undeformed side;
+    # the pair's own A_l has its xi_l as the pair's xi_0
     wit = None
     for step in (1, 2, 3):
-        xi_l = _modular_class(_deformed_structure(A, N, step), frame)
+        xi_l = P.modular.xi0 if step == l else \
+            _modular_class(_deformed_structure(A, N, step), frame)
         closed = A.differential(Form.scalar(n, coords, N.trace_power(step))) \
             + N.dual_apply(xi0, step)
         if xi_l != closed:
@@ -440,7 +449,7 @@ def pn_identities(A: AlgebroidStructure, N: NijenhuisData, L: BivectorData,
 
     add(_square_zero_record(P, "pn/square-zero"))
 
-    return report
+    return P, report
 
 
 def pn_desk_instance() -> Tuple[AlgebroidStructure, NijenhuisData, BivectorData]:

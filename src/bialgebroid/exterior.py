@@ -79,6 +79,16 @@ def _contract_sign(dual: Index, target: Index):
     return sign, tuple(remaining)
 
 
+def _accumulate(out: Dict[Index, Polynomial], key: Index, poly: Polynomial) -> None:
+    """Add poly to out[key], dropping the key when the sum is zero."""
+    s = out.get(key)
+    s = poly if s is None else s + poly
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def _signed_product(left: "GradedElement", right: "GradedElement", rule, result_cls):
     """The sum of sign * p * q x_K over the terms p x_I of left and q x_J of
     right, where rule(I, J) gives (sign, K), or None for a vanishing product:
@@ -88,18 +98,9 @@ def _signed_product(left: "GradedElement", right: "GradedElement", rule, result_
     for i1, p1 in left.terms.items():
         for i2, p2 in right.terms.items():
             hit = rule(i1, i2)
-            if hit is None:
-                continue
-            sign, key = hit
-            q = p1 * p2
-            if sign < 0:
-                q = -q
-            s = out.get(key)
-            s = q if s is None else s + q
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            if hit is not None:
+                q = p1 * p2
+                _accumulate(out, hit[1], q if hit[0] > 0 else -q)
     return result_cls._raw(right.rank, right.variables, out)
 
 
@@ -119,16 +120,7 @@ class GradedElement:
                 if poly.variables != self.variables:
                     raise ExteriorError(
                         f"coefficient context {poly.variables!r} does not match {self.variables!r}")
-                if poly.is_zero():
-                    continue
-                if index in clean:
-                    s = clean[index] + poly
-                    if s.is_zero():
-                        del clean[index]
-                    else:
-                        clean[index] = s
-                else:
-                    clean[index] = poly
+                _accumulate(clean, index, poly)
         self.terms = clean
 
     @classmethod
@@ -203,12 +195,7 @@ class GradedElement:
         self._check_compatible(other)
         out = dict(self.terms)
         for ix, p in other.terms.items():
-            s = out.get(ix)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(ix, None)
-            else:
-                out[ix] = s
+            _accumulate(out, ix, p)
         return type(self)._raw(self.rank, self.variables, out)
 
     def __sub__(self, other):
@@ -493,30 +480,53 @@ class FrameData:
         return Multivector.monomial(self.rank, self.variables, self.top_index, 1)
 
 
+def _complement(element: GradedElement, result_cls, sign) -> GradedElement:
+    """sum_I sign(|I|) p_I iota_{x_I} top over the terms p_I x_I of element,
+    as a result_cls: each x_I contracts into the top monomial x_1 ^ .. ^ x_n
+    of the other frame (_contract_sign), and sign(k) is +1 or -1.  Since
+    I -> complement of I is one to one, no two terms meet."""
+    top = tuple(range(1, element.rank + 1))
+    out = {}
+    for index, p in element.terms.items():
+        s, rest = _contract_sign(index, top)
+        out[rest] = p if s * sign(len(index)) > 0 else -p
+    return result_cls._raw(element.rank, element.variables, out)
+
+
+def _plus(k: int) -> int:
+    return 1
+
+
+def _inverse_sign(frame: FrameData):
+    """The sign (-1)^{(n-j)(n-1)} of V# o Omega# = (-1)^{k(n-1)} id, undone
+    on a degree-j input."""
+    n = frame.rank
+    return lambda j: -1 if ((n - j) * (n - 1)) & 1 else 1
+
+
+def _sharp(frame: FrameData, element, cls, result_cls, sign, name: str):
+    if not isinstance(element, cls):
+        raise ExteriorError(f"{name} expects a {cls.__name__}")
+    if element.rank != frame.rank or element.variables != frame.variables:
+        raise ExteriorError("rank or variable context mismatch")
+    return _complement(element, result_cls, sign)
+
+
 def omega_sharp(frame: FrameData, u: Multivector) -> Form:
     """Omega-flat contraction u -> iota_u omega."""
-    return interior_by_multivector(u, frame.omega)
+    return _sharp(frame, u, Multivector, Form, _plus, "omega_sharp")
 
 
 def v_sharp(frame: FrameData, theta: Form) -> Multivector:
-    """V-flat contraction theta -> iota_theta vee: omega_sharp with the two
-    sides exchanged, since omega and vee have the same terms."""
-    return retype(omega_sharp(frame, retype(theta)))
+    """V-flat contraction theta -> iota_theta vee."""
+    return _sharp(frame, theta, Form, Multivector, _plus, "v_sharp")
 
 
 def inverse_omega_sharp(frame: FrameData, phi: Form) -> Multivector:
     """Inverse of omega_sharp, using V# o Omega# = (-1)^{k(n-1)} id degreewise."""
-    n = frame.rank
-    out = Multivector.zero(n, frame.variables)
-    for j in phi.degrees():
-        piece = v_sharp(frame, phi.homogeneous(j))
-        if ((n - j) * (n - 1)) & 1:
-            piece = -piece
-        out = out + piece
-    return out
+    return _sharp(frame, phi, Form, Multivector, _inverse_sign(frame), "inverse_omega_sharp")
 
 
 def inverse_v_sharp(frame: FrameData, u: Multivector) -> Form:
-    """Inverse of v_sharp: inverse_omega_sharp with the two sides exchanged,
-    since omega and vee have the same terms."""
-    return retype(inverse_omega_sharp(frame, retype(u)))
+    """Inverse of v_sharp, using Omega# o V# = (-1)^{k(n-1)} id degreewise."""
+    return _sharp(frame, u, Multivector, Form, _inverse_sign(frame), "inverse_v_sharp")

@@ -58,12 +58,13 @@ primal witness found on the flipped pair, so it names flipped elements
 
 Each operator once per monomial.  Every decision and report that loops
 operators over probes runs on _once_per_monomial_view(P), the one place
-that decides what a call shares: there both differentials and both
-boundaries run once per monomial x^gamma e_I met in the call, so D, the
-Laplacians, the Lie derivatives and the Dorfman bracket read one set of
-images per algebroid, and the mirror operators read the same set: the
-view's mirror carries the view's two algebroids swapped and reaches their
-images through retype, storing none of its own.  The
+that decides what a call shares: there both differentials run once per
+monomial x^gamma e_I met in the call.  The boundaries are d conjugated by
+the top contraction, which only moves terms, so they read the same
+images, and so do D, the Laplacians, the Lie derivatives and the Dorfman
+bracket: one set of images per algebroid.  The mirror operators read the
+same set: the view's mirror carries the view's two algebroids swapped and
+reaches their images through retype, storing none of its own.  The
 operators are additive and commute with constant scaling but are not
 C-infinity-linear, so an image is stored under the full monomial,
 exponent included, and every other value is the Fraction-weighted sum of
@@ -521,8 +522,10 @@ def rho_field(P: BialgebroidPair, e: SectionE) -> Tuple[Polynomial, ...]:
 def _anchor_defect(P: BialgebroidPair, rho_x, rho_y, x_o_y: SectionE):
     """rho(x o y) and [rho x, rho y] componentwise, given x o y and the
     fields rho x, rho y, and the first component a at which the Courant
-    anchor defect, their difference, is nonzero (None when it vanishes)."""
-    lhs = rho_field(P, x_o_y)
+    anchor defect, their difference, is nonzero (None when it vanishes).
+    A zero bracket has the zero field, which takes no anchor."""
+    lhs = rho_field(P, x_o_y) if not x_o_y.is_zero() else \
+        tuple(Polynomial.zero(P.coordinates) for _ in P.coordinates)
     rhs = field_bracket(rho_x, rho_y, P.coordinates)
     return lhs, rhs, next((a for a, (p, q) in enumerate(zip(lhs, rhs)) if p != q), None)
 
@@ -636,40 +639,30 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
 
 class _OncePerMonomialView(BialgebroidPair):
     """P for one decision call: copies of A and A* whose differential (d on
-    forms, dstar on multivectors) runs once per monomial, and the two
-    boundaries, read through the view's own A and A*, likewise.  Every
-    operator written over the pair (dirac_apply, laplacian, dorfman, the
-    Cartan formula of AlgebroidStructure.lie_derivative) then shares those
-    images when called on the view.  flipped() is a view of P.flipped(),
-    built on first use, whose flipped() is this view again.  It stores no
-    images of its own: its A is A*'s data on the vector side, so its
-    differential is this view's dstar moved across by retype, and likewise
-    its dstar is this view's d and its two boundaries this view's
-    boundary_star and boundary.  So the mirror operators of a call read the
-    same images as the primal ones.  Nothing is stored on P: the images go
-    when the view does."""
+    forms, dstar on multivectors) runs once per monomial.  Every operator
+    written over the pair (the two boundaries, which are d conjugated by
+    the top contraction, dirac_apply, laplacian, dorfman, the Cartan
+    formula of AlgebroidStructure.lie_derivative) then shares those images
+    when called on the view.  flipped() is a view of P.flipped(), built on
+    first use, whose flipped() is this view again.  It stores no images of
+    its own: its A is A*'s data on the vector side, so its differential is
+    this view's dstar moved across by retype, and its dstar this view's d.
+    So the mirror operators of a call read the same images as the primal
+    ones.  Nothing is stored on P: the images go when the view does."""
 
-    def __init__(self, P: BialgebroidPair):
+    def __init__(self, P: BialgebroidPair, differentials=None):
         self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
-        for name in ("A", "Astar"):
+        for name, op in zip(("A", "Astar"), differentials or (None, None)):
             side = copy.copy(getattr(P, name))
-            side.differential = once_per_monomial(side.differential)
+            side.differential = op or once_per_monomial(side.differential)
             setattr(self, name, side)
-        self.boundary = once_per_monomial(self.boundary)
-        self.boundary_star = once_per_monomial(self.boundary_star)
 
     def flipped(self) -> "BialgebroidPair":
         if self._flipped is None:
-            twin = self._pair.flipped()
-            mirror = object.__new__(_OncePerMonomialView)
-            mirror.__dict__.update(vars(twin), _modular=twin.modular, _flipped=self, _pair=twin)
-            for name, op in (("A", self.Astar.differential), ("Astar", self.A.differential)):
-                side = copy.copy(getattr(twin, name))
-                side.differential = _across(op)
-                setattr(mirror, name, side)
-            mirror.boundary = _across(self.boundary_star)
-            mirror.boundary_star = _across(self.boundary)
-            self._flipped = mirror
+            self._flipped = _OncePerMonomialView(
+                self._pair.flipped(),
+                (_across(self.Astar.differential), _across(self.A.differential)))
+            self._flipped._flipped = self
         return self._flipped
 
 
@@ -1026,16 +1019,17 @@ def _double_sections(P: BialgebroidPair, coord_degree: int) -> List[SectionE]:
                       SectionE.of(cov=P.basis_eps(i).scaled(f)))]
 
 
-def _anchor_witness(P: BialgebroidPair) -> Optional[str]:
+def _anchor_witness(P: BialgebroidPair, frame_fields=None) -> Optional[str]:
     """First failure of 2 <D f, x> = rho(x) f, or None.  Both sides are
     C-infinity-linear in x and derivations in f, so f runs over the
     coordinates x_a and x over the frame; rho(x) x_a is component a of the
-    anchor field of x, built once per frame section."""
-    frame = _double_sections(P, 0)
-    fields = [rho_field(P, x) for x in frame]
+    anchor field of x, built once per frame section unless the caller
+    passes the (x, rho x) of the frame it has built already."""
+    if frame_fields is None:
+        frame_fields = [(x, rho_field(P, x)) for x in _double_sections(P, 0)]
     for a, f in enumerate(coordinate_monomials(P.coordinates, 1)[1:]):
         df = dee(P, f)
-        for x, rho_x in zip(frame, fields):
+        for x, rho_x in frame_fields:
             lhs, rhs = metric(df, x) * 2, rho_x[a]
             if lhs != rhs:
                 return f"f = {f}; x = {x}; 2<Df,x> = {lhs}; rho(x)f = {rhs}"
@@ -1084,8 +1078,13 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
     N = F, and only g1 can fail.
     """
     P = _once_per_monomial_view(P)
-    frame, near = _double_sections(P, 0), _double_sections(P, 1)
     coords = coordinate_monomials(P.coordinates, 1)[1:]
+    near_fields = [(x, rho_field(P, x)) for x in _double_sections(P, 1)]
+    # the frame opens each block of the 2 (1 + m) near sections of one index i
+    step = 2 * (1 + len(coords))
+    frame_fields = [xf for b in range(0, len(near_fields), step) for xf in near_fields[b:b + 2]]
+    frame = [x for x, _ in frame_fields]
+    near = [x for x, _ in near_fields]
     report = IdentityReport(suite="courant")
     add = report.records.append
     bracket = _once_per_monomial_dorfman(P)
@@ -1094,7 +1093,6 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
         return bracket(x, bracket(y, z)) - bracket(bracket(x, y), z) - bracket(y, bracket(x, z))
 
     wit2 = defect = None
-    near_fields, frame_fields = ([(x, rho_field(P, x)) for x in family] for family in (near, frame))
     for (x, rho_x), (y, rho_y) in itertools.product(near_fields, frame_fields):
         lhs, rhs, a = _anchor_defect(P, rho_x, rho_y, bracket(x, y))
         if a is not None:
@@ -1144,7 +1142,7 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
             break
     add(IdentityRecord("courant/g6", wit is None, wit))
 
-    wit = _anchor_witness(P)
+    wit = _anchor_witness(P, frame_fields)
     add(IdentityRecord("courant/anchor", wit is None, wit))
 
     return report

@@ -246,22 +246,6 @@ class Polynomial:
                     del out[key]
         return Polynomial._raw(self.variables, out)
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a rational point given as {variable: value}."""
-        vals = []
-        for v in self.variables:
-            if v not in point:
-                raise PolynomialError(f"no value supplied for variable {v!r}")
-            vals.append(_as_fraction(point[v]))
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            prod = c
-            for val, e in zip(vals, exps):
-                if e:
-                    prod *= val ** e
-            total += prod
-        return total
-
     # -- printing and parsing ------------------------------------------
 
     def _sorted_terms(self) -> Iterator[tuple[Exponent, Fraction]]:

@@ -2,12 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from bialgebroid import (AlgebroidError, AlgebroidStructure, FrameData, Form,
                          Multivector, Polynomial, bv_boundary, field_bracket,
-                         interior_by_form, pairing, tangent_algebroid,
-                         v_sharp, validate_algebroid)
+                         interior_by_form, interior_by_multivector, omega_sharp, pairing,
+                         retype, tangent_algebroid, v_sharp, validate_algebroid)
+from bialgebroid.ring import apply_field
 
 from conftest import const, heisenberg, point_algebra, so3, solvable
 
@@ -66,13 +67,18 @@ def form_eval(alg, theta, sections):
     return pairing(theta, wedge)
 
 
+def rho(alg, u, f):
+    """rho(u) f for a degree-1 section u and a base function f."""
+    return apply_field(alg.anchor_field(u), f, alg.coordinates)
+
+
 def differential_oracle(alg, theta, sections):
     """(k+1)-linear formula for (d theta)(X_0, ..., X_k)."""
     out = Polynomial.zero(alg.coordinates)
     k1 = len(sections)
     for t in range(k1):
         rest = sections[:t] + sections[t + 1:]
-        term = alg.anchor_apply(sections[t], form_eval(alg, theta, rest))
+        term = rho(alg, sections[t], form_eval(alg, theta, rest))
         out = out + (term if t % 2 == 0 else -term)
     for s in range(k1):
         for t in range(s + 1, k1):
@@ -208,11 +214,11 @@ def test_schouten_on_functions_is_anchor():
     alg = cotangent_linear()
     f = Polynomial.parse("x2^3", R2)
     u = alg.basis_section(1)
-    expected = alg.anchor_apply(u, f)
+    expected = rho(alg, u, f)
     assert alg.schouten(u, Multivector.scalar(2, R2, f)) == Multivector.scalar(2, R2, expected)
 
 
-def _full_sum_anchor_apply(alg, u, f):
+def _full_sum_rho(alg, u, f):
     """rho(u) f = sum_i sum_a u^i rho_i^a d_a f over every index, zero or not."""
     out = Polynomial.zero(alg.coordinates)
     for i, row in enumerate(alg.anchor, start=1):
@@ -231,14 +237,14 @@ def _r2_polynomials(max_size):
 @settings(max_examples=40)
 @given(st.lists(_r2_polynomials(2), min_size=4, max_size=4),
        st.lists(_r2_polynomials(2), min_size=2, max_size=2), _r2_polynomials(4))
-def test_anchor_apply_matches_the_full_sum(anchor, coeffs, f):
+def test_anchor_field_matches_the_full_sum(anchor, coeffs, f):
     """Anchors with zero entries (max_size 2 draws many empty polynomials)."""
     alg = AlgebroidStructure(2, R2, [anchor[:2], anchor[2:]], {}, "vector")
     u = Multivector(2, R2, {(i,): c for i, c in enumerate(coeffs, start=1)})
-    assert alg.anchor_apply(u, f) == _full_sum_anchor_apply(alg, u, f)
+    assert rho(alg, u, f) == _full_sum_rho(alg, u, f)
     for i in (1, 2):
         assert alg.differential(Form.scalar(2, R2, f)).coefficient((i,)) == \
-            _full_sum_anchor_apply(alg, alg.basis_section(i), f)
+            _full_sum_rho(alg, alg.basis_section(i), f)
 
 
 def test_lie_derivative_is_pairing_derivation():
@@ -246,7 +252,7 @@ def test_lie_derivative_is_pairing_derivation():
     x = alg.basis_section(1).scaled(Polynomial.variable(R2, "x2"))
     y = alg.basis_section(2)
     theta = Form.monomial(2, R2, (1,), Polynomial.parse("x1 + x2", R2))
-    lhs = alg.anchor_apply(x, pairing(theta, y))
+    lhs = rho(alg, x, pairing(theta, y))
     rhs = pairing(alg.lie_derivative(x, theta), y) + pairing(theta, alg.schouten(x, y))
     assert lhs == rhs
 
@@ -359,3 +365,149 @@ def test_structure_constructor_validation():
         AlgebroidStructure(2, (), [[]], {}, "vector")
     with pytest.raises(AlgebroidError):
         AlgebroidStructure(2, (), [[], []], {}, "spinor")
+
+
+# -- the derivation loop and the complement map against direct formulas -------------
+#
+# The Schouten tests above check properties, not values.  These oracles are the
+# formulas that the derivation loop and exterior._complement replaced, written
+# over public operations only: the differential as a sum of wedges of
+# monomials, the Schouten bracket by peeling one factor at a time, and the
+# boundary degree by degree through interior products with the top elements.
+
+
+def _oracle_differential(alg, w):
+    rank, coords, cls = alg.rank, alg.coordinates, alg.dual_cls
+    one = Polynomial.const(coords, 1)
+
+    def d_basis(k):
+        acc = cls.zero(rank, coords)
+        for (i, j), comps in alg.brackets.items():
+            if not comps[k - 1].is_zero():
+                acc = acc + cls.monomial(rank, coords, (i, j), -comps[k - 1])
+        return acc
+
+    out = cls.zero(rank, coords)
+    for J, p in w.terms.items():
+        df = cls(rank, coords, {(i,): apply_field(alg.anchor[i - 1], p, coords)
+                                for i in range(1, rank + 1)})
+        out = out + df.wedge(cls.monomial(rank, coords, J, one))
+        for t in range(len(J)):
+            pre = cls.monomial(rank, coords, J[:t], p if t % 2 == 0 else -p)
+            out = out + pre.wedge(d_basis(J[t])).wedge(cls.monomial(rank, coords, J[t + 1:], one))
+    return out
+
+
+def _oracle_schouten(alg, u, v):
+    rank, coords = alg.rank, alg.coordinates
+    one = Polynomial.const(coords, 1)
+
+    def mono(index, coeff):
+        return alg.section_cls.monomial(rank, coords, index, coeff)
+
+    def basis_left(I, pv, J):
+        """[e_I, pv e_J]."""
+        if len(I) == 1:
+            out = mono(J, apply_field(alg.anchor[I[0] - 1], pv, coords))
+            for t in range(len(J)):
+                out = out + mono(J[:t], pv).wedge(alg.bracket_pair(I[0], J[t])) \
+                    .wedge(mono(J[t + 1:], one))
+            return out
+        # [e_i ^ e_R, B] = e_i ^ [e_R, B] + (-1)^((k-1)(l-1)) [e_i, B] ^ e_R
+        second = basis_left(I[:1], pv, J).wedge(mono(I[1:], one))
+        if ((len(I) - 1) * (len(J) - 1)) % 2:
+            second = -second
+        return mono(I[:1], one).wedge(basis_left(I[1:], pv, J)) + second
+
+    def monomials(pu, I, pv, J):
+        k, l = len(I), len(J)
+        if k == 0 and l == 0:
+            return alg.zero_section()
+        if k == 0:
+            # [f, v] = (-1)^|v| [v, f]
+            res = monomials(pv, J, pu, I)
+            return res if l % 2 == 0 else -res
+        # [f A, B] = f [A, B] - (-1)^((k-1)(l-1)) [B, f] ^ A
+        out = basis_left(I, pv, J).scaled(pu)
+        if l > 0:
+            term = monomials(pv, J, pu, ()).wedge(mono(I, one))
+            out = out - term if ((k - 1) * (l - 1)) % 2 == 0 else out + term
+        return out
+
+    out = alg.zero_section()
+    for I, pu in u.terms.items():
+        for J, pv in v.terms.items():
+            out = out + monomials(pu, I, pv, J)
+    return out
+
+
+def _oracle_boundary(alg, frame, u):
+    """(-1)^l inv(d(iota_u top)) on each degree l, written for Multivector
+    sections with top = Omega and moved across by retype on Form sections."""
+    across = retype if alg.section_kind == "covector" else (lambda element: element)
+    n = alg.rank
+    out = alg.zero_section()
+    for l in u.degrees():
+        phi = across(interior_by_multivector(across(u.homogeneous(l)), frame.omega))
+        d_phi = across(alg.differential(phi))
+        for j in d_phi.degrees():
+            piece = interior_by_form(d_phi.homogeneous(j), frame.vee)
+            if ((n - j) * (n - 1) + l) % 2:
+                piece = -piece
+            out = out + across(piece)
+    return out
+
+
+def _elements(cls, rank, coords):
+    """Mixed-degree elements of up to three terms x_I, I drawn as a bit mask,
+    each with a polynomial coefficient of up to two terms of degree <= 2 in
+    each coordinate."""
+    m = len(coords)
+    term = st.tuples(st.integers(0, 2 ** rank - 1),
+                     st.lists(st.integers(0, 2), min_size=2 * m, max_size=2 * m),
+                     st.integers(-3, 3), st.integers(1, 3))
+
+    def build(terms):
+        out = {}
+        for mask, exps, a, b in terms:
+            index = tuple(i for i in range(1, rank + 1) if mask >> (i - 1) & 1)
+            out[index] = Polynomial(coords, {tuple(exps[:m]): Fraction(a, b),
+                                             tuple(exps[m:]): Fraction(b, 2)})
+        return cls(rank, coords, out)
+
+    return st.lists(term, max_size=3).map(build)
+
+
+@pytest.fixture(scope="module")
+def gate_structures(corpus, pn_failing_pairs):
+    """VALID_STRUCTURES (vector side) and both halves of every corpus and PN
+    pair, so that both section kinds are covered."""
+    out = [factory() for factory in VALID_STRUCTURES]
+    for P in [P for _label, P in corpus] + list(pn_failing_pairs):
+        out += [P.A, P.Astar]
+    return out
+
+
+# No shrink phase: an example draws elements for every structure, and shrinking
+# that many draws after a failure takes minutes.
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_operators_match_the_direct_formulas(gate_structures, data):
+    for alg in gate_structures:
+        frame = FrameData(alg.rank, alg.coordinates)
+        u, v = (data.draw(_elements(alg.section_cls, alg.rank, alg.coordinates))
+                for _ in range(2))
+        w = data.draw(_elements(alg.dual_cls, alg.rank, alg.coordinates))
+        assert str(alg.differential(w)) == str(_oracle_differential(alg, w))
+        assert str(alg.schouten(u, v)) == str(_oracle_schouten(alg, u, v))
+        assert str(bv_boundary(alg, frame, u)) == str(_oracle_boundary(alg, frame, u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_sharps_are_interior_products_with_the_top_elements(data, n):
+    frame = FrameData(n, R2)
+    u = data.draw(_elements(Multivector, n, R2))
+    theta = data.draw(_elements(Form, n, R2))
+    assert omega_sharp(frame, u) == interior_by_multivector(u, frame.omega)
+    assert v_sharp(frame, theta) == interior_by_form(theta, frame.vee)

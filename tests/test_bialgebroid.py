@@ -691,6 +691,29 @@ def test_courant_and_generator_apply_no_anchor_to_functions(corpus, failing_pair
         assert seen == [], P.label
 
 
+def test_courant_builds_each_anchor_field_once(monkeypatch):
+    """courant_axioms on the quadratic Poisson double pi^ij = x_i x_j at m = 4
+    takes 260 anchor fields: one for each of the 40 near sections, the frame
+    among them, and one for each of the 220 nonzero brackets of g2.  A zero
+    bracket takes none, and the anchor relation reads the frame's fields."""
+    m = 4
+    P = poisson_double(PoissonManifoldData(m, [
+        ["0" if i == j else f"{'' if i < j else '-'}x{min(i, j) + 1}*x{max(i, j) + 1}"
+         for j in range(m)] for i in range(m)]))
+    P.flipped().modular, P.modular
+    seen = []
+    direct = pair_module.rho_field
+
+    def counting(pair, e):
+        seen.append(str(e))
+        return direct(pair, e)
+
+    monkeypatch.setattr(pair_module, "rho_field", counting)
+    assert courant_axioms(P).passed
+    assert "0 (+) 0" not in seen
+    assert len(seen) == 260
+
+
 def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):
     """theorem_c_suite makes 256 Lie derivative calls on poisson-linear: the
     trace of each defect operator is read off its value on the top form, so

@@ -15,7 +15,7 @@ from bialgebroid import (BivectorData, ConstructionError, Form, FrameData, Multi
 
 from bialgebroid import (InternalError, algebroid_from_json, interior_by_multivector,
                          laplacian, multivector_probes, pair_to_json, retype)
-from bialgebroid import constructions
+from bialgebroid import cli, constructions
 from bialgebroid.constructions import _dstar_bracket_witness
 from bialgebroid.pair import BialgebroidPair, _modular_class, degree1_form_probes
 from bialgebroid.ring import identity_matrix
@@ -238,7 +238,8 @@ def test_pn_identities_pass():
 def test_pn_identities_builds_one_pair(monkeypatch):
     """One compatibility check and one pair, the hierarchy pair; Lambda_0..3
     are built once each, besides the Lambda_1 of the check and the Lambda_k
-    of pn_hierarchy."""
+    of pn_hierarchy.  A_1..A_3 are built once each: pn/scene reads xi_1 off
+    the hierarchy pair's own A_1."""
     A, N, L = pn_desk_instance()
     calls = {"_check_pn_compatibility": 0, "exact_from_bivector": 0, "_shifted_bivector": 0,
              "BialgebroidPair": 0}
@@ -247,6 +248,14 @@ def test_pn_identities_builds_one_pair(monkeypatch):
             calls[_name] += 1
             return _direct(*args)
         monkeypatch.setattr(constructions, name, counting)
+    deformed = []
+    direct_deformed = constructions._deformed_structure
+
+    def counting_deformed(A, N, l):
+        deformed.append(l)
+        return direct_deformed(A, N, l)
+
+    monkeypatch.setattr(constructions, "_deformed_structure", counting_deformed)
     direct_init = BialgebroidPair.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -257,6 +266,26 @@ def test_pn_identities_builds_one_pair(monkeypatch):
     assert pn_identities(A, N, L, 1, 1).passed
     assert calls == {"_check_pn_compatibility": 1, "exact_from_bivector": 0,
                      "_shifted_bivector": 6, "BialgebroidPair": 1}
+    assert deformed == [1, 2, 3]
+
+
+def test_example_pn_builds_its_pair_once(monkeypatch, capsys):
+    """example pn prints the pair that pn_identities checks: one hierarchy
+    call, one compatibility check, and A_l built for l = 1, 2, 3 only."""
+    calls = {"pn_hierarchy": [], "_check_pn_compatibility": [], "_deformed_structure": []}
+    for name in calls:
+        def counting(*args, _name=name, _direct=getattr(constructions, name)):
+            calls[_name].append(args[-1] if _name == "_deformed_structure" else None)
+            return _direct(*args)
+        monkeypatch.setattr(constructions, name, counting)
+    monkeypatch.chdir(FIXTURES.parent.parent)  # the spec path is echoed in the report
+    code = cli.main(["example", "pn", "tests/fixtures/tangent-r3.json",
+                     "--n", '[["x1","0","0"],["0","x1","0"],["0","0","1"]]',
+                     "--lambda", '{"1,2": "1"}', "--k", "1", "--l", "1"])
+    assert code == 0 and '"pass": true' in capsys.readouterr().out
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "pn_hierarchy": 1, "_check_pn_compatibility": 1, "_deformed_structure": 3}
+    assert calls["_deformed_structure"] == [1, 2, 3]
 
 
 def test_pn_identities_cocycles_are_those_of_the_exact_pairs():

@@ -295,8 +295,9 @@ def _data_key(side):
 
 def test_every_decision_takes_one_differential_per_monomial(corpus, monkeypatch):
     """Each decision takes the differential once per distinct (algebroid
-    data, input): d, dstar and both boundaries read one once-per-monomial
-    view for the whole call, and so does every operator built on them (D,
+    data, input): d and dstar run once per monomial on one view for the
+    whole call, the boundaries are d conjugated by the top contraction and
+    read the same images, and so does every operator built on them (D,
     the Laplacians, the Lie derivatives, the Dorfman bracket).  The view's
     mirror carries the same two algebroids on the other sides and reads the
     view's images through retype, so the key is the algebroid's data and

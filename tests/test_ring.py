@@ -201,13 +201,6 @@ def test_diff_is_a_derivation(p, q):
         assert lhs == p.diff(name) * q + p * q.diff(name)
 
 
-@given(polynomials(), polynomials())
-def test_evaluate_is_a_homomorphism(p, q):
-    point = {"x": Fraction(2, 3), "y": Fraction(-1, 2)}
-    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
-
-
 @given(polynomials(), st.integers(min_value=0, max_value=4))
 def test_pow_matches_repeated_product(p, k):
     expected = Polynomial.const(XY, 1)
