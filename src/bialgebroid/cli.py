@@ -42,13 +42,13 @@ from typing import Optional, Tuple
 
 from .algebroid import AlgebroidError, validate_algebroid
 from .constructions import (BivectorData, ConstructionError, NijenhuisData,
-                            PoissonManifoldData, _pn_pair_and_identities, a_plus_b,
-                            exact_from_bivector, exact_identities, poisson_double,
-                            poisson_homology_check)
+                            PoissonManifoldData, _pn_pair_and_identities,
+                            _poisson_pair_and_homology, a_plus_b, exact_from_bivector,
+                            exact_identities)
 from .exterior import ExteriorError, Multivector
 from .pair import (PROBE_DEGREE, PairError, corollary_suite, courant_axioms,
                    dirac_square, f_tilde, generator_check, theorem_c_suite)
-from .ring import PolynomialError, parse_rational
+from .ring import Polynomial, PolynomialError, parse_rational
 from .serialize import (_BRACKET_KEY, DocumentError, _bracket_indices, algebroid_from_json,
                         document_to_structures, pair_from_json, pair_to_json)
 
@@ -187,7 +187,6 @@ def _cmd_modular(args) -> Tuple[dict, int]:
 def _bivector_from_arg(raw, rank: int, coords) -> BivectorData:
     if not isinstance(raw, dict):
         raise DocumentError("--lambda must be a JSON object of 'i,j' keys")
-    from .ring import Polynomial
     terms = {}
     for key, value in raw.items():
         if not _BRACKET_KEY.fullmatch(key):
@@ -227,8 +226,7 @@ def _cmd_example_poisson(args) -> Tuple[dict, int]:
     if not isinstance(rows, list):
         raise DocumentError("--pi must be a JSON matrix of polynomial strings")
     data = PoissonManifoldData(args.dim, rows)
-    pair = poisson_double(data)
-    report = poisson_homology_check(data)
+    pair, report = _poisson_pair_and_homology(data)
     square = dirac_square(pair)
     ok = report.passed and square.is_scalar and square.square_formula_ok
     body = {

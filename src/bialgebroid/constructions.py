@@ -538,7 +538,15 @@ def poisson_double(Pm: PoissonManifoldData, frame: FrameData | None = None) -> B
 
 
 def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
-    """Graded-commutator identities of the tangent/cotangent pair.
+    """Graded-commutator identities of the tangent/cotangent pair (see
+    _poisson_pair_and_homology)."""
+    return _poisson_pair_and_homology(Pm)[1]
+
+
+def _poisson_pair_and_homology(Pm: PoissonManifoldData) \
+        -> Tuple[BialgebroidPair, IdentityReport]:
+    """The tangent/cotangent pair of pi and the report of
+    poisson_homology_check, from one poisson_double call.
 
     Over wedge A* = Poly[x] (x) Lambda[eps], boundary_* is a BV operator and
     iota_pi a composite of two contractions, both of order 2, d, iota_X and
@@ -548,7 +556,8 @@ def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
     |gamma| <= 2, by the sub-product argument of dirac_square.  poisson/d-pi
     is exact/triangular-dstar for pi.
     """
-    P = _once_per_monomial_view(poisson_double(Pm))
+    pair = poisson_double(Pm)
+    P = _once_per_monomial_view(pair)
     pi = Pm.pi_multivector()
     x_omega = Pm.modular_field()
     report = IdentityReport(suite="poisson")
@@ -594,7 +603,7 @@ def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
     wit = _dstar_bracket_witness(P, pi)
     add(IdentityRecord("poisson/d-pi", wit is None, wit))
 
-    return report
+    return pair, report
 
 
 # -- incompatible pairs for converse testing ----------------------------------------------

@@ -177,11 +177,6 @@ class GradedElement:
     def max_degree(self) -> int:
         return max((len(ix) for ix in self.terms), default=0)
 
-    def homogeneous(self, k: int):
-        return type(self)._raw(
-            self.rank, self.variables,
-            {ix: p for ix, p in self.terms.items() if len(ix) == k})
-
     def coefficient(self, index) -> Polynomial:
         index = _check_index(index, self.rank)
         return self.terms.get(index, Polynomial.zero(self.variables))
@@ -335,17 +330,17 @@ def weighted_sum(pieces):
 def once_per_monomial(op):
     """Wrap an additive operator so that it is applied once per monomial x^gamma e_I.
 
-    op must be additive, commute with constant scaling and keep its input's
-    class, as D, d, d_*, the boundaries and the Laplacians do; it need not
-    be C-infinity-linear, so an image is stored under the element's class,
+    op must be additive and commute with constant scaling, as D, d, d_*,
+    the boundaries, the Laplacians and x -> L_x Omega do; it need not be
+    C-infinity-linear, so an image is stored under the element's class,
     index I and exponent gamma together, never under I alone.  Every other
     input is then the Fraction-weighted sum of the stored images of its
     monomials, which is exactly op(input).  The inputs must share one
     rank and variable context, as they do inside one computation on one
-    pair.  A zero input is returned as it is, the zero of its class,
-    without calling op, as in once_per_monomial_pair.  The images live as
-    long as the returned callable, so build one inside each computation and
-    let it go on return.
+    pair, and the images one class.  A zero input is returned as it is,
+    the zero of its own class, without calling op, so an op that changes
+    class must not be given zero.  The images live as long as the returned
+    callable, so build one inside each computation and let it go on return.
     """
     images = {}
 
@@ -359,49 +354,6 @@ def once_per_monomial(op):
                 found = images[key] = op(unit_monomial(element.rank, element.variables, key))
             pieces.append((c, found))
         return weighted_sum(pieces)
-
-    return apply
-
-
-def once_per_monomial_pair(op):
-    """Wrap a two-slot operator so that it is applied once per pair of monomials.
-
-    op(x, t) must be additive in each slot and commute with constant scaling
-    there, as a Lie derivative L_x t and the Dorfman bracket x o t do; it need
-    not be C-infinity-linear in either slot, so an image is stored under the
-    (class, I, gamma) of both slots, never under the indices alone.  A slot
-    takes a GradedElement or a tuple of them read as their sum (the two parts
-    of a section of the double).  op sees unit monomials x^gamma e_I in both
-    slots and returns a value shaped like the second slot: an element of its
-    class, or a tuple with one element per part.  Every other value is the
-    Fraction-weighted sum of stored images, part by part, which is exactly
-    op(x, t); a zero slot gives zero without calling op.  As with
-    once_per_monomial, build one inside each computation and let it go on
-    return.
-    """
-    images = {}
-
-    def apply(x, t):
-        parts = t if isinstance(t, tuple) else (t,)
-        rank, variables = parts[0].rank, parts[0].variables
-        right = []
-        for part in parts:
-            right += monomials(part)
-        pieces = []
-        for part in x if isinstance(x, tuple) else (x,):
-            for k1, c1 in monomials(part):
-                for k2, c2 in right:
-                    found = images.get((k1, k2))
-                    if found is None:
-                        found = images[k1, k2] = op(unit_monomial(rank, variables, k1),
-                                                    unit_monomial(rank, variables, k2))
-                    pieces.append((c1 * c2, found))
-        if parts is not t:
-            return weighted_sum(pieces) if pieces else type(t).zero(rank, variables)
-        if not pieces:
-            return tuple(type(part).zero(rank, variables) for part in parts)
-        return tuple([weighted_sum([(c, found[i]) for c, found in pieces])
-                      for i in range(len(parts))])
 
     return apply
 

@@ -69,9 +69,10 @@ operators are additive and commute with constant scaling but are not
 C-infinity-linear, so an image is stored under the full monomial,
 exponent included, and every other value is the Fraction-weighted sum of
 stored images: the direct value.
-Composites that repeat inside a call keep a wrapper of their own: D and
-[D, c(e)] once per monomial, the Dorfman bracket and the Lie derivatives
-L_x t once per pair of monomials (exterior.once_per_monomial_pair).
+Composites that repeat inside a call keep a wrapper of their own: D,
+[D, c(e)] and the top-form Lie derivatives x -> L_x Omega of the thm-c
+trace once per monomial (exterior.once_per_monomial), the Dorfman bracket
+once per pair of section monomials (_once_per_monomial_dorfman).
 Nothing is stored on the pair; the images go with the view.
 """
 
@@ -86,8 +87,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary, validate_algebroid
 from .exterior import (Form, FrameData, Multivector, interior_by_form,
-                       interior_by_multivector, once_per_monomial, once_per_monomial_pair,
-                       pairing, retype)
+                       interior_by_multivector, monomials, once_per_monomial, pairing,
+                       retype, unit_monomial, weighted_sum)
 from .ring import (Polynomial, apply_field, divergence, field_bracket, first_non_skew,
                    matrix_product)
 
@@ -554,18 +555,30 @@ def dorfman(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
 def _once_per_monomial_dorfman(P: BialgebroidPair):
     """dorfman(P, ., .) run once per pair of section monomials, keyed by the
     (class, I, gamma) of both slots; any other bracket is the Fraction-weighted
-    sum of the stored images (see the module docstring for why that is exact)."""
+    sum of the stored images, part by part (see the module docstring for why
+    that is exact).  The table lives as long as the returned callable."""
+    images = {}
 
-    def section(part) -> SectionE:
+    def section(key) -> SectionE:
+        part = unit_monomial(P.rank, P.coordinates, key)
         return SectionE.of(vec=part) if isinstance(part, Multivector) else SectionE.of(cov=part)
 
-    def op(a, b):
-        e = dorfman(P, section(a), section(b))
-        return e.vec, e.cov
+    def bracket(e1: SectionE, e2: SectionE) -> SectionE:
+        right = monomials(e2.vec) + monomials(e2.cov)
+        pieces = []
+        for k1, c1 in monomials(e1.vec) + monomials(e1.cov):
+            for k2, c2 in right:
+                found = images.get((k1, k2))
+                if found is None:
+                    found = images[k1, k2] = dorfman(P, section(k1), section(k2))
+                pieces.append((c1 * c2, found))
+        if not pieces:
+            return SectionE.zero(P.rank, P.coordinates)
+        # a sum of brackets of sections is a section: no need to check it again
+        return SectionE._raw(weighted_sum([(c, found.vec) for c, found in pieces]),
+                             weighted_sum([(c, found.cov) for c, found in pieces]))
 
-    bracket = once_per_monomial_pair(op)
-    # a sum of brackets of sections is a section: no need to check it again
-    return lambda e1, e2: SectionE._raw(*bracket((e1.vec, e1.cov), (e2.vec, e2.cov)))
+    return bracket
 
 
 def clifford_act(e: SectionE, w: Multivector) -> Multivector:
@@ -766,10 +779,45 @@ def _modular_lie_failure(P: BialgebroidPair, probes) \
     return None, None
 
 
-def _once_per_monomial_lie(P: BialgebroidPair):
-    """L_x t along a degree-1 Multivector or Form x, once per pair of monomials."""
-    return once_per_monomial_pair(
-        lambda x, t: (P.A if isinstance(x, Multivector) else P.Astar).lie_derivative(x, t))
+def _top_lie_coefficient(P: BialgebroidPair):
+    """x -> a(x) with L_x Omega = a(x) Omega on the top form, for a degree-1
+    x along A (a Multivector) or A* (a Form); L keeps degree.  x -> L_x Omega
+    runs once per monomial of x (exterior.once_per_monomial); a zero x,
+    which that memo would return as it is, has a(x) = 0."""
+    omega, top_index, zero = P.frame.omega, P.frame.top_index, Polynomial.zero(P.coordinates)
+    lie = once_per_monomial(
+        lambda x: (P.A if isinstance(x, Multivector) else P.Astar).lie_derivative(x, omega))
+    return lambda x: lie(x).coefficient(top_index) if x.terms else zero
+
+
+def _defect_trace(P: BialgebroidPair):
+    """(u, theta, e, rho(u), rho(theta)) -> the trace of the defect operator
+    top = L_e - (L_u L_theta - L_theta L_u) on wedge A*, where u is a
+    degree-1 Multivector, theta a degree-1 Form and e = (u, 0) o (0, theta).
+
+    top is an even derivation of wedge A*: L along a section of A is the
+    Cartan formula iota_u d + d iota_u, the commutator of two odd
+    derivations; L along a section of A* is the Schouten bracket
+    [theta, .]_*, an even derivation; and the commutator of two derivations
+    is a derivation.  So top keeps degree, and on the top form
+    Omega = eps^1 ^ .. ^ eps^n, top(Omega) = sum_j eps^1 ^ .. ^ top(eps^j)
+    ^ .. ^ eps^n = (sum_j <top(eps^j), e_j>) Omega for every dual pair,
+    whether or not top is tensorial.
+
+    That coefficient comes from functions.  With L_x Omega = a(x) Omega
+    (_top_lie_coefficient) and the Leibniz rule L_x(g Omega) =
+    g L_x Omega + (rho(x) g) Omega of every L along a degree-1 section,
+    L_u L_theta Omega - L_theta L_u Omega = (rho(u) a(theta) -
+    rho(theta) a(u)) Omega, the a(u) a(theta) terms cancelling.  So the
+    trace is a(e.vec) + a(e.cov) - rho(u) a(theta) + rho(theta) a(u).
+    """
+    a, coords = _top_lie_coefficient(P), P.coordinates
+
+    def trace(u, theta, e, rho_u, rho_th) -> Polynomial:
+        return a(e.vec) + a(e.cov) - apply_field(rho_u, a(theta), coords) \
+            + apply_field(rho_th, a(u), coords)
+
+    return trace
 
 
 def _defect_witness(P: BialgebroidPair) -> Optional[str]:
@@ -777,21 +825,10 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     acting on forms is tensorial with trace 2 <d theta, dstar u>.
 
     The defect operator is top = L_e - (L_u L_theta - L_theta L_u) with
-    e = (u, 0) o (0, theta).  Each L is additive in both slots and commutes
-    with constants there, so one wrapper takes it once per pair of monomials
-    for the whole call; on the caller's view (theorem_c_suite) the
-    differentials that the Lie derivatives and the Dorfman bracket read are
-    shared as well.
-
-    The trace is read off one evaluation, top(Omega) on the top form
-    Omega = eps^1 ^ .. ^ eps^n.  top is an even derivation of wedge A*: L
-    along a section of A is the Cartan formula iota_u d + d iota_u, the
-    commutator of two odd derivations; L along a section of A* is the
-    Schouten bracket [theta, .]_*, an even derivation; and the commutator
-    of two derivations is a derivation.  So top keeps degree, and
-    top(Omega) = sum_j eps^1 ^ .. ^ top(eps^j) ^ .. ^ eps^n =
-    (sum_j <top(eps^j), e_j>) Omega for every dual pair, whether or not top
-    is tensorial.
+    e = (u, 0) o (0, theta).  Its trace is a function read off Lie
+    derivatives of the top form alone (see _defect_trace); on the caller's
+    view (theorem_c_suite) the differentials that the Lie derivatives and
+    the Dorfman bracket read are shared.
 
     Tensoriality is read off the anchor field, with no
     evaluation of top on f eta: every L along a degree-1 section satisfies
@@ -827,7 +864,7 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     would give.
     """
     deg1_form = degree1_form_probes(P, 1)
-    lie = _once_per_monomial_lie(P)
+    trace_of = _defect_trace(P)
     d_forms = [P.d(th) for th in deg1_form]
     form_sections = [SectionE.of(cov=th) for th in deg1_form]
     form_fields = [rho_field(P, s) for s in form_sections]
@@ -840,12 +877,7 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
             if a is not None:
                 return (f"u = {u}; theta = {th}; defect operator is not "
                         f"tensorial on ({P.coordinates[a]}) eps[1]")
-
-            def top(eta: Form) -> Form:
-                second = lie(u, lie(th, eta)) - lie(th, lie(u, eta))
-                return lie(e.vec, eta) + lie(e.cov, eta) - second
-
-            trace = top(P.frame.omega).coefficient(P.frame.top_index)
+            trace = trace_of(u, th, e, rho_u, rho_th)
             want = 2 * pairing(dth, du)
             if trace != want:
                 return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"

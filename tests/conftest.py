@@ -27,6 +27,12 @@ def point_algebra(rank, brackets, kind="vector"):
     return AlgebroidStructure(rank, coords, [[] for _ in range(rank)], table, kind)
 
 
+def of_degree(element, k):
+    """The degree-k part of a Multivector or Form."""
+    return type(element)(element.rank, element.variables,
+                         {ix: p for ix, p in element.terms.items() if len(ix) == k})
+
+
 def heisenberg():
     return point_algebra(3, {(1, 2): (0, 0, 1)})
 

@@ -10,7 +10,7 @@ from bialgebroid import (AlgebroidError, AlgebroidStructure, FrameData, Form,
                          retype, tangent_algebroid, v_sharp, validate_algebroid)
 from bialgebroid.ring import apply_field
 
-from conftest import const, heisenberg, point_algebra, so3, solvable
+from conftest import const, heisenberg, of_degree, point_algebra, so3, solvable
 
 R2 = ("x1", "x2")
 
@@ -448,10 +448,10 @@ def _oracle_boundary(alg, frame, u):
     n = alg.rank
     out = alg.zero_section()
     for l in u.degrees():
-        phi = across(interior_by_multivector(across(u.homogeneous(l)), frame.omega))
+        phi = across(interior_by_multivector(across(of_degree(u, l)), frame.omega))
         d_phi = across(alg.differential(phi))
         for j in d_phi.degrees():
-            piece = interior_by_form(d_phi.homogeneous(j), frame.vee)
+            piece = interior_by_form(of_degree(d_phi, j), frame.vee)
             if ((n - j) * (n - 1) + l) % 2:
                 piece = -piece
             out = out + across(piece)

@@ -440,6 +440,16 @@ def test_derivation_identities_on_generators_match_all_probe_pairs(
                 assert cor.record("cor-brood/g15").witness == bracket, label
 
 
+def _defect_operator(P, u, th, e):
+    """The defect operator L_e - (L_u L_theta - L_theta L_u) on forms, with
+    e = (u, 0) o (0, theta), every Lie derivative by a direct call."""
+    def top(eta):
+        second = P.A.lie_derivative(u, P.Astar.lie_derivative(th, eta)) \
+            - P.Astar.lie_derivative(th, P.A.lie_derivative(u, eta))
+        return P.A.lie_derivative(e.vec, eta) + P.Astar.lie_derivative(e.cov, eta) - second
+    return top
+
+
 def _defect_witness_oracle(P):
     """thm-c/c computed directly: every Lie derivative by a direct call, and
     tensoriality of the defect operator checked on every f with |gamma| <= 2."""
@@ -448,12 +458,7 @@ def _defect_witness_oracle(P):
         du = P.dstar(u)
         for th in degree1_form_probes(P, 2):
             e = dorfman(P, SectionE.of(vec=u), SectionE.of(cov=th))
-
-            def top(eta):
-                second = P.A.lie_derivative(u, P.Astar.lie_derivative(th, eta)) \
-                    - P.Astar.lie_derivative(th, P.A.lie_derivative(u, eta))
-                return P.A.lie_derivative(e.vec, eta) + P.Astar.lie_derivative(e.cov, eta) - second
-
+            top = _defect_operator(P, u, th, e)
             base = [top(P.basis_eps(j)) for j in range(1, P.rank + 1)]
             for f in lin_funcs:
                 for j in range(1, P.rank + 1):
@@ -485,6 +490,40 @@ def test_defect_tensoriality_on_coordinates_matches_the_full_family(
             # found only on a coordinate times eps^j: the x_a must stay in the family
             for witness in (c, d):
                 assert "defect operator is not tensorial on (x" in witness, label
+
+
+@st.composite
+def _degree1_sections(draw, cls, rank, coords):
+    """Degree-1 elements with rational coefficients of degree <= 2 in the
+    coordinates; any slot, or the whole element, may be zero."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in coords]).filter(lambda g: sum(g) <= 2)
+    coefficient = st.dictionaries(
+        exps, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), max_size=3)
+    terms = draw(st.dictionaries(st.integers(1, rank), coefficient, max_size=rank))
+    return cls(rank, coords, {(i,): Polynomial(coords, t) for i, t in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_defect_trace_from_top_lie_coefficients_matches_the_nested_operator(
+        corpus, failing_pairs, pn_failing_pairs, data):
+    """The thm-c trace read off the scalars a(x), L_x Omega = a(x) Omega, is
+    the coefficient on Omega of the defect operator's value on Omega, on
+    sections well beyond the probe family: any coefficients with
+    |gamma| <= 2, zero parts included, on each pair and on its flip, with
+    one trace callable reused across draws."""
+    pairs = [P for _, P in corpus] + list(failing_pairs) + list(pn_failing_pairs)
+    P = data.draw(st.sampled_from(pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
+    trace_of = pair_module._defect_trace(P)
+    draws = st.tuples(_degree1_sections(Multivector, P.rank, P.coordinates),
+                      _degree1_sections(Form, P.rank, P.coordinates))
+    for u, th in data.draw(st.lists(draws, min_size=1, max_size=3)):
+        su, sth = SectionE.of(vec=u), SectionE.of(cov=th)
+        e = dorfman(P, su, sth)
+        got = trace_of(u, th, e, rho_field(P, su), rho_field(P, sth))
+        want = _defect_operator(P, u, th, e)(P.frame.omega).coefficient(P.frame.top_index)
+        assert got == want, (P.label, str(u), str(th))
 
 
 def _pairing_witnesses_oracle(P):
@@ -715,9 +754,10 @@ def test_courant_builds_each_anchor_field_once(monkeypatch):
 
 
 def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):
-    """theorem_c_suite makes 256 Lie derivative calls on poisson-linear: the
-    trace of each defect operator is read off its value on the top form, so
-    no defect operator runs on the n eps^j."""
+    """theorem_c_suite makes 232 Lie derivative calls on poisson-linear: the
+    trace of each defect operator is read off the Lie derivatives of the top
+    form, each taken once per monomial of the sections met in the call, so
+    no defect operator runs, on Omega or on the n eps^j."""
     P = dict(corpus)["poisson-linear"]
     # the modular cocycles and the flip are P's own caches; take them first
     P.flipped().modular, P.modular
@@ -725,12 +765,18 @@ def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):
     direct = bialgebroid.AlgebroidStructure.lie_derivative
 
     def counting(side, x, target):
-        seen.append((str(x), str(target)))
+        seen.append((side, str(x), str(target)))
         return direct(side, x, target)
 
     monkeypatch.setattr(bialgebroid.AlgebroidStructure, "lie_derivative", counting)
     assert theorem_c_suite(P).passed
-    assert len(seen) == 256
+    assert len(seen) == 232
+    omega = str(P.frame.omega)
+    on_top = [(side, x) for side, x, target in seen if target == omega]
+    assert on_top and all(x != "0" for _, x in on_top)
+    # one Lie derivative per structure and monomial: the mirror's structures
+    # are other objects, with x read in the flipped frame
+    assert len(set(on_top)) == len(on_top)
 
 
 def _courant_oracle(P, degree):

@@ -288,6 +288,31 @@ def test_example_pn_builds_its_pair_once(monkeypatch, capsys):
     assert calls["_deformed_structure"] == [1, 2, 3]
 
 
+def test_example_poisson_builds_its_pair_once(monkeypatch, capsys):
+    """example poisson prints the pair that poisson_homology_check checks:
+    one poisson_double call and one validated pair, and the same report as
+    the library's."""
+    calls = {"poisson_double": 0, "__init__": 0}
+
+    def counting(owner, name):
+        direct = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return direct(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(constructions, "poisson_double")
+    counting(BialgebroidPair, "__init__")
+    rows = [["0", "x1"], ["-x1", "0"]]
+    code = cli.main(["example", "poisson", "--dim", "2", "--pi", json.dumps(rows)])
+    body = json.loads(capsys.readouterr().out)
+    assert code == 0 and body["pass"] is True
+    assert calls == {"poisson_double": 1, "__init__": 1}
+    monkeypatch.undo()
+    assert body["suite"] == poisson_homology_check(PoissonManifoldData(2, rows)).to_json()
+
+
 def test_pn_identities_cocycles_are_those_of_the_exact_pairs():
     """xi_0 read off A is the xi_0 of the exact pair of Lambda, and X_k read
     off the hierarchy pair is the X_0 of the exact pair of Lambda_k."""

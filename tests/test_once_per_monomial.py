@@ -1,7 +1,8 @@
-"""exterior.once_per_monomial, and the Dorfman bracket and the Lie derivatives
-taken once per pair of monomials through exterior.once_per_monomial_pair:
-exact against the direct operators, and scoped to one decision call, in
-which the once-per-monomial view takes each differential image once."""
+"""exterior.once_per_monomial, the top-form Lie derivatives x -> L_x Omega of
+the thm-c trace taken once per monomial through it, and the Dorfman bracket
+taken once per pair of section monomials: exact against the direct
+operators, and scoped to one decision call, in which the once-per-monomial
+view takes each differential image once."""
 
 from fractions import Fraction
 
@@ -196,64 +197,65 @@ def lie_direct(P, x, t):
     return (P.A if isinstance(x, Multivector) else P.Astar).lie_derivative(x, t)
 
 
-def test_lie_once_per_monomial_pair_on_monomials_and_zero(all_pairs):
-    """Every ordered pair of x^gamma e_i and x^gamma eps^j (|gamma| <= 1), of
-    the sum of each kind and of zero, through one wrapper: Lie derivatives
-    along either side, on Multivector and Form targets.  Images stored for
-    one exponent must not stand in for another."""
+def top_coefficient_direct(P, x):
+    """The coefficient on Omega of L_x Omega, with no wrapper."""
+    return lie_direct(P, x, P.frame.omega).coefficient(P.frame.top_index)
+
+
+def test_top_lie_coefficient_on_monomials_and_zero(all_pairs):
+    """Every x^gamma e_i and x^gamma eps^j (|gamma| <= 1), the sum of each kind
+    and zero, through one wrapper, on P and on its flip: Lie derivatives of
+    the top form along either side, so the images turn Multivectors into
+    Forms.  Images stored for one exponent or class must not stand in for
+    another, and zero gives 0 without a stored image."""
     for P in all_pairs:
         monos = coordinate_monomials(P.coordinates, 1)
-        inputs = []
-        for cls in (Multivector, Form):
-            units = [cls.monomial(P.rank, P.coordinates, (i,), f)
-                     for i in range(1, P.rank + 1) for f in monos]
-            total = units[0]
-            for x in units[1:]:
-                total = total + x
-            inputs += units + [total, cls.zero(P.rank, P.coordinates)]
-        lie = pair_module._once_per_monomial_lie(P)
-        for x in inputs:
-            for t in inputs:
-                got, want = lie(x, t), lie_direct(P, x, t)
-                assert type(got) is type(want) and got == want, (P.label, str(x), str(t))
+        for Q in (P, P.flipped()):
+            inputs = []
+            for cls in (Multivector, Form):
+                units = [cls.monomial(Q.rank, Q.coordinates, (i,), f)
+                         for i in range(1, Q.rank + 1) for f in monos]
+                total = units[0]
+                for x in units[1:]:
+                    total = total + x
+                inputs += [cls.zero(Q.rank, Q.coordinates)] + units + [total]
+            a = pair_module._top_lie_coefficient(Q)
+            for x in inputs:
+                assert a(x) == top_coefficient_direct(Q, x), (Q.label, str(x))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_lie_once_per_monomial_pair_equals_the_direct_one(all_pairs, data):
+def test_top_lie_coefficient_equals_the_direct_one(all_pairs, data):
     P = data.draw(st.sampled_from(all_pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
     classes = st.sampled_from([Multivector, Form])
     xs = data.draw(st.lists(classes.flatmap(lambda c: degree1(c, P.rank, P.coordinates)),
-                            min_size=1, max_size=3))
-    ts = data.draw(st.lists(classes.flatmap(lambda c: elements(c, P.rank, P.coordinates)),
-                            min_size=1, max_size=3))
-    lie = pair_module._once_per_monomial_lie(P)
-    # every pair, so later derivatives reuse the images of earlier ones
-    for x in xs + [xs[0].scaled(Fraction(-3, 2))]:
-        for t in ts + [ts[0] + ts[0].scaled(Fraction(1, 3))]:
-            got, want = lie(x, t), lie_direct(P, x, t)
-            assert type(got) is type(want) and got == want, (P.label, str(x), str(t))
+                            min_size=1, max_size=4))
+    a = pair_module._top_lie_coefficient(P)
+    # later inputs reuse the images stored for earlier ones
+    for x in xs + [xs[0].scaled(Fraction(-3, 2)), xs[0] + xs[0].scaled(Fraction(1, 3))]:
+        assert a(x) == top_coefficient_direct(P, x), (P.label, str(x))
 
 
-def test_defect_witness_applies_lie_once_per_monomial_pair(corpus, monkeypatch):
+def test_defect_witness_takes_top_lie_once_per_monomial(corpus, monkeypatch):
     P = dict(corpus)["poisson-linear"]
     seen = []
 
-    def counting_wrapper(op, wrap=pair_module.once_per_monomial_pair):
-        def counting(x, t):
-            seen.append((x, t))
-            return op(x, t)
+    def counting_wrapper(op, wrap=pair_module.once_per_monomial):
+        def counting(x):
+            seen.append(x)
+            return op(x)
         return wrap(counting)
 
-    monkeypatch.setattr(pair_module, "once_per_monomial_pair", counting_wrapper)
+    monkeypatch.setattr(pair_module, "once_per_monomial", counting_wrapper)
     before = dict(vars(P))
     first = pair_module._defect_witness(P)
     calls = len(seen)
     assert calls > 0
-    for x, t in seen:
-        assert not x.is_zero() and not t.is_zero(), (str(x), str(t))
-        assert _is_probe_monomial(x) and _is_probe_monomial(t), (str(x), str(t))
-    assert len({(type(x), _key(x), type(t), _key(t)) for x, t in seen}) == calls
+    for x in seen:
+        assert not x.is_zero() and _is_probe_monomial(x), str(x)
+    assert len({(type(x), _key(x)) for x in seen}) == calls
     # nothing is kept between calls, on the pair or elsewhere
     seen.clear()
     assert pair_module._defect_witness(P) == first
