@@ -546,7 +546,9 @@ def poisson_homology_check(Pm: PoissonManifoldData) -> IdentityReport:
 def _poisson_pair_and_homology(Pm: PoissonManifoldData) \
         -> Tuple[BialgebroidPair, IdentityReport]:
     """The tangent/cotangent pair of pi and the report of
-    poisson_homology_check, from one poisson_double call.
+    poisson_homology_check, from one poisson_double call.  The pair is
+    the once-per-monomial view the report ran on, so a dirac_square call
+    on it reads the differential images already taken.
 
     Over wedge A* = Poly[x] (x) Lambda[eps], boundary_* is a BV operator and
     iota_pi a composite of two contractions, both of order 2, d, iota_X and
@@ -556,8 +558,7 @@ def _poisson_pair_and_homology(Pm: PoissonManifoldData) \
     |gamma| <= 2, by the sub-product argument of dirac_square.  poisson/d-pi
     is exact/triangular-dstar for pi.
     """
-    pair = poisson_double(Pm)
-    P = _once_per_monomial_view(pair)
+    P = _once_per_monomial_view(poisson_double(Pm))
     pi = Pm.pi_multivector()
     x_omega = Pm.modular_field()
     report = IdentityReport(suite="poisson")
@@ -603,7 +604,7 @@ def _poisson_pair_and_homology(Pm: PoissonManifoldData) \
     wit = _dstar_bracket_witness(P, pi)
     add(IdentityRecord("poisson/d-pi", wit is None, wit))
 
-    return pair, report
+    return P, report
 
 
 # -- incompatible pairs for converse testing ----------------------------------------------

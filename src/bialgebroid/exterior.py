@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Tuple
 
-from .ring import Polynomial
+from .ring import Polynomial, _add_term
 
 Index = Tuple[int, ...]
 
@@ -45,6 +46,13 @@ def _check_index(index: Iterable[int], rank: int) -> Index:
     return index
 
 
+# The sign rules depend on index tuples alone, so their values are kept;
+# 2^14 entries hold every pair of index tuples up to rank 7, and the bound
+# keeps a document of larger rank from growing the table without limit.
+_SIGN_CACHE = 1 << 14
+
+
+@lru_cache(maxsize=_SIGN_CACHE)
 def _merge_sign(left: Index, right: Index):
     """Sign and merged tuple for e_left ^ e_right, or None if they overlap."""
     if set(left) & set(right):
@@ -57,6 +65,7 @@ def _merge_sign(left: Index, right: Index):
     return sign, tuple(sorted(left + right))
 
 
+@lru_cache(maxsize=_SIGN_CACHE)
 def _contract_sign(dual: Index, target: Index):
     """Sign and leftover tuple for contracting the dual monomial into target.
 
@@ -295,10 +304,13 @@ def monomials(element: GradedElement):
             for index, poly in element.terms.items() for exps, c in poly.terms.items()]
 
 
+_ONE = Fraction(1)
+
+
 def unit_monomial(rank: int, variables, key) -> GradedElement:
     """The element x^gamma e_I, coefficient 1, named by key = (class, I, gamma)."""
     cls, index, exps = key
-    return cls._raw(rank, variables, {index: Polynomial._raw(variables, {exps: Fraction(1)})})
+    return cls._raw(rank, variables, {index: Polynomial._raw(variables, {exps: _ONE})})
 
 
 def weighted_sum(pieces):
@@ -306,21 +318,21 @@ def weighted_sum(pieces):
 
     The images share one type, rank and variable context, which the result
     takes.  This is how a once-per-monomial wrapper assembles its value
-    from the stored images of the input's monomials.
+    from the stored images of the input's monomials.  The coefficients are
+    summed as Fractions, term by term with no zero seed, and an image with
+    c == 1 is not multiplied; the result stores Fractions, like every
+    Polynomial.  (Integer accumulation is in Polynomial.__mul__ only.)
     """
     if len(pieces) == 1:
         (c, found), = pieces
         return found if c == 1 else found.scaled(c)
     acc: Dict[Index, Dict[tuple, Fraction]] = {}
     for c, found in pieces:
+        one = c == 1
         for ix, p in found.terms.items():
             slot = acc.setdefault(ix, {})
             for e, v in p.terms.items():
-                s = slot.get(e, 0) + c * v
-                if s:
-                    slot[e] = s
-                else:
-                    del slot[e]
+                _add_term(slot, e, v if one else c * v)
     out_vars = found.variables
     return type(found)._raw(found.rank, out_vars,
                             {ix: Polynomial._raw(out_vars, slot)

@@ -78,7 +78,6 @@ Nothing is stored on the pair; the images go with the view.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -666,7 +665,10 @@ class _OncePerMonomialView(BialgebroidPair):
     def __init__(self, P: BialgebroidPair, differentials=None):
         self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
         for name, op in zip(("A", "Astar"), differentials or (None, None)):
-            side = copy.copy(getattr(P, name))
+            # a copy by hand: copy.copy would cache __slotnames__ on the class
+            original = getattr(P, name)
+            side = object.__new__(type(original))
+            vars(side).update(vars(original))
             side.differential = op or once_per_monomial(side.differential)
             setattr(self, name, side)
 

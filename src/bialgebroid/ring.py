@@ -4,6 +4,15 @@ A polynomial is stored sparsely as a mapping from exponent tuples to
 nonzero Fractions, relative to a fixed ordered tuple of variable names.
 All arithmetic is exact; there is no floating point anywhere.
 
+Stored coefficients are always Fractions, but the kernels make as few as
+they can.  A product with a one-term factor shifts and scales the other
+factor's terms, one to one.  Any other product is the one place with
+integer accumulation: it rescales each factor to integer numerators over
+the lcm of its denominators, sums the products of numerators per output
+exponent, and makes one normalized Fraction per nonzero sum.  Sums and
+derivatives add or scale the stored Fractions directly, never from a
+Fraction(0) seed.
+
 The text format is the one used by every file format in this package:
 
     expr     := ['+'|'-'] term (('+'|'-') term)*
@@ -33,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterator, Mapping, Tuple
 
 Exponent = Tuple[int, ...]
@@ -59,6 +69,26 @@ def _as_fraction(value) -> Fraction:
     raise PolynomialError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
 
+def _add_term(out: Dict[Exponent, Fraction], exps: Exponent, c: Fraction) -> None:
+    """Add c to out[exps], dropping the key when the sum is zero."""
+    s = out.get(exps)
+    if s is None:
+        out[exps] = c
+    else:
+        s += c
+        if s:
+            out[exps] = s
+        else:
+            del out[exps]
+
+
+def _integer_terms(terms: Mapping[Exponent, Fraction]):
+    """The terms as (exponent, integer) pairs over one common denominator d,
+    the lcm of theirs, and d: c = n / d for each pair."""
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
 class Polynomial:
     """Sparse exact polynomial in a fixed tuple of named variables."""
 
@@ -80,9 +110,7 @@ class Polynomial:
                     raise PolynomialError(f"bad exponent tuple {exps!r} for {nvars} variables")
                 c = _as_fraction(coeff)
                 if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if not clean[exps]:
-                        del clean[exps]
+                    _add_term(clean, exps, c)
         self.variables = variables
         self.terms = clean
 
@@ -155,11 +183,7 @@ class Polynomial:
         self._check_context(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            _add_term(out, exps, c)
         return Polynomial._raw(self.variables, out)
 
     __radd__ = __add__
@@ -186,16 +210,30 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_context(other)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial._raw(self.variables, out)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:
+            # a times one term c x^f: every x^e goes to x^(e+f), one to one
+            if not b:
+                return Polynomial._raw(self.variables, {})
+            (f, c), = b.items()
+            if c == 1:
+                return Polynomial._raw(self.variables,
+                                       {tuple(map(add, e, f)): k for e, k in a.items()})
+            return Polynomial._raw(self.variables,
+                                   {tuple(map(add, e, f)): k * c for e, k in a.items()})
+        na, da = _integer_terms(a)
+        nb, db = _integer_terms(b)
+        acc: Dict[Exponent, int] = {}
+        get = acc.get
+        for e1, n1 in na:
+            for e2, n2 in nb:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + n1 * n2
+        den = da * db
+        return Polynomial._raw(self.variables,
+                               {e: Fraction(v, den) for e, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -232,18 +270,12 @@ class Polynomial:
             i = self.variables.index(name)
         except ValueError:
             raise PolynomialError(f"unknown variable {name!r}; context is {self.variables!r}") from None
+        # x^e -> k x^(e - 1_i), k = e_i, is one to one on the terms it keeps
         out: Dict[Exponent, Fraction] = {}
         for exps, c in self.terms.items():
-            if exps[i]:
-                e = list(exps)
-                k = e[i]
-                e[i] = k - 1
-                key = tuple(e)
-                s = out.get(key, Fraction(0)) + c * k
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            k = exps[i]
+            if k:
+                out[exps[:i] + (k - 1,) + exps[i + 1:]] = c if k == 1 else c * k
         return Polynomial._raw(self.variables, out)
 
     # -- printing and parsing ------------------------------------------

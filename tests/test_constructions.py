@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from bialgebroid import (BivectorData, ConstructionError, Form, FrameData, Multivector,
-                         NijenhuisData, PoissonManifoldData, Polynomial,
+from bialgebroid import (AlgebroidStructure, BivectorData, ConstructionError, Form,
+                         FrameData, Multivector, NijenhuisData, PoissonManifoldData, Polynomial,
                          PreconditionError, a_plus_b, dirac_square, divergence,
                          exact_from_bivector, exact_identities,
                          find_counterexample_pairs, pairing, pn_desk_instance,
@@ -311,6 +311,32 @@ def test_example_poisson_builds_its_pair_once(monkeypatch, capsys):
     assert calls == {"poisson_double": 1, "__init__": 1}
     monkeypatch.undo()
     assert body["suite"] == poisson_homology_check(PoissonManifoldData(2, rows)).to_json()
+
+
+def test_example_poisson_takes_each_differential_image_once(monkeypatch, capsys):
+    """example poisson runs its suite and its square on one once-per-monomial
+    view: once the pair is built, no side takes its differential twice on
+    the same input."""
+    inputs = []
+    direct, build = AlgebroidStructure.differential, constructions.poisson_double
+
+    def counting(self, w):
+        inputs.append((self.section_kind, type(w).__name__,
+                       tuple(sorted((ix, tuple(sorted(p.terms.items())))
+                                    for ix, p in w.terms.items()))))
+        return direct(self, w)
+
+    def building(Pm):
+        pair = build(Pm)
+        inputs.clear()
+        return pair
+
+    monkeypatch.setattr(AlgebroidStructure, "differential", counting)
+    monkeypatch.setattr(constructions, "poisson_double", building)
+    rows = [["0", "x1", "0"], ["-x1", "0", "0"], ["0", "0", "0"]]
+    code = cli.main(["example", "poisson", "--dim", "3", "--pi", json.dumps(rows)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    assert inputs and len(inputs) == len(set(inputs))
 
 
 def test_pn_identities_cocycles_are_those_of_the_exact_pairs():

@@ -8,6 +8,7 @@ from bialgebroid import (ExteriorError, Form, FrameData, Multivector, Polynomial
                          interior_by_form, interior_by_multivector,
                          inverse_omega_sharp, inverse_v_sharp, omega_sharp,
                          pairing, v_sharp)
+from bialgebroid import exterior
 
 from conftest import of_degree
 
@@ -30,6 +31,39 @@ def test_wedge_on_frame_elements():
     assert e2.wedge(e1) == -e1.wedge(e2)
     assert e1.wedge(e1).is_zero()
     assert e2.wedge(e1.wedge(e3)) == -Multivector.monomial(3, XY, (1, 2, 3), Polynomial.const(XY, 1))
+
+
+def _parity(word, order):
+    """(-1)^(len - cycles) of the permutation taking order to word."""
+    perm = [order.index(w) for w in word]
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) & 1 else 1
+
+
+SUBSETS5 = [ix for k in range(6) for ix in itertools.combinations(range(1, 6), k)]
+
+
+def test_sign_rules_match_permutation_parity():
+    """e_L ^ e_R = sgn e_sorted(L + R), and contracting the factors of D
+    into T first slot first leaves sgn eps_rest, where T reads as D then
+    the rest by a permutation of sign sgn; every pair of index tuples up
+    to rank 5."""
+    for left, right in itertools.product(SUBSETS5, repeat=2):
+        merged = tuple(sorted(left + right))
+        want = None if set(left) & set(right) else (_parity(left + right, merged), merged)
+        assert exterior._merge_sign(left, right) == want, (left, right)
+        rest = tuple(i for i in right if i not in left)
+        want = None if not set(left) <= set(right) else (_parity(left + rest, right), rest)
+        assert exterior._contract_sign(left, right) == want, (left, right)
+    for rule in (exterior._merge_sign, exterior._contract_sign):
+        assert rule.cache_info().maxsize is not None
 
 
 def test_str_format():

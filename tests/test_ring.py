@@ -180,6 +180,70 @@ def polynomials(coords=XY):
         lambda terms: Polynomial(coords, {k: Fraction(v) for k, v in terms.items()}))
 
 
+def _well_formed(p: Polynomial, coords=XY) -> dict:
+    """p.terms, after checking that it maps exponent tuples of the right
+    arity to nonzero Fractions."""
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(coords)
+        assert all(type(k) is int and k >= 0 for k in exps)
+        assert type(c) is Fraction and c != 0
+    return p.terms
+
+
+def _schoolbook(pairs) -> dict:
+    """sum c x^e over the (e, c) pairs, one Fraction at a time, zeros dropped."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _schoolbook_product(a: dict, b: dict) -> dict:
+    return _schoolbook((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                       for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def _with_first_negated(p: Polynomial) -> Polynomial:
+    """p with the sign of one term flipped, so p times it cancels cross terms."""
+    terms = dict(p.terms)
+    if terms:
+        e = min(terms)
+        terms[e] = -terms[e]
+    return Polynomial(p.variables, terms)
+
+
+operands = st.one_of(polynomials(), st.sampled_from([
+    Polynomial.zero(XY), Polynomial.const(XY, Fraction(-3, 4)), Polynomial.const(XY, 5),
+    poly("x + y"), poly("1/2*x - 1/3*y^2 + 1/6")]))
+
+
+@settings(max_examples=150)
+@given(operands, operands, rationals(), st.dictionaries(exponents(XY), rationals(), max_size=5))
+def test_ring_matches_schoolbook_fractions(p, q, k, raw):
+    """*, +, -, scalar * and diff against Fraction-by-Fraction loops, on
+    constants, the empty polynomial and products whose terms cancel."""
+    a, b = _well_formed(p), _well_formed(q)
+    assert _well_formed(Polynomial(XY, raw)) == _schoolbook(raw.items())
+    flipped = _with_first_negated(p)
+    plus = _schoolbook([*a.items(), *b.items()])
+    minus = _schoolbook([*a.items(), *((e, -c) for e, c in b.items())])
+    cases = [
+        (p * q, _schoolbook_product(a, b)),
+        (p * flipped, _schoolbook_product(a, flipped.terms)),
+        ((p + q) * (p - q), _schoolbook_product(plus, minus)),
+        (p + q, plus),
+        (p - q, minus),
+        (p - p, {}),
+        (p * k, _schoolbook((e, c * k) for e, c in a.items())),
+        (k * p, _schoolbook((e, k * c) for e, c in a.items())),
+    ]
+    for i, name in enumerate(XY):
+        cases.append((p.diff(name), _schoolbook(
+            (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in a.items() if e[i])))
+    for got, want in cases:
+        assert _well_formed(got) == want
+
+
 @given(polynomials())
 def test_round_trip_random(p):
     assert Polynomial.parse(str(p), XY) == p
