@@ -46,9 +46,11 @@ def _check_index(index: Iterable[int], rank: int) -> Index:
     return index
 
 
-# The sign rules depend on index tuples alone, so their values are kept;
-# 2^14 entries hold every pair of index tuples up to rank 7, and the bound
-# keeps a document of larger rank from growing the table without limit.
+# The sign rules depend on index tuples alone, so their values are kept
+# across calls: the one store of the package that outlives a call, as it
+# depends on no pair.  2^14 entries hold every pair of index tuples up to
+# rank 7, and the bound keeps a document of larger rank from growing the
+# table without limit.
 _SIGN_CACHE = 1 << 14
 
 
@@ -319,20 +321,18 @@ def weighted_sum(pieces):
     The images share one type, rank and variable context, which the result
     takes.  This is how a once-per-monomial wrapper assembles its value
     from the stored images of the input's monomials.  The coefficients are
-    summed as Fractions, term by term with no zero seed, and an image with
-    c == 1 is not multiplied; the result stores Fractions, like every
-    Polynomial.  (Integer accumulation is in Polynomial.__mul__ only.)
+    summed as Fractions, term by term with no zero seed; the result stores
+    Fractions, like every Polynomial.
     """
     if len(pieces) == 1:
         (c, found), = pieces
         return found if c == 1 else found.scaled(c)
     acc: Dict[Index, Dict[tuple, Fraction]] = {}
     for c, found in pieces:
-        one = c == 1
         for ix, p in found.terms.items():
             slot = acc.setdefault(ix, {})
             for e, v in p.terms.items():
-                _add_term(slot, e, v if one else c * v)
+                _add_term(slot, e, c * v)
     out_vars = found.variables
     return type(found)._raw(found.rank, out_vars,
                             {ix: Polynomial._raw(out_vars, slot)

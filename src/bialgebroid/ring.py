@@ -5,13 +5,10 @@ nonzero Fractions, relative to a fixed ordered tuple of variable names.
 All arithmetic is exact; there is no floating point anywhere.
 
 Stored coefficients are always Fractions, but the kernels make as few as
-they can.  A product with a one-term factor shifts and scales the other
-factor's terms, one to one.  Any other product is the one place with
-integer accumulation: it rescales each factor to integer numerators over
-the lcm of its denominators, sums the products of numerators per output
-exponent, and makes one normalized Fraction per nonzero sum.  Sums and
-derivatives add or scale the stored Fractions directly, never from a
-Fraction(0) seed.
+they can.  A product with a one-term factor, the common case, shifts and
+scales the other factor's terms, one to one; any other product adds the
+products of coefficients term by term.  Sums, products and derivatives
+add or scale the stored Fractions directly, never from a Fraction(0) seed.
 
 The text format is the one used by every file format in this package:
 
@@ -80,13 +77,6 @@ def _add_term(out: Dict[Exponent, Fraction], exps: Exponent, c: Fraction) -> Non
             out[exps] = s
         else:
             del out[exps]
-
-
-def _integer_terms(terms: Mapping[Exponent, Fraction]):
-    """The terms as (exponent, integer) pairs over one common denominator d,
-    the lcm of theirs, and d: c = n / d for each pair."""
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
 
 
 class Polynomial:
@@ -213,27 +203,18 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        if len(b) <= 1:
+        if not b:
+            return Polynomial._raw(self.variables, {})
+        if len(b) == 1:
             # a times one term c x^f: every x^e goes to x^(e+f), one to one
-            if not b:
-                return Polynomial._raw(self.variables, {})
             (f, c), = b.items()
-            if c == 1:
-                return Polynomial._raw(self.variables,
-                                       {tuple(map(add, e, f)): k for e, k in a.items()})
             return Polynomial._raw(self.variables,
                                    {tuple(map(add, e, f)): k * c for e, k in a.items()})
-        na, da = _integer_terms(a)
-        nb, db = _integer_terms(b)
-        acc: Dict[Exponent, int] = {}
-        get = acc.get
-        for e1, n1 in na:
-            for e2, n2 in nb:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + n1 * n2
-        den = da * db
-        return Polynomial._raw(self.variables,
-                               {e: Fraction(v, den) for e, v in acc.items() if v})
+        out: Dict[Exponent, Fraction] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                _add_term(out, tuple(map(add, e1, e2)), c1 * c2)
+        return Polynomial._raw(self.variables, out)
 
     __rmul__ = __mul__
 

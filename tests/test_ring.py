@@ -214,7 +214,7 @@ def _with_first_negated(p: Polynomial) -> Polynomial:
 
 operands = st.one_of(polynomials(), st.sampled_from([
     Polynomial.zero(XY), Polynomial.const(XY, Fraction(-3, 4)), Polynomial.const(XY, 5),
-    poly("x + y"), poly("1/2*x - 1/3*y^2 + 1/6")]))
+    poly("-2/3*x*y^2"), poly("x + y"), poly("1/2*x - 1/3*y^2 + 1/6")]))
 
 
 @settings(max_examples=150)
