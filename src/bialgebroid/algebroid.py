@@ -12,15 +12,24 @@ once (differential, Schouten bracket, Lie derivative, boundary operator)
 apply verbatim to either half.
 
 Both the differential and the Schouten bracket are derivations, each fixed
-by its values on functions and on frame generators (Kosmann-Schwarzbach
-1995; Xu 1999), and both run through one loop, AlgebroidStructure._derive:
+by its values on the coordinates x_a and on frame generators
+(Kosmann-Schwarzbach 1995; Xu 1999).  One loop, AlgebroidStructure._derive,
+applies such a derivation to p x_J:
 
     delta(p x_J) = delta(p) ^ x_J + p sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t}.
 
 The differential is the odd derivation of the dual exterior algebra with
-d f = sum_i (rho(e_i) f) eps^i and d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j;
-d o d = 0 exactly when the Jacobi and anchor-morphism axioms hold, which is
-what validate_algebroid decides (with polynomial witnesses).
+d x_a = sum_i rho(e_i)(x_a) eps^i (column a of the anchor) and
+d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j; d o d = 0 exactly when the
+Jacobi and anchor-morphism axioms hold, which is what validate_algebroid
+decides (with polynomial witnesses).  It runs term by term on two frame
+tables of the structure, dx_a ^ eps^J and d eps^J (the latter filled by
+_derive on the unit coefficient), each filled on first use:
+
+    d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J + c x^gamma d eps^J.
+
+The tables depend on the anchor and brackets alone, which never change,
+so they live as long as the structure.
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
@@ -35,14 +44,19 @@ contraction (exterior._complement), one formula for both section kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import add
 from typing import Dict, List, Tuple
 
 from .exterior import (Form, FrameData, GradedElement, Index, Multivector, _accumulate,
                        _complement, _inverse_sign, _merge_sign, interior_by_form,
                        interior_by_multivector)
-from .ring import Polynomial, apply_field, field_bracket
+from .ring import Exponent, Polynomial, _add_term, apply_field, field_bracket
 
 Key = Tuple[int, int]
+# A frame table entry: the terms of an element of the dual exterior
+# algebra as (K, {exponent: coefficient}) pairs.
+FrameTerms = Tuple[Tuple[Index, Dict[Exponent, Fraction]], ...]
 
 
 class AlgebroidError(ValueError):
@@ -87,8 +101,12 @@ class AlgebroidStructure:
                 clean[(i, j)] = comps
         self.brackets = clean
 
+        # Tables derived from the immutable anchor and brackets alone, filled
+        # on first use; a once-per-monomial copy shares them.
         self._bracket_cache: Dict[Key, GradedElement] = {}
         self._d_basis_cache: Dict[int, Dict[Index, Polynomial]] = {}
+        self._d_unit_cache: Dict[Index, FrameTerms] = {}
+        self._dx_wedge_cache: Dict[Index, Tuple[FrameTerms, ...]] = {}
 
     def _check_poly(self, p):
         if not isinstance(p, Polynomial):
@@ -186,20 +204,58 @@ class AlgebroidStructure:
                 key: -comps[k - 1] for key, comps in self.brackets.items() if comps[k - 1]}
         return cached
 
+    def _d_unit(self, J: Index) -> FrameTerms:
+        """The terms of d eps^J, through _derive with a unit coefficient."""
+        cached = self._d_unit_cache.get(J)
+        if cached is None:
+            out: Dict[Index, Polynomial] = {}
+            self._derive(out, Polynomial.const(self.coordinates, 1), J, {}, self._d_basis, True)
+            cached = self._d_unit_cache[J] = tuple((K, p.terms) for K, p in out.items())
+        return cached
+
+    def _dx_wedge(self, J: Index) -> Tuple[FrameTerms, ...]:
+        """The terms of dx_a ^ eps^J for each coordinate a, where
+        dx_a = sum_i rho(e_i)(x_a) eps^i is column a of the anchor."""
+        cached = self._dx_wedge_cache.get(J)
+        if cached is None:
+            columns = []
+            for a in range(len(self.coordinates)):
+                column = []
+                for i, row in enumerate(self.anchor, start=1):
+                    hit = _merge_sign((i,), J)
+                    if row[a] and hit is not None:
+                        terms = row[a].terms
+                        column.append((hit[1], terms if hit[0] > 0
+                                       else {e: -c for e, c in terms.items()}))
+                columns.append(tuple(column))
+            cached = self._dx_wedge_cache[J] = tuple(columns)
+        return cached
+
     def differential(self, w):
-        """Chevalley-Eilenberg differential on the dual exterior algebra: the
-        odd derivation with d p = sum_i (rho(e_i) p) eps^i and d eps^k from
-        the structure functions (_d_basis)."""
+        """Chevalley-Eilenberg differential on the dual exterior algebra, term
+        by term from the frame tables (_dx_wedge, _d_unit):
+
+            d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J
+                                 + c x^gamma d eps^J,
+
+        each table term shifted in its exponent and scaled, and summed into
+        one {K: {exponent: coefficient}} map."""
         if not isinstance(w, self.dual_cls):
             raise AlgebroidError(f"differential expects a {self.dual_cls.__name__}")
         if w.rank != self.rank or w.variables != self.coordinates:
             raise AlgebroidError("rank or variable context mismatch")
-        out: Dict[Index, Polynomial] = {}
+        acc: Dict[Index, Dict[Exponent, Fraction]] = {}
         for J, p in w.terms.items():
-            head = {(i,): apply_field(row, p, self.coordinates)
-                    for i, row in enumerate(self.anchor, start=1)}
-            self._derive(out, p, J, head, self._d_basis, True)
-        return self.dual_cls._raw(self.rank, self.coordinates, out)
+            d_J, dx_J = self._d_unit(J), self._dx_wedge(J)
+            for g, c in p.terms.items():
+                for a, k in enumerate(g):
+                    if k:
+                        _shifted_into(acc, dx_J[a], g[:a] + (k - 1,) + g[a + 1:],
+                                      c if k == 1 else c * k)
+                _shifted_into(acc, d_J, g, c)
+        coords = self.coordinates
+        return self.dual_cls._raw(self.rank, coords, {K: Polynomial._raw(coords, slot)
+                                                      for K, slot in acc.items() if slot})
 
     # -- Schouten bracket ------------------------------------------------------
 
@@ -260,6 +316,17 @@ class AlgebroidStructure:
             return self._interior_into_dual(x, self.differential(target)) \
                 + self.differential(self._interior_into_dual(x, target))
         raise AlgebroidError("target must live in the algebroid's exterior or dual exterior algebra")
+
+
+def _shifted_into(acc: Dict[Index, Dict[Exponent, Fraction]], table: FrameTerms,
+                  shift: Exponent, c: Fraction) -> None:
+    """Add c x^shift times each table term into acc."""
+    for K, terms in table:
+        slot = acc.get(K)
+        if slot is None:
+            slot = acc[K] = {}
+        for e, v in terms.items():
+            _add_term(slot, tuple(map(add, e, shift)), c * v)
 
 
 def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):

@@ -18,8 +18,9 @@ products x^gamma e_I of at most 2 generators x_a, e_i
 (_generator_products): D^2 - f~ has order <= 2 in the base coordinates
 (which fixes |gamma| <= PROBE_DEGREE = 2) and over the supercommutative
 algebra wedge A = Poly[x] (x) Lambda[e], by construction (the argument is
-in dirac_square).  dirac_square and generator_check share the scalar
-scan (_square_witness); only dirac_square also checks the square formula.
+in dirac_square).  dirac_square and generator_check print the same scalar
+witness (_square_failure); dirac_square reads it and the square formula's
+off one D(D(u)) per probe, and generator_check scans with _square_witness.
 
 The compatibility criterion (the derivation property of dstar over the
 bracket), the twelve-part equivalence suite, the corollary identities,
@@ -636,15 +637,18 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     P = _once_per_monomial_view(P)
     D, ft = _once_per_monomial_dirac(P), f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
-    probes = _generator_products(P, 2)
-    for u in probes:
+    # one D(D(u)) per probe serves both checks, each stopping at its first failure
+    for u in _generator_products(P, 2):
         sq = D(D(u))
-        formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
-        if sq != formula:
-            report.square_formula_ok = False
-            report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
+        if report.square_formula_ok:
+            formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
+            if sq != formula:
+                report.square_formula_ok = False
+                report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
+        if report.witness is None:
+            report.witness = _square_failure(u, sq, ft)
+        if not report.square_formula_ok and report.witness is not None:
             break
-    report.witness = _square_witness(probes, D, ft)
     report.is_scalar = report.witness is None
     return report
 
@@ -660,7 +664,9 @@ class _OncePerMonomialView(BialgebroidPair):
     its own: its A is A*'s data on the vector side, so its differential is
     this view's dstar moved across by retype, and its dstar this view's d.
     So the mirror operators of a call read the same images as the primal
-    ones.  Nothing is stored on P: the images go when the view does."""
+    ones.  Nothing is stored on P: the images go when the view does.  The
+    copies share the structures' own tables, which hold values of the
+    anchor and brackets alone (AlgebroidStructure._d_unit, _dx_wedge)."""
 
     def __init__(self, P: BialgebroidPair, differentials=None):
         self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
@@ -696,13 +702,19 @@ def _once_per_monomial_dirac(P: BialgebroidPair):
     return once_per_monomial(lambda u: dirac_apply(P, u))
 
 
+def _square_failure(u: Multivector, sq: Multivector, ft: Polynomial) -> Optional[str]:
+    """The witness of D^2 u = sq != f~ u, or None when they agree."""
+    residual = sq - u.scaled(ft)
+    return None if residual.is_zero() else f"u = {u}; D^2 u - f~ u = {residual}"
+
+
 def _square_witness(probes, D, ft: Polynomial) -> Optional[str]:
     """First failure of D^2 u = f~ u over the probes, with D applied through
     the caller's once_per_monomial wrapper, or None."""
     for u in probes:
-        residual = D(D(u)) - u.scaled(ft)
-        if not residual.is_zero():
-            return f"u = {u}; D^2 u - f~ u = {residual}"
+        witness = _square_failure(u, D(D(u)), ft)
+        if witness is not None:
+            return witness
     return None
 
 

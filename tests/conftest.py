@@ -94,6 +94,24 @@ def tangent_against_tangent():
     return BialgebroidPair(tangent_algebroid(coords), dual, label="tangent-vs-tangent")
 
 
+def quadratic_double(m):
+    """The Poisson double of pi^ij = x_i x_j (i < j) over R^m."""
+    return poisson_double(PoissonManifoldData(m, [
+        ["0" if i == j else f"{'' if i < j else '-'}x{min(i, j) + 1}*x{max(i, j) + 1}"
+         for j in range(m)] for i in range(m)]))
+
+
+def log_canonical_double(c=(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))):
+    """The Poisson double of the log-canonical pi^jk = c_jk x_j x_k over R^3,
+    c = (c_12, c_13, c_23): a quadratic dual anchor and non-integer linear
+    dual brackets."""
+    pi = [["0"] * 3 for _ in range(3)]
+    for (j, k), value in zip(((0, 1), (0, 2), (1, 2)), c):
+        pi[j][k] = f"{value}*x{j + 1}*x{k + 1}"
+        pi[k][j] = f"{-value}*x{j + 1}*x{k + 1}"
+    return poisson_double(PoissonManifoldData(3, pi))
+
+
 def build_corpus():
     """(label, pair) for every known bialgebroid used across the suites."""
     return [

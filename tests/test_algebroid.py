@@ -10,7 +10,8 @@ from bialgebroid import (AlgebroidError, AlgebroidStructure, FrameData, Form,
                          retype, tangent_algebroid, v_sharp, validate_algebroid)
 from bialgebroid.ring import apply_field
 
-from conftest import const, heisenberg, of_degree, point_algebra, so3, solvable
+from conftest import (const, heisenberg, log_canonical_double, of_degree, point_algebra, so3,
+                      solvable)
 
 R2 = ("x1", "x2")
 
@@ -481,9 +482,11 @@ def _elements(cls, rank, coords):
 @pytest.fixture(scope="module")
 def gate_structures(corpus, pn_failing_pairs):
     """VALID_STRUCTURES (vector side) and both halves of every corpus and PN
-    pair, so that both section kinds are covered."""
+    pair, so that both section kinds are covered, and of the log-canonical
+    double over R^3, whose quadratic anchor and non-integer brackets take
+    the differential's frame tables past the identity anchor."""
     out = [factory() for factory in VALID_STRUCTURES]
-    for P in [P for _label, P in corpus] + list(pn_failing_pairs):
+    for P in [P for _label, P in corpus] + list(pn_failing_pairs) + [log_canonical_double()]:
         out += [P.A, P.Astar]
     return out
 

@@ -25,7 +25,7 @@ from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
                               degree1_multivector_probes, laplacian)
 
 from conftest import (const, heisenberg, heisenberg_triangular_pair,
-                      point_algebra, poisson_data)
+                      point_algebra, poisson_data, quadratic_double)
 from bialgebroid import PoissonManifoldData, poisson_double
 from bialgebroid.exterior import once_per_monomial
 
@@ -735,10 +735,7 @@ def test_courant_builds_each_anchor_field_once(monkeypatch):
     takes 260 anchor fields: one for each of the 40 near sections, the frame
     among them, and one for each of the 220 nonzero brackets of g2.  A zero
     bracket takes none, and the anchor relation reads the frame's fields."""
-    m = 4
-    P = poisson_double(PoissonManifoldData(m, [
-        ["0" if i == j else f"{'' if i < j else '-'}x{min(i, j) + 1}*x{max(i, j) + 1}"
-         for j in range(m)] for i in range(m)]))
+    P = quadratic_double(4)
     P.flipped().modular, P.modular
     seen = []
     direct = pair_module.rho_field

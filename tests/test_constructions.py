@@ -15,6 +15,7 @@ from bialgebroid import (AlgebroidStructure, BivectorData, ConstructionError, Fo
 
 from bialgebroid import (InternalError, algebroid_from_json, interior_by_multivector,
                          laplacian, multivector_probes, pair_to_json, retype)
+from bialgebroid import algebroid as algebroid_module
 from bialgebroid import cli, constructions
 from bialgebroid.constructions import _dstar_bracket_witness
 from bialgebroid.pair import BialgebroidPair, _modular_class, degree1_form_probes
@@ -337,6 +338,39 @@ def test_example_poisson_takes_each_differential_image_once(monkeypatch, capsys)
     code = cli.main(["example", "poisson", "--dim", "3", "--pi", json.dumps(rows)])
     assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
     assert inputs and len(inputs) == len(set(inputs))
+
+
+def test_poisson_double_reads_repeated_differentials_off_the_tables(monkeypatch):
+    """Building the dual structure of pi^12 = x1 over R^3 takes 9
+    differentials over 5 distinct inputs (d eps^i once in a Lie derivative
+    and once in a bracket's tail, d x1, d 0), but runs the derivation loop
+    once per index tuple J, to fill d eps^J for J = (), (1,), (2,), (3,):
+    each repeat is a table read, and no vector field is applied."""
+    Pm = PoissonManifoldData(3, [["0", "x1", "0"], ["-x1", "0", "0"], ["0", "0", "0"]])
+    calls, loops, fields = [], [], []
+    direct, derive = AlgebroidStructure.differential, AlgebroidStructure._derive
+    field = algebroid_module.apply_field
+
+    def differential(side, w):
+        calls.append(str(w))
+        return direct(side, w)
+
+    def deriving(side, out, p, J, head, image, odd):
+        loops.append(J)
+        return derive(side, out, p, J, head, image, odd)
+
+    def applying(*args):
+        fields.append(args)
+        return field(*args)
+
+    monkeypatch.setattr(AlgebroidStructure, "differential", differential)
+    monkeypatch.setattr(AlgebroidStructure, "_derive", deriving)
+    monkeypatch.setattr(algebroid_module, "apply_field", applying)
+    constructions._dual_structure_from_bivector(tangent_algebroid(Pm.coordinates),
+                                                BivectorData(Pm.pi_multivector()))
+    assert len(calls) == 9 and len(set(calls)) == 5
+    assert sorted(loops) == [(), (1,), (2,), (3,)]
+    assert fields == []
 
 
 def test_pn_identities_cocycles_are_those_of_the_exact_pairs():

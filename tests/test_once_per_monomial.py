@@ -4,18 +4,24 @@ taken once per pair of section monomials: exact against the direct
 operators, and scoped to one decision call, in which the once-per-monomial
 view takes each differential image once."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bialgebroid import (AlgebroidStructure, Form, Multivector, Polynomial, SectionE,
-                         coordinate_monomials, corollary_suite, courant_axioms, dirac_apply,
-                         dirac_square, dirac_star_apply, dirac_star_square, dorfman,
-                         generator_check, is_lie_bialgebroid, laplacian, theorem_c_suite)
+from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector, Polynomial,
+                         SectionE, coordinate_monomials, corollary_suite, courant_axioms,
+                         dirac_apply, dirac_square, dirac_star_apply, dirac_star_square, dorfman,
+                         find_counterexample_pairs, generator_check, is_lie_bialgebroid,
+                         laplacian, theorem_c_suite)
+from bialgebroid import algebroid as algebroid_module
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import once_per_monomial
+
+from conftest import (log_canonical_double, quadratic_double, tangent_against_solvable,
+                      tangent_against_tangent)
 
 
 @pytest.fixture(scope="session")
@@ -270,7 +276,9 @@ SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
 
 def test_suites_store_nothing_on_the_pair(corpus):
     """No suite leaves anything on P, on its two structures or on its flip
-    (the modular cocycles and the flip are P's own caches, taken first)."""
+    (the modular cocycles and the flip are P's own caches, taken first).
+    The structures' tables, filled in place, hold values of their own
+    immutable anchor and brackets only."""
     P = dict(corpus)["poisson-linear"]
     twin = P.flipped()
     owners = (P, P.A, P.Astar, twin, twin.A, twin.Astar)
@@ -319,3 +327,56 @@ def test_every_decision_takes_one_differential_per_monomial(corpus, monkeypatch)
         suite(P)
         assert seen, suite.__name__
         assert len(set(seen)) == len(seen), (suite.__name__, len(seen), len(set(seen)))
+
+
+def test_differential_applies_no_vector_field(monkeypatch):
+    """The differential reads d x_a ^ eps^J and d eps^J off the structure's
+    frame tables: one dirac_square on the quadratic double at m = 3 applies
+    no vector field inside a differential, though the Schouten brackets of
+    its Lie derivatives along A* still do."""
+    P = quadratic_double(3)
+    P.flipped().modular, P.modular
+    depth, inside, outside = [0], [], []
+    direct, field = AlgebroidStructure.differential, algebroid_module.apply_field
+
+    def differential(side, w):
+        depth[0] += 1
+        try:
+            return direct(side, w)
+        finally:
+            depth[0] -= 1
+
+    def counting(*args):
+        (inside if depth[0] else outside).append(args)
+        return field(*args)
+
+    monkeypatch.setattr(AlgebroidStructure, "differential", differential)
+    monkeypatch.setattr(algebroid_module, "apply_field", counting)
+    assert dirac_square(P).is_scalar
+    assert inside == [] and outside
+
+
+COLD_BUILDERS = [lambda: quadratic_double(3), log_canonical_double, tangent_against_solvable,
+                 tangent_against_tangent, lambda: find_counterexample_pairs(1)[0]]
+
+
+def _fresh(P):
+    """P with both structures built again from their data: empty tables."""
+    return BialgebroidPair(*(AlgebroidStructure(side.rank, side.coordinates, side.anchor,
+                                                side.brackets, side.section_kind)
+                             for side in (P.A, P.Astar)), P.frame, P.label)
+
+
+@pytest.mark.parametrize("build", COLD_BUILDERS)
+def test_cold_and_warm_frame_tables_give_the_same_reports(build):
+    """A freshly built structure (empty frame tables) and one whose tables
+    the same decisions have filled print byte-identical reports."""
+    suites = (dirac_square, generator_check)
+    warm = build()
+    for suite in suites:
+        suite(warm)
+    assert any(side._d_unit_cache for side in (warm.A, warm.Astar))
+    for suite in suites:
+        cold = _fresh(warm)
+        assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
+        assert json.dumps(suite(cold).to_json()) == json.dumps(suite(warm).to_json())
