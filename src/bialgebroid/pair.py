@@ -62,19 +62,28 @@ operators over probes runs on _once_per_monomial_view(P), the one place
 that decides what a call shares: there both differentials run once per
 monomial x^gamma e_I met in the call.  The boundaries are d conjugated by
 the top contraction, which only moves terms, so they read the same
-images, and so do D, the Laplacians, the Lie derivatives and the Dorfman
-bracket: one set of images per algebroid.  The mirror operators read the
-same set: the view's mirror carries the view's two algebroids swapped and
-reaches their images through retype, storing none of its own.  The
-operators are additive and commute with constant scaling but are not
-C-infinity-linear, so an image is stored under the full monomial,
-exponent included, and every other value is the Fraction-weighted sum of
-stored images: the direct value.
-Composites that repeat inside a call keep a wrapper of their own: D,
+images, and so do the Laplacians, the Lie derivatives, the Dorfman
+bracket and the fills of D's table: one set of images per algebroid.  The
+mirror operators read the same set: the view's mirror carries the view's
+two algebroids swapped and reaches their images through retype, storing
+none of its own.  The operators are additive and commute with constant
+scaling but are not C-infinity-linear, so an image is stored under the
+full monomial, exponent included, and every other value is the
+Fraction-weighted sum of stored images: the direct value.
+Composites that repeat inside a call keep a wrapper of their own:
 [D, c(e)] and the top-form Lie derivatives x -> L_x Omega of the thm-c
 trace once per monomial (exterior.once_per_monomial), the Dorfman bracket
-once per pair of section monomials (_once_per_monomial_dorfman).
-Nothing is stored on the pair; the images go with the view.
+once per pair of section monomials (_once_per_monomial_dorfman).  The
+images go with the view.
+
+D itself runs term by term from a table of the pair (dirac_apply): D has
+order <= 1 in the base functions, so D(x^gamma e_I) is read off D(e_I)
+and the C-infinity-linear [D, x_a] e_I, filled on first use into
+P._dirac_tables and kept for the life of the pair, as they depend on its
+immutable data alone.  The view shares P's table, and P.flipped() keeps
+its own.  Three stores outlive a call: the sign tables of index tuples
+(exterior._merge_sign, _contract_sign), the tables of each
+AlgebroidStructure, and this D table.
 """
 
 from __future__ import annotations
@@ -85,11 +94,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebroid import AlgebroidError, AlgebroidStructure, bv_boundary, validate_algebroid
-from .exterior import (Form, FrameData, Multivector, interior_by_form,
+from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTerms, _shifted_into,
+                        bv_boundary, validate_algebroid)
+from .exterior import (Form, FrameData, Index, Multivector, interior_by_form,
                        interior_by_multivector, monomials, once_per_monomial, pairing,
                        retype, unit_monomial, weighted_sum)
-from .ring import (Polynomial, apply_field, divergence, field_bracket, first_non_skew,
+from .ring import (Exponent, Polynomial, apply_field, divergence, field_bracket, first_non_skew,
                    matrix_product)
 
 
@@ -300,6 +310,8 @@ class BialgebroidPair:
         self.label = label
         self._modular: ModularData | None = None
         self._flipped: BialgebroidPair | None = None
+        # D(e_I) and [D, x_a] e_I, filled on first use (dirac_apply)
+        self._dirac_tables: Dict[Tuple[Index, Optional[int]], FrameTerms] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -365,6 +377,7 @@ class BialgebroidPair:
             twin.label = self.label
             twin._modular = ModularData(x0=retype(mod.xi0), xi0=retype(mod.x0))
             twin._flipped = self
+            twin._dirac_tables = {}
             self._flipped = twin
         return self._flipped
 
@@ -590,11 +603,69 @@ def clifford_act(e: SectionE, w: Multivector) -> Multivector:
 
 
 def dirac_apply(P: BialgebroidPair, u: Multivector) -> Multivector:
-    """D u = dstar u - boundary u + 1/2 (X_0 ^ u + iota_{xi_0} u)."""
-    mod = P.modular
-    half = Fraction(1, 2)
-    return P.dstar(u) - P.boundary(u) \
+    """D u = dstar u - boundary u + 1/2 (X_0 ^ u + iota_{xi_0} u), term by
+    term from P's D table:
+
+        D(c x^gamma e_I) = c x^gamma D(e_I) + c sum_a gamma_a x^(gamma - 1_a) [D, x_a] e_I.
+
+    This is exact for any structure data, valid or not, because D has order
+    <= 1 in the base functions: [D, f] is C-infinity-linear for every
+    polynomial f.  dstar is a derivation, so [dstar, f] = (dstar f) ^ .;
+    the boundary is d conjugated by the top contraction, which is
+    C-infinity-linear, so [boundary, f] is (d f) ^ . conjugated the same
+    way; X_0 ^ . and iota_{xi_0} commute with f.  Then [D, f g] =
+    f [D, g] + g [D, f], so [D, x^gamma] = sum_a gamma_a x^(gamma - 1_a)
+    [D, x_a], and D(x^gamma e_I) = x^gamma D(e_I) + [D, x^gamma] e_I.
+
+    The entries D(e_I) and [D, x_a] e_I = D(x_a e_I) - x_a D(e_I) are
+    filled on first use (_dirac_entry) and kept in P._dirac_tables for
+    the life of the pair, since they depend on its immutable data alone:
+    at most 2^n (1 + m) entries.  Each table term is shifted in its
+    exponent and scaled into one {K: {exponent: coefficient}} map, as in
+    AlgebroidStructure.differential.
+    """
+    coords = P.coordinates
+    if not isinstance(u, Multivector) or u.rank != P.rank or u.variables != coords:
+        raise PairError("dirac_apply expects a Multivector in the pair's frame")
+    table = P._dirac_tables
+    acc: Dict[Index, Dict[Exponent, Fraction]] = {}
+    for I, p in u.terms.items():
+        unit = table.get((I, None))
+        if unit is None:
+            unit = _dirac_entry(P, I, None)
+        for g, c in p.terms.items():
+            for a, k in enumerate(g):
+                if k:
+                    comm = table.get((I, a))
+                    if comm is None:
+                        comm = _dirac_entry(P, I, a)
+                    _shifted_into(acc, comm, g[:a] + (k - 1,) + g[a + 1:], c if k == 1 else c * k)
+            _shifted_into(acc, unit, g, c)
+    return Multivector._raw(u.rank, coords, {K: Polynomial._raw(coords, slot)
+                                             for K, slot in acc.items() if slot})
+
+
+def _dirac_entry(P: BialgebroidPair, I: Index, a: Optional[int]) -> FrameTerms:
+    """Fill P's D table at (I, a) and return the entry: D(e_I) for a None,
+    [D, x_a] e_I = D(x_a e_I) - x_a D(e_I) for a coordinate index a, with
+    D(e_I) read from the table.  D is taken on the unit monomial by the
+    formula dstar - boundary + 1/2 (X_0 ^ . + iota_{xi_0})."""
+    gamma = tuple(int(b == a) for b in range(len(P.coordinates)))
+    u = unit_monomial(P.rank, P.coordinates, (Multivector, I, gamma))
+    mod, half = P.modular, Fraction(1, 2)
+    value = P.dstar(u) - P.boundary(u) \
         + mod.x0.wedge(u).scaled(half) + interior_by_form(mod.xi0, u).scaled(half)
+    if a is None:
+        entry = tuple((K, q.terms) for K, q in value.terms.items())
+    else:
+        unit = P._dirac_tables.get((I, None))
+        if unit is None:
+            unit = _dirac_entry(P, I, None)
+        acc = {K: dict(q.terms) for K, q in value.terms.items()}
+        _shifted_into(acc, unit, gamma, Fraction(-1))
+        entry = tuple((K, slot) for K, slot in acc.items() if slot)
+    P._dirac_tables[I, a] = entry
+    return entry
 
 
 def dirac_star_apply(P: BialgebroidPair, theta: Form) -> Form:
@@ -630,16 +701,18 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     both witnesses are the ones that all x^gamma e_I with |gamma| <= 2
     (multivector_probes) would give.
 
-    D, the formula's Laplacian and its Lie derivative along A* run on the
-    view (_once_per_monomial_view): the Laplacian reads exactly the images
-    that D(D(u)) has already taken.
+    D(D(u)) is read term by term off P's D table (dirac_apply), which
+    outlives the call and which the view shares; only the table's fills
+    take differentials.  The formula's Laplacian and its Lie derivative
+    along A* run on the view (_once_per_monomial_view), whose differential
+    images the fills share.
     """
     P = _once_per_monomial_view(P)
-    D, ft = _once_per_monomial_dirac(P), f_tilde(P)
+    ft = f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
     # one D(D(u)) per probe serves both checks, each stopping at its first failure
     for u in _generator_products(P, 2):
-        sq = D(D(u))
+        sq = dirac_apply(P, dirac_apply(P, u))
         if report.square_formula_ok:
             formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
             if sq != formula:
@@ -664,9 +737,11 @@ class _OncePerMonomialView(BialgebroidPair):
     its own: its A is A*'s data on the vector side, so its differential is
     this view's dstar moved across by retype, and its dstar this view's d.
     So the mirror operators of a call read the same images as the primal
-    ones.  Nothing is stored on P: the images go when the view does.  The
+    ones.  No image is stored on P: the images go when the view does.  The
     copies share the structures' own tables, which hold values of the
-    anchor and brackets alone (AlgebroidStructure._d_unit, _dx_wedge)."""
+    anchor and brackets alone (AlgebroidStructure._d_unit, _dx_wedge), and
+    the view shares P's D table (P._dirac_tables, which dirac_apply reads
+    and fills) through vars(P); its mirror shares that of P.flipped()."""
 
     def __init__(self, P: BialgebroidPair, differentials=None):
         self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
@@ -698,21 +773,16 @@ def _once_per_monomial_view(P: BialgebroidPair) -> BialgebroidPair:
     return P if isinstance(P, _OncePerMonomialView) else _OncePerMonomialView(P)
 
 
-def _once_per_monomial_dirac(P: BialgebroidPair):
-    return once_per_monomial(lambda u: dirac_apply(P, u))
-
-
 def _square_failure(u: Multivector, sq: Multivector, ft: Polynomial) -> Optional[str]:
     """The witness of D^2 u = sq != f~ u, or None when they agree."""
     residual = sq - u.scaled(ft)
     return None if residual.is_zero() else f"u = {u}; D^2 u - f~ u = {residual}"
 
 
-def _square_witness(probes, D, ft: Polynomial) -> Optional[str]:
-    """First failure of D^2 u = f~ u over the probes, with D applied through
-    the caller's once_per_monomial wrapper, or None."""
+def _square_witness(P: BialgebroidPair, probes, ft: Polynomial) -> Optional[str]:
+    """First failure of D^2 u = f~ u over the probes, or None."""
     for u in probes:
-        witness = _square_failure(u, D(D(u)), ft)
+        witness = _square_failure(u, dirac_apply(P, dirac_apply(P, u)), ft)
         if witness is not None:
             return witness
     return None
@@ -1213,7 +1283,11 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     over wedge A ([D, f] lowers the order 2 of D by one, (D f).vec ^ . has
     order 0, iota_{(D f).cov} is a derivation), so a failure at x^gamma e_I
     shows at 1 or at a generator factor, which comes no later: the witness
-    is again that of all x^gamma e_I with |gamma| <= 1.
+    is again that of all x^gamma e_I with |gamma| <= 1.  D is read off the
+    pair's D table (dirac_apply), so on w = x_b the record reads
+    [D, x_a] x_b = x_b [D, x_a] 1 off the table's [D, x_a] entry; the test
+    tests/test_once_per_monomial.py::test_dirac_table_matches_the_direct_formula
+    pins the table against the direct formula.
     The anchor relation A(e, f) = 2 <D f, e> - rho(e) f runs on the x_a
     and the frame (see _anchor_witness).
 
@@ -1241,7 +1315,6 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     add = report.records.append
 
     w_probes = _generator_products(P, 1)
-    D = _once_per_monomial_dirac(P)
 
     wit = None
     for f in coordinate_monomials(P.coordinates, 1)[1:]:
@@ -1249,7 +1322,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
             break
         df = dee(P, f)
         for w in w_probes:
-            lhs = D(w.scaled(f)) - D(w).scaled(f)
+            lhs = dirac_apply(P, w.scaled(f)) - dirac_apply(P, w).scaled(f)
             rhs = clifford_act(df, w)
             if lhs != rhs:
                 wit = f"f = {f}; w = {w}; [D, f] w = {lhs}; Clifford(D f) w = {rhs}"
@@ -1263,7 +1336,8 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
 
     def odd_commutator(e: SectionE):
         # [D, c_e] = D c_e + c_e D, additive like D, so also once per monomial
-        return once_per_monomial(lambda u: D(clifford_act(e, u)) + clifford_act(e, D(u)))
+        return once_per_monomial(
+            lambda u: dirac_apply(P, clifford_act(e, u)) + clifford_act(e, dirac_apply(P, u)))
 
     commutators = [odd_commutator(e1) for e1 in e_probes]
     wit = None
@@ -1286,7 +1360,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     add(IdentityRecord("generator/derived-bracket", wit is None, wit))
 
     # D^2 - f~ has order <= 2 over wedge A by construction (see dirac_square)
-    wit = _square_witness(_generator_products(P, 2), D, f_tilde(P))
+    wit = _square_witness(P, _generator_products(P, 2), f_tilde(P))
     add(IdentityRecord("generator/square-scalar", wit is None, wit))
 
     add(IdentityRecord("generator/anchor", anchor is None, anchor))

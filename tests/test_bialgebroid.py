@@ -624,7 +624,7 @@ def _derived_bracket_oracle(P):
     records say: every section x^gamma e_i, x^gamma eps^i and spinor
     x^gamma e_I with |gamma| <= 1, each Dorfman bracket by a direct call."""
     sections, spinors = pair_module._double_sections(P, 1), multivector_probes(P, 1)
-    D = pair_module._once_per_monomial_dirac(P)
+    D = lambda u: pair_module.dirac_apply(P, u)
     commutators = [once_per_monomial(lambda u, e=e: D(clifford_act(e, u)) + clifford_act(e, D(u)))
                    for e in sections]
     for e2 in sections:

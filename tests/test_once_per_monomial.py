@@ -18,7 +18,7 @@ from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector,
                          laplacian, theorem_c_suite)
 from bialgebroid import algebroid as algebroid_module
 from bialgebroid import pair as pair_module
-from bialgebroid.exterior import once_per_monomial
+from bialgebroid.exterior import interior_by_form, once_per_monomial, retype
 
 from conftest import (log_canonical_double, quadratic_double, tangent_against_solvable,
                       tangent_against_tangent)
@@ -102,24 +102,58 @@ def _key(u):
     return tuple(sorted((ix, tuple(p.terms)) for ix, p in u.terms.items()))
 
 
-def test_generator_check_applies_D_once_per_monomial(corpus, monkeypatch):
-    P = dict(corpus)["poisson-linear"]
-    seen = []
-    direct = pair_module.dirac_apply
+def direct_dirac(P, u):
+    """D u by the formula dstar - boundary + 1/2 (X_0 ^ . + iota_{xi_0}),
+    with no table."""
+    mod, half = P.modular, Fraction(1, 2)
+    return P.dstar(u) - P.boundary(u) \
+        + mod.x0.wedge(u).scaled(half) + interior_by_form(mod.xi0, u).scaled(half)
 
-    def counting(pair, u):
-        seen.append(u)
-        return direct(pair, u)
 
-    monkeypatch.setattr(pair_module, "dirac_apply", counting)
-    first = generator_check(P).to_json()
-    calls = len(seen)
-    assert all(_is_probe_monomial(u) for u in seen)
-    assert len({_key(u) for u in seen}) == calls
-    # nothing is kept between calls: the same work again, and the same answer
-    seen.clear()
-    assert generator_check(P).to_json() == first
-    assert len(seen) == calls
+@pytest.fixture(scope="module")
+def dirac_pairs(corpus, failing_pairs, pn_failing_pairs):
+    pairs = [P for _label, P in corpus] + list(failing_pairs) + list(pn_failing_pairs) \
+        + [log_canonical_double()]
+    assert any(not P.coordinates for P in pairs) and any(P.coordinates for P in pairs)
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dirac_table_matches_the_direct_formula(dirac_pairs, data):
+    """dirac_apply reads D term by term off the pair's D table; on every
+    pair, over a point and over a base, it gives the formula's value, and
+    so does dirac_star_apply, which reads the table of P.flipped()."""
+    P = data.draw(st.sampled_from(dirac_pairs))
+    us = data.draw(st.lists(elements(Multivector, P.rank, P.coordinates), min_size=1, max_size=3))
+    for u in us:
+        assert dirac_apply(P, u) == direct_dirac(P, u), (P.label, str(u))
+    thetas = data.draw(st.lists(elements(Form, P.rank, P.coordinates), min_size=1, max_size=3))
+    for theta in thetas:
+        want = retype(direct_dirac(P.flipped(), retype(theta)))
+        assert dirac_star_apply(P, theta) == want, (P.label, str(theta))
+
+
+def test_generator_check_fills_each_D_table_entry_once(corpus, monkeypatch):
+    """generator_check reads D off the pair's D table: on a pair with an
+    empty table the first call fills each entry (I, a) at most once, a
+    second call fills none, and both print the same report."""
+    Q = dict(corpus)["poisson-linear"]
+    P = BialgebroidPair(Q.A, Q.Astar, Q.frame, Q.label)
+    filled = []
+    fill = pair_module._dirac_entry
+
+    def counting(pair, I, a):
+        filled.append((I, a))
+        return fill(pair, I, a)
+
+    monkeypatch.setattr(pair_module, "_dirac_entry", counting)
+    first = json.dumps(generator_check(P).to_json())
+    assert filled and len(set(filled)) == len(filled)
+    assert set(P._dirac_tables) == set(filled)
+    filled.clear()
+    assert json.dumps(generator_check(P).to_json()) == first
+    assert filled == []
 
 
 @st.composite
@@ -277,8 +311,8 @@ SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
 def test_suites_store_nothing_on_the_pair(corpus):
     """No suite leaves anything on P, on its two structures or on its flip
     (the modular cocycles and the flip are P's own caches, taken first).
-    The structures' tables, filled in place, hold values of their own
-    immutable anchor and brackets only."""
+    The structures' tables and the pair's D table, filled in place, hold
+    values of immutable data only."""
     P = dict(corpus)["poisson-linear"]
     twin = P.flipped()
     owners = (P, P.A, P.Astar, twin, twin.A, twin.Astar)
@@ -369,14 +403,26 @@ def _fresh(P):
 
 @pytest.mark.parametrize("build", COLD_BUILDERS)
 def test_cold_and_warm_frame_tables_give_the_same_reports(build):
-    """A freshly built structure (empty frame tables) and one whose tables
-    the same decisions have filled print byte-identical reports."""
-    suites = (dirac_square, generator_check)
+    """A freshly built pair (empty frame tables and D table) and one whose
+    tables the same decisions have filled print byte-identical reports.
+    A call on the once-per-monomial view fills P's D table, and P.flipped()
+    keeps a D table of its own."""
+    suites = (dirac_square, dirac_star_square, generator_check)
     warm = build()
     for suite in suites:
         suite(warm)
     assert any(side._d_unit_cache for side in (warm.A, warm.Astar))
+    assert warm._dirac_tables and warm.flipped()._dirac_tables
     for suite in suites:
         cold = _fresh(warm)
         assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
+        assert cold._dirac_tables == {}
         assert json.dumps(suite(cold).to_json()) == json.dumps(suite(warm).to_json())
+    P = _fresh(warm)
+    view = pair_module._once_per_monomial_view(P)
+    assert view._dirac_tables is P._dirac_tables
+    dirac_apply(view, P.basis_e(1).scaled(Polynomial.const(P.coordinates, 3)))
+    assert P._dirac_tables
+    twin = P.flipped()
+    assert twin._dirac_tables is not P._dirac_tables and twin._dirac_tables == {}
+    assert view.flipped()._dirac_tables is twin._dirac_tables
