@@ -102,7 +102,7 @@ class AlgebroidStructure:
         self.brackets = clean
 
         # Tables derived from the immutable anchor and brackets alone, filled
-        # on first use; a once-per-monomial copy shares them.
+        # on first use and kept for the life of the structure.
         self._bracket_cache: Dict[Key, GradedElement] = {}
         self._d_basis_cache: Dict[int, Dict[Index, Polynomial]] = {}
         self._d_unit_cache: Dict[Index, FrameTerms] = {}
@@ -313,6 +313,8 @@ class AlgebroidStructure:
         if isinstance(target, self.section_cls):
             return self.schouten(x, target)
         if isinstance(target, self.dual_cls):
+            if not x.terms and (target.rank, target.variables) == (self.rank, self.coordinates):
+                return self.dual_cls.zero(self.rank, self.coordinates)  # L_0 takes no d
             return self._interior_into_dual(x, self.differential(target)) \
                 + self.differential(self._interior_into_dual(x, target))
         raise AlgebroidError("target must live in the algebroid's exterior or dual exterior algebra")
@@ -320,13 +322,14 @@ class AlgebroidStructure:
 
 def _shifted_into(acc: Dict[Index, Dict[Exponent, Fraction]], table: FrameTerms,
                   shift: Exponent, c: Fraction) -> None:
-    """Add c x^shift times each table term into acc."""
+    """Add c x^shift times each table term into acc; c = 1 takes no product."""
+    one = c == 1
     for K, terms in table:
         slot = acc.get(K)
         if slot is None:
             slot = acc[K] = {}
         for e, v in terms.items():
-            _add_term(slot, tuple(map(add, e, shift)), c * v)
+            _add_term(slot, tuple(map(add, e, shift)), v if one else c * v)
 
 
 def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):

@@ -32,8 +32,7 @@ from .exterior import (Form, FrameData, Multivector, interior_by_form,
                        interior_by_multivector, pairing, retype)
 from .pair import (BialgebroidPair, IdentityRecord, IdentityReport,
                    PreconditionError, _generator_products, _modular_class,
-                   _once_per_monomial_view, degree1_form_probes, dirac_square,
-                   is_lie_bialgebroid, laplacian)
+                   degree1_form_probes, dirac_square, is_lie_bialgebroid, laplacian)
 from .ring import (_MAX_POWER_BITS, _MAX_POWER_DEGREE, _MAX_POWER_TERMS, Polynomial,
                    divergence, first_non_skew, identity_matrix, matrix_product)
 
@@ -148,10 +147,8 @@ def exact_identities(P: BialgebroidPair, L: BivectorData) -> IdentityReport:
     """Closed-form checks available for pairs built by exact_from_bivector.
 
     exact/triangular-dstar runs on the generators x_a, e_i of wedge A (see
-    _dstar_bracket_witness).  Every check runs on one once-per-monomial
-    view of P, which dirac_square shares.
+    _dstar_bracket_witness).
     """
-    P = _once_per_monomial_view(P)
     expected = _dual_structure_from_bivector(P.A, L)
     if expected.anchor != P.Astar.anchor or expected.brackets != P.Astar.brackets:
         raise PreconditionError("pair was not built from this bivector")
@@ -547,8 +544,8 @@ def _poisson_pair_and_homology(Pm: PoissonManifoldData) \
         -> Tuple[BialgebroidPair, IdentityReport]:
     """The tangent/cotangent pair of pi and the report of
     poisson_homology_check, from one poisson_double call.  The pair is
-    the once-per-monomial view the report ran on, so a dirac_square call
-    on it reads the differential images already taken.
+    the one the report ran on, so a dirac_square call on it reads the
+    frame tables its structures have already filled.
 
     Over wedge A* = Poly[x] (x) Lambda[eps], boundary_* is a BV operator and
     iota_pi a composite of two contractions, both of order 2, d, iota_X and
@@ -558,7 +555,7 @@ def _poisson_pair_and_homology(Pm: PoissonManifoldData) \
     |gamma| <= 2, by the sub-product argument of dirac_square.  poisson/d-pi
     is exact/triangular-dstar for pi.
     """
-    P = _once_per_monomial_view(poisson_double(Pm))
+    P = poisson_double(Pm)
     pi = Pm.pi_multivector()
     x_omega = Pm.modular_field()
     report = IdentityReport(suite="poisson")

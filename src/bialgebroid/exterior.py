@@ -49,9 +49,9 @@ def _check_index(index: Iterable[int], rank: int) -> Index:
 # The sign rules depend on index tuples alone, so their values are kept
 # across calls, as they depend on no pair.  The only other stores that
 # outlive a call are the tables of an AlgebroidStructure, which depend on
-# its immutable anchor and brackets alone, and the D table of a pair
-# (pair.dirac_apply), which depends on the pair's data alone.  2^14
-# entries hold every pair of index tuples up to rank 7, and the bound
+# its immutable anchor and brackets alone, and the D and Dorfman tables of
+# a pair (pair.dirac_apply, pair.dorfman), which depend on its data alone.
+# 2^14 entries hold every pair of index tuples up to rank 7, and the bound
 # keeps a document of larger rank from growing the table without limit.
 _SIGN_CACHE = 1 << 14
 
@@ -299,9 +299,9 @@ def retype(element: GradedElement) -> GradedElement:
 def monomials(element: GradedElement):
     """The terms c x^gamma e_I of element as ((class, I, gamma), c) pairs.
 
-    The key names the monomial together with its class, as the
-    once-per-monomial wrappers store images; unit_monomial turns a key back
-    into the element.
+    The key names the monomial together with its class, as
+    once_per_monomial stores images; unit_monomial turns a key back into
+    the element.
     """
     cls = type(element)
     return [((cls, index, exps), c)
@@ -321,8 +321,8 @@ def weighted_sum(pieces):
     """sum c * image over a nonempty list of (c, image) pairs, c a Fraction.
 
     The images share one type, rank and variable context, which the result
-    takes.  This is how a once-per-monomial wrapper assembles its value
-    from the stored images of the input's monomials.  The coefficients are
+    takes.  This is how once_per_monomial assembles its value from the
+    stored images of the input's monomials.  The coefficients are
     summed as Fractions, term by term with no zero seed; the result stores
     Fractions, like every Polynomial.
     """
@@ -344,17 +344,15 @@ def weighted_sum(pieces):
 def once_per_monomial(op):
     """Wrap an additive operator so that it is applied once per monomial x^gamma e_I.
 
-    op must be additive and commute with constant scaling, as D, d, d_*,
-    the boundaries, the Laplacians and x -> L_x Omega do; it need not be
+    Its one caller in the package is pair.generator_check's [D, c(e)] =
+    D c(e) + c(e) D, met again and again on the same spinors in one call.
+    op must be additive and commute with constant scaling; it need not be
     C-infinity-linear, so an image is stored under the element's class,
-    index I and exponent gamma together, never under I alone.  Every other
-    input is then the Fraction-weighted sum of the stored images of its
-    monomials, which is exactly op(input).  The inputs must share one
-    rank and variable context, as they do inside one computation on one
-    pair, and the images one class.  A zero input is returned as it is,
-    the zero of its own class, without calling op, so an op that changes
-    class must not be given zero.  The images live as long as the returned
-    callable, so build one inside each computation and let it go on return.
+    index I and exponent gamma together.  Every other input is then the
+    Fraction-weighted sum of the stored images of its monomials, which is
+    exactly op(input).  The inputs share one rank and variable context, and
+    the images one class.  A zero input is returned as it is, without
+    calling op.  The images live as long as the returned callable.
     """
     images = {}
 

@@ -57,33 +57,14 @@ equivalence suite have no code of their own.  A mirror witness is the
 primal witness found on the flipped pair, so it names flipped elements
 (e[i] there is eps^i here) and carries the prefix "on (A*, A): ".
 
-Each operator once per monomial.  Every decision and report that loops
-operators over probes runs on _once_per_monomial_view(P), the one place
-that decides what a call shares: there both differentials run once per
-monomial x^gamma e_I met in the call.  The boundaries are d conjugated by
-the top contraction, which only moves terms, so they read the same
-images, and so do the Laplacians, the Lie derivatives, the Dorfman
-bracket and the fills of D's table: one set of images per algebroid.  The
-mirror operators read the same set: the view's mirror carries the view's
-two algebroids swapped and reaches their images through retype, storing
-none of its own.  The operators are additive and commute with constant
-scaling but are not C-infinity-linear, so an image is stored under the
-full monomial, exponent included, and every other value is the
-Fraction-weighted sum of stored images: the direct value.
-Composites that repeat inside a call keep a wrapper of their own:
-[D, c(e)] and the top-form Lie derivatives x -> L_x Omega of the thm-c
-trace once per monomial (exterior.once_per_monomial), the Dorfman bracket
-once per pair of section monomials (_once_per_monomial_dorfman).  The
-images go with the view.
-
-D itself runs term by term from a table of the pair (dirac_apply): D has
-order <= 1 in the base functions, so D(x^gamma e_I) is read off D(e_I)
-and the C-infinity-linear [D, x_a] e_I, filled on first use into
-P._dirac_tables and kept for the life of the pair, as they depend on its
-immutable data alone.  The view shares P's table, and P.flipped() keeps
-its own.  Three stores outlive a call: the sign tables of index tuples
-(exterior._merge_sign, _contract_sign), the tables of each
-AlgebroidStructure, and this D table.
+Stores that outlive a call.  Every decision runs on P and P.flipped().
+The operators of order <= 1 in the base functions read term by term off
+frame tables, filled on first use and kept while their owner lives, as
+they hold values of its immutable data alone: the sign tables of index
+tuples (exterior._merge_sign, _contract_sign), the tables of each
+AlgebroidStructure (d), and the D and Dorfman tables of each pair
+(dirac_apply, dorfman); P.flipped() keeps its own.  The one per-call memo
+is generator_check's [D, c(e)] (exterior.once_per_monomial).
 """
 
 from __future__ import annotations
@@ -92,13 +73,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTerms, _shifted_into,
                         bv_boundary, validate_algebroid)
 from .exterior import (Form, FrameData, Index, Multivector, interior_by_form,
-                       interior_by_multivector, monomials, once_per_monomial, pairing,
-                       retype, unit_monomial, weighted_sum)
+                       interior_by_multivector, once_per_monomial, pairing, retype,
+                       unit_monomial)
 from .ring import (Exponent, Polynomial, apply_field, divergence, field_bracket, first_non_skew,
                    matrix_product)
 
@@ -312,6 +294,8 @@ class BialgebroidPair:
         self._flipped: BialgebroidPair | None = None
         # D(e_I) and [D, x_a] e_I, filled on first use (dirac_apply)
         self._dirac_tables: Dict[Tuple[Index, Optional[int]], FrameTerms] = {}
+        # e_alpha o e_beta and D x_a, filled on first use (dorfman)
+        self._dorfman_table: Dict[Tuple[Optional[int], int], FrameTerms] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -378,6 +362,7 @@ class BialgebroidPair:
             twin._modular = ModularData(x0=retype(mod.xi0), xi0=retype(mod.x0))
             twin._flipped = self
             twin._dirac_tables = {}
+            twin._dorfman_table = {}
             self._flipped = twin
         return self._flipped
 
@@ -550,48 +535,102 @@ def rho_apply(P: BialgebroidPair, e: SectionE, f: Polynomial) -> Polynomial:
 
 
 def dorfman(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
-    """Dorfman bracket of the double:
+    """Dorfman bracket of the double, term by term from P's Dorfman table.
+    With e_alpha the 2n frame sections e_i, eps^j and rho_alpha the anchor
+    row of e_alpha (of A or of A*):
+
+        (c x^gamma e_alpha) o (d x^delta e_beta) = c d [x^(gamma+delta) e_alpha o e_beta
+            + sum_a delta_a rho_alpha^a x^(gamma+delta-1_a) e_beta
+            - sum_a gamma_a rho_beta^a x^(gamma+delta-1_a) e_alpha
+            + [alpha, beta a dual pair e_i, eps^i] sum_a gamma_a x^(gamma+delta-1_a) D x_a].
+
+    This is the direct formula's bracket (_dorfman_direct) for any two
+    validated halves, compatible or not, by its two Leibniz rules in the
+    base functions (Liu-Weinstein-Xu 1997):
+    * x o (f y) = f (x o y) + (rho(x) f) y, as [X1, .], [xi1, .]_* and the
+      Lie derivatives are derivations over functions and iota_{f y} =
+      f iota_y;
+    * (f x) o y = f (x o y) - (rho(y) f) x + 2 <x, y> D f, from d_*(f X1) =
+      d_* f ^ X1 + f d_* X1, d(f xi1) = d f ^ xi1 + f d xi1 and the Cartan
+      formula L_{f x} = f L_x + d f ^ iota_x on either side;
+    with D f = sum_a (d_a f) D x_a and 2 <e_i, eps^j> = delta_ij.  The
+    frame brackets and the D x_a are filled on first use (_dorfman_entry)
+    and kept in P._dorfman_table for the life of the pair: at most
+    4 n^2 + m entries.  The anchor rows are the structure data itself.
+    """
+    coords, rank = P.coordinates, P.rank
+    if any(e.vec.rank != rank or e.vec.variables != coords for e in (e1, e2)):
+        raise PairError("dorfman expects sections in the pair's frame")
+    table, rows, dual_rows = P._dorfman_table, (None,) + P.A.anchor, (None,) + P.Astar.anchor
+    right = _frame_parts(e2)
+    acc: Dict[int, Dict[Exponent, Fraction]] = {}
+    for alpha, p in _frame_parts(e1):
+        row_alpha = rows[alpha] if alpha > 0 else dual_rows[-alpha]
+        for beta, q in right:
+            frame_bracket = table.get((alpha, beta))
+            if frame_bracket is None:
+                frame_bracket = _dorfman_entry(P, alpha, beta)
+            row_beta = rows[beta] if beta > 0 else dual_rows[-beta]
+            for g, c in p.items():
+                for h, d in q.items():
+                    cd, s = c if d == 1 else c * d, tuple(map(add, g, h))
+                    _shifted_into(acc, frame_bracket, s, cd)
+                    for a, k in enumerate(s):
+                        if not k:
+                            continue
+                        shift = s[:a] + (k - 1,) + s[a + 1:]
+                        if h[a] and row_alpha[a]:
+                            _shifted_into(acc, ((beta, row_alpha[a].terms),), shift, cd * h[a])
+                        if g[a] and row_beta[a]:
+                            _shifted_into(acc, ((alpha, row_beta[a].terms),), shift, -cd * g[a])
+                        if g[a] and alpha == -beta:
+                            dx = table.get((None, a))
+                            if dx is None:
+                                dx = _dorfman_entry(P, None, a)
+                            _shifted_into(acc, dx, shift, cd * g[a])
+    vec = {(K,): Polynomial._raw(coords, slot) for K, slot in acc.items() if K > 0 and slot}
+    cov = {(-K,): Polynomial._raw(coords, slot) for K, slot in acc.items() if K < 0 and slot}
+    return SectionE._raw(Multivector._raw(rank, coords, vec), Form._raw(rank, coords, cov))
+
+
+def _frame_parts(e: SectionE):
+    """The parts of a section as (i, terms) for e_i and (-j, terms) for eps^j."""
+    return [(I[0], p.terms) for I, p in e.vec.terms.items()] \
+        + [(-J[0], p.terms) for J, p in e.cov.terms.items()]
+
+
+def _dorfman_entry(P: BialgebroidPair, alpha: Optional[int], b: int) -> FrameTerms:
+    """Fill P's Dorfman table at (alpha, b) and return the entry: e_alpha o
+    e_b by the direct formula for signed frame indices alpha, b (i for e_i,
+    -j for eps^j), and D x_b = dstar x_b + d x_b for alpha None."""
+    if alpha is None:
+        value = dee(P, Polynomial.variable(P.coordinates, P.coordinates[b]))
+    else:
+        value = _dorfman_direct(P, *(SectionE.of(vec=P.basis_e(k)) if k > 0 else
+                                     SectionE.of(cov=P.basis_eps(-k)) for k in (alpha, b)))
+    entry = P._dorfman_table[alpha, b] = tuple(_frame_parts(value))
+    return entry
+
+
+def _dorfman_direct(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
+    """Dorfman bracket of the double by its defining formula, which fills
+    P's Dorfman table (dorfman):
 
     (X1+xi1) o (X2+xi2) = ([X1,X2] + L_{xi1} X2 - iota_{xi2} dstar X1)
                         + ([xi1,xi2]_* + L_{X1} xi2 - iota_{X2} d xi1).
+
+    The mixed terms are bilinear in (X1, xi2) and in (xi1, X2), so they
+    are taken only when both parts are nonzero.
     """
     X1, xi1, X2, xi2 = e1.vec, e1.cov, e2.vec, e2.cov
-    vec = P.A.schouten(X1, X2) \
-        + P.Astar.lie_derivative(xi1, X2) \
-        - interior_by_form(xi2, P.dstar(X1))
-    cov = P.Astar.schouten(xi1, xi2) \
-        + P.A.lie_derivative(X1, xi2) \
-        - interior_by_multivector(X2, P.d(xi1))
+    vec, cov = P.A.schouten(X1, X2), P.Astar.schouten(xi1, xi2)
+    if X1.terms and xi2.terms:
+        vec = vec - interior_by_form(xi2, P.dstar(X1))
+        cov = cov + P.A.lie_derivative(X1, xi2)
+    if xi1.terms and X2.terms:
+        vec = vec + P.Astar.lie_derivative(xi1, X2)
+        cov = cov - interior_by_multivector(X2, P.d(xi1))
     return SectionE(vec, cov)
-
-
-def _once_per_monomial_dorfman(P: BialgebroidPair):
-    """dorfman(P, ., .) run once per pair of section monomials, keyed by the
-    (class, I, gamma) of both slots; any other bracket is the Fraction-weighted
-    sum of the stored images, part by part (see the module docstring for why
-    that is exact).  The table lives as long as the returned callable."""
-    images = {}
-
-    def section(key) -> SectionE:
-        part = unit_monomial(P.rank, P.coordinates, key)
-        return SectionE.of(vec=part) if isinstance(part, Multivector) else SectionE.of(cov=part)
-
-    def bracket(e1: SectionE, e2: SectionE) -> SectionE:
-        right = monomials(e2.vec) + monomials(e2.cov)
-        pieces = []
-        for k1, c1 in monomials(e1.vec) + monomials(e1.cov):
-            for k2, c2 in right:
-                found = images.get((k1, k2))
-                if found is None:
-                    found = images[k1, k2] = dorfman(P, section(k1), section(k2))
-                pieces.append((c1 * c2, found))
-        if not pieces:
-            return SectionE.zero(P.rank, P.coordinates)
-        # a sum of brackets of sections is a section: no need to check it again
-        return SectionE._raw(weighted_sum([(c, found.vec) for c, found in pieces]),
-                             weighted_sum([(c, found.cov) for c, found in pieces]))
-
-    return bracket
 
 
 def clifford_act(e: SectionE, w: Multivector) -> Multivector:
@@ -687,7 +726,7 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     wedge A.  In D^2 = 1/2 [D, D] with D = dstar - boundary +
     1/2 (X_0 ^ . + iota_{xi_0}), dstar^2 = 0 and boundary^2 = 0, since both
     halves pass validate_algebroid in BialgebroidPair.__init__ (flipped()
-    and the view reuse them) and the boundary is d_A conjugated by the top
+    reuses them) and the boundary is d_A conjugated by the top
     contraction.  Each other term is a commutator of two of dstar,
     iota_{xi_0} (derivations, of order 1), X_0 ^ . (order 0) and the
     boundary (a BV operator, of order 2; Koszul 1985), never the boundary
@@ -702,12 +741,8 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     (multivector_probes) would give.
 
     D(D(u)) is read term by term off P's D table (dirac_apply), which
-    outlives the call and which the view shares; only the table's fills
-    take differentials.  The formula's Laplacian and its Lie derivative
-    along A* run on the view (_once_per_monomial_view), whose differential
-    images the fills share.
+    outlives the call; only the table's fills take differentials.
     """
-    P = _once_per_monomial_view(P)
     ft = f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
     # one D(D(u)) per probe serves both checks, each stopping at its first failure
@@ -724,53 +759,6 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
             break
     report.is_scalar = report.witness is None
     return report
-
-
-class _OncePerMonomialView(BialgebroidPair):
-    """P for one decision call: copies of A and A* whose differential (d on
-    forms, dstar on multivectors) runs once per monomial.  Every operator
-    written over the pair (the two boundaries, which are d conjugated by
-    the top contraction, dirac_apply, laplacian, dorfman, the Cartan
-    formula of AlgebroidStructure.lie_derivative) then shares those images
-    when called on the view.  flipped() is a view of P.flipped(), built on
-    first use, whose flipped() is this view again.  It stores no images of
-    its own: its A is A*'s data on the vector side, so its differential is
-    this view's dstar moved across by retype, and its dstar this view's d.
-    So the mirror operators of a call read the same images as the primal
-    ones.  No image is stored on P: the images go when the view does.  The
-    copies share the structures' own tables, which hold values of the
-    anchor and brackets alone (AlgebroidStructure._d_unit, _dx_wedge), and
-    the view shares P's D table (P._dirac_tables, which dirac_apply reads
-    and fills) through vars(P); its mirror shares that of P.flipped()."""
-
-    def __init__(self, P: BialgebroidPair, differentials=None):
-        self.__dict__.update(vars(P), _modular=P.modular, _flipped=None, _pair=P)
-        for name, op in zip(("A", "Astar"), differentials or (None, None)):
-            # a copy by hand: copy.copy would cache __slotnames__ on the class
-            original = getattr(P, name)
-            side = object.__new__(type(original))
-            vars(side).update(vars(original))
-            side.differential = op or once_per_monomial(side.differential)
-            setattr(self, name, side)
-
-    def flipped(self) -> "BialgebroidPair":
-        if self._flipped is None:
-            self._flipped = _OncePerMonomialView(
-                self._pair.flipped(),
-                (_across(self.Astar.differential), _across(self.A.differential)))
-            self._flipped._flipped = self
-        return self._flipped
-
-
-def _across(op):
-    """op on the other frame: the same images read as Multivectors <-> Forms."""
-    return lambda w: retype(op(retype(w)))
-
-
-def _once_per_monomial_view(P: BialgebroidPair) -> BialgebroidPair:
-    """The view of P for one call (_OncePerMonomialView); a view of a view is
-    that view, so nested decisions share one set of images."""
-    return P if isinstance(P, _OncePerMonomialView) else _OncePerMonomialView(P)
 
 
 def _square_failure(u: Multivector, sq: Multivector, ft: Polynomial) -> Optional[str]:
@@ -845,7 +833,6 @@ def is_lie_bialgebroid(P: BialgebroidPair) -> IdentityReport:
     Checked on the generators x_a, e_i, which decides the condition
     exactly (see _derivation_witness).
     """
-    P = _once_per_monomial_view(P)
     witness = _derivation_witness(P, P.dstar, P.A.schouten, -1, ("dstar[u,v]", "Leibniz side"))
     report = IdentityReport(suite="leibniz")
     report.records.append(IdentityRecord("leibniz-dstar", witness is None, witness))
@@ -865,19 +852,39 @@ def _modular_lie_failure(P: BialgebroidPair, probes) \
 
 def _top_lie_coefficient(P: BialgebroidPair):
     """x -> a(x) with L_x Omega = a(x) Omega on the top form, for a degree-1
-    x along A (a Multivector) or A* (a Form); L keeps degree.  x -> L_x Omega
-    runs once per monomial of x (exterior.once_per_monomial); a zero x,
-    which that memo would return as it is, has a(x) = 0."""
-    omega, top_index, zero = P.frame.omega, P.frame.top_index, Polynomial.zero(P.coordinates)
-    lie = once_per_monomial(
-        lambda x: (P.A if isinstance(x, Multivector) else P.Astar).lie_derivative(x, omega))
-    return lambda x: lie(x).coefficient(top_index) if x.terms else zero
+    x along A (a Multivector) or A* (a Form); L keeps degree.  In closed
+    form, from the n constants a(e_i) and a(eps^j) of each side:
+
+        a(sum_i f_i e_i) = sum_i (f_i a(e_i) + rho(e_i) f_i),
+        a(sum_j f_j eps^j) = sum_j (f_j a(eps^j) - rho_*(eps^j) f_j).
+
+    Along A, L is the Cartan formula: L_{f x} Omega = f L_x Omega +
+    d f ^ iota_x Omega, and d f ^ iota_x Omega = (rho(x) f) Omega.  Along
+    A*, L is the Schouten bracket [theta, .]_*, and [f theta, Omega]_* =
+    f [theta, Omega]_* - (rho_*(theta) f) Omega: the sign is minus on this
+    side (a plus fails thm-c (c)/(d) on the constant Poisson double).
+    """
+    omega, top, coords = P.frame.omega, P.frame.top_index, P.coordinates
+    sides = {side.section_cls: (side.anchor, sign, [
+        side.lie_derivative(side.basis_section(i), omega).coefficient(top)
+        for i in range(1, P.rank + 1)]) for side, sign in ((P.A, 1), (P.Astar, -1))}
+
+    def a(x) -> Polynomial:
+        anchor, sign, units = sides[type(x)]
+        total = Polynomial.zero(coords)
+        for (i,), f in x.terms.items():
+            total = total + f * units[i - 1] + apply_field(anchor[i - 1], f, coords) * sign
+        return total
+
+    return a
 
 
 def _defect_trace(P: BialgebroidPair):
-    """(u, theta, e, rho(u), rho(theta)) -> the trace of the defect operator
+    """(a, trace): a = _top_lie_coefficient(P), and trace maps (e, rho(u),
+    rho(theta), a(u), a(theta)) to the trace of the defect operator
     top = L_e - (L_u L_theta - L_theta L_u) on wedge A*, where u is a
-    degree-1 Multivector, theta a degree-1 Form and e = (u, 0) o (0, theta).
+    degree-1 Multivector, theta a degree-1 Form and e = (u, 0) o (0, theta);
+    the caller takes a(u) and a(theta) once per section.
 
     top is an even derivation of wedge A*: L along a section of A is the
     Cartan formula iota_u d + d iota_u, the commutator of two odd
@@ -897,11 +904,11 @@ def _defect_trace(P: BialgebroidPair):
     """
     a, coords = _top_lie_coefficient(P), P.coordinates
 
-    def trace(u, theta, e, rho_u, rho_th) -> Polynomial:
-        return a(e.vec) + a(e.cov) - apply_field(rho_u, a(theta), coords) \
-            + apply_field(rho_th, a(u), coords)
+    def trace(e, rho_u, rho_th, a_u, a_th) -> Polynomial:
+        return a(e.vec) + a(e.cov) - apply_field(rho_u, a_th, coords) \
+            + apply_field(rho_th, a_u, coords)
 
-    return trace
+    return a, trace
 
 
 def _defect_witness(P: BialgebroidPair) -> Optional[str]:
@@ -910,9 +917,8 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
 
     The defect operator is top = L_e - (L_u L_theta - L_theta L_u) with
     e = (u, 0) o (0, theta).  Its trace is a function read off Lie
-    derivatives of the top form alone (see _defect_trace); on the caller's
-    view (theorem_c_suite) the differentials that the Lie derivatives and
-    the Dorfman bracket read are shared.
+    derivatives of the top form alone (see _defect_trace), and e off P's
+    Dorfman table (dorfman).
 
     Tensoriality is read off the anchor field, with no
     evaluation of top on f eta: every L along a degree-1 section satisfies
@@ -948,20 +954,21 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     would give.
     """
     deg1_form = degree1_form_probes(P, 1)
-    trace_of = _defect_trace(P)
+    top_of, trace_of = _defect_trace(P)
     d_forms = [P.d(th) for th in deg1_form]
     form_sections = [SectionE.of(cov=th) for th in deg1_form]
     form_fields = [rho_field(P, s) for s in form_sections]
+    tops = [top_of(th) for th in deg1_form]
     for u in degree1_multivector_probes(P, 1):
-        du, su = P.dstar(u), SectionE.of(vec=u)
+        du, su, a_u = P.dstar(u), SectionE.of(vec=u), top_of(u)
         rho_u = rho_field(P, su)
-        for th, dth, sth, rho_th in zip(deg1_form, d_forms, form_sections, form_fields):
+        for th, dth, sth, rho_th, a_th in zip(deg1_form, d_forms, form_sections, form_fields, tops):
             e = dorfman(P, su, sth)
             _, _, a = _anchor_defect(P, rho_u, rho_th, e)
             if a is not None:
                 return (f"u = {u}; theta = {th}; defect operator is not "
                         f"tensorial on ({P.coordinates[a]}) eps[1]")
-            trace = trace_of(u, th, e, rho_u, rho_th)
+            trace = trace_of(e, rho_u, rho_th, a_u, a_th)
             want = 2 * pairing(dth, du)
             if trace != want:
                 return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
@@ -1044,7 +1051,6 @@ def theorem_c_suite(P: BialgebroidPair) -> IdentityReport:
     The A-side items a, i, k, c, e run on P; their mirrors b, j, l, d, f
     are the same checks on P.flipped().  (g) and (h) run as one loop.
     """
-    P = _once_per_monomial_view(P)
     primal = _theorem_c_primal(P)
     mirror = {_MIRROR_ID[k]: _mirror_witness(w)
               for k, w in _theorem_c_primal(P.flipped()).items()}
@@ -1058,7 +1064,6 @@ def theorem_c_suite(P: BialgebroidPair) -> IdentityReport:
 
 def corollary_suite(P: BialgebroidPair) -> IdentityReport:
     """Modular-cocycle corollaries; requires the pair to be compatible."""
-    P = _once_per_monomial_view(P)
     gate = is_lie_bialgebroid(P)
     if not gate.passed:
         raise PreconditionError(
@@ -1193,7 +1198,6 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
     so it runs on X x F (see _anchor_witness).  Over a point X is empty,
     N = F, and only g1 can fail.
     """
-    P = _once_per_monomial_view(P)
     coords = coordinate_monomials(P.coordinates, 1)[1:]
     near_fields = [(x, rho_field(P, x)) for x in _double_sections(P, 1)]
     # the frame opens each block of the 2 (1 + m) near sections of one index i
@@ -1203,7 +1207,7 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
     near = [x for x, _ in near_fields]
     report = IdentityReport(suite="courant")
     add = report.records.append
-    bracket = _once_per_monomial_dorfman(P)
+    bracket = functools.partial(dorfman, P)
 
     def jacobiator(x, y, z):
         return bracket(x, bracket(y, z)) - bracket(bracket(x, y), z) - bracket(y, bracket(x, z))
@@ -1285,9 +1289,7 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     shows at 1 or at a generator factor, which comes no later: the witness
     is again that of all x^gamma e_I with |gamma| <= 1.  D is read off the
     pair's D table (dirac_apply), so on w = x_b the record reads
-    [D, x_a] x_b = x_b [D, x_a] 1 off the table's [D, x_a] entry; the test
-    tests/test_once_per_monomial.py::test_dirac_table_matches_the_direct_formula
-    pins the table against the direct formula.
+    [D, x_a] x_b = x_b [D, x_a] 1 off the table's [D, x_a] entry.
     The anchor relation A(e, f) = 2 <D f, e> - rho(e) f runs on the x_a
     and the frame (see _anchor_witness).
 
@@ -1310,7 +1312,6 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     order, and the first failure of the larger family lies in the smaller.
     Over a point the two families coincide.
     """
-    P = _once_per_monomial_view(P)
     report = IdentityReport(suite="generator")
     add = report.records.append
 

@@ -9,7 +9,7 @@ construction, so every verdict on them must be True.  Each failing witness
 of D^2 and its mirror, of the Courant axioms g1 and g2, of thm-c (c) and
 (d) and of every generator record is re-checked by direct operator calls
 (dirac_apply, clifford_act, dee, dorfman, lie_derivative) on the pair
-itself, not through the once-per-monomial view and wrappers the suites use.
+itself, not through the families and loops the suites use.
 A Poisson double must also be the triangular pair that exact_from_bivector
 builds from its bivector.
 

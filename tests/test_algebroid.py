@@ -258,6 +258,19 @@ def test_lie_derivative_is_pairing_derivation():
     assert lhs == rhs
 
 
+def test_lie_derivative_along_zero_takes_no_differential(monkeypatch):
+    """L_0 is 0 on the dual exterior algebra without running the Cartan
+    formula, and a target in another frame is still refused."""
+    alg = cotangent_linear()
+    theta = Form.monomial(2, R2, (1,), Polynomial.parse("x1 + x2", R2))
+    with pytest.raises(AlgebroidError):
+        alg.lie_derivative(alg.zero_section(), Form.zero(3, R2))
+    calls = []
+    monkeypatch.setattr(AlgebroidStructure, "differential", lambda side, w: calls.append(w))
+    assert alg.lie_derivative(alg.zero_section(), theta) == Form.zero(2, R2)
+    assert calls == []
+
+
 # -- boundary operator ---------------------------------------------------------------
 
 

@@ -215,6 +215,9 @@ def test_dorfman_pure_parts(ab):
     out = dorfman(ab, xi, eta)
     assert out.vec.is_zero()
     assert out.cov == ab.Astar.schouten(ab.basis_eps(1), ab.basis_eps(2))
+    # a section of another frame is refused, not read off the pair's table
+    with pytest.raises(PairError):
+        dorfman(ab, x, SectionE.of(vec=Multivector.basis(3, (), 1)))
 
 
 def test_dorfman_mixed_part(ab):
@@ -515,13 +518,13 @@ def test_defect_trace_from_top_lie_coefficients_matches_the_nested_operator(
     pairs = [P for _, P in corpus] + list(failing_pairs) + list(pn_failing_pairs)
     P = data.draw(st.sampled_from(pairs))
     P = data.draw(st.sampled_from([P, P.flipped()]))
-    trace_of = pair_module._defect_trace(P)
+    a, trace_of = pair_module._defect_trace(P)
     draws = st.tuples(_degree1_sections(Multivector, P.rank, P.coordinates),
                       _degree1_sections(Form, P.rank, P.coordinates))
     for u, th in data.draw(st.lists(draws, min_size=1, max_size=3)):
         su, sth = SectionE.of(vec=u), SectionE.of(cov=th)
         e = dorfman(P, su, sth)
-        got = trace_of(u, th, e, rho_field(P, su), rho_field(P, sth))
+        got = trace_of(e, rho_field(P, su), rho_field(P, sth), a(u), a(th))
         want = _defect_operator(P, u, th, e)(P.frame.omega).coefficient(P.frame.top_index)
         assert got == want, (P.label, str(u), str(th))
 
@@ -751,11 +754,15 @@ def test_courant_builds_each_anchor_field_once(monkeypatch):
 
 
 def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):
-    """theorem_c_suite makes 232 Lie derivative calls on poisson-linear: the
-    trace of each defect operator is read off the Lie derivatives of the top
-    form, each taken once per monomial of the sections met in the call, so
-    no defect operator runs, on Omega or on the n eps^j."""
-    P = dict(corpus)["poisson-linear"]
+    """theorem_c_suite makes 68 Lie derivative calls on poisson-linear: the
+    trace of each defect operator is read off the top-form coefficients
+    a(x), in closed form from the n constants a(e_i) and a(eps^j) of each
+    side, so the top form is taken along the frame sections alone, once
+    per structure, and no defect operator runs, on Omega or on the n eps^j.
+    The pair is built afresh, so the count includes the fills of its
+    Dorfman tables."""
+    Q = dict(corpus)["poisson-linear"]
+    P = BialgebroidPair(Q.A, Q.Astar, Q.frame, Q.label)
     # the modular cocycles and the flip are P's own caches; take them first
     P.flipped().modular, P.modular
     seen = []
@@ -767,13 +774,14 @@ def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):
 
     monkeypatch.setattr(bialgebroid.AlgebroidStructure, "lie_derivative", counting)
     assert theorem_c_suite(P).passed
-    assert len(seen) == 232
+    assert len(seen) == 68
     omega = str(P.frame.omega)
     on_top = [(side, x) for side, x, target in seen if target == omega]
-    assert on_top and all(x != "0" for _, x in on_top)
-    # one Lie derivative per structure and monomial: the mirror's structures
-    # are other objects, with x read in the flipped frame
-    assert len(set(on_top)) == len(on_top)
+    frame = {f"e[{i}]" for i in range(1, P.rank + 1)} | {f"eps[{i}]" for i in range(1, P.rank + 1)}
+    assert {x for _, x in on_top} == frame
+    # both structures of P and of its flip, n frame sections each: the
+    # mirror's structures are other objects, with x read in the flipped frame
+    assert len(set(on_top)) == len(on_top) == 4 * P.rank
 
 
 def _courant_oracle(P, degree):
@@ -794,7 +802,7 @@ def _courant_oracle(P, degree):
     funcs = coordinate_monomials(P.coordinates, degree)
     secs = [SectionE.of(vec=P.basis_e(i).scaled(f)) for i in range(1, P.rank + 1) for f in funcs] \
         + [SectionE.of(cov=P.basis_eps(i).scaled(f)) for i in range(1, P.rank + 1) for f in funcs]
-    bracket = pair_module._once_per_monomial_dorfman(P)
+    bracket = functools.partial(pair_module._dorfman_direct, P)
     idx = range(len(secs))
     rho = [rho_field(P, x) for x in secs]
 

@@ -314,32 +314,6 @@ def test_example_poisson_builds_its_pair_once(monkeypatch, capsys):
     assert body["suite"] == poisson_homology_check(PoissonManifoldData(2, rows)).to_json()
 
 
-def test_example_poisson_takes_each_differential_image_once(monkeypatch, capsys):
-    """example poisson runs its suite and its square on one once-per-monomial
-    view: once the pair is built, no side takes its differential twice on
-    the same input."""
-    inputs = []
-    direct, build = AlgebroidStructure.differential, constructions.poisson_double
-
-    def counting(self, w):
-        inputs.append((self.section_kind, type(w).__name__,
-                       tuple(sorted((ix, tuple(sorted(p.terms.items())))
-                                    for ix, p in w.terms.items()))))
-        return direct(self, w)
-
-    def building(Pm):
-        pair = build(Pm)
-        inputs.clear()
-        return pair
-
-    monkeypatch.setattr(AlgebroidStructure, "differential", counting)
-    monkeypatch.setattr(constructions, "poisson_double", building)
-    rows = [["0", "x1", "0"], ["-x1", "0", "0"], ["0", "0", "0"]]
-    code = cli.main(["example", "poisson", "--dim", "3", "--pi", json.dumps(rows)])
-    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
-    assert inputs and len(inputs) == len(set(inputs))
-
-
 def test_poisson_double_reads_repeated_differentials_off_the_tables(monkeypatch):
     """Building the dual structure of pi^12 = x1 over R^3 takes 9
     differentials over 5 distinct inputs (d eps^i once in a Lie derivative

@@ -1,8 +1,8 @@
-"""exterior.once_per_monomial, the top-form Lie derivatives x -> L_x Omega of
-the thm-c trace taken once per monomial through it, and the Dorfman bracket
-taken once per pair of section monomials: exact against the direct
-operators, and scoped to one decision call, in which the once-per-monomial
-view takes each differential image once."""
+"""exterior.once_per_monomial, the top-form coefficient x -> a(x) of the
+thm-c trace in closed form, and the frame tables of the differential, of D
+and of the Dorfman bracket: exact against the direct operators, each table
+entry filled once and kept for the life of its owner, and the same reports
+from cold and warm tables."""
 
 import json
 from fractions import Fraction
@@ -90,18 +90,6 @@ def test_zero_and_kernel_elements(all_pairs):
                     assert got.is_zero(), (P.label, name, str(x))
 
 
-def _is_probe_monomial(u):
-    """Zero, or one term x^gamma e_I with coefficient 1."""
-    if not u.terms:
-        return True
-    (poly,) = u.terms.values()
-    return len(poly.terms) == 1 and list(poly.terms.values()) == [1]
-
-
-def _key(u):
-    return tuple(sorted((ix, tuple(p.terms)) for ix, p in u.terms.items()))
-
-
 def direct_dirac(P, u):
     """D u by the formula dstar - boundary + 1/2 (X_0 ^ . + iota_{xi_0}),
     with no table."""
@@ -111,7 +99,7 @@ def direct_dirac(P, u):
 
 
 @pytest.fixture(scope="module")
-def dirac_pairs(corpus, failing_pairs, pn_failing_pairs):
+def table_pairs(corpus, failing_pairs, pn_failing_pairs):
     pairs = [P for _label, P in corpus] + list(failing_pairs) + list(pn_failing_pairs) \
         + [log_canonical_double()]
     assert any(not P.coordinates for P in pairs) and any(P.coordinates for P in pairs)
@@ -120,11 +108,11 @@ def dirac_pairs(corpus, failing_pairs, pn_failing_pairs):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_dirac_table_matches_the_direct_formula(dirac_pairs, data):
+def test_dirac_table_matches_the_direct_formula(table_pairs, data):
     """dirac_apply reads D term by term off the pair's D table; on every
     pair, over a point and over a base, it gives the formula's value, and
     so does dirac_star_apply, which reads the table of P.flipped()."""
-    P = data.draw(st.sampled_from(dirac_pairs))
+    P = data.draw(st.sampled_from(table_pairs))
     us = data.draw(st.lists(elements(Multivector, P.rank, P.coordinates), min_size=1, max_size=3))
     for u in us:
         assert dirac_apply(P, u) == direct_dirac(P, u), (P.label, str(u))
@@ -157,10 +145,10 @@ def test_generator_check_fills_each_D_table_entry_once(corpus, monkeypatch):
 
 
 @st.composite
-def degree1(draw, cls, rank, coords):
+def degree1(draw, cls, rank, coords, max_degree=3):
     """Degree-1 elements: rational combinations of x^gamma e_i (or x^gamma
-    eps^j) with |gamma| <= 3; may be zero."""
-    exps = st.tuples(*[st.integers(0, 2) for _ in coords]).filter(lambda e: sum(e) <= 3)
+    eps^j) with |gamma| <= max_degree; may be zero."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in coords]).filter(lambda e: sum(e) <= max_degree)
     poly = st.dictionaries(exps, rationals, max_size=3).map(lambda t: Polynomial(coords, t))
     slots = st.sampled_from([(i,) for i in range(1, rank + 1)])
     return cls(rank, coords, draw(st.dictionaries(slots, poly, max_size=rank)))
@@ -168,27 +156,32 @@ def degree1(draw, cls, rank, coords):
 
 @st.composite
 def sections(draw, rank, coords):
-    """Sections of the double; either part (or both) may be zero."""
-    return SectionE(draw(degree1(Multivector, rank, coords)), draw(degree1(Form, rank, coords)))
+    """Sections of the double with |gamma| <= 2; either part (or both) may be zero."""
+    return SectionE(draw(degree1(Multivector, rank, coords, 2)),
+                    draw(degree1(Form, rank, coords, 2)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_bracket_once_per_monomial_pair_equals_dorfman(all_pairs, data):
-    P = data.draw(st.sampled_from(all_pairs))
+def test_dorfman_table_matches_the_direct_formula(table_pairs, data):
+    """dorfman reads every bracket term by term off the pair's Dorfman
+    table; on every pair and on its flip, over a point and over a base, it
+    gives the direct formula's value on sections with |gamma| <= 2,
+    rational coefficients and zero parts, in both orders."""
+    P = data.draw(st.sampled_from(table_pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
     xs = data.draw(st.lists(sections(P.rank, P.coordinates), min_size=1, max_size=3))
-    bracket = pair_module._once_per_monomial_dorfman(P)
-    # every ordered pair, so later brackets reuse the images of earlier ones
-    for x in xs + [xs[0] + xs[-1], xs[0].scaled(Fraction(-3, 2))]:
-        for y in xs + [SectionE.zero(P.rank, P.coordinates)]:
+    for x in xs + [SectionE.zero(P.rank, P.coordinates)]:
+        for y in xs:
             for a, b in ((x, y), (y, x)):
-                assert bracket(a, b) == dorfman(P, a, b), (P.label, str(a), str(b))
+                want = pair_module._dorfman_direct(P, a, b)
+                assert dorfman(P, a, b) == want, (P.label, str(a), str(b))
 
 
 def test_bracket_on_monomial_sections_and_zero(all_pairs):
     """Every ordered pair of sections x^gamma e_i, x^gamma eps^j (|gamma| <= 1),
-    of their sum and of zero, through one wrapper: images stored for one
-    exponent must not stand in for another."""
+    of their sum and of zero: the table read equals the direct formula, so
+    no entry, anchor term or D x_a term stands in for another."""
     for P in all_pairs:
         units = [SectionE.of(vec=P.basis_e(i).scaled(f)) for i in range(1, P.rank + 1)
                  for f in coordinate_monomials(P.coordinates, 1)]
@@ -198,39 +191,38 @@ def test_bracket_on_monomial_sections_and_zero(all_pairs):
         for e in units[1:]:
             total = total + e
         inputs = units + [total, SectionE.zero(P.rank, P.coordinates)]
-        bracket = pair_module._once_per_monomial_dorfman(P)
         for a in inputs:
             for b in inputs:
-                assert bracket(a, b) == dorfman(P, a, b), (P.label, str(a), str(b))
-
-
-def _section_key(e):
-    return (_key(e.vec), _key(e.cov))
+                want = pair_module._dorfman_direct(P, a, b)
+                assert dorfman(P, a, b) == want, (P.label, str(a), str(b))
 
 
 def test_courant_axioms_bracket_once_per_monomial_pair(corpus, monkeypatch):
-    P = dict(corpus)["exact-so3"]
-    assert P.rank == 3 and P.coordinates == ()
-    seen = []
-    direct = pair_module.dorfman
+    """courant_axioms reads every bracket off the pair's Dorfman table: on a
+    pair with an empty table the first call fills each entry, a pair of
+    frame sections (monomials over a point) or a D x_a, at most once; a
+    second call fills none and prints the same report."""
+    filled = []
+    fill = pair_module._dorfman_entry
 
-    def counting(pair, e1, e2):
-        seen.append((e1, e2))
-        return direct(pair, e1, e2)
+    def counting(pair, alpha, b):
+        filled.append((alpha, b))
+        return fill(pair, alpha, b)
 
-    monkeypatch.setattr(pair_module, "dorfman", counting)
-    first = courant_axioms(P).to_json()
-    calls = len(seen)
-    for e1, e2 in seen:
-        for e in (e1, e2):
-            parts = [part for part in (e.vec, e.cov) if not part.is_zero()]
-            assert len(parts) == 1 and _is_probe_monomial(parts[0]), str(e)
-    assert len({(_section_key(e1), _section_key(e2)) for e1, e2 in seen}) == calls
-    assert 0 < calls <= (2 * P.rank) ** 2
-    # nothing is kept between calls: the same work again, and the same answer
-    seen.clear()
-    assert courant_axioms(P).to_json() == first
-    assert len(seen) == calls
+    monkeypatch.setattr(pair_module, "_dorfman_entry", counting)
+    for label in ("exact-so3", "poisson-linear"):
+        Q = dict(corpus)[label]
+        P = BialgebroidPair(Q.A, Q.Astar, Q.frame, Q.label)
+        n, m = P.rank, len(P.coordinates)
+        filled.clear()
+        first = json.dumps(courant_axioms(P).to_json())
+        assert filled and len(set(filled)) == len(filled), label
+        assert set(P._dorfman_table) == set(filled), label
+        assert len(filled) <= (2 * n) ** 2 + m, label
+        assert sorted(b for alpha, b in filled if alpha is None) == list(range(m)), label
+        filled.clear()
+        assert json.dumps(courant_axioms(P).to_json()) == first, label
+        assert filled == [], label
 
 
 def lie_direct(P, x, t):
@@ -238,18 +230,18 @@ def lie_direct(P, x, t):
 
 
 def top_coefficient_direct(P, x):
-    """The coefficient on Omega of L_x Omega, with no wrapper."""
+    """The coefficient on Omega of L_x Omega, by the Lie derivative itself."""
     return lie_direct(P, x, P.frame.omega).coefficient(P.frame.top_index)
 
 
 def test_top_lie_coefficient_on_monomials_and_zero(all_pairs):
-    """Every x^gamma e_i and x^gamma eps^j (|gamma| <= 1), the sum of each kind
-    and zero, through one wrapper, on P and on its flip: Lie derivatives of
-    the top form along either side, so the images turn Multivectors into
-    Forms.  Images stored for one exponent or class must not stand in for
-    another, and zero gives 0 without a stored image."""
+    """The closed form a(x) equals the coefficient of L_x Omega on Omega for
+    every x^gamma e_i and x^gamma eps^j with |gamma| <= 2, the sum of each
+    kind and zero, on P and on its flip: along A by the Cartan formula,
+    along A* by the Schouten bracket, whose anchor term carries the minus
+    sign."""
     for P in all_pairs:
-        monos = coordinate_monomials(P.coordinates, 1)
+        monos = coordinate_monomials(P.coordinates, 2)
         for Q in (P, P.flipped()):
             inputs = []
             for cls in (Multivector, Form):
@@ -273,35 +265,8 @@ def test_top_lie_coefficient_equals_the_direct_one(all_pairs, data):
     xs = data.draw(st.lists(classes.flatmap(lambda c: degree1(c, P.rank, P.coordinates)),
                             min_size=1, max_size=4))
     a = pair_module._top_lie_coefficient(P)
-    # later inputs reuse the images stored for earlier ones
     for x in xs + [xs[0].scaled(Fraction(-3, 2)), xs[0] + xs[0].scaled(Fraction(1, 3))]:
         assert a(x) == top_coefficient_direct(P, x), (P.label, str(x))
-
-
-def test_defect_witness_takes_top_lie_once_per_monomial(corpus, monkeypatch):
-    P = dict(corpus)["poisson-linear"]
-    seen = []
-
-    def counting_wrapper(op, wrap=pair_module.once_per_monomial):
-        def counting(x):
-            seen.append(x)
-            return op(x)
-        return wrap(counting)
-
-    monkeypatch.setattr(pair_module, "once_per_monomial", counting_wrapper)
-    before = dict(vars(P))
-    first = pair_module._defect_witness(P)
-    calls = len(seen)
-    assert calls > 0
-    for x in seen:
-        assert not x.is_zero() and _is_probe_monomial(x), str(x)
-    assert len({(type(x), _key(x)) for x in seen}) == calls
-    # nothing is kept between calls, on the pair or elsewhere
-    seen.clear()
-    assert pair_module._defect_witness(P) == first
-    assert len(seen) == calls
-    assert vars(P).keys() == before.keys()
-    assert all(vars(P)[k] is v for k, v in before.items())
 
 
 SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
@@ -311,8 +276,9 @@ SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
 def test_suites_store_nothing_on_the_pair(corpus):
     """No suite leaves anything on P, on its two structures or on its flip
     (the modular cocycles and the flip are P's own caches, taken first).
-    The structures' tables and the pair's D table, filled in place, hold
-    values of immutable data only."""
+    The structures' tables and the pair's D and Dorfman tables, created
+    with their owner and filled in place, hold values of immutable data
+    only."""
     P = dict(corpus)["poisson-linear"]
     twin = P.flipped()
     owners = (P, P.A, P.Astar, twin, twin.A, twin.Astar)
@@ -324,43 +290,6 @@ def test_suites_store_nothing_on_the_pair(corpus):
             assert new.keys() == old.keys(), suite.__name__
             assert all(new[k] is old[k] for k in old), suite.__name__
         assert "dstar" not in vars(P) and "boundary" not in vars(P)
-
-
-def _terms_key(w):
-    """The indices and exact coefficients of an element, whatever its class."""
-    return tuple(sorted((ix, tuple(sorted(p.terms.items()))) for ix, p in w.terms.items()))
-
-
-def _data_key(side):
-    """The anchor and bracket data of an algebroid, whichever side it is on."""
-    return (tuple(tuple(map(str, row)) for row in side.anchor),
-            tuple(sorted((key, tuple(map(str, comps))) for key, comps in side.brackets.items())))
-
-
-def test_every_decision_takes_one_differential_per_monomial(corpus, monkeypatch):
-    """Each decision takes the differential once per distinct (algebroid
-    data, input): d and dstar run once per monomial on one view for the
-    whole call, the boundaries are d conjugated by the top contraction and
-    read the same images, and so does every operator built on them (D,
-    the Laplacians, the Lie derivatives, the Dorfman bracket).  The view's
-    mirror carries the same two algebroids on the other sides and reads the
-    view's images through retype, so the key is the algebroid's data and
-    the input's terms, not the structure object or the input's class."""
-    P = dict(corpus)["poisson-linear"]
-    P.flipped()
-    seen = []
-    direct = AlgebroidStructure.differential
-
-    def counting(side, w):
-        seen.append((_data_key(side), _terms_key(w)))
-        return direct(side, w)
-
-    monkeypatch.setattr(AlgebroidStructure, "differential", counting)
-    for suite in SUITES:
-        seen.clear()
-        suite(P)
-        assert seen, suite.__name__
-        assert len(set(seen)) == len(seen), (suite.__name__, len(seen), len(set(seen)))
 
 
 def test_differential_applies_no_vector_field(monkeypatch):
@@ -403,26 +332,28 @@ def _fresh(P):
 
 @pytest.mark.parametrize("build", COLD_BUILDERS)
 def test_cold_and_warm_frame_tables_give_the_same_reports(build):
-    """A freshly built pair (empty frame tables and D table) and one whose
-    tables the same decisions have filled print byte-identical reports.
-    A call on the once-per-monomial view fills P's D table, and P.flipped()
-    keeps a D table of its own."""
-    suites = (dirac_square, dirac_star_square, generator_check)
+    """A freshly built pair (empty frame tables, D table and Dorfman table)
+    and one whose tables the same decisions have filled print
+    byte-identical reports.  P.flipped() keeps a D table and a Dorfman
+    table of its own."""
+    suites = (dirac_square, dirac_star_square, generator_check, courant_axioms,
+              theorem_c_suite)
     warm = build()
     for suite in suites:
         suite(warm)
     assert any(side._d_unit_cache for side in (warm.A, warm.Astar))
     assert warm._dirac_tables and warm.flipped()._dirac_tables
+    assert warm._dorfman_table and warm.flipped()._dorfman_table
     for suite in suites:
         cold = _fresh(warm)
         assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
-        assert cold._dirac_tables == {}
+        assert cold._dirac_tables == {} and cold._dorfman_table == {}
+        assert cold.flipped()._dirac_tables == {} and cold.flipped()._dorfman_table == {}
         assert json.dumps(suite(cold).to_json()) == json.dumps(suite(warm).to_json())
     P = _fresh(warm)
-    view = pair_module._once_per_monomial_view(P)
-    assert view._dirac_tables is P._dirac_tables
-    dirac_apply(view, P.basis_e(1).scaled(Polynomial.const(P.coordinates, 3)))
-    assert P._dirac_tables
+    dirac_apply(P, P.basis_e(1).scaled(Polynomial.const(P.coordinates, 3)))
+    dorfman(P, SectionE.of(vec=P.basis_e(1)), SectionE.of(cov=P.basis_eps(1)))
+    assert P._dirac_tables and P._dorfman_table
     twin = P.flipped()
     assert twin._dirac_tables is not P._dirac_tables and twin._dirac_tables == {}
-    assert view.flipped()._dirac_tables is twin._dirac_tables
+    assert twin._dorfman_table is not P._dorfman_table and twin._dorfman_table == {}
