@@ -269,7 +269,47 @@ def test_top_lie_coefficient_equals_the_direct_one(all_pairs, data):
         assert a(x) == top_coefficient_direct(P, x), (P.label, str(x))
 
 
-SUITES = [dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
+def _key(x):
+    return tuple(sorted((ix, tuple(p.terms.items())) for ix, p in x.terms.items()))
+
+
+def test_defect_witness_takes_top_lie_once_per_monomial(corpus, monkeypatch):
+    """_defect_witness builds the closed form a(x) once and takes L_x Omega
+    once for each frame monomial, x = e_i along A and x = eps^j along A*,
+    and along nothing else; a second call takes the same and nothing is
+    kept on the pair between calls."""
+    P = dict(corpus)["poisson-linear"]
+    omega = P.frame.omega
+    seen, built = [], []
+    lie, closed_form = AlgebroidStructure.lie_derivative, pair_module._top_lie_coefficient
+
+    def counting_lie(self, x, target):
+        if type(target) is type(omega) and target == omega:
+            seen.append(x)
+        return lie(self, x, target)
+
+    def counting_closed_form(Q):
+        built.append(Q)
+        return closed_form(Q)
+
+    monkeypatch.setattr(AlgebroidStructure, "lie_derivative", counting_lie)
+    monkeypatch.setattr(pair_module, "_top_lie_coefficient", counting_closed_form)
+    frame = sorted((type(s).__name__, _key(s)) for side in (P.A, P.Astar)
+                   for s in (side.basis_section(i) for i in range(1, P.rank + 1)))
+    before = dict(vars(P))
+    first = pair_module._defect_witness(P)
+    assert built == [P]
+    assert sorted((type(x).__name__, _key(x)) for x in seen) == frame
+    seen.clear()
+    built.clear()
+    assert pair_module._defect_witness(P) == first
+    assert built == [P]
+    assert sorted((type(x).__name__, _key(x)) for x in seen) == frame
+    assert vars(P).keys() == before.keys()
+    assert all(vars(P)[k] is v for k, v in before.items())
+
+
+SUITES =[dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
           corollary_suite, courant_axioms, generator_check]
 
 
