@@ -49,8 +49,9 @@ def _check_index(index: Iterable[int], rank: int) -> Index:
 # The sign rules depend on index tuples alone, so their values are kept
 # across calls, as they depend on no pair.  The only other stores that
 # outlive a call are the tables of an AlgebroidStructure, which depend on
-# its immutable anchor and brackets alone, and the D and Dorfman tables of
-# a pair (pair.dirac_apply, pair.dorfman), which depend on its data alone.
+# its immutable anchor and brackets alone, and the D, Dorfman and Courant
+# anchor defect tables of a pair (pair.dirac_apply, pair.dorfman,
+# pair._anchor_defect_field), which depend on its data alone.
 # 2^14 entries hold every pair of index tuples up to rank 7, and the bound
 # keeps a document of larger rank from growing the table without limit.
 _SIGN_CACHE = 1 << 14

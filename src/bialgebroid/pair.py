@@ -62,9 +62,10 @@ The operators of order <= 1 in the base functions read term by term off
 frame tables, filled on first use and kept while their owner lives, as
 they hold values of its immutable data alone: the sign tables of index
 tuples (exterior._merge_sign, _contract_sign), the tables of each
-AlgebroidStructure (d), and the D and Dorfman tables of each pair
-(dirac_apply, dorfman); P.flipped() keeps its own.  The one per-call memo
-is generator_check's [D, c(e)] (exterior.once_per_monomial).
+AlgebroidStructure (d), and the D, Dorfman and Courant anchor defect
+tables of each pair (dirac_apply, dorfman, _anchor_defect_field);
+P.flipped() keeps its own.  The one per-call memo is generator_check's
+[D, c(e)] (exterior.once_per_monomial).
 """
 
 from __future__ import annotations
@@ -296,6 +297,8 @@ class BialgebroidPair:
         self._dirac_tables: Dict[Tuple[Index, Optional[int]], FrameTerms] = {}
         # e_alpha o e_beta and D x_a, filled on first use (dorfman)
         self._dorfman_table: Dict[Tuple[Optional[int], int], FrameTerms] = {}
+        # X(e_alpha, e_beta) and rho(D x_a), filled on first use (_anchor_defect_field)
+        self._defect_table: Dict[Tuple[Optional[int], int], FrameTerms] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -363,6 +366,7 @@ class BialgebroidPair:
             twin._flipped = self
             twin._dirac_tables = {}
             twin._dorfman_table = {}
+            twin._defect_table = {}
             self._flipped = twin
         return self._flipped
 
@@ -606,10 +610,14 @@ def _dorfman_entry(P: BialgebroidPair, alpha: Optional[int], b: int) -> FrameTer
     if alpha is None:
         value = dee(P, Polynomial.variable(P.coordinates, P.coordinates[b]))
     else:
-        value = _dorfman_direct(P, *(SectionE.of(vec=P.basis_e(k)) if k > 0 else
-                                     SectionE.of(cov=P.basis_eps(-k)) for k in (alpha, b)))
+        value = _dorfman_direct(P, _frame_section(P, alpha), _frame_section(P, b))
     entry = P._dorfman_table[alpha, b] = tuple(_frame_parts(value))
     return entry
+
+
+def _frame_section(P: BialgebroidPair, k: int) -> SectionE:
+    """The frame section e_k for k > 0, eps^(-k) for k < 0."""
+    return SectionE.of(vec=P.basis_e(k)) if k > 0 else SectionE.of(cov=P.basis_eps(-k))
 
 
 def _dorfman_direct(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
@@ -631,6 +639,75 @@ def _dorfman_direct(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
         vec = vec + P.Astar.lie_derivative(xi1, X2)
         cov = cov - interior_by_multivector(X2, P.d(xi1))
     return SectionE(vec, cov)
+
+
+def _anchor_defect_field(P: BialgebroidPair, x: SectionE, y: SectionE) -> Tuple[Polynomial, ...]:
+    """The Courant anchor defect X(x, y) = rho(x o y) - [rho x, rho y],
+    componentwise, term by term from P's defect table.  With e_alpha the
+    2n frame sections e_i, eps^j (signed indices, as in dorfman):
+
+        X(sum_alpha p_alpha e_alpha, sum_beta q_beta e_beta) = sum p_alpha q_beta X(e_alpha, e_beta)
+            + sum_{alpha = -beta} q_beta sum_a (d_a p_alpha) rho(D x_a).
+
+    This is _anchor_defect's lhs - rhs for any two validated halves,
+    compatible or not, by the Leibniz rules of the Dorfman bracket (see
+    dorfman) and of the commutator of vector fields:
+    * X(x, f y) = f X(x, y), as rho(x o f y) = f rho(x o y) + (rho(x) f)
+      rho(y) and [rho x, f rho y] = f [rho x, rho y] + (rho(x) f) rho(y)
+      (courant/g3);
+    * X(f x, y) = f X(x, y) + 2 <x, y> rho(D f), as rho((f x) o y) =
+      f rho(x o y) - (rho(y) f) rho(x) + 2 <x, y> rho(D f) and
+      [f rho x, rho y] = f [rho x, rho y] - (rho(y) f) rho(x);
+    * rho(D f) = sum_a (d_a f) rho(D x_a), as D f = dstar f + d f is a
+      derivation in f, and 2 <e_i, eps^j> = delta_ij, 2 <e_i, e_j> =
+      2 <eps^i, eps^j> = 0.
+    The frame defects and the fields rho(D x_a) are filled on first use
+    (_defect_entry) and kept in P._defect_table for the life of the pair:
+    at most 4 n^2 + m entries.
+    """
+    coords, table = P.coordinates, P._defect_table
+    right = _frame_parts(y)
+    acc: Dict[int, Dict[Exponent, Fraction]] = {}
+    for alpha, p in _frame_parts(x):
+        for beta, q in right:
+            frame_defect = table.get((alpha, beta))
+            if frame_defect is None:
+                frame_defect = _defect_entry(P, alpha, beta)
+            for g, c in p.items():
+                for h, d in q.items():
+                    cd, s = c if d == 1 else c * d, tuple(map(add, g, h))
+                    _shifted_into(acc, frame_defect, s, cd)
+                    if alpha != -beta:
+                        continue
+                    for a, k in enumerate(g):
+                        if k:
+                            rho_dx = table.get((None, a))
+                            if rho_dx is None:
+                                rho_dx = _defect_entry(P, None, a)
+                            _shifted_into(acc, rho_dx, s[:a] + (s[a] - 1,) + s[a + 1:], cd * k)
+    return tuple(Polynomial._raw(coords, acc.get(a, {})) for a in range(len(coords)))
+
+
+def _defect_entry(P: BialgebroidPair, alpha: Optional[int], b: int) -> FrameTerms:
+    """Fill P's defect table at (alpha, b) and return the entry, as
+    (component, terms) pairs: X(e_alpha, e_b) = rho(e_alpha o e_b) -
+    [rho_alpha, rho_b] by _anchor_defect for signed frame indices alpha, b,
+    with e_alpha o e_b read off the Dorfman table, and rho(D x_b) for alpha
+    None."""
+    if alpha is None:
+        value = rho_field(P, dee(P, Polynomial.variable(P.coordinates, P.coordinates[b])))
+    else:
+        rows = [P.A.anchor[k - 1] if k > 0 else P.Astar.anchor[-k - 1] for k in (alpha, b)]
+        bracket = dorfman(P, _frame_section(P, alpha), _frame_section(P, b))
+        lhs, rhs, _ = _anchor_defect(P, *rows, bracket)
+        value = [p - q for p, q in zip(lhs, rhs)]
+    entry = P._defect_table[alpha, b] = tuple((a, v.terms) for a, v in enumerate(value) if v)
+    return entry
+
+
+def _first_component(field) -> Optional[int]:
+    """The first a with field^a != 0, or None for the zero field."""
+    return next((a for a, v in enumerate(field) if v), None)
 
 
 def clifford_act(e: SectionE, w: Multivector) -> Multivector:
@@ -926,7 +1003,8 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
     cross terms (rho(u) f) L_theta eta and (rho(theta) f) L_u eta cancel.
     So top(f eta) - f top(eta) = X(f) eta with the vector field
     X = rho(e) - [rho(u), rho(theta)], the Courant anchor defect of
-    ((u, 0), (0, theta)) that courant/g2 computes (_anchor_defect).  X is a
+    ((u, 0), (0, theta)) that courant/g2 tests, read off P's defect table
+    (_anchor_defect_field); the bracket e is taken only for the trace.  X is a
     derivation in f, which vanishes for every polynomial f iff
     X(x_a) = X^a vanishes for every a, and for every eta iff it does for
     eta = eps^1.  The x_a come first among the monomials and eps^1 first
@@ -963,12 +1041,11 @@ def _defect_witness(P: BialgebroidPair) -> Optional[str]:
         du, su, a_u = P.dstar(u), SectionE.of(vec=u), top_of(u)
         rho_u = rho_field(P, su)
         for th, dth, sth, rho_th, a_th in zip(deg1_form, d_forms, form_sections, form_fields, tops):
-            e = dorfman(P, su, sth)
-            _, _, a = _anchor_defect(P, rho_u, rho_th, e)
+            a = _first_component(_anchor_defect_field(P, su, sth))
             if a is not None:
                 return (f"u = {u}; theta = {th}; defect operator is not "
                         f"tensorial on ({P.coordinates[a]}) eps[1]")
-            trace = trace_of(e, rho_u, rho_th, a_u, a_th)
+            trace = trace_of(dorfman(P, su, sth), rho_u, rho_th, a_u, a_th)
             want = 2 * pairing(dth, du)
             if trace != want:
                 return f"u = {u}; theta = {th}; trace = {trace}; 2<dstar u, d theta> = {want}"
@@ -1019,9 +1096,27 @@ def _pairing_witnesses(P: BialgebroidPair) -> Tuple[Optional[str], Optional[str]
     x_a x_b s only if it fails on x_b s, x_a s or s, which come earlier in
     the probe order, so each witness is the one that all sections with
     |gamma| <= 2 would give (as in _defect_witness).
+
+    <theta, u> is a combination of monomials x^gamma with |gamma| <= 2 and
+    each function Laplacian is linear, so both are taken once per monomial
+    in a call and combined: at most 2 (m + 2 choose 2) degree-0 Laplacians.
     """
     wit_g = wit_h = None
     lap = functools.partial(laplacian, P)
+    coords = P.coordinates
+    monomial_laps: Dict[Exponent, Tuple[Polynomial, Polynomial]] = {}
+
+    def function_laps(h: Polynomial) -> Tuple[Polynomial, Polynomial]:
+        lap_g = lap_h = Polynomial.zero(coords)
+        for e, c in h.terms.items():
+            laps = monomial_laps.get(e)
+            if laps is None:
+                x_e = Polynomial._raw(coords, {e: Fraction(1)})
+                laps = monomial_laps[e] = (lap(P.scalar_form(x_e)).scalar_part(),
+                                           lap(P.scalar_mv(x_e)).scalar_part())
+            lap_g, lap_h = lap_g + laps[0] * c, lap_h + laps[1] * c
+        return lap_g, lap_h
+
     deg1_mv = degree1_multivector_probes(P, 1)
     lap_mv = [lap(u) for u in deg1_mv]
     for th in degree1_form_probes(P, 1):
@@ -1029,12 +1124,10 @@ def _pairing_witnesses(P: BialgebroidPair) -> Tuple[Optional[str], Optional[str]
             break
         lap_th = lap(th)
         for u, lap_u in zip(deg1_mv, lap_mv):
-            h = pairing(th, u)
             rhs = pairing(lap_th, u) + pairing(th, lap_u)
-            lhs_g = lap(P.scalar_form(h)).scalar_part()
+            lhs_g, lhs_h = function_laps(pairing(th, u))
             if lhs_g != rhs and wit_g is None:
                 wit_g = f"theta = {th}; u = {u}; Lap*<theta,u> = {lhs_g}; pairing side = {rhs}"
-            lhs_h = lap(P.scalar_mv(h)).scalar_part()
             if lhs_h != rhs and wit_h is None:
                 wit_h = f"theta = {th}; u = {u}; Lap<theta,u> = {lhs_h}; pairing side = {rhs}"
             if wit_g and wit_h:
@@ -1172,10 +1265,13 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
       implementation.  On F, <x, y> is 0 or 1/2, so D<x, y> = 0 and
       rho(x)<y, z> = 0: g4 reads x o y + y o x = 0 and g6 reads
       <x o y, z> + <y, x o z> = 0.  g3 reads rho(x) x_a as component a of
-      the anchor field of x, which g2 has already built;
+      the anchor field of x, built once per frame section;
     * A(x, f y) = f A(x, y) by g3: A is C-infinity-linear in y;
     * A(g x, y) = g A(x, y) + 2 <x, y> rho(D g), and rho(D g) =
-      sum_a (d_a g) rho(D x_a), so A vanishes iff it does on N x F (g2);
+      sum_a (d_a g) rho(D x_a), so A vanishes iff it does on N x F (g2).
+      g2 reads A off P's defect table (_anchor_defect_field), which holds
+      A on F x F and the rho(D x_a); rho(x o y), [rho x, rho y] and the
+      fields of the near sections are built only for the witness;
     * <D f o x, z> = 1/2 A(x, z) f, so D f o x vanishes for every f and x
       iff A does, and A(x, z) is a vector field, seen on the x_a: g5 runs
       on X x N and holds exactly when g2 does;
@@ -1199,12 +1295,11 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
     N = F, and only g1 can fail.
     """
     coords = coordinate_monomials(P.coordinates, 1)[1:]
-    near_fields = [(x, rho_field(P, x)) for x in _double_sections(P, 1)]
+    near = _double_sections(P, 1)
     # the frame opens each block of the 2 (1 + m) near sections of one index i
     step = 2 * (1 + len(coords))
-    frame_fields = [xf for b in range(0, len(near_fields), step) for xf in near_fields[b:b + 2]]
-    frame = [x for x, _ in frame_fields]
-    near = [x for x, _ in near_fields]
+    frame = [x for b in range(0, len(near), step) for x in near[b:b + 2]]
+    frame_fields = [(x, rho_field(P, x)) for x in frame]
     report = IdentityReport(suite="courant")
     add = report.records.append
     bracket = functools.partial(dorfman, P)
@@ -1213,9 +1308,10 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
         return bracket(x, bracket(y, z)) - bracket(bracket(x, y), z) - bracket(y, bracket(x, z))
 
     wit2 = defect = None
-    for (x, rho_x), (y, rho_y) in itertools.product(near_fields, frame_fields):
-        lhs, rhs, a = _anchor_defect(P, rho_x, rho_y, bracket(x, y))
+    for x, y in itertools.product(near, frame):
+        a = _first_component(_anchor_defect_field(P, x, y))
         if a is not None:
+            lhs, rhs, _ = _anchor_defect(P, rho_field(P, x), rho_field(P, y), bracket(x, y))
             wit2 = (f"x = {x}; y = {y}; rho(x o y) = {tuple(map(str, lhs))}; "
                     f"[rho x, rho y] = {tuple(map(str, rhs))}")
             defect = x, y, a

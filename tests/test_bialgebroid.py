@@ -735,9 +735,12 @@ def test_courant_and_generator_apply_no_anchor_to_functions(corpus, failing_pair
 
 def test_courant_builds_each_anchor_field_once(monkeypatch):
     """courant_axioms on the quadratic Poisson double pi^ij = x_i x_j at m = 4
-    takes 260 anchor fields: one for each of the 40 near sections, the frame
-    among them, and one for each of the 220 nonzero brackets of g2.  A zero
-    bracket takes none, and the anchor relation reads the frame's fields."""
+    takes 56 anchor fields: one for each of the 8 frame sections, read by
+    g3 and the anchor relation, and one for each fill of the defect table,
+    the 44 nonzero frame brackets e_alpha o e_beta among the 64 and the 4
+    D x_a.  A zero bracket takes none, and g2 builds no near section's
+    field on a passing pair.  A second call on the same pair fills nothing
+    and takes the frame's 8 fields alone."""
     P = quadratic_double(4)
     P.flipped().modular, P.modular
     seen = []
@@ -750,7 +753,15 @@ def test_courant_builds_each_anchor_field_once(monkeypatch):
     monkeypatch.setattr(pair_module, "rho_field", counting)
     assert courant_axioms(P).passed
     assert "0 (+) 0" not in seen
-    assert len(seen) == 260
+    frame = [str(x) for x in pair_module._double_sections(P, 0)]
+    n, m = P.rank, len(P.coordinates)
+    nonzero = sum(1 for key, entry in P._dorfman_table.items() if key[0] is not None and entry)
+    assert (2 * n, nonzero, m) == (8, 44, 4)
+    assert len(seen) == 56
+    assert len(P._defect_table) == (2 * n) ** 2 + m
+    seen.clear()
+    assert courant_axioms(P).passed
+    assert seen == frame
 
 
 def test_defect_trace_takes_one_top_form_evaluation(corpus, monkeypatch):

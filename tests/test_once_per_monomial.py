@@ -1,6 +1,7 @@
 """exterior.once_per_monomial, the top-form coefficient x -> a(x) of the
-thm-c trace in closed form, and the frame tables of the differential, of D
-and of the Dorfman bracket: exact against the direct operators, each table
+thm-c trace in closed form, the function Laplacians of thm-c (g)/(h) once
+per monomial, and the frame tables of the differential, of D, of the
+Dorfman bracket and of the Courant anchor defect: exact against the direct operators, each table
 entry filled once and kept for the life of its owner, and the same reports
 from cold and warm tables."""
 
@@ -15,7 +16,7 @@ from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector,
                          SectionE, coordinate_monomials, corollary_suite, courant_axioms,
                          dirac_apply, dirac_square, dirac_star_apply, dirac_star_square, dorfman,
                          find_counterexample_pairs, generator_check, is_lie_bialgebroid,
-                         laplacian, theorem_c_suite)
+                         laplacian, rho_field, theorem_c_suite)
 from bialgebroid import algebroid as algebroid_module
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import interior_by_form, once_per_monomial, retype
@@ -178,10 +179,103 @@ def test_dorfman_table_matches_the_direct_formula(table_pairs, data):
                 assert dorfman(P, a, b) == want, (P.label, str(a), str(b))
 
 
+def direct_anchor_defect(P, x, y):
+    """rho(x o y) - [rho x, rho y] by _anchor_defect, with the bracket by
+    the direct formula and no table."""
+    lhs, rhs, _ = pair_module._anchor_defect(P, rho_field(P, x), rho_field(P, y),
+                                             pair_module._dorfman_direct(P, x, y))
+    return tuple(p - q for p, q in zip(lhs, rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_defect_table_matches_the_anchor_defect(table_pairs, data):
+    """_anchor_defect_field reads the Courant anchor defect term by term off
+    the pair's defect table; on every pair and on its flip, over a point
+    and over a base, it gives _anchor_defect's lhs - rhs on sections with
+    |gamma| <= 2, rational coefficients and zero parts, in both orders."""
+    P = data.draw(st.sampled_from(table_pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
+    xs = data.draw(st.lists(sections(P.rank, P.coordinates), min_size=1, max_size=3))
+    for x in xs + [SectionE.zero(P.rank, P.coordinates)]:
+        for y in xs:
+            for a, b in ((x, y), (y, x)):
+                want = direct_anchor_defect(P, a, b)
+                assert pair_module._anchor_defect_field(P, a, b) == want, \
+                    (P.label, str(a), str(b))
+
+
+def test_defect_table_filled_once_and_read_by_both_callers(corpus, monkeypatch):
+    """courant_axioms and theorem_c_suite read every anchor defect off the
+    defect tables of P and of P.flipped(): on a passing pair with empty
+    tables each entry is filled once, at most 4 n^2 + m per pair, and
+    _anchor_defect and field_bracket run in the fills of frame defects
+    alone, never in a probe loop; a second call of either suite fills
+    none, calls neither and prints the same report."""
+    Q = dict(corpus)["poisson-linear"]
+    P = BialgebroidPair(Q.A, Q.Astar, Q.frame, Q.label)
+    n, m = P.rank, len(P.coordinates)
+    calls = {"fill": [], "_anchor_defect": 0, "field_bracket": 0}
+    fill = pair_module._defect_entry
+
+    def filling(pair, alpha, b):
+        calls["fill"].append((pair, alpha, b))
+        return fill(pair, alpha, b)
+
+    def counting(name):
+        direct = getattr(pair_module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return direct(*args)
+        return wrapped
+
+    monkeypatch.setattr(pair_module, "_defect_entry", filling)
+    for name in ("_anchor_defect", "field_bracket"):
+        monkeypatch.setattr(pair_module, name, counting(name))
+    first = [json.dumps(suite(P).to_json()) for suite in (courant_axioms, theorem_c_suite)]
+    fills = calls["fill"]
+    assert fills and len(set(fills)) == len(fills)
+    for owner in (P, P.flipped()):
+        keys = [(alpha, b) for pair, alpha, b in fills if pair is owner]
+        assert set(owner._defect_table) == set(keys)
+        assert 0 < len(keys) <= (2 * n) ** 2 + m
+    frame_fills = sum(1 for _, alpha, _ in fills if alpha is not None)
+    assert calls["_anchor_defect"] == calls["field_bracket"] == frame_fills
+    calls.update({"fill": [], "_anchor_defect": 0, "field_bracket": 0})
+    again = [json.dumps(suite(P).to_json()) for suite in (courant_axioms, theorem_c_suite)]
+    assert again == first
+    assert calls == {"fill": [], "_anchor_defect": 0, "field_bracket": 0}
+
+
+def test_pairing_witnesses_take_each_function_laplacian_once_per_monomial(monkeypatch):
+    """thm-c (g)/(h) take the function Laplacian of each side once per
+    monomial x^gamma of the pairings <theta, u>: on the quadratic double at
+    m = 4 those are the 15 monomials with |gamma| <= 2, so the loop takes
+    30 degree-0 Laplacians, each on a different input, where one per
+    (theta, u) pair and side would take 800.  A Laplacian on a Form runs
+    the Multivector one on P.flipped(), so those calls count each once."""
+    P = quadratic_double(4)
+    P.flipped().modular, P.modular
+    seen = []
+    direct = pair_module.laplacian
+
+    def counting(Q, target):
+        if isinstance(target, Multivector) and target.max_degree() <= 0:
+            seen.append((Q is P, str(target)))
+        return direct(Q, target)
+
+    monkeypatch.setattr(pair_module, "laplacian", counting)
+    assert pair_module._pairing_witnesses(P) == (None, None)
+    assert len(coordinate_monomials(P.coordinates, 2)) == 15
+    assert len(seen) == len(set(seen)) == 2 * 15
+
+
 def test_bracket_on_monomial_sections_and_zero(all_pairs):
     """Every ordered pair of sections x^gamma e_i, x^gamma eps^j (|gamma| <= 1),
-    of their sum and of zero: the table read equals the direct formula, so
-    no entry, anchor term or D x_a term stands in for another."""
+    of their sum and of zero: the table reads of the bracket and of the
+    anchor defect equal the direct formulas, so no entry, anchor term,
+    D x_a term or rho(D x_a) term stands in for another."""
     for P in all_pairs:
         units = [SectionE.of(vec=P.basis_e(i).scaled(f)) for i in range(1, P.rank + 1)
                  for f in coordinate_monomials(P.coordinates, 1)]
@@ -195,34 +289,47 @@ def test_bracket_on_monomial_sections_and_zero(all_pairs):
             for b in inputs:
                 want = pair_module._dorfman_direct(P, a, b)
                 assert dorfman(P, a, b) == want, (P.label, str(a), str(b))
+                lhs, rhs, _ = pair_module._anchor_defect(P, rho_field(P, a), rho_field(P, b), want)
+                assert pair_module._anchor_defect_field(P, a, b) == \
+                    tuple(p - q for p, q in zip(lhs, rhs)), (P.label, str(a), str(b))
 
 
 def test_courant_axioms_bracket_once_per_monomial_pair(corpus, monkeypatch):
-    """courant_axioms reads every bracket off the pair's Dorfman table: on a
-    pair with an empty table the first call fills each entry, a pair of
-    frame sections (monomials over a point) or a D x_a, at most once; a
-    second call fills none and prints the same report."""
-    filled = []
-    fill = pair_module._dorfman_entry
+    """courant_axioms reads every bracket off the pair's Dorfman table and
+    every anchor defect off its defect table: on a pair with empty tables
+    the first call fills each entry of each table, a pair of frame
+    sections (monomials over a point) or a D x_a, at most once, and every
+    defect entry a passing g2 reads, all 4 n^2 + m of them; a second call
+    fills none and prints the same report."""
+    filled = {"dorfman": [], "defect": []}
 
-    def counting(pair, alpha, b):
-        filled.append((alpha, b))
-        return fill(pair, alpha, b)
+    def counting(name, fill):
+        def wrapped(pair, alpha, b):
+            filled[name].append((alpha, b))
+            return fill(pair, alpha, b)
+        return wrapped
 
-    monkeypatch.setattr(pair_module, "_dorfman_entry", counting)
+    monkeypatch.setattr(pair_module, "_dorfman_entry",
+                        counting("dorfman", pair_module._dorfman_entry))
+    monkeypatch.setattr(pair_module, "_defect_entry",
+                        counting("defect", pair_module._defect_entry))
     for label in ("exact-so3", "poisson-linear"):
         Q = dict(corpus)[label]
         P = BialgebroidPair(Q.A, Q.Astar, Q.frame, Q.label)
         n, m = P.rank, len(P.coordinates)
-        filled.clear()
+        for seen in filled.values():
+            seen.clear()
         first = json.dumps(courant_axioms(P).to_json())
-        assert filled and len(set(filled)) == len(filled), label
-        assert set(P._dorfman_table) == set(filled), label
-        assert len(filled) <= (2 * n) ** 2 + m, label
-        assert sorted(b for alpha, b in filled if alpha is None) == list(range(m)), label
-        filled.clear()
+        for name, table in (("dorfman", P._dorfman_table), ("defect", P._defect_table)):
+            seen = filled[name]
+            assert seen and len(set(seen)) == len(seen), (label, name)
+            assert set(table) == set(seen), (label, name)
+            assert len(seen) <= (2 * n) ** 2 + m, (label, name)
+        assert len(P._defect_table) == (2 * n) ** 2 + m, label
+        for seen in filled.values():
+            seen.clear()
         assert json.dumps(courant_axioms(P).to_json()) == first, label
-        assert filled == [], label
+        assert filled == {"dorfman": [], "defect": []}, label
 
 
 def lie_direct(P, x, t):
@@ -372,10 +479,10 @@ def _fresh(P):
 
 @pytest.mark.parametrize("build", COLD_BUILDERS)
 def test_cold_and_warm_frame_tables_give_the_same_reports(build):
-    """A freshly built pair (empty frame tables, D table and Dorfman table)
-    and one whose tables the same decisions have filled print
-    byte-identical reports.  P.flipped() keeps a D table and a Dorfman
-    table of its own."""
+    """A freshly built pair (empty frame tables, D table, Dorfman table and
+    defect table) and one whose tables the same decisions have filled print
+    byte-identical reports.  P.flipped() keeps a D table, a Dorfman table
+    and a defect table of its own."""
     suites = (dirac_square, dirac_star_square, generator_check, courant_axioms,
               theorem_c_suite)
     warm = build()
@@ -384,16 +491,20 @@ def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     assert any(side._d_unit_cache for side in (warm.A, warm.Astar))
     assert warm._dirac_tables and warm.flipped()._dirac_tables
     assert warm._dorfman_table and warm.flipped()._dorfman_table
+    assert warm._defect_table and warm.flipped()._defect_table
     for suite in suites:
         cold = _fresh(warm)
         assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
         assert cold._dirac_tables == {} and cold._dorfman_table == {}
         assert cold.flipped()._dirac_tables == {} and cold.flipped()._dorfman_table == {}
+        assert cold._defect_table == {} and cold.flipped()._defect_table == {}
         assert json.dumps(suite(cold).to_json()) == json.dumps(suite(warm).to_json())
     P = _fresh(warm)
     dirac_apply(P, P.basis_e(1).scaled(Polynomial.const(P.coordinates, 3)))
-    dorfman(P, SectionE.of(vec=P.basis_e(1)), SectionE.of(cov=P.basis_eps(1)))
-    assert P._dirac_tables and P._dorfman_table
+    pair_module._anchor_defect_field(P, SectionE.of(vec=P.basis_e(1)),
+                                     SectionE.of(cov=P.basis_eps(1)))
+    assert P._dirac_tables and P._dorfman_table and P._defect_table
     twin = P.flipped()
     assert twin._dirac_tables is not P._dirac_tables and twin._dirac_tables == {}
     assert twin._dorfman_table is not P._dorfman_table and twin._dorfman_table == {}
+    assert twin._defect_table is not P._defect_table and twin._defect_table == {}
