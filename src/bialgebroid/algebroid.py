@@ -29,7 +29,10 @@ _derive on the unit coefficient), each filled on first use:
     d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J + c x^gamma d eps^J.
 
 The tables depend on the anchor and brackets alone, which never change,
-so they live as long as the structure.
+so they live as long as the structure.  An operator on Multivectors of
+order <= 1 in the base functions is read off such a table the same way
+(_order_one_apply, filled by _order_one_entry): D and each [D, c(e_alpha)]
+of a pair.
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
@@ -46,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exterior import (Form, FrameData, GradedElement, Index, Multivector, _accumulate,
                        _complement, _inverse_sign, _merge_sign, interior_by_form,
@@ -330,6 +333,56 @@ def _shifted_into(acc: Dict[Index, Dict[Exponent, Fraction]], table: FrameTerms,
             slot = acc[K] = {}
         for e, v in terms.items():
             _add_term(slot, tuple(map(add, e, shift)), v if one else c * v)
+
+
+def _order_one_apply(u: Multivector, table, fill) -> Multivector:
+    """O(u) for an operator O on Multivectors of order <= 1 in the base
+    functions, term by term from its table of O(e_I) at (I, None) and
+    [O, x_a] e_I at (I, a), where fill(I, a) fills a missing entry:
+
+        O(c x^gamma e_I) = c x^gamma O(e_I) + c sum_a gamma_a x^(gamma - 1_a) [O, x_a] e_I,
+
+    as [O, f g] = f [O, g] + g [O, f] and [O, x_a] is C-infinity-linear.
+    Each table term is shifted in its exponent and scaled into one
+    {K: {exponent: coefficient}} map, as in AlgebroidStructure.differential.
+    """
+    coords = u.variables
+    acc: Dict[Index, Dict[Exponent, Fraction]] = {}
+    for I, p in u.terms.items():
+        unit = table.get((I, None))
+        if unit is None:
+            unit = fill(I, None)
+        for g, c in p.terms.items():
+            for a, k in enumerate(g):
+                if k:
+                    comm = table.get((I, a))
+                    if comm is None:
+                        comm = fill(I, a)
+                    _shifted_into(acc, comm, g[:a] + (k - 1,) + g[a + 1:], c if k == 1 else c * k)
+            _shifted_into(acc, unit, g, c)
+    return Multivector._raw(u.rank, coords, {K: Polynomial._raw(coords, slot)
+                                             for K, slot in acc.items() if slot})
+
+
+def _order_one_entry(table, I: Index, a: Optional[int], op, fill, frame: FrameData) -> FrameTerms:
+    """Store and return table[I, a] for the operator op on the frame's
+    Multivectors: op(e_I) for a None, and [op, x_a] e_I = op(x_a e_I) -
+    x_a op(e_I) for a coordinate index a, with op(e_I) read from the table,
+    where fill(I, None) fills it."""
+    gamma = tuple(int(b == a) for b in range(len(frame.variables)))
+    value = op(Multivector.monomial(frame.rank, frame.variables, I,
+                                    Polynomial._raw(frame.variables, {gamma: Fraction(1)})))
+    if a is None:
+        entry = tuple((K, q.terms) for K, q in value.terms.items())
+    else:
+        unit = table.get((I, None))
+        if unit is None:
+            unit = fill(I, None)
+        acc = {K: dict(q.terms) for K, q in value.terms.items()}
+        _shifted_into(acc, unit, gamma, Fraction(-1))
+        entry = tuple((K, slot) for K, slot in acc.items() if slot)
+    table[I, a] = entry
+    return entry
 
 
 def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):

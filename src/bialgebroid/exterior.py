@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Tuple
 
-from .ring import Polynomial, _add_term
+from .ring import Polynomial
 
 Index = Tuple[int, ...]
 
@@ -49,9 +49,10 @@ def _check_index(index: Iterable[int], rank: int) -> Index:
 # The sign rules depend on index tuples alone, so their values are kept
 # across calls, as they depend on no pair.  The only other stores that
 # outlive a call are the tables of an AlgebroidStructure, which depend on
-# its immutable anchor and brackets alone, and the D, Dorfman and Courant
-# anchor defect tables of a pair (pair.dirac_apply, pair.dorfman,
-# pair._anchor_defect_field), which depend on its data alone.
+# its immutable anchor and brackets alone, and the D, Dorfman, Courant
+# anchor defect and [D, c(e)] tables of a pair (pair.dirac_apply,
+# pair.dorfman, pair._anchor_defect_field, pair._odd_commutator), which
+# depend on its data alone.  No store lives for one call only.
 # 2^14 entries hold every pair of index tuples up to rank 7, and the bound
 # keeps a document of larger rank from growing the table without limit.
 _SIGN_CACHE = 1 << 14
@@ -295,80 +296,6 @@ def retype(element: GradedElement) -> GradedElement:
     """
     cls = Form if isinstance(element, Multivector) else Multivector
     return cls._raw(element.rank, element.variables, element.terms)
-
-
-def monomials(element: GradedElement):
-    """The terms c x^gamma e_I of element as ((class, I, gamma), c) pairs.
-
-    The key names the monomial together with its class, as
-    once_per_monomial stores images; unit_monomial turns a key back into
-    the element.
-    """
-    cls = type(element)
-    return [((cls, index, exps), c)
-            for index, poly in element.terms.items() for exps, c in poly.terms.items()]
-
-
-_ONE = Fraction(1)
-
-
-def unit_monomial(rank: int, variables, key) -> GradedElement:
-    """The element x^gamma e_I, coefficient 1, named by key = (class, I, gamma)."""
-    cls, index, exps = key
-    return cls._raw(rank, variables, {index: Polynomial._raw(variables, {exps: _ONE})})
-
-
-def weighted_sum(pieces):
-    """sum c * image over a nonempty list of (c, image) pairs, c a Fraction.
-
-    The images share one type, rank and variable context, which the result
-    takes.  This is how once_per_monomial assembles its value from the
-    stored images of the input's monomials.  The coefficients are
-    summed as Fractions, term by term with no zero seed; the result stores
-    Fractions, like every Polynomial.
-    """
-    if len(pieces) == 1:
-        (c, found), = pieces
-        return found if c == 1 else found.scaled(c)
-    acc: Dict[Index, Dict[tuple, Fraction]] = {}
-    for c, found in pieces:
-        for ix, p in found.terms.items():
-            slot = acc.setdefault(ix, {})
-            for e, v in p.terms.items():
-                _add_term(slot, e, c * v)
-    out_vars = found.variables
-    return type(found)._raw(found.rank, out_vars,
-                            {ix: Polynomial._raw(out_vars, slot)
-                             for ix, slot in acc.items() if slot})
-
-
-def once_per_monomial(op):
-    """Wrap an additive operator so that it is applied once per monomial x^gamma e_I.
-
-    Its one caller in the package is pair.generator_check's [D, c(e)] =
-    D c(e) + c(e) D, met again and again on the same spinors in one call.
-    op must be additive and commute with constant scaling; it need not be
-    C-infinity-linear, so an image is stored under the element's class,
-    index I and exponent gamma together.  Every other input is then the
-    Fraction-weighted sum of the stored images of its monomials, which is
-    exactly op(input).  The inputs share one rank and variable context, and
-    the images one class.  A zero input is returned as it is, without
-    calling op.  The images live as long as the returned callable.
-    """
-    images = {}
-
-    def apply(element):
-        if not element.terms:
-            return element
-        pieces = []
-        for key, c in monomials(element):
-            found = images.get(key)
-            if found is None:
-                found = images[key] = op(unit_monomial(element.rank, element.variables, key))
-            pieces.append((c, found))
-        return weighted_sum(pieces)
-
-    return apply
 
 
 def _dual_pair(theta, u):

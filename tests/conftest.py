@@ -112,6 +112,14 @@ def log_canonical_double(c=(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))):
     return poisson_double(PoissonManifoldData(3, pi))
 
 
+def fresh_pair(P):
+    """P with both structures built again from their data: empty frame
+    tables on the structures, the pair and its flip."""
+    return BialgebroidPair(*(AlgebroidStructure(side.rank, side.coordinates, side.anchor,
+                                                side.brackets, side.section_kind)
+                             for side in (P.A, P.Astar)), P.frame, P.label)
+
+
 def build_corpus():
     """(label, pair) for every known bialgebroid used across the suites."""
     return [

@@ -37,6 +37,7 @@ from bialgebroid.constructions import _check_pn_compatibility, _deformed_structu
 from bialgebroid.pair import (MIRROR_PREFIX, _double_sections, degree1_form_probes,
                               degree1_multivector_probes)
 
+from conftest import fresh_pair
 from test_constructions import assert_triangular_pair_of_pi
 
 settings.register_profile(
@@ -324,8 +325,10 @@ def test_generator_rechecks_reject_a_wrong_witness(corpus, monkeypatch):
     generator/square-scalar fails, so the other three are fed faults: with
     e_1 ^ d/dx1 added to D and f eps^1 to D f, every generator record
     fails; the re-checks accept those witnesses when they run the same
-    faulty operators, and reject each of them with the direct ones."""
-    P = dict(corpus)["poisson-linear"]
+    faulty operators, and reject each of them with the direct ones.  The
+    faults fill the frame tables of the pair they run on, so they run on a
+    freshly built pair and the direct re-checks on another."""
+    P = fresh_pair(dict(corpus)["poisson-linear"])
     x1 = P.coordinates[0]
 
     def faulty_dirac(Q, u, direct=dirac_apply):
@@ -343,6 +346,7 @@ def test_generator_rechecks_reject_a_wrong_witness(corpus, monkeypatch):
     assert not any(r.passed for r in report.records)
     recheck_generator_witnesses(P, report)
     monkeypatch.undo()
+    P = fresh_pair(P)
     for failing in report.records:
         alone = IdentityReport(report.suite, [r if r is failing else IdentityRecord(r.id, True)
                                               for r in report.records])

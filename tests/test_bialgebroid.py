@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,9 @@ from bialgebroid.ring import field_bracket
 from bialgebroid.pair import (MIRROR_PREFIX, degree1_form_probes,
                               degree1_multivector_probes, laplacian)
 
-from conftest import (const, heisenberg, heisenberg_triangular_pair,
+from conftest import (const, fresh_pair, heisenberg, heisenberg_triangular_pair,
                       point_algebra, poisson_data, quadratic_double)
 from bialgebroid import PoissonManifoldData, poisson_double
-from bialgebroid.exterior import once_per_monomial
 
 
 @pytest.fixture(scope="module")
@@ -599,7 +599,9 @@ def test_commutator_function_on_coordinates_matches_the_full_family(
     on every f with |gamma| <= 2 and w with |gamma| <= 1, on every pair and
     its flip, and on pairs whose D is broken by a first- or a second-order
     term in the coordinates, or by d/dx_m on the terms of degree >= 1 only,
-    whose failure first shows at w = e_1."""
+    whose failure first shows at w = e_1.  Each fault runs on a freshly
+    built pair, so no table filled before it hides the broken D and none it
+    fills outlives it."""
     for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
         for Q in (P, P.flipped()):
             got = generator_check(Q).record("generator/commutator-function").witness
@@ -614,7 +616,8 @@ def test_commutator_function_on_coordinates_matches_the_full_family(
         for index, extra in enumerate(breaks):
             monkeypatch.setattr(pair_module, "dirac_apply",
                                 lambda Q, u, extra=extra: direct(Q, u) + extra(u))
-            for Q in (P, P.flipped()):
+            fresh = fresh_pair(P)
+            for Q in (fresh, fresh.flipped()):
                 got = generator_check(Q).record("generator/commutator-function").witness
                 assert got is not None and got == _commutator_function_oracle(Q), (label, index)
                 if index == 2:
@@ -622,19 +625,25 @@ def test_commutator_function_on_coordinates_matches_the_full_family(
             monkeypatch.setattr(pair_module, "dirac_apply", direct)
 
 
+def _odd_commutator_direct(P, e, u):
+    """[D, c(e)] u = D(e . u) + e . D(u), with D applied directly (through
+    pair.dirac_apply, so that an injected fault reaches it) and no table."""
+    D = pair_module.dirac_apply
+    return D(P, clifford_act(e, u)) + clifford_act(e, D(P, u))
+
+
 def _derived_bracket_oracle(P):
     """generator/derived-bracket on the order-1 families whatever the other
-    records say: every section x^gamma e_i, x^gamma eps^i and spinor
-    x^gamma e_I with |gamma| <= 1, each Dorfman bracket by a direct call."""
+    records say: every ordered pair of sections x^gamma e_i, x^gamma eps^i
+    and every spinor x^gamma e_I with |gamma| <= 1, each Dorfman bracket by
+    a direct call and [D, c(e1)] by _odd_commutator_direct."""
     sections, spinors = pair_module._double_sections(P, 1), multivector_probes(P, 1)
-    D = lambda u: pair_module.dirac_apply(P, u)
-    commutators = [once_per_monomial(lambda u, e=e: D(clifford_act(e, u)) + clifford_act(e, D(u)))
-                   for e in sections]
     for e2 in sections:
-        for e1, d_e1 in zip(sections, commutators):
+        for e1 in sections:
             target = dorfman(P, e1, e2)
             for w in spinors:
-                lhs = d_e1(clifford_act(e2, w)) - clifford_act(e2, d_e1(w))
+                lhs = _odd_commutator_direct(P, e1, clifford_act(e2, w)) \
+                    - clifford_act(e2, _odd_commutator_direct(P, e1, w))
                 rhs = clifford_act(target, w)
                 if lhs != rhs:
                     return (f"e1 = {e1}; e2 = {e2}; w = {w}; "
@@ -659,21 +668,57 @@ def _odd_tensorial_terms(P):
     return [("x1 e1 ^ iota iota", wedge_contract), ("x1 u_23 e2", matrix_unit)]
 
 
+def test_derived_bracket_defect_is_skew_on_the_frame(corpus, failing_pairs, pn_failing_pairs,
+                                                    monkeypatch):
+    """B(e1, e2) w = [[D, c(e1)], c(e2)] w - c(e1 o e2) w, on the frame
+    sections and the constant spinors, is skew for any odd D: B(e, e) = 0
+    and B(e1, e2) = -B(e2, e1) on every corpus, failing and PN pair, and on
+    D broken by either C-infinity-linear odd term of _odd_tensorial_terms,
+    where B is not zero.  generator_check's frame family relies on it."""
+    def defect(P, e1, e2, w):
+        lhs = _odd_commutator_direct(P, e1, clifford_act(e2, w)) \
+            - clifford_act(e2, _odd_commutator_direct(P, e1, w))
+        return lhs - clifford_act(dorfman(P, e1, e2), w)
+
+    def nonzero_defects(P):
+        frame, spinors = pair_module._double_sections(P, 0), multivector_probes(P, 0)
+        count = 0
+        for w in spinors:
+            for e1, e2 in itertools.product(frame, repeat=2):
+                b = defect(P, e1, e2, w)
+                assert b == -defect(P, e2, e1, w), (P.label, str(e1), str(e2), str(w))
+                assert e1 != e2 or b.is_zero(), (P.label, str(e1), str(w))
+                count += not b.is_zero()
+        return count
+
+    for P in [P for _label, P in corpus] + list(failing_pairs) + list(pn_failing_pairs):
+        nonzero_defects(P)
+    direct = pair_module.dirac_apply
+    P = pn_failing_pairs[0]
+    for name, term in _odd_tensorial_terms(P):
+        monkeypatch.setattr(pair_module, "dirac_apply",
+                            lambda Q, u, term=term: direct(Q, u) + term(u))
+        assert nonzero_defects(P), name
+        monkeypatch.setattr(pair_module, "dirac_apply", direct)
+
+
 def test_derived_bracket_on_the_frame_matches_the_full_family(
         corpus, failing_pairs, pn_failing_pairs, monkeypatch):
     """Oracle for the frame reduction of generator/derived-bracket: its
     witness is the one found on the order-1 families, on every pair, on a
     D broken by a C-infinity-linear term (the frame path, [D, f] and the
     anchor relation hold) and on a D broken by a coordinate derivative
-    (the fallback path, [D, f] fails)."""
+    (the fallback path, [D, f] fails).  The commutator tables are filled
+    through pair.dirac_apply and kept for the life of the pair, so each
+    broken D runs on a freshly built pair."""
     for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
         got = generator_check(P).record("generator/derived-bracket").witness
         assert got == _derived_bracket_oracle(P) is None, label
     direct = pair_module.dirac_apply
-    P = pn_failing_pairs[0]
-    for name, term in _odd_tensorial_terms(P):
+    for name, term in _odd_tensorial_terms(pn_failing_pairs[0]):
         monkeypatch.setattr(pair_module, "dirac_apply",
                             lambda Q, u, term=term: direct(Q, u) + term(u))
+        P = fresh_pair(pn_failing_pairs[0])
         rep = generator_check(P)
         assert rep.record("generator/commutator-function").passed, name
         assert rep.record("generator/anchor").passed, name
@@ -683,7 +728,7 @@ def test_derived_bracket_on_the_frame_matches_the_full_family(
     # the first failing spinor of the matrix unit has degree 2
     assert "; w = e[2,3]; " in got
     for label in ("poisson-linear", "poisson-zero"):
-        P = dict(corpus)[label]
+        P = fresh_pair(dict(corpus)[label])
         names = P.coordinates[-1:]
         monkeypatch.setattr(pair_module, "dirac_apply",
                             lambda Q, u: direct(Q, u) + _differentiated(u, names))
@@ -696,8 +741,9 @@ def test_derived_bracket_on_the_frame_matches_the_full_family(
 
 def test_derived_bracket_brackets_each_frame_pair_once(monkeypatch):
     """With [D, f] and the anchor relation holding, generator_check makes
-    (2n)^2 direct Dorfman calls, one per ordered pair of frame sections:
-    36 on the so(3)* double over R^3."""
+    C(2n, 2) direct Dorfman calls, one per sorted pair of distinct frame
+    sections (e2 first, e1 after it), since the derived-bracket defect is
+    skew on the frame: 15 on the so(3)* double over R^3."""
     P = poisson_double(PoissonManifoldData(3, [["0", "x3", "-x2"], ["-x3", "0", "x1"],
                                                 ["x2", "-x1", "0"]]))
     seen = []
@@ -710,8 +756,8 @@ def test_derived_bracket_brackets_each_frame_pair_once(monkeypatch):
     monkeypatch.setattr(pair_module, "dorfman", counting)
     assert generator_check(P).passed
     frame = [str(e) for e in pair_module._double_sections(P, 0)]
-    assert sorted(seen) == sorted(itertools.product(frame, repeat=2))
-    assert len(seen) == (2 * P.rank) ** 2 == 36
+    assert seen == [(e1, e2) for e2, e1 in itertools.combinations(frame, 2)]
+    assert len(seen) == math.comb(2 * P.rank, 2) == 15
 
 
 def test_courant_and_generator_apply_no_anchor_to_functions(corpus, failing_pairs,

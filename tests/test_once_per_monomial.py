@@ -1,9 +1,9 @@
-"""exterior.once_per_monomial, the top-form coefficient x -> a(x) of the
-thm-c trace in closed form, the function Laplacians of thm-c (g)/(h) once
-per monomial, and the frame tables of the differential, of D, of the
-Dorfman bracket and of the Courant anchor defect: exact against the direct operators, each table
-entry filled once and kept for the life of its owner, and the same reports
-from cold and warm tables."""
+"""The top-form coefficient x -> a(x) of the thm-c trace in closed form,
+the function Laplacians of thm-c (g)/(h) once per monomial, and the frame
+tables of the differential, of D, of the Dorfman bracket, of the Courant
+anchor defect and of [D, c(e)]: exact against the direct operators, each
+table entry filled once and kept for the life of its owner, and the same
+reports from cold and warm tables."""
 
 import json
 from fractions import Fraction
@@ -13,16 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector, Polynomial,
-                         SectionE, coordinate_monomials, corollary_suite, courant_axioms,
-                         dirac_apply, dirac_square, dirac_star_apply, dirac_star_square, dorfman,
-                         find_counterexample_pairs, generator_check, is_lie_bialgebroid,
-                         laplacian, rho_field, theorem_c_suite)
+                         SectionE, clifford_act, coordinate_monomials, corollary_suite,
+                         courant_axioms, dirac_apply, dirac_square, dirac_star_apply,
+                         dirac_star_square, dorfman, find_counterexample_pairs, generator_check,
+                         is_lie_bialgebroid, laplacian, rho_field, theorem_c_suite)
 from bialgebroid import algebroid as algebroid_module
 from bialgebroid import pair as pair_module
-from bialgebroid.exterior import interior_by_form, once_per_monomial, retype
+from bialgebroid.exterior import interior_by_form, retype
 
-from conftest import (log_canonical_double, quadratic_double, tangent_against_solvable,
-                      tangent_against_tangent)
+from conftest import (fresh_pair, log_canonical_double, quadratic_double,
+                      tangent_against_solvable, tangent_against_tangent)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def all_pairs(corpus, failing_pairs):
 
 
 def operators(P):
-    """(name, input class, operator) for every operator a decision call wraps."""
+    """(name, input class, operator) for the operators the decisions apply."""
     return [
         ("D", Multivector, lambda u: dirac_apply(P, u)),
         ("dstar", Multivector, P.dstar),
@@ -56,23 +56,10 @@ def elements(draw, cls, rank, coords):
     return cls(rank, coords, terms)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_memoized_operators_equal_the_direct_ones(all_pairs, data):
-    P = data.draw(st.sampled_from(all_pairs))
-    name, cls, op = data.draw(st.sampled_from(operators(P)))
-    inputs = data.draw(st.lists(elements(cls, P.rank, P.coordinates), min_size=1, max_size=4))
-    memo = once_per_monomial(op)
-    # the later inputs reuse the images stored for the earlier ones
-    for x in inputs + [inputs[0] + inputs[-1], inputs[0].scaled(Fraction(-3, 2))]:
-        got, want = memo(x), op(x)
-        assert type(got) is type(want), name
-        assert got == want, (name, str(x))
-
-
 def test_zero_and_kernel_elements(all_pairs):
-    """Zero, constants (killed by dstar, d and both Laplacians) and images of
-    the differentials (killed by the differential again)."""
+    """Each operator maps zero, constants (killed by dstar, d and both
+    Laplacians) and images of the differentials (killed by the differential
+    again) to zero of its input's class."""
     for P in all_pairs:
         one = Polynomial.const(P.coordinates, Fraction(-7, 3))
         u = Multivector(P.rank, P.coordinates,
@@ -82,13 +69,11 @@ def test_zero_and_kernel_elements(all_pairs):
                   "d": [P.scalar_form(one), P.d(theta)],
                   "Lap": [P.scalar_mv(one)], "Lap*": [P.scalar_form(one)]}
         for name, cls, op in operators(P):
-            memo = once_per_monomial(op)
             zero = cls.zero(P.rank, P.coordinates)
-            for x in [zero] + kernel.get(name, []):
-                got, want = memo(x), op(x)
-                assert type(got) is type(want) and got == want, (P.label, name, str(x))
-                if name in kernel:
-                    assert got.is_zero(), (P.label, name, str(x))
+            assert op(zero) == zero, (P.label, name)
+            for x in kernel.get(name, []):
+                got = op(x)
+                assert type(got) is cls and got.is_zero(), (P.label, name, str(x))
 
 
 def direct_dirac(P, u):
@@ -246,6 +231,65 @@ def test_defect_table_filled_once_and_read_by_both_callers(corpus, monkeypatch):
     again = [json.dumps(suite(P).to_json()) for suite in (courant_axioms, theorem_c_suite)]
     assert again == first
     assert calls == {"fill": [], "_anchor_defect": 0, "field_bracket": 0}
+
+
+def direct_odd_commutator(P, e, w):
+    """[D, c(e)] w = D(e . w) + e . D(w) with D by the formula, no table."""
+    return direct_dirac(P, clifford_act(e, w)) + clifford_act(e, direct_dirac(P, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commutator_table_matches_d_c_plus_c_d(table_pairs, data):
+    """_odd_commutator reads [D, c(e)] term by term off the pair's
+    commutator tables; on every pair and on its flip, over a point and over
+    a base, it gives D c(e) + c(e) D with D by the formula, on sections
+    with |gamma| <= 2, rational coefficients and zero parts, and on spinors
+    of mixed degree and zero."""
+    P = data.draw(st.sampled_from(table_pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
+    es = data.draw(st.lists(sections(P.rank, P.coordinates), min_size=1, max_size=3))
+    ws = data.draw(st.lists(elements(Multivector, P.rank, P.coordinates), min_size=1, max_size=3))
+    for e in es + [SectionE.zero(P.rank, P.coordinates)]:
+        for w in ws + [Multivector.zero(P.rank, P.coordinates)]:
+            assert pair_module._odd_commutator(P, e, w) == direct_odd_commutator(P, e, w), \
+                (P.label, str(e), str(w))
+
+
+def test_generator_check_fills_each_commutator_entry_once(corpus, monkeypatch):
+    """generator_check reads each [D, c(e_alpha)] off its table in the
+    pair's commutator tables: on a freshly built pair each entry is filled
+    once, at most 2n 2^n (1 + m) in all.  The frame family fills only the
+    [D, c(e_alpha)] e_I; the order-1 fallback, which runs when D is broken
+    by a coordinate derivative, also fills first-order entries.  A second
+    call fills none and prints the same report."""
+    filled = []
+    fill, direct = pair_module._commutator_entry, pair_module.dirac_apply
+
+    def counting(pair, alpha, I, a):
+        filled.append((alpha, I, a))
+        return fill(pair, alpha, I, a)
+
+    def broken(Q, u):
+        return direct(Q, u) + Multivector(u.rank, u.variables, {
+            ix: p.diff(Q.coordinates[-1]) for ix, p in u.terms.items()})
+
+    monkeypatch.setattr(pair_module, "_commutator_entry", counting)
+    for dirac, frame_path in ((direct, True), (broken, False)):
+        monkeypatch.setattr(pair_module, "dirac_apply", dirac)
+        P = fresh_pair(dict(corpus)["poisson-linear"])
+        n, m = P.rank, len(P.coordinates)
+        filled.clear()
+        first = json.dumps(generator_check(P).to_json())
+        assert filled and len(set(filled)) == len(filled), frame_path
+        stored = {(alpha, *key) for alpha, table in P._commutator_tables.items() for key in table}
+        assert stored == set(filled), frame_path
+        assert len(filled) <= 2 * n * 2 ** n * (1 + m), frame_path
+        first_order = [key for key in filled if key[2] is not None]
+        assert (first_order == []) is frame_path
+        filled.clear()
+        assert json.dumps(generator_check(P).to_json()) == first, frame_path
+        assert filled == [], frame_path
 
 
 def test_pairing_witnesses_take_each_function_laplacian_once_per_monomial(monkeypatch):
@@ -423,9 +467,9 @@ SUITES =[dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
 def test_suites_store_nothing_on_the_pair(corpus):
     """No suite leaves anything on P, on its two structures or on its flip
     (the modular cocycles and the flip are P's own caches, taken first).
-    The structures' tables and the pair's D and Dorfman tables, created
-    with their owner and filled in place, hold values of immutable data
-    only."""
+    The structures' tables and the pair's D, Dorfman, defect and
+    commutator tables, created with their owner and filled in place, hold
+    values of immutable data only."""
     P = dict(corpus)["poisson-linear"]
     twin = P.flipped()
     owners = (P, P.A, P.Astar, twin, twin.A, twin.Astar)
@@ -470,19 +514,13 @@ COLD_BUILDERS = [lambda: quadratic_double(3), log_canonical_double, tangent_agai
                  tangent_against_tangent, lambda: find_counterexample_pairs(1)[0]]
 
 
-def _fresh(P):
-    """P with both structures built again from their data: empty tables."""
-    return BialgebroidPair(*(AlgebroidStructure(side.rank, side.coordinates, side.anchor,
-                                                side.brackets, side.section_kind)
-                             for side in (P.A, P.Astar)), P.frame, P.label)
-
-
 @pytest.mark.parametrize("build", COLD_BUILDERS)
 def test_cold_and_warm_frame_tables_give_the_same_reports(build):
-    """A freshly built pair (empty frame tables, D table, Dorfman table and
-    defect table) and one whose tables the same decisions have filled print
-    byte-identical reports.  P.flipped() keeps a D table, a Dorfman table
-    and a defect table of its own."""
+    """A freshly built pair (empty frame tables, D table, Dorfman table,
+    defect table and commutator tables) and one whose tables the same
+    decisions have filled print byte-identical reports.  P.flipped() keeps
+    a D table, a Dorfman table, a defect table and commutator tables of
+    its own."""
     suites = (dirac_square, dirac_star_square, generator_check, courant_axioms,
               theorem_c_suite)
     warm = build()
@@ -492,19 +530,23 @@ def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     assert warm._dirac_tables and warm.flipped()._dirac_tables
     assert warm._dorfman_table and warm.flipped()._dorfman_table
     assert warm._defect_table and warm.flipped()._defect_table
+    assert warm._commutator_tables
     for suite in suites:
-        cold = _fresh(warm)
+        cold = fresh_pair(warm)
         assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
         assert cold._dirac_tables == {} and cold._dorfman_table == {}
         assert cold.flipped()._dirac_tables == {} and cold.flipped()._dorfman_table == {}
         assert cold._defect_table == {} and cold.flipped()._defect_table == {}
+        assert cold._commutator_tables == {} and cold.flipped()._commutator_tables == {}
         assert json.dumps(suite(cold).to_json()) == json.dumps(suite(warm).to_json())
-    P = _fresh(warm)
+    P = fresh_pair(warm)
     dirac_apply(P, P.basis_e(1).scaled(Polynomial.const(P.coordinates, 3)))
     pair_module._anchor_defect_field(P, SectionE.of(vec=P.basis_e(1)),
                                      SectionE.of(cov=P.basis_eps(1)))
-    assert P._dirac_tables and P._dorfman_table and P._defect_table
+    pair_module._odd_commutator(P, SectionE.of(cov=P.basis_eps(1)), P.basis_e(1))
+    assert P._dirac_tables and P._dorfman_table and P._defect_table and P._commutator_tables
     twin = P.flipped()
     assert twin._dirac_tables is not P._dirac_tables and twin._dirac_tables == {}
     assert twin._dorfman_table is not P._dorfman_table and twin._dorfman_table == {}
     assert twin._defect_table is not P._defect_table and twin._defect_table == {}
+    assert twin._commutator_tables is not P._commutator_tables and twin._commutator_tables == {}
