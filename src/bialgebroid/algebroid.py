@@ -23,16 +23,16 @@ d x_a = sum_i rho(e_i)(x_a) eps^i (column a of the anchor) and
 d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j; d o d = 0 exactly when the
 Jacobi and anchor-morphism axioms hold, which is what validate_algebroid
 decides (with polynomial witnesses).  It runs term by term on two frame
-tables of the structure, dx_a ^ eps^J and d eps^J (the latter filled by
-_derive on the unit coefficient), each filled on first use:
+tables of the structure (FrameTable), dx_a ^ eps^J and d eps^J (the
+latter filled by _derive on the unit coefficient):
 
     d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J + c x^gamma d eps^J.
 
 The tables depend on the anchor and brackets alone, which never change,
 so they live as long as the structure.  An operator on Multivectors of
 order <= 1 in the base functions is read off such a table the same way
-(_order_one_apply, filled by _order_one_entry): D and each [D, c(e_alpha)]
-of a pair.
+(_order_one_apply, its entries by _order_one_entry): D and each
+[D, c(e_alpha)] of a pair.
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
@@ -46,12 +46,13 @@ contraction (exterior._complement), one formula for both section kinds.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import (Form, FrameData, GradedElement, Index, Multivector, _accumulate,
+from .exterior import (Form, FrameData, Index, Multivector, _accumulate,
                        _complement, _inverse_sign, _merge_sign, interior_by_form,
                        interior_by_multivector)
 from .ring import Exponent, Polynomial, _add_term, apply_field, field_bracket
@@ -64,6 +65,44 @@ FrameTerms = Tuple[Tuple[Index, Dict[Exponent, Fraction]], ...]
 
 class AlgebroidError(ValueError):
     pass
+
+
+class FrameTable(dict):
+    """A store that outlives a call: a table of values of its owner's
+    immutable data, created empty in the owner's constructor and kept for
+    the owner's life.  Readers index table[key]; a missing key calls
+    fill(owner, key) once, stores the value and returns it, and a fill that
+    raises stores nothing.  The table holds its owner by a weak reference,
+    so owner and table form no reference cycle and are freed together as
+    soon as the owner is dropped.
+
+    These are the stores that outlive a call, and none lives for one call
+    only:
+    * per AlgebroidStructure, of its anchor and brackets: _bracket_cache
+      ([e_i, e_j]; bracket_pair), _d_basis_cache (d eps^k), _d_unit_cache
+      (d eps^J) and _dx_wedge_cache (dx_a ^ eps^J; differential);
+    * per pair.BialgebroidPair, of its structures and frame, with
+      P.flipped() keeping its own: _dirac_tables (D(e_I) and [D, x_a] e_I;
+      dirac_apply), _dorfman_table (e_alpha o e_beta and D x_a; dorfman),
+      _defect_table (X(e_alpha, e_beta) and rho(D x_a);
+      _anchor_defect_field) and _commutator_tables (per frame section, a
+      FrameTable of [D, c(e_alpha)] e_I and {c(e_alpha), [D, x_a]} e_I;
+      _odd_commutator);
+    * the sign tables of pairs of index tuples, exterior._merge_sign and
+      _contract_sign, which depend on no owner: bounded functools.lru_cache
+      tables (exterior._SIGN_CACHE).
+    """
+
+    __slots__ = ("owner", "fill")
+
+    def __init__(self, owner, fill):
+        super().__init__()
+        self.owner = weakref.ref(owner)
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(self.owner(), key)
+        return value
 
 
 class AlgebroidStructure:
@@ -104,12 +143,11 @@ class AlgebroidStructure:
                 clean[(i, j)] = comps
         self.brackets = clean
 
-        # Tables derived from the immutable anchor and brackets alone, filled
-        # on first use and kept for the life of the structure.
-        self._bracket_cache: Dict[Key, GradedElement] = {}
-        self._d_basis_cache: Dict[int, Dict[Index, Polynomial]] = {}
-        self._d_unit_cache: Dict[Index, FrameTerms] = {}
-        self._dx_wedge_cache: Dict[Index, Tuple[FrameTerms, ...]] = {}
+        # Frame tables of the immutable anchor and brackets (FrameTable).
+        self._bracket_cache = FrameTable(self, AlgebroidStructure._bracket_entry)
+        self._d_basis_cache = FrameTable(self, AlgebroidStructure._d_basis)
+        self._d_unit_cache = FrameTable(self, AlgebroidStructure._d_unit)
+        self._dx_wedge_cache = FrameTable(self, AlgebroidStructure._dx_wedge)
 
     def _check_poly(self, p):
         if not isinstance(p, Polynomial):
@@ -161,16 +199,15 @@ class AlgebroidStructure:
             return self.zero_section()
         if i > j:
             return -self.bracket_pair(j, i)
-        cached = self._bracket_cache.get((i, j))
-        if cached is None:
-            comps = self.brackets.get((i, j))
-            if comps is None:
-                cached = self.zero_section()
-            else:
-                terms = {(k + 1,): comps[k] for k in range(self.rank) if not comps[k].is_zero()}
-                cached = self.section_cls(self.rank, self.coordinates, terms)
-            self._bracket_cache[(i, j)] = cached
-        return cached
+        return self._bracket_cache[i, j]
+
+    def _bracket_entry(self, key: Key):
+        """[e_i, e_j] for i < j, from the stored components."""
+        comps = self.brackets.get(key)
+        if comps is None:
+            return self.zero_section()
+        terms = {(k + 1,): comps[k] for k in range(self.rank) if not comps[k].is_zero()}
+        return self.section_cls(self.rank, self.coordinates, terms)
 
     # -- the derivation loop ------------------------------------------------------
 
@@ -201,42 +238,34 @@ class AlgebroidStructure:
 
     def _d_basis(self, k: int) -> Dict[Index, Polynomial]:
         """The terms of d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j."""
-        cached = self._d_basis_cache.get(k)
-        if cached is None:
-            cached = self._d_basis_cache[k] = {
-                key: -comps[k - 1] for key, comps in self.brackets.items() if comps[k - 1]}
-        return cached
+        return {key: -comps[k - 1] for key, comps in self.brackets.items() if comps[k - 1]}
 
     def _d_unit(self, J: Index) -> FrameTerms:
         """The terms of d eps^J, through _derive with a unit coefficient."""
-        cached = self._d_unit_cache.get(J)
-        if cached is None:
-            out: Dict[Index, Polynomial] = {}
-            self._derive(out, Polynomial.const(self.coordinates, 1), J, {}, self._d_basis, True)
-            cached = self._d_unit_cache[J] = tuple((K, p.terms) for K, p in out.items())
-        return cached
+        out: Dict[Index, Polynomial] = {}
+        self._derive(out, Polynomial.const(self.coordinates, 1), J, {},
+                     self._d_basis_cache.__getitem__, True)
+        return tuple((K, p.terms) for K, p in out.items())
 
     def _dx_wedge(self, J: Index) -> Tuple[FrameTerms, ...]:
         """The terms of dx_a ^ eps^J for each coordinate a, where
         dx_a = sum_i rho(e_i)(x_a) eps^i is column a of the anchor."""
-        cached = self._dx_wedge_cache.get(J)
-        if cached is None:
-            columns = []
-            for a in range(len(self.coordinates)):
-                column = []
-                for i, row in enumerate(self.anchor, start=1):
-                    hit = _merge_sign((i,), J)
-                    if row[a] and hit is not None:
-                        terms = row[a].terms
-                        column.append((hit[1], terms if hit[0] > 0
-                                       else {e: -c for e, c in terms.items()}))
-                columns.append(tuple(column))
-            cached = self._dx_wedge_cache[J] = tuple(columns)
-        return cached
+        columns = []
+        for a in range(len(self.coordinates)):
+            column = []
+            for i, row in enumerate(self.anchor, start=1):
+                hit = _merge_sign((i,), J)
+                if row[a] and hit is not None:
+                    terms = row[a].terms
+                    column.append((hit[1], terms if hit[0] > 0
+                                   else {e: -c for e, c in terms.items()}))
+            columns.append(tuple(column))
+        return tuple(columns)
 
     def differential(self, w):
         """Chevalley-Eilenberg differential on the dual exterior algebra, term
-        by term from the frame tables (_dx_wedge, _d_unit):
+        by term from the frame tables of dx_a ^ eps^J and d eps^J (_dx_wedge,
+        _d_unit):
 
             d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J
                                  + c x^gamma d eps^J,
@@ -249,7 +278,7 @@ class AlgebroidStructure:
             raise AlgebroidError("rank or variable context mismatch")
         acc: Dict[Index, Dict[Exponent, Fraction]] = {}
         for J, p in w.terms.items():
-            d_J, dx_J = self._d_unit(J), self._dx_wedge(J)
+            d_J, dx_J = self._d_unit_cache[J], self._dx_wedge_cache[J]
             for g, c in p.terms.items():
                 for a, k in enumerate(g):
                     if k:
@@ -335,10 +364,10 @@ def _shifted_into(acc: Dict[Index, Dict[Exponent, Fraction]], table: FrameTerms,
             _add_term(slot, tuple(map(add, e, shift)), v if one else c * v)
 
 
-def _order_one_apply(u: Multivector, table, fill) -> Multivector:
+def _order_one_apply(u: Multivector, table: FrameTable) -> Multivector:
     """O(u) for an operator O on Multivectors of order <= 1 in the base
     functions, term by term from its table of O(e_I) at (I, None) and
-    [O, x_a] e_I at (I, a), where fill(I, a) fills a missing entry:
+    [O, x_a] e_I at (I, a):
 
         O(c x^gamma e_I) = c x^gamma O(e_I) + c sum_a gamma_a x^(gamma - 1_a) [O, x_a] e_I,
 
@@ -349,40 +378,30 @@ def _order_one_apply(u: Multivector, table, fill) -> Multivector:
     coords = u.variables
     acc: Dict[Index, Dict[Exponent, Fraction]] = {}
     for I, p in u.terms.items():
-        unit = table.get((I, None))
-        if unit is None:
-            unit = fill(I, None)
+        unit = table[I, None]
         for g, c in p.terms.items():
             for a, k in enumerate(g):
                 if k:
-                    comm = table.get((I, a))
-                    if comm is None:
-                        comm = fill(I, a)
-                    _shifted_into(acc, comm, g[:a] + (k - 1,) + g[a + 1:], c if k == 1 else c * k)
+                    _shifted_into(acc, table[I, a], g[:a] + (k - 1,) + g[a + 1:],
+                                  c if k == 1 else c * k)
             _shifted_into(acc, unit, g, c)
     return Multivector._raw(u.rank, coords, {K: Polynomial._raw(coords, slot)
                                              for K, slot in acc.items() if slot})
 
 
-def _order_one_entry(table, I: Index, a: Optional[int], op, fill, frame: FrameData) -> FrameTerms:
-    """Store and return table[I, a] for the operator op on the frame's
+def _order_one_entry(table: FrameTable, I: Index, a: Optional[int], op,
+                     frame: FrameData) -> FrameTerms:
+    """The entry of table at (I, a) for the operator op on the frame's
     Multivectors: op(e_I) for a None, and [op, x_a] e_I = op(x_a e_I) -
-    x_a op(e_I) for a coordinate index a, with op(e_I) read from the table,
-    where fill(I, None) fills it."""
+    x_a op(e_I) for a coordinate index a, with op(e_I) read from the table."""
     gamma = tuple(int(b == a) for b in range(len(frame.variables)))
     value = op(Multivector.monomial(frame.rank, frame.variables, I,
                                     Polynomial._raw(frame.variables, {gamma: Fraction(1)})))
     if a is None:
-        entry = tuple((K, q.terms) for K, q in value.terms.items())
-    else:
-        unit = table.get((I, None))
-        if unit is None:
-            unit = fill(I, None)
-        acc = {K: dict(q.terms) for K, q in value.terms.items()}
-        _shifted_into(acc, unit, gamma, Fraction(-1))
-        entry = tuple((K, slot) for K, slot in acc.items() if slot)
-    table[I, a] = entry
-    return entry
+        return tuple((K, q.terms) for K, q in value.terms.items())
+    acc = {K: dict(q.terms) for K, q in value.terms.items()}
+    _shifted_into(acc, table[I, None], gamma, Fraction(-1))
+    return tuple((K, slot) for K, slot in acc.items() if slot)
 
 
 def bv_boundary(algebroid: AlgebroidStructure, frame: FrameData, u):

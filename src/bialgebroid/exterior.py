@@ -47,14 +47,10 @@ def _check_index(index: Iterable[int], rank: int) -> Index:
 
 
 # The sign rules depend on index tuples alone, so their values are kept
-# across calls, as they depend on no pair.  The only other stores that
-# outlive a call are the tables of an AlgebroidStructure, which depend on
-# its immutable anchor and brackets alone, and the D, Dorfman, Courant
-# anchor defect and [D, c(e)] tables of a pair (pair.dirac_apply,
-# pair.dorfman, pair._anchor_defect_field, pair._odd_commutator), which
-# depend on its data alone.  No store lives for one call only.
-# 2^14 entries hold every pair of index tuples up to rank 7, and the bound
-# keeps a document of larger rank from growing the table without limit.
+# across calls, as they depend on no pair; algebroid.FrameTable lists every
+# store that outlives a call.  2^14 entries hold every pair of index tuples
+# up to rank 7, and the bound keeps a document of larger rank from growing
+# the table without limit.
 _SIGN_CACHE = 1 << 14
 
 

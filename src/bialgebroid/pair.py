@@ -59,26 +59,22 @@ primal witness found on the flipped pair, so it names flipped elements
 
 Stores that outlive a call.  Every decision runs on P and P.flipped().
 The operators of order <= 1 in the base functions read term by term off
-frame tables, filled on first use and kept while their owner lives, as
-they hold values of its immutable data alone: the sign tables of index
-tuples (exterior._merge_sign, _contract_sign), the tables of each
-AlgebroidStructure (d), and the D, Dorfman, Courant anchor defect and
-[D, c(e)] tables of each pair (dirac_apply, dorfman, _anchor_defect_field,
-_odd_commutator); P.flipped() keeps its own.  No store lives for one call.
+frame tables of immutable data; algebroid.FrameTable states their
+contract and lists every store that outlives a call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTerms, _order_one_apply,
-                        _order_one_entry, _shifted_into, bv_boundary, validate_algebroid)
+from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTable, FrameTerms,
+                        _order_one_apply, _order_one_entry, _shifted_into, bv_boundary,
+                        validate_algebroid)
 from .exterior import (Form, FrameData, Index, Multivector, interior_by_form,
                        interior_by_multivector, pairing, retype)
 from .ring import (Exponent, Polynomial, apply_field, divergence, field_bracket, first_non_skew,
@@ -292,15 +288,17 @@ class BialgebroidPair:
         self.label = label
         self._modular: ModularData | None = None
         self._flipped: BialgebroidPair | None = None
-        # D(e_I) and [D, x_a] e_I, filled on first use (dirac_apply)
-        self._dirac_tables: Dict[Tuple[Index, Optional[int]], FrameTerms] = {}
-        # e_alpha o e_beta and D x_a, filled on first use (dorfman)
-        self._dorfman_table: Dict[Tuple[Optional[int], int], FrameTerms] = {}
-        # X(e_alpha, e_beta) and rho(D x_a), filled on first use (_anchor_defect_field)
-        self._defect_table: Dict[Tuple[Optional[int], int], FrameTerms] = {}
-        # per frame section: [D, c(e_alpha)] e_I and {c(e_alpha), [D, x_a]} e_I (_odd_commutator)
-        self._commutator_tables: Dict[int, Dict[Tuple[Index, Optional[int]], FrameTerms]] = \
-            defaultdict(dict)
+        self._create_frame_tables()
+
+    def _create_frame_tables(self) -> None:
+        """The pair's four frame tables, empty (algebroid.FrameTable), for
+        __init__ and the twin flipped() builds.  A fill looks up its entry
+        function when an entry is missing."""
+        self._dirac_tables = FrameTable(self, lambda P, key: _dirac_entry(P, *key))
+        self._dorfman_table = FrameTable(self, lambda P, key: _dorfman_entry(P, *key))
+        self._defect_table = FrameTable(self, lambda P, key: _defect_entry(P, *key))
+        self._commutator_tables = FrameTable(self, lambda P, alpha: FrameTable(
+            P, lambda Q, key: _commutator_entry(Q, alpha, *key)))
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -366,10 +364,7 @@ class BialgebroidPair:
             twin.label = self.label
             twin._modular = ModularData(x0=retype(mod.xi0), xi0=retype(mod.x0))
             twin._flipped = self
-            twin._dirac_tables = {}
-            twin._dorfman_table = {}
-            twin._defect_table = {}
-            twin._commutator_tables = defaultdict(dict)
+            twin._create_frame_tables()
             self._flipped = twin
         return self._flipped
 
@@ -527,13 +522,11 @@ def rho_field(P: BialgebroidPair, e: SectionE) -> Tuple[Polynomial, ...]:
 
 def _anchor_defect(P: BialgebroidPair, rho_x, rho_y, x_o_y: SectionE):
     """rho(x o y) and [rho x, rho y] componentwise, given x o y and the
-    fields rho x, rho y, and the first component a at which the Courant
-    anchor defect, their difference, is nonzero (None when it vanishes).
+    fields rho x, rho y; the Courant anchor defect is their difference.
     A zero bracket has the zero field, which takes no anchor."""
     lhs = rho_field(P, x_o_y) if not x_o_y.is_zero() else \
         tuple(Polynomial.zero(P.coordinates) for _ in P.coordinates)
-    rhs = field_bracket(rho_x, rho_y, P.coordinates)
-    return lhs, rhs, next((a for a, (p, q) in enumerate(zip(lhs, rhs)) if p != q), None)
+    return lhs, field_bracket(rho_x, rho_y, P.coordinates)
 
 
 def rho_apply(P: BialgebroidPair, e: SectionE, f: Polynomial) -> Polynomial:
@@ -574,9 +567,7 @@ def dorfman(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
     for alpha, p in _frame_parts(e1):
         row_alpha = rows[alpha] if alpha > 0 else dual_rows[-alpha]
         for beta, q in right:
-            frame_bracket = table.get((alpha, beta))
-            if frame_bracket is None:
-                frame_bracket = _dorfman_entry(P, alpha, beta)
+            frame_bracket = table[alpha, beta]
             row_beta = rows[beta] if beta > 0 else dual_rows[-beta]
             for g, c in p.items():
                 for h, d in q.items():
@@ -591,10 +582,7 @@ def dorfman(P: BialgebroidPair, e1: SectionE, e2: SectionE) -> SectionE:
                         if g[a] and row_beta[a]:
                             _shifted_into(acc, ((alpha, row_beta[a].terms),), shift, -cd * g[a])
                         if g[a] and alpha == -beta:
-                            dx = table.get((None, a))
-                            if dx is None:
-                                dx = _dorfman_entry(P, None, a)
-                            _shifted_into(acc, dx, shift, cd * g[a])
+                            _shifted_into(acc, table[None, a], shift, cd * g[a])
     vec = {(K,): Polynomial._raw(coords, slot) for K, slot in acc.items() if K > 0 and slot}
     cov = {(-K,): Polynomial._raw(coords, slot) for K, slot in acc.items() if K < 0 and slot}
     return SectionE._raw(Multivector._raw(rank, coords, vec), Form._raw(rank, coords, cov))
@@ -607,15 +595,14 @@ def _frame_parts(e: SectionE):
 
 
 def _dorfman_entry(P: BialgebroidPair, alpha: Optional[int], b: int) -> FrameTerms:
-    """Fill P's Dorfman table at (alpha, b) and return the entry: e_alpha o
-    e_b by the direct formula for signed frame indices alpha, b (i for e_i,
-    -j for eps^j), and D x_b = dstar x_b + d x_b for alpha None."""
+    """P's Dorfman table entry at (alpha, b): e_alpha o e_b by the direct
+    formula for signed frame indices alpha, b (i for e_i, -j for eps^j),
+    and D x_b = dstar x_b + d x_b for alpha None."""
     if alpha is None:
         value = dee(P, Polynomial.variable(P.coordinates, P.coordinates[b]))
     else:
         value = _dorfman_direct(P, _frame_section(P, alpha), _frame_section(P, b))
-    entry = P._dorfman_table[alpha, b] = tuple(_frame_parts(value))
-    return entry
+    return tuple(_frame_parts(value))
 
 
 def _frame_section(P: BialgebroidPair, k: int) -> SectionE:
@@ -673,9 +660,7 @@ def _anchor_defect_field(P: BialgebroidPair, x: SectionE, y: SectionE) -> Tuple[
     acc: Dict[int, Dict[Exponent, Fraction]] = {}
     for alpha, p in _frame_parts(x):
         for beta, q in right:
-            frame_defect = table.get((alpha, beta))
-            if frame_defect is None:
-                frame_defect = _defect_entry(P, alpha, beta)
+            frame_defect = table[alpha, beta]
             for g, c in p.items():
                 for h, d in q.items():
                     cd, s = c if d == 1 else c * d, tuple(map(add, g, h))
@@ -684,28 +669,24 @@ def _anchor_defect_field(P: BialgebroidPair, x: SectionE, y: SectionE) -> Tuple[
                         continue
                     for a, k in enumerate(g):
                         if k:
-                            rho_dx = table.get((None, a))
-                            if rho_dx is None:
-                                rho_dx = _defect_entry(P, None, a)
-                            _shifted_into(acc, rho_dx, s[:a] + (s[a] - 1,) + s[a + 1:], cd * k)
+                            _shifted_into(acc, table[None, a], s[:a] + (s[a] - 1,) + s[a + 1:],
+                                          cd * k)
     return tuple(Polynomial._raw(coords, acc.get(a, {})) for a in range(len(coords)))
 
 
 def _defect_entry(P: BialgebroidPair, alpha: Optional[int], b: int) -> FrameTerms:
-    """Fill P's defect table at (alpha, b) and return the entry, as
-    (component, terms) pairs: X(e_alpha, e_b) = rho(e_alpha o e_b) -
-    [rho_alpha, rho_b] by _anchor_defect for signed frame indices alpha, b,
-    with e_alpha o e_b read off the Dorfman table, and rho(D x_b) for alpha
-    None."""
+    """P's defect table entry at (alpha, b), as (component, terms) pairs:
+    X(e_alpha, e_b) = rho(e_alpha o e_b) - [rho_alpha, rho_b] by
+    _anchor_defect for signed frame indices alpha, b, with e_alpha o e_b
+    read off the Dorfman table, and rho(D x_b) for alpha None."""
     if alpha is None:
         value = rho_field(P, dee(P, Polynomial.variable(P.coordinates, P.coordinates[b])))
     else:
         rows = [P.A.anchor[k - 1] if k > 0 else P.Astar.anchor[-k - 1] for k in (alpha, b)]
         bracket = dorfman(P, _frame_section(P, alpha), _frame_section(P, b))
-        lhs, rhs, _ = _anchor_defect(P, *rows, bracket)
+        lhs, rhs = _anchor_defect(P, *rows, bracket)
         value = [p - q for p, q in zip(lhs, rhs)]
-    entry = P._defect_table[alpha, b] = tuple((a, v.terms) for a, v in enumerate(value) if v)
-    return entry
+    return tuple((a, v.terms) for a, v in enumerate(value) if v)
 
 
 def _first_component(field) -> Optional[int]:
@@ -739,19 +720,18 @@ def dirac_apply(P: BialgebroidPair, u: Multivector) -> Multivector:
     """
     if not isinstance(u, Multivector) or u.rank != P.rank or u.variables != P.coordinates:
         raise PairError("dirac_apply expects a Multivector in the pair's frame")
-    return _order_one_apply(u, P._dirac_tables, functools.partial(_dirac_entry, P))
+    return _order_one_apply(u, P._dirac_tables)
 
 
 def _dirac_entry(P: BialgebroidPair, I: Index, a: Optional[int]) -> FrameTerms:
-    """Fill P's D table at (I, a) and return the entry (_order_one_entry),
-    with D by the formula dstar - boundary + 1/2 (X_0 ^ . + iota_{xi_0})."""
+    """P's D table entry at (I, a) (_order_one_entry), with D by the
+    formula dstar - boundary + 1/2 (X_0 ^ . + iota_{xi_0})."""
     mod, half = P.modular, Fraction(1, 2)
 
     def dirac(u):
         return P.dstar(u) - P.boundary(u) \
             + mod.x0.wedge(u).scaled(half) + interior_by_form(mod.xi0, u).scaled(half)
-    return _order_one_entry(P._dirac_tables, I, a, dirac, functools.partial(_dirac_entry, P),
-                            P.frame)
+    return _order_one_entry(P._dirac_tables, I, a, dirac, P.frame)
 
 
 def _odd_commutator(P: BialgebroidPair, e: SectionE, w: Multivector) -> Multivector:
@@ -774,8 +754,7 @@ def _odd_commutator(P: BialgebroidPair, e: SectionE, w: Multivector) -> Multivec
     for alpha, p in _frame_parts(e):
         f = Polynomial._raw(coords, p)
         fw = w if p == one else w.scaled(f)
-        part = _order_one_apply(fw, P._commutator_tables[alpha],
-                                functools.partial(_commutator_entry, P, alpha))
+        part = _order_one_apply(fw, P._commutator_tables[alpha])
         if not f.is_constant():
             comm = dirac_apply(P, fw) - dirac_apply(P, w).scaled(f)
             part = part - clifford_act(_frame_section(P, alpha), comm)
@@ -784,16 +763,15 @@ def _odd_commutator(P: BialgebroidPair, e: SectionE, w: Multivector) -> Multivec
 
 
 def _commutator_entry(P: BialgebroidPair, alpha: int, I: Index, a: Optional[int]) -> FrameTerms:
-    """Fill the table of O_alpha = [D, c_alpha] at (I, a) and return the
-    entry (_order_one_entry); [O_alpha, x_a] = {c_alpha, [D, x_a]}.  D is
+    """The entry at (I, a) of the table of O_alpha = [D, c_alpha]
+    (_order_one_entry); [O_alpha, x_a] = {c_alpha, [D, x_a]}.  D is
     dirac_apply and c_alpha clifford_act by the frame section, so a fault in
     either reaches every value _odd_commutator reads."""
     e = _frame_section(P, alpha)
 
     def commutator(u):
         return dirac_apply(P, clifford_act(e, u)) + clifford_act(e, dirac_apply(P, u))
-    return _order_one_entry(P._commutator_tables[alpha], I, a, commutator,
-                            functools.partial(_commutator_entry, P, alpha), P.frame)
+    return _order_one_entry(P._commutator_tables[alpha], I, a, commutator, P.frame)
 
 
 def dirac_star_apply(P: BialgebroidPair, theta: Form) -> Form:
@@ -1323,7 +1301,7 @@ def courant_axioms(P: BialgebroidPair) -> IdentityReport:
     for x, y in itertools.product(near, frame):
         a = _first_component(_anchor_defect_field(P, x, y))
         if a is not None:
-            lhs, rhs, _ = _anchor_defect(P, rho_field(P, x), rho_field(P, y), bracket(x, y))
+            lhs, rhs = _anchor_defect(P, rho_field(P, x), rho_field(P, y), bracket(x, y))
             wit2 = (f"x = {x}; y = {y}; rho(x o y) = {tuple(map(str, lhs))}; "
                     f"[rho x, rho y] = {tuple(map(str, rhs))}")
             defect = x, y, a

@@ -1,7 +1,11 @@
 """The package's modules form layers, each importing only from layers below:
 ring < exterior < algebroid < pair < constructions, serialize < cli.
 constructions and serialize share a layer and import neither each other.
-Every relative import counts, function-local ones included."""
+Every relative import counts, function-local ones included.
+
+Every store that outlives a call is an algebroid.FrameTable, apart from
+the bounded functools.lru_cache sign tables of exterior, so no module
+keeps a hand-rolled get/fill cache."""
 
 import ast
 from pathlib import Path
@@ -42,3 +46,37 @@ def test_modules_import_only_from_lower_layers():
              for line, target in relative_imports(path.read_text())
              if LAYER[target] >= LAYER[path.stem]]
     assert not wrong
+
+
+def memo_sites(source):
+    """(kind, name) for every class that defines __missing__ and every
+    mention of lru_cache in source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                targets = item.targets if isinstance(item, ast.Assign) else [item]
+                if any(getattr(t, "name", getattr(t, "id", None)) == "__missing__"
+                       for t in targets):
+                    yield "__missing__", node.name
+        name = getattr(node, "attr", None) or getattr(node, "id", None) \
+            or (node.name if isinstance(node, ast.alias) else None)
+        if name == "lru_cache":
+            yield "lru_cache", type(node).__name__
+
+
+def test_the_scan_sees_every_memo():
+    source = "import functools\nfrom functools import lru_cache\n\n\n" \
+             "class T(dict):\n    def __missing__(self, key):\n        return key\n\n\n" \
+             "class U(dict):\n    __missing__ = len\n\n\n" \
+             "@functools.lru_cache\ndef f():\n    pass\n"
+    assert sorted(memo_sites(source)) == [("__missing__", "T"), ("__missing__", "U"),
+                                          ("lru_cache", "Attribute"), ("lru_cache", "alias")]
+
+
+def test_frame_table_is_the_one_table_type():
+    sites = {path.stem: list(memo_sites(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [(stem, name) for stem, found in sites.items()
+            for kind, name in found if kind == "__missing__"] == [("algebroid", "FrameTable")]
+    assert {stem for stem, found in sites.items()
+            if any(kind == "lru_cache" for kind, _ in found)} == {"exterior"}

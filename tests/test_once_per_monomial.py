@@ -1,11 +1,13 @@
 """The top-form coefficient x -> a(x) of the thm-c trace in closed form,
 the function Laplacians of thm-c (g)/(h) once per monomial, and the frame
-tables of the differential, of D, of the Dorfman bracket, of the Courant
-anchor defect and of [D, c(e)]: exact against the direct operators, each
-table entry filled once and kept for the life of its owner, and the same
-reports from cold and warm tables."""
+tables (FrameTable) of the differential, of D, of the Dorfman bracket, of
+the Courant anchor defect and of [D, c(e)]: exact against the direct
+operators, each table entry filled once and kept for the life of its
+owner, and the same reports from cold and warm tables."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector,
                          dirac_star_square, dorfman, find_counterexample_pairs, generator_check,
                          is_lie_bialgebroid, laplacian, rho_field, theorem_c_suite)
 from bialgebroid import algebroid as algebroid_module
+from bialgebroid.algebroid import FrameTable
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import interior_by_form, retype
 
@@ -167,8 +170,8 @@ def test_dorfman_table_matches_the_direct_formula(table_pairs, data):
 def direct_anchor_defect(P, x, y):
     """rho(x o y) - [rho x, rho y] by _anchor_defect, with the bracket by
     the direct formula and no table."""
-    lhs, rhs, _ = pair_module._anchor_defect(P, rho_field(P, x), rho_field(P, y),
-                                             pair_module._dorfman_direct(P, x, y))
+    lhs, rhs = pair_module._anchor_defect(P, rho_field(P, x), rho_field(P, y),
+                                          pair_module._dorfman_direct(P, x, y))
     return tuple(p - q for p, q in zip(lhs, rhs))
 
 
@@ -333,7 +336,7 @@ def test_bracket_on_monomial_sections_and_zero(all_pairs):
             for b in inputs:
                 want = pair_module._dorfman_direct(P, a, b)
                 assert dorfman(P, a, b) == want, (P.label, str(a), str(b))
-                lhs, rhs, _ = pair_module._anchor_defect(P, rho_field(P, a), rho_field(P, b), want)
+                lhs, rhs = pair_module._anchor_defect(P, rho_field(P, a), rho_field(P, b), want)
                 assert pair_module._anchor_defect_field(P, a, b) == \
                     tuple(p - q for p, q in zip(lhs, rhs)), (P.label, str(a), str(b))
 
@@ -458,6 +461,89 @@ def test_defect_witness_takes_top_lie_once_per_monomial(corpus, monkeypatch):
     assert sorted((type(x).__name__, _key(x)) for x in seen) == frame
     assert vars(P).keys() == before.keys()
     assert all(vars(P)[k] is v for k, v in before.items())
+
+
+class Owner:
+    pass
+
+
+def test_frame_table_fills_each_key_once():
+    """The first read of a key calls fill on the owner once and stores its
+    value, a second read calls nothing, and a fill that raises stores
+    nothing.  The table keeps its owner alive no longer than the owner's
+    other references do."""
+    calls, owner = [], Owner()
+
+    def fill(of, key):
+        assert of is owner
+        calls.append(key)
+        if key == "bad":
+            raise ZeroDivisionError(key)
+        return (key, len(calls))
+
+    table = FrameTable(owner, fill)
+    assert table == {} and calls == []
+    assert table["a"] == ("a", 1) and calls == ["a"]
+    assert dict(table) == {"a": ("a", 1)}
+    assert table["a"] == ("a", 1) and calls == ["a"]
+    with pytest.raises(ZeroDivisionError):
+        table["bad"]
+    assert calls == ["a", "bad"] and dict(table) == {"a": ("a", 1)}
+    assert table.get("b") is None and calls == ["a", "bad"]
+    owner.table = table
+    gone = weakref.ref(owner)
+    del owner
+    assert gone() is None
+
+
+STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_unit_cache", "_dx_wedge_cache"}
+PAIR_TABLES = {"_dirac_tables", "_dorfman_table", "_defect_table", "_commutator_tables"}
+
+
+def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
+    """A freshly built pair, its flip and their four structures hold the
+    frame tables FrameTable's docstring lists, and no other, each a
+    FrameTable of its own.  All are empty, except that validating P's
+    structures in its constructor reads frame brackets [e_i, e_j], i < j."""
+    for names in (STRUCTURE_TABLES, PAIR_TABLES):
+        assert all(name in FrameTable.__doc__ for name in names)
+    for label in ("poisson-linear", "exact-so3"):
+        P = fresh_pair(dict(corpus)[label])
+        twin = P.flipped()
+        brackets = {(i, j) for i in range(1, P.rank + 1) for j in range(i + 1, P.rank + 1)}
+        seen = set()
+        for owner, names in ((P, PAIR_TABLES), (twin, PAIR_TABLES), (P.A, STRUCTURE_TABLES),
+                             (P.Astar, STRUCTURE_TABLES), (twin.A, STRUCTURE_TABLES),
+                             (twin.Astar, STRUCTURE_TABLES)):
+            tables = {k: v for k, v in vars(owner).items() if isinstance(v, dict)
+                      and k != "brackets"}
+            assert tables.keys() == names, (label, type(owner).__name__)
+            for name, table in tables.items():
+                assert type(table) is FrameTable, (label, name)
+                read = set(table) <= brackets if name == "_bracket_cache" \
+                    and owner in (P.A, P.Astar) else not table
+                assert read, (label, type(owner).__name__, name)
+                assert id(table) not in seen, (label, name)
+                seen.add(id(table))
+
+
+def test_a_dropped_pair_is_freed_with_its_tables(corpus):
+    """A pair that was never flipped, and its structures, are freed as soon
+    as the last reference goes, filled tables and all: no table forms a
+    reference cycle with its owner, so none waits for the cycle collector."""
+    P = fresh_pair(dict(corpus)["poisson-linear"])
+    x, y = SectionE.of(vec=P.basis_e(1)), SectionE.of(cov=P.basis_eps(1))
+    dirac_apply(P, P.basis_e(1).scaled(Polynomial.variable(P.coordinates, P.coordinates[0])))
+    pair_module._anchor_defect_field(P, x, y)
+    pair_module._odd_commutator(P, y, P.basis_e(1))
+    assert all(getattr(P, name) for name in PAIR_TABLES) and P.Astar._d_unit_cache
+    refs = [weakref.ref(owner) for owner in (P, P.A, P.Astar)]
+    gc.disable()
+    try:
+        del P
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 SUITES =[dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
