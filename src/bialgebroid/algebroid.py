@@ -31,8 +31,10 @@ latter filled by _derive on the unit coefficient):
 The tables depend on the anchor and brackets alone, which never change,
 so they live as long as the structure.  An operator on Multivectors of
 order <= 1 in the base functions is read off such a table the same way
-(_order_one_apply, its entries by _order_one_entry): D and each
-[D, c(e_alpha)] of a pair.
+(_order_one_apply, its entries by _order_one_entry): D, each
+[D, c(e_alpha)] and 1/2 (L_{X_0} + L_{xi_0}) of a pair.  One of order
+<= 2, the Laplacian of a pair, adds the entries [[Q, x_a], x_b] e_I
+(_order_two_apply, _order_two_entry).
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
@@ -85,9 +87,12 @@ class FrameTable(dict):
       P.flipped() keeping its own: _dirac_tables (D(e_I) and [D, x_a] e_I;
       dirac_apply), _dorfman_table (e_alpha o e_beta and D x_a; dorfman),
       _defect_table (X(e_alpha, e_beta) and rho(D x_a);
-      _anchor_defect_field) and _commutator_tables (per frame section, a
+      _anchor_defect_field), _commutator_tables (per frame section, a
       FrameTable of [D, c(e_alpha)] e_I and {c(e_alpha), [D, x_a]} e_I;
-      _odd_commutator);
+      _odd_commutator), _modular_lie_table (1/2 (L_{X_0} + L_{xi_0})
+      e_I and its [., x_a] e_I; _half_modular_lie) and _laplacian_table
+      (Lap(e_I), [Lap, x_a] e_I and [[Lap, x_a], x_b] e_I, a <= b, read by
+      _order_two_apply; laplacian);
     * the sign tables of pairs of index tuples, exterior._merge_sign and
       _contract_sign, which depend on no owner: bounded functools.lru_cache
       tables (exterior._SIGN_CACHE).
@@ -401,6 +406,61 @@ def _order_one_entry(table: FrameTable, I: Index, a: Optional[int], op,
         return tuple((K, q.terms) for K, q in value.terms.items())
     acc = {K: dict(q.terms) for K, q in value.terms.items()}
     _shifted_into(acc, table[I, None], gamma, Fraction(-1))
+    return tuple((K, slot) for K, slot in acc.items() if slot)
+
+
+def _order_two_apply(u: Multivector, table: FrameTable) -> Multivector:
+    """Q(u) for an operator Q on Multivectors of order <= 2 in the base
+    functions, term by term from its table of Q(e_I) at (I, None),
+    Q_a e_I = [Q, x_a] e_I at (I, a) and Q_ab e_I = [[Q, x_a], x_b] e_I at
+    (I, a, b) for a <= b:
+
+        Q(c x^gamma e_I) = c x^gamma Q(e_I) + c sum_a gamma_a x^(gamma - 1_a) Q_a e_I
+            + c sum_{a<b} gamma_a gamma_b x^(gamma - 1_a - 1_b) Q_ab e_I
+            + c sum_a C(gamma_a, 2) x^(gamma - 2_a) Q_aa e_I.
+
+    Order <= 2 makes each [[Q, f], g] C-infinity-linear and symmetric in
+    f, g, so Q(g e_I) = g Q(e_I) + sum_a (d_a g) Q_a e_I + 1/2 sum_{a,b}
+    (d_a d_b g) Q_ab e_I, the Taylor expansion that stops at second order."""
+    coords = u.variables
+    acc: Dict[Index, Dict[Exponent, Fraction]] = {}
+    for I, p in u.terms.items():
+        unit = table[I, None]
+        for g, c in p.terms.items():
+            support = [a for a, k in enumerate(g) if k]
+            for a in support:
+                k = g[a]
+                lower = g[:a] + (k - 1,) + g[a + 1:]
+                _shifted_into(acc, table[I, a], lower, c if k == 1 else c * k)
+                if k > 1:
+                    _shifted_into(acc, table[I, a, a], g[:a] + (k - 2,) + g[a + 1:],
+                                  c * (k * (k - 1) // 2))
+                for b in support:
+                    if b > a:
+                        _shifted_into(acc, table[I, a, b], lower[:b] + (g[b] - 1,) + lower[b + 1:],
+                                      c * (k * g[b]))
+            _shifted_into(acc, unit, g, c)
+    return Multivector._raw(u.rank, coords, {K: Polynomial._raw(coords, slot)
+                                             for K, slot in acc.items() if slot})
+
+
+def _order_two_entry(table: FrameTable, I: Index, a: Optional[int], b: Optional[int], op,
+                     frame: FrameData) -> FrameTerms:
+    """The entry of table at (I, a) (_order_one_entry) for b None, and at
+    (I, a, b) for coordinate indices a <= b: Q_ab e_I = op(x_a x_b e_I) -
+    x_a Q_b e_I - x_b Q_a e_I - x_a x_b op(e_I), which for a = b subtracts
+    x_a Q_a e_I twice, with the lower entries read from the table."""
+    if b is None:
+        return _order_one_entry(table, I, a, op, frame)
+    m, variables = len(frame.variables), frame.variables
+    one_a, one_b = (tuple(int(c == x) for c in range(m)) for x in (a, b))
+    both = tuple(map(add, one_a, one_b))
+    value = op(Multivector.monomial(frame.rank, variables, I,
+                                    Polynomial._raw(variables, {both: Fraction(1)})))
+    acc = {K: dict(q.terms) for K, q in value.terms.items()}
+    _shifted_into(acc, table[I, b], one_a, Fraction(-1))
+    _shifted_into(acc, table[I, a], one_b, Fraction(-1))
+    _shifted_into(acc, table[I, None], both, Fraction(-1))
     return tuple((K, slot) for K, slot in acc.items() if slot)
 
 

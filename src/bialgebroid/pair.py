@@ -58,9 +58,11 @@ primal witness found on the flipped pair, so it names flipped elements
 (e[i] there is eps^i here) and carries the prefix "on (A*, A): ".
 
 Stores that outlive a call.  Every decision runs on P and P.flipped().
-The operators of order <= 1 in the base functions read term by term off
-frame tables of immutable data; algebroid.FrameTable states their
-contract and lists every store that outlives a call.
+The operators of order <= 1 in the base functions (D, each [D, c(e)] and
+the square formula's half modular Lie derivative) and the Laplacian, of
+order <= 2, read term by term off frame tables of immutable data, through
+algebroid._order_one_apply and _order_two_apply; algebroid.FrameTable
+states their contract and lists every store that outlives a call.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTable, FrameTerms,
-                        _order_one_apply, _order_one_entry, _shifted_into, bv_boundary,
-                        validate_algebroid)
+                        _order_one_apply, _order_one_entry, _order_two_apply, _order_two_entry,
+                        _shifted_into, bv_boundary, validate_algebroid)
 from .exterior import (Form, FrameData, Index, Multivector, interior_by_form,
                        interior_by_multivector, pairing, retype)
 from .ring import (Exponent, Polynomial, apply_field, divergence, field_bracket, first_non_skew,
@@ -291,10 +293,12 @@ class BialgebroidPair:
         self._create_frame_tables()
 
     def _create_frame_tables(self) -> None:
-        """The pair's four frame tables, empty (algebroid.FrameTable), for
+        """The pair's six frame tables, empty (algebroid.FrameTable), for
         __init__ and the twin flipped() builds.  A fill looks up its entry
         function when an entry is missing."""
         self._dirac_tables = FrameTable(self, lambda P, key: _dirac_entry(P, *key))
+        self._laplacian_table = FrameTable(self, lambda P, key: _laplacian_entry(P, *key))
+        self._modular_lie_table = FrameTable(self, lambda P, key: _modular_lie_entry(P, *key))
         self._dorfman_table = FrameTable(self, lambda P, key: _dorfman_entry(P, *key))
         self._defect_table = FrameTable(self, lambda P, key: _defect_entry(P, *key))
         self._commutator_tables = FrameTable(self, lambda P, alpha: FrameTable(
@@ -486,18 +490,67 @@ def f_tilde_star(P: BialgebroidPair) -> Polynomial:
 
 
 def laplacian(P: BialgebroidPair, target):
-    """d_* boundary + boundary d_* on a Multivector; on a Form, the mirror
-    d boundary_* + boundary_* d, which is the former on (A*, A)."""
+    """d_* boundary + boundary d_* on a Multivector, term by term from P's
+    Laplacian table (algebroid._order_two_apply); on a Form, the mirror
+    d boundary_* + boundary_* d, which is the former on (A*, A).
+
+    This is exact for any structure data, valid or not, because the
+    Laplacian has order <= 2 in the base functions: [d_*, f] = (d_* f) ^ .
+    and [boundary, f] are C-infinity-linear (see dirac_apply), so d_* and
+    the boundary have order <= 1, and so has [Lap, f] = [d_*, f] boundary +
+    d_* [boundary, f] + [boundary, f] d_* + boundary [d_*, f].  The entries
+    Lap(e_I), [Lap, x_a] e_I and [[Lap, x_a], x_b] e_I (a <= b) are filled
+    on first use (_laplacian_entry) and kept in P._laplacian_table for the
+    life of the pair: at most 2^n (1 + m + m (m + 1) / 2) entries.
+    """
     if isinstance(target, Form):
         return retype(laplacian(P.flipped(), retype(target)))
-    return P.dstar(P.boundary(target)) + P.boundary(P.dstar(target))
+    _check_in_frame(P, target, "laplacian")
+    return _order_two_apply(target, P._laplacian_table)
+
+
+def _laplacian_entry(P: BialgebroidPair, I: Index, a: Optional[int],
+                     b: Optional[int] = None) -> FrameTerms:
+    """P's Laplacian table entry at (I, a) or (I, a, b) (_order_two_entry),
+    with the Laplacian by the formula d_* boundary + boundary d_*."""
+    def lap(u):
+        return P.dstar(P.boundary(u)) + P.boundary(P.dstar(u))
+    return _order_two_entry(P._laplacian_table, I, a, b, lap, P.frame)
 
 
 def _half_modular_lie(P: BialgebroidPair, target):
-    """1/2 (L_{X_0} + L_{xi_0}) target."""
+    """1/2 (L_{X_0} + L_{xi_0}) target on a Multivector, term by term from
+    P's modular Lie table (algebroid._order_one_apply); on a Form, the same
+    on (A*, A), whose X_0 and xi_0 are P's, swapped.
+
+    This is exact for any structure data, valid or not, because the
+    operator has order <= 1 in the base functions: L_{X_0} on Multivectors
+    is the Schouten bracket [X_0, .] and L_{xi_0} the Cartan formula
+    iota_{xi_0} d_* + d_* iota_{xi_0}, so [L_{X_0}, f] = rho(X_0) f and
+    [L_{xi_0}, f] = rho_*(xi_0) f are multiplications by functions.  The
+    entries and their bound are dirac_apply's, filled on first use
+    (_modular_lie_entry) and kept in P._modular_lie_table.
+    """
+    if isinstance(target, Form):
+        return retype(_half_modular_lie(P.flipped(), retype(target)))
+    _check_in_frame(P, target, "_half_modular_lie")
+    return _order_one_apply(target, P._modular_lie_table)
+
+
+def _modular_lie_entry(P: BialgebroidPair, I: Index, a: Optional[int]) -> FrameTerms:
+    """P's modular Lie table entry at (I, a) (_order_one_entry), with
+    1/2 (L_{X_0} + L_{xi_0}) by the Lie derivatives of both structures."""
     mod = P.modular
-    return (P.A.lie_derivative(mod.x0, target)
-            + P.Astar.lie_derivative(mod.xi0, target)).scaled(Fraction(1, 2))
+
+    def half_lie(u):
+        return (P.A.lie_derivative(mod.x0, u)
+                + P.Astar.lie_derivative(mod.xi0, u)).scaled(Fraction(1, 2))
+    return _order_one_entry(P._modular_lie_table, I, a, half_lie, P.frame)
+
+
+def _check_in_frame(P: BialgebroidPair, u, name: str) -> None:
+    if not isinstance(u, Multivector) or u.rank != P.rank or u.variables != P.coordinates:
+        raise PairError(f"{name} expects a Multivector or Form in the pair's frame")
 
 
 # -- double: metric, D, Dorfman, Clifford ----------------------------------------
@@ -807,37 +860,41 @@ def dirac_square(P: BialgebroidPair) -> ScalarReport:
     both witnesses are the ones that all x^gamma e_I with |gamma| <= 2
     (multivector_probes) would give.
 
-    D(D(u)) is read term by term off P's D table (dirac_apply), which
-    outlives the call; only the table's fills take differentials.
+    D(D(u)) is read term by term off P's D table (dirac_apply), the
+    formula's Laplacian off P's Laplacian table (laplacian) and its half
+    modular Lie derivative off P's modular Lie table (_half_modular_lie),
+    all of which outlive the call.  Only the tables' fills take
+    differentials, Schouten brackets and Lie derivatives; on warm tables a
+    call takes one differential, the boundary of X_0 in f~.
     """
     ft = f_tilde(P)
     report = ScalarReport(is_scalar=True, f_tilde=ft)
-    # one D(D(u)) per probe serves both checks, each stopping at its first failure
+    # one D(D(u)) and one f~ u per probe serve both checks, each stopping at its first failure
     for u in _generator_products(P, 2):
-        sq = dirac_apply(P, dirac_apply(P, u))
+        sq, fu = dirac_apply(P, dirac_apply(P, u)), u.scaled(ft)
         if report.square_formula_ok:
-            formula = _half_modular_lie(P, u) - laplacian(P, u) + u.scaled(ft)
+            formula = _half_modular_lie(P, u) - laplacian(P, u) + fu
             if sq != formula:
                 report.square_formula_ok = False
                 report.formula_witness = f"u = {u}; D^2 u = {sq}; formula gives {formula}"
         if report.witness is None:
-            report.witness = _square_failure(u, sq, ft)
+            report.witness = _square_failure(u, sq, fu)
         if not report.square_formula_ok and report.witness is not None:
             break
     report.is_scalar = report.witness is None
     return report
 
 
-def _square_failure(u: Multivector, sq: Multivector, ft: Polynomial) -> Optional[str]:
-    """The witness of D^2 u = sq != f~ u, or None when they agree."""
-    residual = sq - u.scaled(ft)
+def _square_failure(u: Multivector, sq: Multivector, fu: Multivector) -> Optional[str]:
+    """The witness of D^2 u = sq != f~ u = fu, or None when they agree."""
+    residual = sq - fu
     return None if residual.is_zero() else f"u = {u}; D^2 u - f~ u = {residual}"
 
 
 def _square_witness(P: BialgebroidPair, probes, ft: Polynomial) -> Optional[str]:
     """First failure of D^2 u = f~ u over the probes, or None."""
     for u in probes:
-        witness = _square_failure(u, dirac_apply(P, dirac_apply(P, u)), ft)
+        witness = _square_failure(u, dirac_apply(P, dirac_apply(P, u)), u.scaled(ft))
         if witness is not None:
             return witness
     return None

@@ -1,9 +1,10 @@
 """The top-form coefficient x -> a(x) of the thm-c trace in closed form,
 the function Laplacians of thm-c (g)/(h) once per monomial, and the frame
 tables (FrameTable) of the differential, of D, of the Dorfman bracket, of
-the Courant anchor defect and of [D, c(e)]: exact against the direct
-operators, each table entry filled once and kept for the life of its
-owner, and the same reports from cold and warm tables."""
+the Courant anchor defect, of [D, c(e)], of the Laplacian and of the half
+modular Lie derivative: exact against the direct operators, each table
+entry filled once and kept for the life of its owner, and the same
+reports from cold and warm tables."""
 
 import gc
 import json
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector, Polynomial,
-                         SectionE, clifford_act, coordinate_monomials, corollary_suite,
-                         courant_axioms, dirac_apply, dirac_square, dirac_star_apply,
-                         dirac_star_square, dorfman, find_counterexample_pairs, generator_check,
-                         is_lie_bialgebroid, laplacian, rho_field, theorem_c_suite)
+                         PreconditionError, SectionE, clifford_act, coordinate_monomials,
+                         corollary_suite, courant_axioms, dirac_apply, dirac_square,
+                         dirac_star_apply, dirac_star_square, dorfman, find_counterexample_pairs,
+                         generator_check, is_lie_bialgebroid, laplacian, multivector_probes,
+                         rho_field, theorem_c_suite)
 from bialgebroid import algebroid as algebroid_module
 from bialgebroid.algebroid import FrameTable
 from bialgebroid import pair as pair_module
@@ -49,11 +51,12 @@ rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
 
 @st.composite
-def elements(draw, cls, rank, coords):
-    """Mixed-degree elements with rational coefficients of degree <= 3; may be zero."""
+def elements(draw, cls, rank, coords, power=2):
+    """Mixed-degree elements with rational coefficients of degree <= 3,
+    each variable to at most the given power; may be zero."""
     subsets = [tuple(i for i in range(1, rank + 1) if mask >> (i - 1) & 1)
                for mask in range(2 ** rank)]
-    exps = st.tuples(*[st.integers(0, 2) for _ in coords]).filter(lambda e: sum(e) <= 3)
+    exps = st.tuples(*[st.integers(0, power) for _ in coords]).filter(lambda e: sum(e) <= 3)
     poly = st.dictionaries(exps, rationals, max_size=3).map(lambda t: Polynomial(coords, t))
     terms = draw(st.dictionaries(st.sampled_from(subsets), poly, max_size=4))
     return cls(rank, coords, terms)
@@ -131,6 +134,131 @@ def test_generator_check_fills_each_D_table_entry_once(corpus, monkeypatch):
     filled.clear()
     assert json.dumps(generator_check(P).to_json()) == first
     assert filled == []
+
+
+def direct_laplacian(P, u):
+    """d_* boundary + boundary d_* on a Multivector, d boundary_* +
+    boundary_* d on a Form, with no table."""
+    if isinstance(u, Form):
+        return P.d(P.boundary_star(u)) + P.boundary_star(P.d(u))
+    return P.dstar(P.boundary(u)) + P.boundary(P.dstar(u))
+
+
+def direct_half_modular_lie(P, u):
+    """1/2 (L_{X_0} + L_{xi_0}) u by the Lie derivatives of both
+    structures, with no table."""
+    mod = P.modular
+    return (P.A.lie_derivative(mod.x0, u)
+            + P.Astar.lie_derivative(mod.xi0, u)).scaled(Fraction(1, 2))
+
+
+def test_laplacian_and_modular_lie_tables_match_on_every_probe(table_pairs):
+    """laplacian reads the Laplacian off the pair's order-2 table and
+    _half_modular_lie the half modular Lie derivative off its order-1
+    table; on every pair and on its flip, over a point and over a base,
+    both give the direct formulas on every x^gamma e_I and x^gamma eps^I
+    with |gamma| <= 3, so each C(gamma_a, 2) and each gamma_a gamma_b of the
+    second-order expansion is exercised."""
+    for P in table_pairs:
+        for Q in (P, P.flipped()):
+            for u in multivector_probes(Q, 3):
+                for x in (u, retype(u)):
+                    assert laplacian(Q, x) == direct_laplacian(Q, x), (Q.label, str(x))
+                    assert pair_module._half_modular_lie(Q, x) == direct_half_modular_lie(Q, x), \
+                        (Q.label, str(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_laplacian_and_modular_lie_tables_match_the_direct_formulas(table_pairs, data):
+    """On every pair and on its flip, over a point and over a base, the
+    table reads of the Laplacian and of the half modular Lie derivative
+    equal the direct formulas on Multivectors and Forms of mixed degree
+    with rational coefficients, |gamma| <= 3 and a variable to the third
+    power, and on zero.  The failing pairs matter: on a bialgebroid the
+    second-order entries [[Lap, x_a], x_b] e_I can vanish, so a wrong
+    second-order coefficient would show on them alone."""
+    P = data.draw(st.sampled_from(table_pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
+    for cls in (Multivector, Form):
+        xs = data.draw(st.lists(elements(cls, P.rank, P.coordinates, power=3),
+                                min_size=1, max_size=3))
+        for x in xs + [cls.zero(P.rank, P.coordinates)]:
+            assert laplacian(P, x) == direct_laplacian(P, x), (P.label, str(x))
+            assert pair_module._half_modular_lie(P, x) == direct_half_modular_lie(P, x), \
+                (P.label, str(x))
+
+
+def test_laplacian_and_modular_lie_tables_fill_each_entry_once(corpus, monkeypatch):
+    """dirac_square, theorem_c_suite and corollary_suite read the Laplacian
+    and the half modular Lie derivative off the tables of P and of
+    P.flipped(): on a freshly built pair each entry is filled once, at most
+    2^n (1 + m + m (m + 1) / 2) Laplacian and 2^n (1 + m) modular Lie
+    entries per pair, and a second call of the three fills none and prints
+    the same bytes."""
+    filled = {"lap": [], "lie": []}
+    fills = {"lap": pair_module._laplacian_entry, "lie": pair_module._modular_lie_entry}
+
+    def counting(name):
+        def wrapped(pair, *key):
+            filled[name].append((pair, key))
+            return fills[name](pair, *key)
+        return wrapped
+
+    monkeypatch.setattr(pair_module, "_laplacian_entry", counting("lap"))
+    monkeypatch.setattr(pair_module, "_modular_lie_entry", counting("lie"))
+    P = fresh_pair(dict(corpus)["poisson-linear"])
+    n, m = P.rank, len(P.coordinates)
+    suites = (dirac_square, theorem_c_suite, corollary_suite)
+    first = [json.dumps(suite(P).to_json()) for suite in suites]
+    for name, attr, bound in (("lap", "_laplacian_table", 2 ** n * (1 + m + m * (m + 1) // 2)),
+                              ("lie", "_modular_lie_table", 2 ** n * (1 + m))):
+        seen = filled[name]
+        assert seen and len(set(seen)) == len(seen), name
+        for owner in (P, P.flipped()):
+            keys = [key for pair, key in seen if pair is owner]
+            assert set(getattr(owner, attr)) == set(keys), name
+            assert 0 < len(keys) <= bound, name
+    assert any(len(key) == 3 for _, key in filled["lap"])
+    for seen in filled.values():
+        seen.clear()
+    assert [json.dumps(suite(P).to_json()) for suite in suites] == first
+    assert filled == {"lap": [], "lie": []}
+
+
+def _frame_tables(owner):
+    """Every FrameTable an owner holds, those nested in a table included."""
+    out = [v for v in vars(owner).values() if isinstance(v, FrameTable)]
+    return out + [t for table in out for t in table.values() if isinstance(t, FrameTable)]
+
+
+def test_warm_dirac_square_reads_its_tables_alone(monkeypatch):
+    """A second dirac_square on the same pair fills no entry of any table of
+    the pair, its flip or their structures, and takes no Schouten bracket,
+    no Lie derivative and one differential, the boundary of X_0 in f~: the
+    square formula's Laplacian and half modular Lie derivative run off
+    their tables like D."""
+    P = log_canonical_double()
+    first = json.dumps(dirac_square(P).to_json())
+    owners = (P, P.A, P.Astar, P.flipped(), P.flipped().A, P.flipped().Astar)
+    sizes = [len(t) for owner in owners for t in _frame_tables(owner)]
+    calls = {"schouten": [], "lie_derivative": [], "differential": []}
+
+    def counting(name):
+        direct = getattr(AlgebroidStructure, name)
+
+        def wrapped(side, *args):
+            calls[name].append((side, *args))
+            return direct(side, *args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(AlgebroidStructure, name, counting(name))
+    assert json.dumps(dirac_square(P).to_json()) == first
+    assert [len(t) for owner in owners for t in _frame_tables(owner)] == sizes
+    assert calls["schouten"] == calls["lie_derivative"] == []
+    [(side, phi)] = calls["differential"]
+    assert side is P.A and isinstance(phi, Form) and phi.degrees() == [P.rank - 1]
 
 
 @st.composite
@@ -497,7 +625,8 @@ def test_frame_table_fills_each_key_once():
 
 
 STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_unit_cache", "_dx_wedge_cache"}
-PAIR_TABLES = {"_dirac_tables", "_dorfman_table", "_defect_table", "_commutator_tables"}
+PAIR_TABLES = {"_dirac_tables", "_dorfman_table", "_defect_table", "_commutator_tables",
+               "_laplacian_table", "_modular_lie_table"}
 
 
 def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
@@ -536,6 +665,8 @@ def test_a_dropped_pair_is_freed_with_its_tables(corpus):
     dirac_apply(P, P.basis_e(1).scaled(Polynomial.variable(P.coordinates, P.coordinates[0])))
     pair_module._anchor_defect_field(P, x, y)
     pair_module._odd_commutator(P, y, P.basis_e(1))
+    laplacian(P, P.basis_e(1))
+    pair_module._half_modular_lie(P, P.basis_e(1))
     assert all(getattr(P, name) for name in PAIR_TABLES) and P.Astar._d_unit_cache
     refs = [weakref.ref(owner) for owner in (P, P.A, P.Astar)]
     gc.disable()
@@ -553,9 +684,9 @@ SUITES =[dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
 def test_suites_store_nothing_on_the_pair(corpus):
     """No suite leaves anything on P, on its two structures or on its flip
     (the modular cocycles and the flip are P's own caches, taken first).
-    The structures' tables and the pair's D, Dorfman, defect and
-    commutator tables, created with their owner and filled in place, hold
-    values of immutable data only."""
+    The structures' tables and the pair's D, Dorfman, defect, commutator,
+    Laplacian and modular Lie tables, created with their owner and filled
+    in place, hold values of immutable data only."""
     P = dict(corpus)["poisson-linear"]
     twin = P.flipped()
     owners = (P, P.A, P.Astar, twin, twin.A, twin.Astar)
@@ -600,39 +731,44 @@ COLD_BUILDERS = [lambda: quadratic_double(3), log_canonical_double, tangent_agai
                  tangent_against_tangent, lambda: find_counterexample_pairs(1)[0]]
 
 
+def _printed(suite, P):
+    """suite(P) as JSON, or the message of its PreconditionError refusal."""
+    try:
+        return json.dumps(suite(P).to_json())
+    except PreconditionError as refusal:
+        return f"refused: {refusal}"
+
+
 @pytest.mark.parametrize("build", COLD_BUILDERS)
 def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     """A freshly built pair (empty frame tables, D table, Dorfman table,
-    defect table and commutator tables) and one whose tables the same
-    decisions have filled print byte-identical reports.  P.flipped() keeps
-    a D table, a Dorfman table, a defect table and commutator tables of
-    its own."""
+    defect table, commutator tables, Laplacian table and modular Lie table)
+    and one whose tables the same decisions have filled print
+    byte-identical reports, or refuse with the same PreconditionError
+    message.  P.flipped() keeps each of the pair's tables of its own."""
     suites = (dirac_square, dirac_star_square, generator_check, courant_axioms,
-              theorem_c_suite)
+              theorem_c_suite, corollary_suite, is_lie_bialgebroid)
     warm = build()
     for suite in suites:
-        suite(warm)
+        _printed(suite, warm)
     assert any(side._d_unit_cache for side in (warm.A, warm.Astar))
-    assert warm._dirac_tables and warm.flipped()._dirac_tables
-    assert warm._dorfman_table and warm.flipped()._dorfman_table
-    assert warm._defect_table and warm.flipped()._defect_table
+    for name in PAIR_TABLES - {"_commutator_tables"}:
+        assert getattr(warm, name) and getattr(warm.flipped(), name), name
     assert warm._commutator_tables
     for suite in suites:
         cold = fresh_pair(warm)
         assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
-        assert cold._dirac_tables == {} and cold._dorfman_table == {}
-        assert cold.flipped()._dirac_tables == {} and cold.flipped()._dorfman_table == {}
-        assert cold._defect_table == {} and cold.flipped()._defect_table == {}
-        assert cold._commutator_tables == {} and cold.flipped()._commutator_tables == {}
-        assert json.dumps(suite(cold).to_json()) == json.dumps(suite(warm).to_json())
+        for name in PAIR_TABLES:
+            assert getattr(cold, name) == {} and getattr(cold.flipped(), name) == {}, name
+        assert _printed(suite, cold) == _printed(suite, warm), suite.__name__
     P = fresh_pair(warm)
     dirac_apply(P, P.basis_e(1).scaled(Polynomial.const(P.coordinates, 3)))
     pair_module._anchor_defect_field(P, SectionE.of(vec=P.basis_e(1)),
                                      SectionE.of(cov=P.basis_eps(1)))
     pair_module._odd_commutator(P, SectionE.of(cov=P.basis_eps(1)), P.basis_e(1))
-    assert P._dirac_tables and P._dorfman_table and P._defect_table and P._commutator_tables
+    laplacian(P, P.basis_e(1))
+    pair_module._half_modular_lie(P, P.basis_e(1))
+    assert all(getattr(P, name) for name in PAIR_TABLES)
     twin = P.flipped()
-    assert twin._dirac_tables is not P._dirac_tables and twin._dirac_tables == {}
-    assert twin._dorfman_table is not P._dorfman_table and twin._dorfman_table == {}
-    assert twin._defect_table is not P._defect_table and twin._defect_table == {}
-    assert twin._commutator_tables is not P._commutator_tables and twin._commutator_tables == {}
+    for name in PAIR_TABLES:
+        assert getattr(twin, name) is not getattr(P, name) and getattr(twin, name) == {}, name
