@@ -22,19 +22,21 @@ The differential is the odd derivation of the dual exterior algebra with
 d x_a = sum_i rho(e_i)(x_a) eps^i (column a of the anchor) and
 d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j; d o d = 0 exactly when the
 Jacobi and anchor-morphism axioms hold, which is what validate_algebroid
-decides (with polynomial witnesses).  It runs term by term on two frame
-tables of the structure (FrameTable), dx_a ^ eps^J and d eps^J (the
-latter filled by _derive on the unit coefficient):
+decides (with polynomial witnesses).  d has order 1 in the base
+functions, with [d, x_a] = dx_a ^ ., so it is read off one frame table of
+the structure (FrameTable _d_table: d eps^J, filled by _derive on the unit
+coefficient, and dx_a ^ eps^J) by the reader of every such operator,
+_order_one_apply:
 
-    d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J + c x^gamma d eps^J.
+    d(c x^gamma eps^J) = c x^gamma d eps^J + c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J.
 
 The tables depend on the anchor and brackets alone, which never change,
-so they live as long as the structure.  An operator on Multivectors of
-order <= 1 in the base functions is read off such a table the same way
-(_order_one_apply, its entries by _order_one_entry): D, each
-[D, c(e_alpha)] and 1/2 (L_{X_0} + L_{xi_0}) of a pair.  One of order
-<= 2, the Laplacian of a pair, adds the entries [[Q, x_a], x_b] e_I
-(_order_two_apply, _order_two_entry).
+so they live as long as the structure, and not on the section kind, so
+the structure retyped for the flipped pair (_retyped) shares them.  The
+same reader applies a pair's operators of order <= 1 on Multivectors,
+their tables filled by _order_one_entry: D, each [D, c(e_alpha)] and
+1/2 (L_{X_0} + L_{xi_0}).  One of order <= 2, the Laplacian of a pair,
+adds the entries [[Q, x_a], x_b] e_I (_order_two_apply, _order_two_entry).
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
@@ -48,13 +50,14 @@ contraction (exterior._complement), one formula for both section kinds.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import (Form, FrameData, Index, Multivector, _accumulate,
+from .exterior import (Form, FrameData, GradedElement, Index, Multivector, _accumulate,
                        _complement, _inverse_sign, _merge_sign, interior_by_form,
                        interior_by_multivector)
 from .ring import Exponent, Polynomial, _add_term, apply_field, field_bracket
@@ -80,10 +83,13 @@ class FrameTable(dict):
 
     These are the stores that outlive a call, and none lives for one call
     only:
-    * per AlgebroidStructure, of its anchor and brackets: _bracket_cache
-      ([e_i, e_j]; bracket_pair), _d_basis_cache (d eps^k), _d_unit_cache
-      (d eps^J) and _dx_wedge_cache (dx_a ^ eps^J; differential);
-    * per pair.BialgebroidPair, of its structures and frame, with
+    * three per AlgebroidStructure's anchor and brackets, free of the
+      section kind and so shared by P's side and the same data's side of
+      P.flipped() (AlgebroidStructure._retyped): _bracket_cache (the terms
+      of [e_i, e_j]; bracket_pair, the Schouten bracket), _d_basis_cache
+      (d eps^k) and _d_table (d eps^J and [d, x_a] eps^J = dx_a ^ eps^J,
+      read by _order_one_apply; differential);
+    * six per pair.BialgebroidPair, of its structures and frame, with
       P.flipped() keeping its own: _dirac_tables (D(e_I) and [D, x_a] e_I;
       dirac_apply), _dorfman_table (e_alpha o e_beta and D x_a; dorfman),
       _defect_table (X(e_alpha, e_beta) and rho(D x_a);
@@ -148,11 +154,11 @@ class AlgebroidStructure:
                 clean[(i, j)] = comps
         self.brackets = clean
 
-        # Frame tables of the immutable anchor and brackets (FrameTable).
+        # Frame tables of the immutable anchor and brackets (FrameTable),
+        # free of the section kind, so that _retyped shares them.
         self._bracket_cache = FrameTable(self, AlgebroidStructure._bracket_entry)
         self._d_basis_cache = FrameTable(self, AlgebroidStructure._d_basis)
-        self._d_unit_cache = FrameTable(self, AlgebroidStructure._d_unit)
-        self._dx_wedge_cache = FrameTable(self, AlgebroidStructure._dx_wedge)
+        self._d_table = FrameTable(self, AlgebroidStructure._d_entry)
 
     def _check_poly(self, p):
         if not isinstance(p, Polynomial):
@@ -160,6 +166,17 @@ class AlgebroidStructure:
         if p.variables != self.coordinates:
             raise AlgebroidError(
                 f"structure data context {p.variables!r} does not match coordinates {self.coordinates!r}")
+
+    def _retyped(self, section_kind: str) -> "AlgebroidStructure":
+        """The same anchor and brackets with the given section kind, holding
+        this structure's frame tables, which do not depend on the kind.  The
+        tables hold their owner by a weak reference, so the copy holds this
+        structure (_source) to keep their fills working after it is dropped
+        elsewhere; it forms no reference cycle."""
+        twin = copy.copy(self)
+        twin.section_kind = section_kind
+        twin._source = self
+        return twin
 
     # -- frame bookkeeping ------------------------------------------------
 
@@ -200,19 +217,21 @@ class AlgebroidStructure:
 
     def bracket_pair(self, i: int, j: int):
         """[e_i, e_j] as a section, for any i, j (antisymmetric, zero on the diagonal)."""
+        return self.section_cls._raw(self.rank, self.coordinates, self._bracket_terms(i, j))
+
+    def _bracket_terms(self, i: int, j: int) -> Dict[Index, Polynomial]:
+        """The terms of [e_i, e_j], read off the table of i < j."""
         if i == j:
-            return self.zero_section()
+            return {}
         if i > j:
-            return -self.bracket_pair(j, i)
+            return {K: -p for K, p in self._bracket_cache[j, i].items()}
         return self._bracket_cache[i, j]
 
-    def _bracket_entry(self, key: Key):
-        """[e_i, e_j] for i < j, from the stored components."""
-        comps = self.brackets.get(key)
-        if comps is None:
-            return self.zero_section()
-        terms = {(k + 1,): comps[k] for k in range(self.rank) if not comps[k].is_zero()}
-        return self.section_cls(self.rank, self.coordinates, terms)
+    def _bracket_entry(self, key: Key) -> Dict[Index, Polynomial]:
+        """The terms {(k,): c_ij^k} of [e_i, e_j] for i < j, from the stored
+        components."""
+        comps = self.brackets.get(key, ())
+        return {(k,): p for k, p in enumerate(comps, start=1) if not p.is_zero()}
 
     # -- the derivation loop ------------------------------------------------------
 
@@ -245,54 +264,36 @@ class AlgebroidStructure:
         """The terms of d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j."""
         return {key: -comps[k - 1] for key, comps in self.brackets.items() if comps[k - 1]}
 
-    def _d_unit(self, J: Index) -> FrameTerms:
-        """The terms of d eps^J, through _derive with a unit coefficient."""
-        out: Dict[Index, Polynomial] = {}
-        self._derive(out, Polynomial.const(self.coordinates, 1), J, {},
-                     self._d_basis_cache.__getitem__, True)
-        return tuple((K, p.terms) for K, p in out.items())
-
-    def _dx_wedge(self, J: Index) -> Tuple[FrameTerms, ...]:
-        """The terms of dx_a ^ eps^J for each coordinate a, where
+    def _d_entry(self, key: Tuple[Index, Optional[int]]) -> FrameTerms:
+        """The terms of d eps^J at (J, None), through _derive with a unit
+        coefficient, and of [d, x_a] eps^J = dx_a ^ eps^J at (J, a), where
         dx_a = sum_i rho(e_i)(x_a) eps^i is column a of the anchor."""
-        columns = []
-        for a in range(len(self.coordinates)):
-            column = []
-            for i, row in enumerate(self.anchor, start=1):
-                hit = _merge_sign((i,), J)
-                if row[a] and hit is not None:
-                    terms = row[a].terms
-                    column.append((hit[1], terms if hit[0] > 0
-                                   else {e: -c for e, c in terms.items()}))
-            columns.append(tuple(column))
-        return tuple(columns)
+        J, a = key
+        if a is None:
+            out: Dict[Index, Polynomial] = {}
+            self._derive(out, Polynomial.const(self.coordinates, 1), J, {},
+                         self._d_basis_cache.__getitem__, True)
+            return tuple((K, p.terms) for K, p in out.items())
+        column = []
+        for i, row in enumerate(self.anchor, start=1):
+            hit = _merge_sign((i,), J)
+            if row[a] and hit is not None:
+                terms = row[a].terms
+                column.append((hit[1], terms if hit[0] > 0 else {e: -c for e, c in terms.items()}))
+        return tuple(column)
 
     def differential(self, w):
-        """Chevalley-Eilenberg differential on the dual exterior algebra, term
-        by term from the frame tables of dx_a ^ eps^J and d eps^J (_dx_wedge,
-        _d_unit):
+        """Chevalley-Eilenberg differential on the dual exterior algebra.  d
+        has order 1 in the base functions, with [d, x_a] = dx_a ^ ., so it
+        is read off its frame table (_d_entry) by _order_one_apply:
 
-            d(c x^gamma eps^J) = c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J
-                                 + c x^gamma d eps^J,
-
-        each table term shifted in its exponent and scaled, and summed into
-        one {K: {exponent: coefficient}} map."""
+            d(c x^gamma eps^J) = c x^gamma d eps^J
+                                 + c sum_a gamma_a x^(gamma - 1_a) dx_a ^ eps^J."""
         if not isinstance(w, self.dual_cls):
             raise AlgebroidError(f"differential expects a {self.dual_cls.__name__}")
         if w.rank != self.rank or w.variables != self.coordinates:
             raise AlgebroidError("rank or variable context mismatch")
-        acc: Dict[Index, Dict[Exponent, Fraction]] = {}
-        for J, p in w.terms.items():
-            d_J, dx_J = self._d_unit_cache[J], self._dx_wedge_cache[J]
-            for g, c in p.terms.items():
-                for a, k in enumerate(g):
-                    if k:
-                        _shifted_into(acc, dx_J[a], g[:a] + (k - 1,) + g[a + 1:],
-                                      c if k == 1 else c * k)
-                _shifted_into(acc, d_J, g, c)
-        coords = self.coordinates
-        return self.dual_cls._raw(self.rank, coords, {K: Polynomial._raw(coords, slot)
-                                                      for K, slot in acc.items() if slot})
+        return _order_one_apply(w, self._d_table)
 
     # -- Schouten bracket ------------------------------------------------------
 
@@ -301,7 +302,7 @@ class AlgebroidStructure:
         even derivation with -[e_m, p] = -rho(e_m) p and -[e_m, e_i] = [e_i, e_m]."""
         out: Dict[Index, Polynomial] = {}
         head = {(): -apply_field(self.anchor[m - 1], p, self.coordinates)}
-        self._derive(out, p, I, head, lambda i: self.bracket_pair(i, m).terms, False)
+        self._derive(out, p, I, head, lambda i: self._bracket_terms(i, m), False)
         return out
 
     def schouten(self, u, v):
@@ -369,16 +370,16 @@ def _shifted_into(acc: Dict[Index, Dict[Exponent, Fraction]], table: FrameTerms,
             _add_term(slot, tuple(map(add, e, shift)), v if one else c * v)
 
 
-def _order_one_apply(u: Multivector, table: FrameTable) -> Multivector:
-    """O(u) for an operator O on Multivectors of order <= 1 in the base
-    functions, term by term from its table of O(e_I) at (I, None) and
-    [O, x_a] e_I at (I, a):
+def _order_one_apply(u: GradedElement, table: FrameTable) -> GradedElement:
+    """O(u) for an operator O of order <= 1 in the base functions, on u's
+    exterior class (D and the differential d, for example), term by term
+    from its table of O(e_I) at (I, None) and [O, x_a] e_I at (I, a):
 
         O(c x^gamma e_I) = c x^gamma O(e_I) + c sum_a gamma_a x^(gamma - 1_a) [O, x_a] e_I,
 
     as [O, f g] = f [O, g] + g [O, f] and [O, x_a] is C-infinity-linear.
     Each table term is shifted in its exponent and scaled into one
-    {K: {exponent: coefficient}} map, as in AlgebroidStructure.differential.
+    {K: {exponent: coefficient}} map.
     """
     coords = u.variables
     acc: Dict[Index, Dict[Exponent, Fraction]] = {}
@@ -390,8 +391,8 @@ def _order_one_apply(u: Multivector, table: FrameTable) -> Multivector:
                     _shifted_into(acc, table[I, a], g[:a] + (k - 1,) + g[a + 1:],
                                   c if k == 1 else c * k)
             _shifted_into(acc, unit, g, c)
-    return Multivector._raw(u.rank, coords, {K: Polynomial._raw(coords, slot)
-                                             for K, slot in acc.items() if slot})
+    return type(u)._raw(u.rank, coords, {K: Polynomial._raw(coords, slot)
+                                         for K, slot in acc.items() if slot})
 
 
 def _order_one_entry(table: FrameTable, I: Index, a: Optional[int], op,

@@ -50,19 +50,22 @@ on A for xi_0 and on A* for X_0) and the Lie derivative
 about the pair is written for (A, A*) and mirrored through
 BialgebroidPair.flipped(), since (A, A*) is a Lie bialgebroid exactly
 when (A*, A) is (Mackenzie-Xu): the same frame with A*'s data as the
-vector side and A's as the covector side, elements moved across by the
-zero-copy exterior.retype.  The mirror operator on forms, f~*, the
+vector side and A's as the covector side, each held by P's structure
+retyped (AlgebroidStructure._retyped), which shares its frame tables, and
+elements moved across by the zero-copy exterior.retype.  The mirror operator on forms, f~*, the
 'Astar' Laplacian and the items (b), (d), (f), (j), (l) of the
 equivalence suite have no code of their own.  A mirror witness is the
 primal witness found on the flipped pair, so it names flipped elements
 (e[i] there is eps^i here) and carries the prefix "on (A*, A): ".
 
 Stores that outlive a call.  Every decision runs on P and P.flipped().
-The operators of order <= 1 in the base functions (D, each [D, c(e)] and
-the square formula's half modular Lie derivative) and the Laplacian, of
-order <= 2, read term by term off frame tables of immutable data, through
-algebroid._order_one_apply and _order_two_apply; algebroid.FrameTable
-states their contract and lists every store that outlives a call.
+The operators of order <= 1 in the base functions (d, D, each [D, c(e)]
+and the square formula's half modular Lie derivative) and the Laplacian,
+of order <= 2, read term by term off frame tables of immutable data,
+through algebroid._order_one_apply and _order_two_apply.  P and its flip
+share the structure tables, each side's data filling its tables once, and
+each keep their own six pair tables; algebroid.FrameTable states the
+contract and lists every store that outlives a call.
 """
 
 from __future__ import annotations
@@ -355,15 +358,23 @@ class BialgebroidPair:
         """The pair (A*, A): A*'s data on the vector side, A's on the covector side.
 
         Built once and cached, and P.flipped().flipped() is P.  The halves
-        are not re-validated (the axioms do not depend on which side is
-        called primal), and the modular cocycles are P's, swapped and
-        retyped, not recomputed.
+        are P's structures retyped (AlgebroidStructure._retyped): they hold
+        P's structure tables, which do not depend on the section kind, so
+        an entry filled on one pair is read on the other.  They are not
+        re-validated (the axioms do not depend on which side is called
+        primal), and the modular cocycles are P's, swapped and retyped, not
+        recomputed.  The flip keeps six pair tables of its own.
+
+        P and its flip hold each other, so a flipped pair is freed by the
+        cycle collector, not when its last reference goes: with gc.disable(),
+        del P leaves P, its flip and their structures alive until
+        gc.collect().
         """
         if self._flipped is None:
             mod = self.modular
             twin = object.__new__(BialgebroidPair)
-            twin.A = _with_kind(self.Astar, "vector")
-            twin.Astar = _with_kind(self.A, "covector")
+            twin.A = self.Astar._retyped("vector")
+            twin.Astar = self.A._retyped("covector")
             twin.frame = self.frame
             twin.label = self.label
             twin._modular = ModularData(x0=retype(mod.xi0), xi0=retype(mod.x0))
@@ -371,10 +382,6 @@ class BialgebroidPair:
             twin._create_frame_tables()
             self._flipped = twin
         return self._flipped
-
-
-def _with_kind(side: AlgebroidStructure, kind: str) -> AlgebroidStructure:
-    return AlgebroidStructure(side.rank, side.coordinates, side.anchor, side.brackets, kind)
 
 
 # -- probe families ------------------------------------------------------------

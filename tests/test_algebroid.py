@@ -497,10 +497,12 @@ def gate_structures(corpus, pn_failing_pairs):
     """VALID_STRUCTURES (vector side) and both halves of every corpus and PN
     pair, so that both section kinds are covered, and of the log-canonical
     double over R^3, whose quadratic anchor and non-integer brackets take
-    the differential's frame tables past the identity anchor."""
+    the differential's frame tables past the identity anchor.  Each pair's
+    flip adds its two halves, which read the tables of P's mirror sides,
+    filled first by the other section kind."""
     out = [factory() for factory in VALID_STRUCTURES]
     for P in [P for _label, P in corpus] + list(pn_failing_pairs) + [log_canonical_double()]:
-        out += [P.A, P.Astar]
+        out += [P.A, P.Astar, P.flipped().A, P.flipped().Astar]
     return out
 
 

@@ -624,15 +624,17 @@ def test_frame_table_fills_each_key_once():
     assert gone() is None
 
 
-STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_unit_cache", "_dx_wedge_cache"}
+STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_table"}
 PAIR_TABLES = {"_dirac_tables", "_dorfman_table", "_defect_table", "_commutator_tables",
                "_laplacian_table", "_modular_lie_table"}
 
 
 def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
     """A freshly built pair, its flip and their four structures hold the
-    frame tables FrameTable's docstring lists, and no other, each a
-    FrameTable of its own.  All are empty, except that validating P's
+    frame tables FrameTable's docstring lists, and no other.  P, its flip
+    and P's two structures each hold FrameTables of their own; the flip's
+    structures hold the tables of P's mirror sides, twin.A P.Astar's and
+    twin.Astar P.A's.  All are empty, except that validating P's
     structures in its constructor reads frame brackets [e_i, e_j], i < j."""
     for names in (STRUCTURE_TABLES, PAIR_TABLES):
         assert all(name in FrameTable.__doc__ for name in names)
@@ -642,8 +644,7 @@ def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
         brackets = {(i, j) for i in range(1, P.rank + 1) for j in range(i + 1, P.rank + 1)}
         seen = set()
         for owner, names in ((P, PAIR_TABLES), (twin, PAIR_TABLES), (P.A, STRUCTURE_TABLES),
-                             (P.Astar, STRUCTURE_TABLES), (twin.A, STRUCTURE_TABLES),
-                             (twin.Astar, STRUCTURE_TABLES)):
+                             (P.Astar, STRUCTURE_TABLES)):
             tables = {k: v for k, v in vars(owner).items() if isinstance(v, dict)
                       and k != "brackets"}
             assert tables.keys() == names, (label, type(owner).__name__)
@@ -654,6 +655,12 @@ def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
                 assert read, (label, type(owner).__name__, name)
                 assert id(table) not in seen, (label, name)
                 seen.add(id(table))
+        for mirror, side in ((twin.A, P.Astar), (twin.Astar, P.A)):
+            tables = {k: v for k, v in vars(mirror).items() if isinstance(v, dict)
+                      and k != "brackets"}
+            assert tables.keys() == STRUCTURE_TABLES, (label, mirror.section_kind)
+            for name, table in tables.items():
+                assert table is getattr(side, name), (label, mirror.section_kind, name)
 
 
 def test_a_dropped_pair_is_freed_with_its_tables(corpus):
@@ -667,7 +674,7 @@ def test_a_dropped_pair_is_freed_with_its_tables(corpus):
     pair_module._odd_commutator(P, y, P.basis_e(1))
     laplacian(P, P.basis_e(1))
     pair_module._half_modular_lie(P, P.basis_e(1))
-    assert all(getattr(P, name) for name in PAIR_TABLES) and P.Astar._d_unit_cache
+    assert all(getattr(P, name) for name in PAIR_TABLES) and P.Astar._d_table
     refs = [weakref.ref(owner) for owner in (P, P.A, P.Astar)]
     gc.disable()
     try:
@@ -676,6 +683,26 @@ def test_a_dropped_pair_is_freed_with_its_tables(corpus):
     finally:
         gc.enable()
 
+
+def test_a_flipped_structure_outlives_its_pair(corpus):
+    """A structure of P.flipped() holds the tables of P's mirror side, whose
+    owner is P's structure.  It keeps that owner alive, so after P and its
+    flip are dropped and collected it still fills new keys, with the values
+    a freshly built structure computes."""
+    P = fresh_pair(dict(corpus)["poisson-linear"])
+    twin = P.flipped()
+    sides = [(twin.A, Form), (twin.Astar, Multivector)]
+    del P, twin
+    gc.collect()
+    for side, dual in sides:
+        fresh = AlgebroidStructure(side.rank, side.coordinates, side.anchor, side.brackets,
+                                   side.section_kind)
+        x1 = Polynomial.variable(side.coordinates, side.coordinates[0])
+        for w in (dual.basis(side.rank, side.coordinates, 1),
+                  dual.monomial(side.rank, side.coordinates, (1, 2), x1)):
+            assert not any(key[0] in w.terms for key in side._d_table)
+            assert side.differential(w) == fresh.differential(w), side.section_kind
+        assert side._d_table
 
 SUITES =[dirac_square, dirac_star_square, is_lie_bialgebroid, theorem_c_suite,
           corollary_suite, courant_axioms, generator_check]
@@ -751,13 +778,13 @@ def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     warm = build()
     for suite in suites:
         _printed(suite, warm)
-    assert any(side._d_unit_cache for side in (warm.A, warm.Astar))
+    assert any(side._d_table for side in (warm.A, warm.Astar))
     for name in PAIR_TABLES - {"_commutator_tables"}:
         assert getattr(warm, name) and getattr(warm.flipped(), name), name
     assert warm._commutator_tables
     for suite in suites:
         cold = fresh_pair(warm)
-        assert not any(side._d_unit_cache or side._dx_wedge_cache for side in (cold.A, cold.Astar))
+        assert not any(side._d_table for side in (cold.A, cold.Astar))
         for name in PAIR_TABLES:
             assert getattr(cold, name) == {} and getattr(cold.flipped(), name) == {}, name
         assert _printed(suite, cold) == _printed(suite, warm), suite.__name__
@@ -772,3 +799,27 @@ def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     twin = P.flipped()
     for name in PAIR_TABLES:
         assert getattr(twin, name) is not getattr(P, name) and getattr(twin, name) == {}, name
+
+
+def test_no_structure_key_is_filled_twice_across_a_pair_and_its_flip(monkeypatch):
+    """The seven suites on a freshly built quadratic_double(4) fill each key
+    of each side's structure tables once across P and P.flipped(), whose
+    structures hold the tables of P's mirror sides, and print the same
+    reports as on a pair built without counting."""
+    plain = quadratic_double(4)
+    expected = [_printed(suite, plain) for suite in SUITES]
+    fills, fill_names = [], ("_d_entry", "_bracket_entry", "_d_basis")
+    for name in fill_names:
+        def counted(side, key, name=name, direct=getattr(AlgebroidStructure, name)):
+            fills.append((side, name, key))
+            return direct(side, key)
+        monkeypatch.setattr(AlgebroidStructure, name, counted)
+    base = quadratic_double(4)
+    fills.clear()
+    P = fresh_pair(base)
+    assert [_printed(suite, P) for suite in SUITES] == expected
+    data = {id(P.A): "A", id(P.Astar): "A*"}
+    keys = [(data[id(side)], name, key) for side, name, key in fills]
+    assert len(keys) == len(set(keys))
+    assert {(side, name) for side, name, _key in keys} == \
+        {(side, name) for side in ("A", "A*") for name in fill_names}
