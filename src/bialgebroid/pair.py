@@ -37,10 +37,11 @@ courant_axioms likewise decides each Courant axiom of the double on the
 smallest section family the order of its defect allows: the frame, the
 frame with its x_a multiples, and the coordinates x_a.  generator_check
 decides the derived bracket [[D, c(e1)], c(e2)] = c(e1 o e2) on the frame
-in both section slots and on the constant spinors e_I once [D, f] = c(D f)
-and the anchor relation hold, since these make its defect
-C-infinity-trilinear, and on the order-1 families otherwise; the argument
-is in its docstring.
+in both section slots once [D, f] = c(D f) and the anchor relation hold,
+since these make its defect C-infinity-trilinear, and on the order-1
+families otherwise.  On the frame the spinors are 1 and the e_i when D's
+C-infinity-linear part is odd of Clifford degree <= 3, and all constant
+e_I otherwise; the argument is in its docstring.
 
 Mirrors by duality.  Each formula is written once.  A formula about one
 algebroid is written over AlgebroidStructure, whose section_kind picks
@@ -80,8 +81,8 @@ from typing import Dict, List, Optional, Tuple
 from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTable, FrameTerms,
                         _order_one_apply, _order_one_entry, _order_two_apply, _order_two_entry,
                         _shifted_into, bv_boundary, validate_algebroid)
-from .exterior import (Form, FrameData, Index, Multivector, interior_by_form,
-                       interior_by_multivector, pairing, retype)
+from .exterior import (Form, FrameData, Index, Multivector, _accumulate, _contract_sign,
+                       _merge_sign, interior_by_form, interior_by_multivector, pairing, retype)
 from .ring import (Exponent, Polynomial, apply_field, divergence, field_bracket, first_non_skew,
                    matrix_product)
 
@@ -1470,7 +1471,38 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     <x_a e_i, eps^i> is not constant, run in full.  [D, c(e1)] is read off
     the pair's commutator tables by the Leibniz rule [D, c(p e_alpha)] =
     [D, c_alpha] p - c_alpha [D, p], where [D, c_alpha] has order <= 1 in
-    the base functions like D (_odd_commutator).
+    the base functions like D (_odd_commutator).  [D, c(e1)] w is read once
+    per (e1, w), ahead of the e2 loop.
+
+    On the frame the spinor w runs over 1, e_1, ..., e_n alone, once a
+    certificate passes (_odd_clifford_degree_at_most_3), and over all e_I
+    when it fails.  The argument:
+    * K = 0 gives [D, f] = c(D f), so Theta = D - sum_a c(D x_a) d/dx_a is
+      C-infinity-linear, and D(e_K) = Theta(e_K) on constant spinors.
+    * On constant frame sections the derivative part drops out of the
+      double commutator: [c(s) d/dx_a, c_alpha] = 2 <s, e_alpha> d/dx_a,
+      which commutes with c_beta.  So B(e_alpha, e_beta) = [[Theta,
+      c_alpha], c_beta] - c(e_alpha o e_beta).
+    * If Theta is odd of degree <= 3, the anticommutator with c_alpha is
+      even of degree <= 2 and the commutator with c_beta odd of degree
+      <= 1, so B = c(b) for one section b.
+    * B 1 = b.vec and B e_i = b.vec ^ e_i + <b.cov, e_i>.  So B vanishes
+      iff it vanishes on 1 and on every e_i.
+    * Spinors are ordered by |I| first, so the first failing (e2, e1, w) of
+      the full loop has w in {1, e_i}: the witness is unchanged.
+    The certificate reads Theta in normal order off every D(e_K), |K| >= 4
+    included, and asks that each term has odd total degree |I| + |J| <= 3.
+    No weaker check is enough.  Theta = e_1 ^ iota_{eps^{1234}} of rank 4
+    vanishes on every e_K with |K| <= 3, so a scan of those passes it, yet
+    B first fails at w = e[2,3,4].  Theta = e_1 e_2 ^ iota_{eps^{345}} of
+    rank 5 contracts only three times, yet has degree 5, and B first fails
+    at w = e[3,4,5].  Theta = iota_{eps^{23}} of rank 4 has degree 2, but
+    it is even, and its anticommutator with c_alpha need not lower the
+    degree: B(eps^1, e_1) is even of degrees 2 and 4, vanishes on 1 and
+    on every e_i, and the full family first fails there at w = e[2,3].
+    A D built by the package passes by construction: it is a derivative
+    part plus an odd Clifford element of degree <= 3 (Alekseev-Xu,
+    "Derived brackets and Courant algebroids"; Roytenberg 2002).
     """
     report = IdentityReport(suite="generator")
     add = report.records.append
@@ -1493,17 +1525,22 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     anchor = _anchor_witness(P)
     # K = 0 and A = 0 make the derived-bracket defect trilinear (see above)
     degree = 0 if wit is None and anchor is None else 1
-    e_probes, spinors = _double_sections(P, degree), multivector_probes(P, degree)
+    e_probes = _double_sections(P, degree)
+    # on the frame and for Theta odd of degree <= 3, B = c(b) shows on 1 and the e_i (see above)
+    spinors = _graded_probes(P, 0, 1) if degree == 0 and _odd_clifford_degree_at_most_3(P) \
+        else multivector_probes(P, degree)
 
     def bracket_failures():
+        o1 = [[_odd_commutator(P, e1, w) for w in spinors] for e1 in e_probes]
         for j, e2 in enumerate(e_probes):
             c2 = [clifford_act(e2, w) for w in spinors]
             # on the frame B is skew, so e1 runs over the sections after e2 (see above)
-            for e1 in e_probes[j + 1:] if degree == 0 else e_probes:
+            first = j + 1 if degree == 0 else 0
+            for e1, o1e1 in zip(e_probes[first:], o1[first:]):
                 target = dorfman(P, e1, e2)
-                for w, c2w in zip(spinors, c2):
+                for w, c2w, o1w in zip(spinors, c2, o1e1):
                     # [[D,e1],e2] w = [D,e1](e2 . w) - e2 . [D,e1] w
-                    lhs = _odd_commutator(P, e1, c2w) - clifford_act(e2, _odd_commutator(P, e1, w))
+                    lhs = _odd_commutator(P, e1, c2w) - clifford_act(e2, o1w)
                     rhs = clifford_act(target, w)
                     if lhs != rhs:
                         yield (f"e1 = {e1}; e2 = {e2}; w = {w}; "
@@ -1519,3 +1556,37 @@ def generator_check(P: BialgebroidPair) -> IdentityReport:
     add(IdentityRecord("generator/anchor", anchor is None, anchor))
 
     return report
+
+
+def _odd_clifford_degree_at_most_3(P: BialgebroidPair) -> bool:
+    """Whether the C-infinity-linear part Theta of D (generator_check; it
+    needs [D, f] = c(D f)) is odd of Clifford degree <= 3.
+
+    In normal order Theta = sum_J a_J ^ iota_{eps^J} with a_J = sum_I
+    a_{I,J} e_I, and Theta(e_K) = D(e_K) on constant spinors.  Only J
+    inside K contract e_K, so taking K by |K|,
+
+        r_K = D(e_K) - sum_{J < K} a_J ^ iota_{eps^J} e_K = a_K ^ iota_{eps^K} e_K = a_K,
+
+    as iota_{eps^K} e_K = 1.  Theta is odd of degree <= 3 iff |I| + |K| is
+    1 or 3 for every nonzero term of every r_K, |K| >= 4 included; the scan
+    stops at the first term that is not.  Each D(e_K) is one dirac_apply."""
+    rank, coords = P.rank, P.coordinates
+    one = Polynomial.const(coords, 1)
+    normal: Dict[Index, Dict[Index, Polynomial]] = {}
+    for size in range(rank + 1):
+        for K in itertools.combinations(range(1, rank + 1), size):
+            r = dict(dirac_apply(P, Multivector.monomial(rank, coords, K, one)).terms)
+            for J, a in normal.items():
+                hit = _contract_sign(J, K)
+                if hit is None:
+                    continue
+                for I, p in a.items():
+                    merged = _merge_sign(I, hit[1])
+                    if merged is not None:
+                        _accumulate(r, merged[1], -p if hit[0] * merged[0] > 0 else p)
+            if any(len(I) + size not in (1, 3) for I in r):
+                return False
+            if r:
+                normal[K] = r
+    return True

@@ -708,12 +708,14 @@ def test_derived_bracket_on_the_frame_matches_the_full_family(
     witness is the one found on the order-1 families, on every pair, on a
     D broken by a C-infinity-linear term (the frame path, [D, f] and the
     anchor relation hold) and on a D broken by a coordinate derivative
-    (the fallback path, [D, f] fails).  The commutator tables are filled
-    through pair.dirac_apply and kept for the life of the pair, so each
-    broken D runs on a freshly built pair."""
+    (the fallback path, [D, f] fails).  The honest pairs run on both
+    sides.  The commutator tables are filled through pair.dirac_apply and
+    kept for the life of the pair, so each broken D runs on a freshly
+    built pair."""
     for label, P in corpus + [(P.label, P) for P in failing_pairs + pn_failing_pairs]:
-        got = generator_check(P).record("generator/derived-bracket").witness
-        assert got == _derived_bracket_oracle(P) is None, label
+        for Q in (P, P.flipped()):
+            got = generator_check(Q).record("generator/derived-bracket").witness
+            assert got == _derived_bracket_oracle(Q) is None, label
     direct = pair_module.dirac_apply
     for name, term in _odd_tensorial_terms(pn_failing_pairs[0]):
         monkeypatch.setattr(pair_module, "dirac_apply",
@@ -758,6 +760,147 @@ def test_derived_bracket_brackets_each_frame_pair_once(monkeypatch):
     frame = [str(e) for e in pair_module._double_sections(P, 0)]
     assert seen == [(e1, e2) for e2, e1 in itertools.combinations(frame, 2)]
     assert len(seen) == math.comb(2 * P.rank, 2) == 15
+
+
+def test_derived_bracket_takes_each_frame_commutator_once(monkeypatch):
+    """On the frame path generator_check takes [D, c(e1)] w once per
+    (e1, w), before the loop, and [D, c(e1)] (e2 . w) once per (e2, e1, w)
+    with e1 after e2.  The pair's D passes the Clifford-degree certificate,
+    so w runs over 1, e_1, ..., e_n: 2n (1 + n) + C(2n, 2) (1 + n) = 84
+    calls on the so(3)* double over R^3.  The certificate runs once and
+    reads each D(e_K) once, in the order of the constant spinors."""
+    P = poisson_double(PoissonManifoldData(3, [["0", "x3", "-x2"], ["-x3", "0", "x1"],
+                                                ["x2", "-x1", "0"]]))
+    commutators, reads, inside = [], [], []
+    odd, dirac, certificate = (pair_module._odd_commutator, pair_module.dirac_apply,
+                               pair_module._odd_clifford_degree_at_most_3)
+
+    def counting_odd(pair, e, w):
+        commutators.append((str(e), str(w)))
+        return odd(pair, e, w)
+
+    def counting_dirac(pair, u):
+        if inside:
+            reads.append(str(u))
+        return dirac(pair, u)
+
+    def counting_certificate(pair):
+        inside.append(pair)
+        try:
+            return certificate(pair)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(pair_module, "_odd_commutator", counting_odd)
+    monkeypatch.setattr(pair_module, "dirac_apply", counting_dirac)
+    monkeypatch.setattr(pair_module, "_odd_clifford_degree_at_most_3", counting_certificate)
+    assert generator_check(P).passed
+    n = P.rank
+    assert len(commutators) == 2 * n * (1 + n) + math.comb(2 * n, 2) * (1 + n) == 84
+    frame = [str(e) for e in pair_module._double_sections(P, 0)]
+    spinors = [str(w) for w in multivector_probes(P, 0)[:1 + n]]
+    assert commutators[:2 * n * (1 + n)] == [(e, w) for e in frame for w in spinors]
+    assert reads == [str(w) for w in multivector_probes(P, 0)]
+    assert len(reads) == 2 ** n
+
+
+def _abelian_point_pair(rank):
+    """The abelian pair of the given rank over a point: D = 0."""
+    return BialgebroidPair(point_algebra(rank, {}), point_algebra(rank, {}, "covector"))
+
+
+def _normal_ordered(rank, terms):
+    """u -> sum c e_I ^ iota_{eps^J} u over the (I, J, c) of terms, over a
+    point: an operator written in normal order."""
+    def op(u):
+        out = Multivector.zero(rank, ())
+        for I, J, c in terms:
+            inner = interior_by_form(Form.monomial(rank, (), J, const(1)), u)
+            out = out + Multivector.monomial(rank, (), I, const(c)).wedge(inner)
+        return out
+    return op
+
+
+def test_clifford_degree_certificate_on_injected_terms(pn_failing_pairs, monkeypatch):
+    """The Clifford-degree certificate on D plus a C-infinity-linear term,
+    each on a freshly built pair, [D, f] and the anchor relation holding,
+    and the derived-bracket witness is the full family's:
+    * x1 e_1 ^ iota iota (degree 3) passes, and the loop on 1 and the e_i
+      finds the full family's witness;
+    * the matrix unit x1 u_23 e_2 (degree 5) fails, and the witness is at
+      w = e[2,3];
+    * e_1 ^ iota_{eps^{1234}} of rank 4 over a point fails though it
+      vanishes on every e_K with |K| <= 3, and the witness is at
+      w = e[2,3,4];
+    * e_1 e_2 ^ iota_{eps^{345}} of rank 5 over a point, of contraction
+      order 3 and degree 5, fails, and the witness is at w = e[3,4,5];
+    * iota_{eps^{23}} of rank 4 over a point, even of degree 2, fails, and
+      the witness is at w = e[2,3], which the spinors 1, e_i miss."""
+    base = pn_failing_pairs[0]
+    (_label, wedge_contract), (_unit_label, matrix_unit) = _odd_tensorial_terms(base)
+    cases = [("x1 e1 ^ iota iota", base, wedge_contract, True, None),
+             ("x1 u_23 e2", base, matrix_unit, False, "; w = e[2,3]; "),
+             ("e1 ^ iota_1234", _abelian_point_pair(4),
+              _normal_ordered(4, [((1,), (1, 2, 3, 4), 1)]), False, "; w = e[2,3,4]; "),
+             ("e12 ^ iota_345", _abelian_point_pair(5),
+              _normal_ordered(5, [((1, 2), (3, 4, 5), 1)]), False, "; w = e[3,4,5]; "),
+             ("iota_23", _abelian_point_pair(4),
+              _normal_ordered(4, [((), (2, 3), 1)]), False, "; w = e[2,3]; ")]
+    direct = pair_module.dirac_apply
+    for name, pair, term, certified, spinor in cases:
+        monkeypatch.setattr(pair_module, "dirac_apply",
+                            lambda Q, u, term=term: direct(Q, u) + term(u))
+        P = fresh_pair(pair)
+        assert pair_module._odd_clifford_degree_at_most_3(P) is certified, name
+        rep = generator_check(P)
+        assert rep.record("generator/commutator-function").passed, name
+        assert rep.record("generator/anchor").passed, name
+        got = rep.record("generator/derived-bracket").witness
+        assert got is not None and got == _derived_bracket_oracle(P), name
+        assert spinor is None or spinor in got, name
+        monkeypatch.setattr(pair_module, "dirac_apply", direct)
+
+
+def test_clifford_degree_certificate_passes_every_package_operator(corpus, failing_pairs,
+                                                                  pn_failing_pairs):
+    """D = dstar - boundary + 1/2 (X_0 ^ . + iota_{xi_0}) is a derivative
+    part plus an odd Clifford element of degree <= 3 for any structure
+    data, so
+    the certificate passes on every corpus, failing and PN pair and on the
+    quadratic double over R^4, whose rank 4 has spinors with |K| >= 4, on
+    both sides."""
+    pairs = [P for _label, P in corpus] + list(failing_pairs) + list(pn_failing_pairs)
+    for P in pairs + [quadratic_double(4)]:
+        for Q in (P, P.flipped()):
+            assert pair_module._odd_clifford_degree_at_most_3(Q), P.label
+
+
+_RANK_4_INDICES = [I for k in range(5) for I in itertools.combinations(range(1, 5), k)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_RANK_4_INDICES), st.sampled_from(_RANK_4_INDICES),
+                          st.integers(-2, 2)).filter(lambda t: (len(t[0]) + len(t[1])) % 2),
+                min_size=1, max_size=4))
+def test_clifford_degree_certificate_matches_the_normal_order(terms):
+    """On the abelian rank-4 pair over a point with D plus a drawn odd
+    operator sum c e_I ^ iota_{eps^J}, the certificate says whether every
+    nonzero term of the summed normal order has |I| + |J| <= 3 (terms may
+    cancel), and generator_check's derived-bracket witness is the full
+    family's either way.  The even case is in
+    test_clifford_degree_certificate_on_injected_terms."""
+    summed = {}
+    for I, J, c in terms:
+        summed[I, J] = summed.get((I, J), 0) + c
+    low_degree = all(len(I) + len(J) <= 3 for (I, J), c in summed.items() if c)
+    term = _normal_ordered(4, terms)
+    direct = pair_module.dirac_apply
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pair_module, "dirac_apply", lambda Q, u: direct(Q, u) + term(u))
+        P = _abelian_point_pair(4)
+        assert pair_module._odd_clifford_degree_at_most_3(P) is low_degree
+        got = generator_check(P).record("generator/derived-bracket").witness
+        assert got == _derived_bracket_oracle(P)
 
 
 def test_courant_and_generator_apply_no_anchor_to_functions(corpus, failing_pairs,
