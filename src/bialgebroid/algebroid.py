@@ -14,9 +14,10 @@ apply verbatim to either half.
 Both the differential and the Schouten bracket are derivations, each fixed
 by its values on the coordinates x_a and on frame generators
 (Kosmann-Schwarzbach 1995; Xu 1999).  One loop, AlgebroidStructure._derive,
-applies such a derivation to p x_J:
+applies such a derivation to a frame monomial x_J, for the unit entries of
+their frame tables:
 
-    delta(p x_J) = delta(p) ^ x_J + p sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t}.
+    delta(x_J) = sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t}.
 
 The differential is the odd derivation of the dual exterior algebra with
 d x_a = sum_i rho(e_i)(x_a) eps^i (column a of the anchor) and
@@ -40,9 +41,12 @@ adds the entries [[Q, x_a], x_b] e_I (_order_two_apply, _order_two_entry).
 
 The Schouten bracket extends [.,.] and the anchor action as a graded
 biderivation: [u, v ^ w] = [u, v] ^ w + (-1)^((|u|-1)|v|) v ^ [u, w] and
-[u, v] = -(-1)^((|u|-1)(|v|-1)) [v, u].  So [p e_I, .] is the derivation of
-parity |I| - 1, and its value on a generator e_m is -[e_m, p e_I], the even
-derivation [e_m, .] on p e_I: the same loop, run twice.
+[u, v] = -(-1)^((|u|-1)(|v|-1)) [v, u].  It has order <= 1 in the
+functions of each slot and no mixed second-order term, as [f, g] = 0 for
+functions f, g, so it is read off one more frame table of the structure
+(_schouten_table: S(I, J) = [e_I, e_J], filled by _derive on unit
+coefficients, and S(I, J, a) = [e_I, x_a] ^ e_J, in closed form from the
+anchor), free of the section kind like _d_table.
 
 The boundary operator is the differential conjugated by the top
 contraction (exterior._complement), one formula for both section kinds.
@@ -60,7 +64,7 @@ from typing import Dict, List, Optional, Tuple
 from .exterior import (Form, FrameData, GradedElement, Index, Multivector, _accumulate,
                        _complement, _inverse_sign, _merge_sign, interior_by_form,
                        interior_by_multivector)
-from .ring import Exponent, Polynomial, _add_term, apply_field, field_bracket
+from .ring import Exponent, Polynomial, _add_term, field_bracket
 
 Key = Tuple[int, int]
 # A frame table entry: the terms of an element of the dual exterior
@@ -83,12 +87,13 @@ class FrameTable(dict):
 
     These are the stores that outlive a call, and none lives for one call
     only:
-    * three per AlgebroidStructure's anchor and brackets, free of the
+    * four per AlgebroidStructure's anchor and brackets, free of the
       section kind and so shared by P's side and the same data's side of
       P.flipped() (AlgebroidStructure._retyped): _bracket_cache (the terms
-      of [e_i, e_j]; bracket_pair, the Schouten bracket), _d_basis_cache
-      (d eps^k) and _d_table (d eps^J and [d, x_a] eps^J = dx_a ^ eps^J,
-      read by _order_one_apply; differential);
+      of [e_i, e_j]; bracket_pair and the fills of _schouten_table),
+      _d_basis_cache (d eps^k), _d_table (d eps^J and [d, x_a] eps^J =
+      dx_a ^ eps^J, read by _order_one_apply; differential) and
+      _schouten_table ([e_I, e_J] and [e_I, x_a] ^ e_J; schouten);
     * six per pair.BialgebroidPair, of its structures and frame, with
       P.flipped() keeping its own: _dirac_tables (D(e_I) and [D, x_a] e_I;
       dirac_apply), _dorfman_table (e_alpha o e_beta and D x_a; dorfman),
@@ -159,6 +164,7 @@ class AlgebroidStructure:
         self._bracket_cache = FrameTable(self, AlgebroidStructure._bracket_entry)
         self._d_basis_cache = FrameTable(self, AlgebroidStructure._d_basis)
         self._d_table = FrameTable(self, AlgebroidStructure._d_entry)
+        self._schouten_table = FrameTable(self, AlgebroidStructure._schouten_entry)
 
     def _check_poly(self, p):
         if not isinstance(p, Polynomial):
@@ -235,21 +241,15 @@ class AlgebroidStructure:
 
     # -- the derivation loop ------------------------------------------------------
 
-    def _derive(self, out: Dict[Index, Polynomial], p: Polynomial, J: Index,
-                head: Dict[Index, Polynomial], image, odd: bool) -> None:
-        """Add delta(p x_J) into out, for the derivation delta with
-        delta(p) = head (as terms) and delta(x_j) = image(j) (as terms):
+    def _derive(self, out: Dict[Index, Polynomial], J: Index, image, odd: bool) -> None:
+        """Add delta(x_J) into out, for the derivation delta with
+        delta(1) = 0 and delta(x_j) = image(j) (as terms):
 
-            delta(p x_J) = delta(p) ^ x_J
-                + p sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t},
+            delta(x_J) = sum_t (+-1)^t x_{J<t} ^ delta(x_{J_t}) ^ x_{J>t},
 
         the sign (-1)^t for an odd derivation and +1 for an even one.  Each
         image is placed by _merge_sign on index tuples, with no temporary
         element."""
-        for K, c in head.items():
-            hit = _merge_sign(K, J)
-            if hit is not None:
-                _accumulate(out, hit[1], c if hit[0] > 0 else -c)
         for t, j in enumerate(J):
             pre, post = J[:t], J[t + 1:]
             flip = odd and t % 2 == 1
@@ -257,8 +257,7 @@ class AlgebroidStructure:
                 left = _merge_sign(pre, K)
                 right = left and _merge_sign(left[1], post)
                 if right:
-                    q = p * c
-                    _accumulate(out, right[1], q if (left[0] * right[0] > 0) != flip else -q)
+                    _accumulate(out, right[1], c if (left[0] * right[0] > 0) != flip else -c)
 
     def _d_basis(self, k: int) -> Dict[Index, Polynomial]:
         """The terms of d eps^k = - sum_{i<j} c_ij^k eps^i ^ eps^j."""
@@ -271,8 +270,7 @@ class AlgebroidStructure:
         J, a = key
         if a is None:
             out: Dict[Index, Polynomial] = {}
-            self._derive(out, Polynomial.const(self.coordinates, 1), J, {},
-                         self._d_basis_cache.__getitem__, True)
+            self._derive(out, J, self._d_basis_cache.__getitem__, True)
             return tuple((K, p.terms) for K, p in out.items())
         column = []
         for i, row in enumerate(self.anchor, start=1):
@@ -297,41 +295,76 @@ class AlgebroidStructure:
 
     # -- Schouten bracket ------------------------------------------------------
 
-    def _bracket_with_basis(self, p: Polynomial, I: Index, m: int) -> Dict[Index, Polynomial]:
-        """The terms of [p e_I, e_m] = -[e_m, p e_I], where -[e_m, .] is the
-        even derivation with -[e_m, p] = -rho(e_m) p and -[e_m, e_i] = [e_i, e_m]."""
+    def _schouten_entry(self, key: Tuple[Index, Index, Optional[int]]) -> FrameTerms:
+        """The terms of S(I, J) = [e_I, e_J] at (I, J, None) and of
+        S(I, J, a) = [e_I, x_a] ^ e_J at (I, J, a), with k = |I|.
+
+        [e_I, .] is the derivation of parity k - 1 with [e_I, 1] = 0, and its
+        value on a generator e_m is [e_I, e_m] = -[e_m, e_I], the even
+        derivation -[e_m, .] on e_I with -[e_m, e_i] = [e_i, e_m]: _derive
+        run twice on unit coefficients.  On a coordinate it is
+        [e_I, x_a] = sum_t (-1)^(k-1-t) rho^a_{I_t} e_{I without I_t}, from
+        column a of the anchor."""
+        I, J, a = key
         out: Dict[Index, Polynomial] = {}
-        head = {(): -apply_field(self.anchor[m - 1], p, self.coordinates)}
-        self._derive(out, p, I, head, lambda i: self._bracket_terms(i, m), False)
-        return out
+        if a is None:
+            def image(m):
+                terms: Dict[Index, Polynomial] = {}
+                self._derive(terms, I, lambda i: self._bracket_terms(i, m), False)
+                return terms
+
+            self._derive(out, J, image, bool((len(I) - 1) & 1))
+        else:
+            for t, i in enumerate(I):
+                rho = self.anchor[i - 1][a]
+                hit = rho and _merge_sign(I[:t] + I[t + 1:], J)
+                if hit:
+                    even = (len(I) - 1 - t) % 2 == 0
+                    _accumulate(out, hit[1], rho if (hit[0] > 0) == even else -rho)
+        return tuple((K, p.terms) for K, p in out.items())
 
     def schouten(self, u, v):
-        """Schouten bracket of two sections of the exterior algebra of A.
+        """Schouten bracket of two sections of the exterior algebra of A,
+        read off _schouten_table.  [., .] has order <= 1 in the functions of
+        each slot and no mixed second-order term, since [f, g] = 0 for
+        functions, so with k = |I| and l = |J|
 
-        For a term p e_I of u with |I| = k, [p e_I, .] is the derivation of
-        parity k - 1 with [p e_I, q] = p sum_t (-1)^(k-1-t) (rho(e_{I_t}) q)
-        e_{I without I_t} and [p e_I, e_m] = -[e_m, p e_I]."""
+            [x^gamma e_I, x^delta e_J] = x^(gamma + delta) S(I, J)
+                + sum_a delta_a x^(gamma + delta - 1_a) S(I, J, a)
+                - (-1)^((k-1)(l-1)) sum_a gamma_a x^(gamma + delta - 1_a) S(J, I, a),
+
+        from [f e_I, g e_J] = f g [e_I, e_J] + f [e_I, g] ^ e_J
+        - (-1)^((k-1)(l-1)) g [e_J, f] ^ e_I and [e_I, g] = sum_a (d_a g)
+        [e_I, x_a].  Each table term is shifted in its exponent and scaled
+        into one {K: {exponent: coefficient}} map, as in _order_one_apply."""
         for w in (u, v):
             if not isinstance(w, self.section_cls):
                 raise AlgebroidError(f"schouten expects {self.section_cls.__name__} arguments")
             if w.rank != self.rank or w.variables != self.coordinates:
                 raise AlgebroidError("rank or variable context mismatch")
-        out: Dict[Index, Polynomial] = {}
+        table, coords = self._schouten_table, self.coordinates
+        acc: Dict[Index, Dict[Exponent, Fraction]] = {}
         for I, p in u.terms.items():
-            k, images = len(I), {}
-
-            def image(m):
-                if m not in images:
-                    images[m] = self._bracket_with_basis(p, I, m)
-                return images[m]
-
             for J, q in v.terms.items():
-                head: Dict[Index, Polynomial] = {}
-                for t, i in enumerate(I):
-                    c = p * apply_field(self.anchor[i - 1], q, self.coordinates)
-                    head[I[:t] + I[t + 1:]] = c if (k - 1 - t) % 2 == 0 else -c
-                self._derive(out, q, J, head, image, bool((k - 1) & 1))
-        return self.section_cls._raw(self.rank, self.coordinates, out)
+                unit = table[I, J, None]
+                swap = 1 if (len(I) - 1) * (len(J) - 1) % 2 else -1
+                for g, c in p.terms.items():
+                    for h, c2 in q.terms.items():
+                        both = tuple(map(add, g, h))
+                        cc = c2 if c == 1 else c if c2 == 1 else c * c2
+                        _shifted_into(acc, unit, both, cc)
+                        for a, (ga, ha) in enumerate(zip(g, h)):
+                            if ga or ha:
+                                lower = both[:a] + (both[a] - 1,) + both[a + 1:]
+                                if ha:
+                                    _shifted_into(acc, table[I, J, a], lower,
+                                                  cc if ha == 1 else cc * ha)
+                                if ga:
+                                    k = ga * swap
+                                    _shifted_into(acc, table[J, I, a], lower,
+                                                  cc if k == 1 else -cc if k == -1 else cc * k)
+        return self.section_cls._raw(self.rank, coords, {K: Polynomial._raw(coords, slot)
+                                                         for K, slot in acc.items() if slot})
 
     # -- Lie derivative -----------------------------------------------------------
 

@@ -31,8 +31,11 @@ on failure.
 Derivation identities on generators.  The Leibniz rule of dstar over the
 bracket (is_lie_bialgebroid, thm-c (a)) and the Laplacian as a derivation
 of the wedge product (thm-c (i), g14) and of the bracket (g15) run through
-one loop, _derivation_witness, on the pairs of generators x_a, e_i
-instead of all pairs of probes; the argument is in its docstring.
+one loop, _derivation_witness, on the unordered pairs u <= v of generators
+x_a, e_i instead of all pairs of probes, since the defect is a graded
+biderivation, symmetric up to sign; the argument is in its docstring.
+Each Schouten bracket there is a read of the structure's frame table
+(AlgebroidStructure.schouten), shared by P and its flip.
 courant_axioms likewise decides each Courant axiom of the double on the
 smallest section family the order of its defect allows: the frame, the
 frame with its x_a multiples, and the coordinates x_a.  generator_check
@@ -61,22 +64,27 @@ primal witness found on the flipped pair, so it names flipped elements
 
 Stores that outlive a call.  Every decision runs on P and P.flipped().
 The operators of order <= 1 in the base functions (d, D, each [D, c(e)]
-and the square formula's half modular Lie derivative) and the Laplacian,
-of order <= 2, read term by term off frame tables of immutable data,
-through algebroid._order_one_apply and _order_two_apply.  P and its flip
+and the square formula's half modular Lie derivative), the Laplacian, of
+order <= 2, and the Schouten bracket, of order <= 1 in each slot, read
+term by term off frame tables of immutable data, through
+algebroid._order_one_apply, _order_two_apply and
+AlgebroidStructure.schouten.  P and its flip
 share the structure tables, each side's data filling its tables once, and
 each keep their own six pair tables; algebroid.FrameTable states the
-contract and lists every store that outlives a call.
+contract and lists every store that outlives a call.  P holds its flip
+and the flip holds P by a weak reference, so a dropped pair needs no
+cycle collector.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebroid import (AlgebroidError, AlgebroidStructure, FrameTable, FrameTerms,
                         _order_one_apply, _order_one_entry, _order_two_apply, _order_two_entry,
@@ -293,7 +301,7 @@ class BialgebroidPair:
         self.frame = frame
         self.label = label
         self._modular: ModularData | None = None
-        self._flipped: BialgebroidPair | None = None
+        self._flipped: Callable[[], Optional[BialgebroidPair]] = lambda: None
         self._create_frame_tables()
 
     def _create_frame_tables(self) -> None:
@@ -358,20 +366,20 @@ class BialgebroidPair:
     def flipped(self) -> "BialgebroidPair":
         """The pair (A*, A): A*'s data on the vector side, A's on the covector side.
 
-        Built once and cached, and P.flipped().flipped() is P.  The halves
+        Built once, and P holds it for the rest of its life; the flip holds
+        P by a weak reference, so P.flipped().flipped() is P while P lives,
+        and the two form no reference cycle: a dropped pair is freed with
+        its flip and their tables without the cycle collector.  A flip whose
+        P is gone builds a fresh flip of its own when asked.  The halves
         are P's structures retyped (AlgebroidStructure._retyped): they hold
         P's structure tables, which do not depend on the section kind, so
         an entry filled on one pair is read on the other.  They are not
         re-validated (the axioms do not depend on which side is called
         primal), and the modular cocycles are P's, swapped and retyped, not
         recomputed.  The flip keeps six pair tables of its own.
-
-        P and its flip hold each other, so a flipped pair is freed by the
-        cycle collector, not when its last reference goes: with gc.disable(),
-        del P leaves P, its flip and their structures alive until
-        gc.collect().
         """
-        if self._flipped is None:
+        twin = self._flipped()
+        if twin is None:
             mod = self.modular
             twin = object.__new__(BialgebroidPair)
             twin.A = self.Astar._retyped("vector")
@@ -379,10 +387,10 @@ class BialgebroidPair:
             twin.frame = self.frame
             twin.label = self.label
             twin._modular = ModularData(x0=retype(mod.xi0), xi0=retype(mod.x0))
-            twin._flipped = self
+            twin._flipped = weakref.ref(self)
             twin._create_frame_tables()
-            self._flipped = twin
-        return self._flipped
+            self._flipped = lambda: twin
+        return twin
 
 
 # -- probe families ------------------------------------------------------------
@@ -923,7 +931,9 @@ def dirac_star_square(P: BialgebroidPair) -> ScalarReport:
 def _derivation_witness(P: BialgebroidPair, op, product, sign: int, names) -> Optional[str]:
     """First failure of op(u v) = op(u) v + sign^(|u|-1) u op(v) over the
     ordered pairs of the generators [x_1..x_m, e_1..e_n] of
-    wedge A = Poly[x] (x) Lambda[e], or None.
+    wedge A = Poly[x] (x) Lambda[e], or None, taken on the pairs u <= v in
+    that order: g + g(g+1)/2 calls of op and 3 g(g+1)/2 of product, with
+    g = m + n.
 
     product is the wedge or the Schouten bracket P.A.schouten, sign is -1
     for the graded Leibniz rule of dstar over the bracket and +1 for the
@@ -945,13 +955,20 @@ def _derivation_witness(P: BialgebroidPair, op, product, sign: int, names) -> Op
     give first: if T(u, v) != 0, T is nonzero on some pair of generators
     of u and of v, and those come no later in the probe order (x_a before
     x^gamma at I = (), e_i before x^gamma e_i and every |I| >= 2).
+
+    The pairs u > v are skipped with the same witness.  The product is
+    graded antisymmetric (the bracket, [v, u] = -(-1)^((|u|-1)(|v|-1))
+    [u, v]) or graded commutative (the wedge), and op is linear and
+    homogeneous on generators (of degree 1 for dstar, 0 for Lap), so
+    T(v, u) = +-T(u, v).  If u > v and T(u, v) != 0, then T(v, u) != 0 and
+    (v, u) comes earlier, so the first failing ordered pair has u <= v.
     """
     gens = _generator_products(P, 1)[1:]
     images = [op(g) for g in gens]
     lhs_name, rhs_name = names
-    for u, op_u in zip(gens, images):
+    for t, (u, op_u) in enumerate(zip(gens, images)):
         s = sign if u.max_degree() == 0 else 1  # sign^(|u|-1), |u| is 0 or 1
-        for v, op_v in zip(gens, images):
+        for v, op_v in zip(gens[t:], images[t:]):
             lhs = op(product(u, v))
             rhs = product(op_u, v) + product(u, op_v).scaled(s)
             if lhs != rhs:

@@ -493,15 +493,17 @@ def _elements(cls, rank, coords):
 
 
 @pytest.fixture(scope="module")
-def gate_structures(corpus, pn_failing_pairs):
-    """VALID_STRUCTURES (vector side) and both halves of every corpus and PN
-    pair, so that both section kinds are covered, and of the log-canonical
-    double over R^3, whose quadratic anchor and non-integer brackets take
-    the differential's frame tables past the identity anchor.  Each pair's
-    flip adds its two halves, which read the tables of P's mirror sides,
-    filled first by the other section kind."""
+def gate_structures(corpus, failing_pairs, pn_failing_pairs):
+    """VALID_STRUCTURES (vector side) and both halves of every corpus pair,
+    failing pair (over a point and over R^2) and PN failing pair, so that
+    both section kinds are covered, and of the log-canonical double over
+    R^3, whose quadratic anchor and non-integer brackets take the
+    differential's and the Schouten bracket's frame tables past the
+    identity anchor.  Each pair's flip adds its two halves, which read the
+    tables of P's mirror sides, filled first by the other section kind."""
     out = [factory() for factory in VALID_STRUCTURES]
-    for P in [P for _label, P in corpus] + list(pn_failing_pairs) + [log_canonical_double()]:
+    for P in [P for _label, P in corpus] + list(failing_pairs) + list(pn_failing_pairs) \
+            + [log_canonical_double()]:
         out += [P.A, P.Astar, P.flipped().A, P.flipped().Astar]
     return out
 

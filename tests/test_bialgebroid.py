@@ -273,6 +273,32 @@ def _derivation_oracle(P, probes, op, product, sign, names):
     return None
 
 
+@pytest.mark.parametrize("build", [quadratic_double, lambda m: a_plus_b(1, 2, 3, 4)])
+def test_derivation_witness_takes_each_unordered_generator_pair_once(build):
+    """On a passing pair, _derivation_witness applies op to the g = m + n
+    generators and to the product of each of the g(g+1)/2 pairs u <= v, and
+    takes 3 g(g+1)/2 products: u v, op(u) v and u op(v) for each pair."""
+    P = build(2)
+    g = len(P.coordinates) + P.rank
+    for op, product, sign in ((P.dstar, P.A.schouten, -1),
+                              (lambda u: laplacian(P, u), Multivector.wedge, 1),
+                              (lambda u: laplacian(P, u), P.A.schouten, 1)):
+        ops, products = [], []
+
+        def counted_op(u, op=op):
+            ops.append(u)
+            return op(u)
+
+        def counted_product(u, v, product=product):
+            products.append((u, v))
+            return product(u, v)
+
+        assert pair_module._derivation_witness(P, counted_op, counted_product, sign,
+                                               ("lhs", "rhs")) is None
+        assert len(ops) == g + g * (g + 1) // 2
+        assert len(products) == 3 * g * (g + 1) // 2
+
+
 def _leibniz_oracle(P, probes):
     return _derivation_oracle(P, [u for u in probes if u.max_degree() <= 2], P.dstar,
                               P.A.schouten, -1, ("dstar[u,v]", "Leibniz side"))

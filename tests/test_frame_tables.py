@@ -1,10 +1,10 @@
 """The top-form coefficient x -> a(x) of the thm-c trace in closed form,
 the function Laplacians of thm-c (g)/(h) once per monomial, and the frame
-tables (FrameTable) of the differential, of D, of the Dorfman bracket, of
-the Courant anchor defect, of [D, c(e)], of the Laplacian and of the half
-modular Lie derivative: exact against the direct operators, each table
-entry filled once and kept for the life of its owner, and the same
-reports from cold and warm tables."""
+tables (FrameTable) of the differential, of the Schouten bracket, of D,
+of the Dorfman bracket, of the Courant anchor defect, of [D, c(e)], of
+the Laplacian and of the half modular Lie derivative: exact against the
+direct operators, each table entry filled once and kept for the life of
+its owner, and the same reports from cold and warm tables."""
 
 import gc
 import json
@@ -21,7 +21,6 @@ from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector,
                          dirac_star_apply, dirac_star_square, dorfman, find_counterexample_pairs,
                          generator_check, is_lie_bialgebroid, laplacian, multivector_probes,
                          rho_field, theorem_c_suite)
-from bialgebroid import algebroid as algebroid_module
 from bialgebroid.algebroid import FrameTable
 from bialgebroid import pair as pair_module
 from bialgebroid.exterior import interior_by_form, retype
@@ -624,7 +623,7 @@ def test_frame_table_fills_each_key_once():
     assert gone() is None
 
 
-STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_table"}
+STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_table", "_schouten_table"}
 PAIR_TABLES = {"_dirac_tables", "_dorfman_table", "_defect_table", "_commutator_tables",
                "_laplacian_table", "_modular_lie_table"}
 
@@ -634,14 +633,28 @@ def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
     frame tables FrameTable's docstring lists, and no other.  P, its flip
     and P's two structures each hold FrameTables of their own; the flip's
     structures hold the tables of P's mirror sides, twin.A P.Astar's and
-    twin.Astar P.A's.  All are empty, except that validating P's
-    structures in its constructor reads frame brackets [e_i, e_j], i < j."""
+    twin.Astar P.A's.  All are empty, except what P's structures hold
+    once the pair is built and flipped:
+    * validate_algebroid, in the constructor, fills _schouten_table on
+      single frame indices only through its Jacobi sums [[e_i, e_j], e_k]:
+      S((i,), (j,)) = [e_i, e_j] and S((i,), (j,), a) = [e_i, x_a] ^ e_j;
+    * the modular cocycles, taken by flipped(), fill S((i,), T) = [e_i, e_T]
+      and, on their tensoriality probes x_a e_i, S(T, (i,), a), where T is
+      the top index (1, ..., n);
+    * those fills and the anchor check read the frame brackets [e_i, e_j],
+      i < j, into _bracket_cache."""
     for names in (STRUCTURE_TABLES, PAIR_TABLES):
         assert all(name in FrameTable.__doc__ for name in names)
     for label in ("poisson-linear", "exact-so3"):
         P = fresh_pair(dict(corpus)[label])
         twin = P.flipped()
-        brackets = {(i, j) for i in range(1, P.rank + 1) for j in range(i + 1, P.rank + 1)}
+        frame, top = range(1, P.rank + 1), P.frame.top_index
+        coords = (None, *range(len(P.coordinates)))
+        validated = {"_bracket_cache": {(i, j) for i in frame for j in frame if i < j},
+                     "_schouten_table": {((i,), (j,), a) for i in frame for j in frame
+                                         for a in coords}
+                     | {((i,), top, None) for i in frame}
+                     | {(top, (i,), a) for i in frame for a in coords[1:]}}
         seen = set()
         for owner, names in ((P, PAIR_TABLES), (twin, PAIR_TABLES), (P.A, STRUCTURE_TABLES),
                              (P.Astar, STRUCTURE_TABLES)):
@@ -650,7 +663,7 @@ def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
             assert tables.keys() == names, (label, type(owner).__name__)
             for name, table in tables.items():
                 assert type(table) is FrameTable, (label, name)
-                read = set(table) <= brackets if name == "_bracket_cache" \
+                read = set(table) <= validated[name] if name in validated \
                     and owner in (P.A, P.Astar) else not table
                 assert read, (label, type(owner).__name__, name)
                 assert id(table) not in seen, (label, name)
@@ -664,9 +677,11 @@ def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
 
 
 def test_a_dropped_pair_is_freed_with_its_tables(corpus):
-    """A pair that was never flipped, and its structures, are freed as soon
-    as the last reference goes, filled tables and all: no table forms a
-    reference cycle with its owner, so none waits for the cycle collector."""
+    """A pair, its structures and, once it is flipped and decided, its flip
+    and the flip's structures are freed as soon as the last reference to
+    the pair goes, filled tables and all: no table forms a reference cycle
+    with its owner, and the flip holds the pair by a weak reference, so
+    none waits for the cycle collector."""
     P = fresh_pair(dict(corpus)["poisson-linear"])
     x, y = SectionE.of(vec=P.basis_e(1)), SectionE.of(cov=P.basis_eps(1))
     dirac_apply(P, P.basis_e(1).scaled(Polynomial.variable(P.coordinates, P.coordinates[0])))
@@ -682,6 +697,39 @@ def test_a_dropped_pair_is_freed_with_its_tables(corpus):
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+    P = fresh_pair(dict(corpus)["poisson-linear"])
+    for suite in SUITES:
+        suite(P)
+    twin = P.flipped()
+    assert twin.flipped() is P
+    assert all(getattr(twin, name) for name in PAIR_TABLES - {"_commutator_tables"})
+    assert P.A._schouten_table and P.Astar._schouten_table
+    refs = [weakref.ref(owner) for owner in (P, P.A, P.Astar, twin, twin.A, twin.Astar)]
+    del twin
+    gc.disable()
+    try:
+        del P
+        assert [ref() for ref in refs] == [None] * 6
+    finally:
+        gc.enable()
+
+
+def test_a_flip_whose_pair_is_gone_builds_a_fresh_flip(corpus):
+    """A flip holds its pair weakly: once the pair is dropped, the flip's
+    flip is a new pair with the original's data, reports and frame, which
+    the flip then keeps, and whose own flip is the flip again."""
+    P = fresh_pair(dict(corpus)["poisson-linear"])
+    expected = [_printed(suite, P) for suite in (is_lie_bialgebroid, dirac_square)]
+    twin = P.flipped()
+    gone = weakref.ref(P)
+    del P
+    assert gone() is None
+    again = twin.flipped()
+    assert again is twin.flipped() and again.flipped() is twin
+    assert again.frame is twin.frame and again.A.section_kind == "vector"
+    assert (again.A.anchor, again.A.brackets) == (twin.Astar.anchor, twin.Astar.brackets)
+    assert again.A._schouten_table is twin.Astar._schouten_table
+    assert [_printed(suite, again) for suite in (is_lie_bialgebroid, dirac_square)] == expected
 
 
 def test_a_flipped_structure_outlives_its_pair(corpus):
@@ -728,30 +776,24 @@ def test_suites_store_nothing_on_the_pair(corpus):
 
 
 def test_differential_applies_no_vector_field(monkeypatch):
-    """The differential reads d x_a ^ eps^J and d eps^J off the structure's
-    frame tables: one dirac_square on the quadratic double at m = 3 applies
-    no vector field inside a differential, though the Schouten brackets of
-    its Lie derivatives along A* still do."""
+    """The differential reads d x_a ^ eps^J and d eps^J, and the Schouten
+    bracket [e_I, x_a] ^ e_J and [e_I, e_J], off the structure's frame
+    tables: one dirac_square on the quadratic double at m = 3
+    differentiates no polynomial, though the modular cocycles, taken first,
+    do (the divergences of the anchor fields)."""
     P = quadratic_double(3)
-    P.flipped().modular, P.modular
-    depth, inside, outside = [0], [], []
-    direct, field = AlgebroidStructure.differential, algebroid_module.apply_field
-
-    def differential(side, w):
-        depth[0] += 1
-        try:
-            return direct(side, w)
-        finally:
-            depth[0] -= 1
+    calls, direct = [], Polynomial.diff
 
     def counting(*args):
-        (inside if depth[0] else outside).append(args)
-        return field(*args)
+        calls.append(args)
+        return direct(*args)
 
-    monkeypatch.setattr(AlgebroidStructure, "differential", differential)
-    monkeypatch.setattr(algebroid_module, "apply_field", counting)
+    monkeypatch.setattr(Polynomial, "diff", counting)
+    P.flipped().modular, P.modular
+    assert calls
+    calls.clear()
     assert dirac_square(P).is_scalar
-    assert inside == [] and outside
+    assert calls == []
 
 
 COLD_BUILDERS = [lambda: quadratic_double(3), log_canonical_double, tangent_against_solvable,
@@ -801,14 +843,38 @@ def test_cold_and_warm_frame_tables_give_the_same_reports(build):
         assert getattr(twin, name) is not getattr(P, name) and getattr(twin, name) == {}, name
 
 
+@pytest.mark.parametrize("build", COLD_BUILDERS)
+def test_schouten_reading_suites_are_the_same_cold_and_warm_on_both_sides(build):
+    """is_lie_bialgebroid, theorem_c_suite and corollary_suite, which take
+    the Schouten bracket of generator pairs, print byte-identical reports
+    (or refusals) on a freshly built pair and on one whose structure
+    tables, the Schouten table included, the same suites have filled, on P
+    and on P.flipped(), whose sides read P's tables.  A fresh pair's
+    Schouten tables hold only what its constructor's validation fills."""
+    suites = (is_lie_bialgebroid, theorem_c_suite, corollary_suite)
+    warm = build()
+    for Q in (warm, warm.flipped()):
+        for suite in suites:
+            _printed(suite, Q)
+    assert all(side._schouten_table for side in (warm.A, warm.Astar))
+    for suite in suites:
+        for flip in (False, True):
+            cold = fresh_pair(warm)
+            assert all(len(c._schouten_table) < len(w._schouten_table)
+                       for c, w in ((cold.A, warm.A), (cold.Astar, warm.Astar)))
+            on_cold, on_warm = (cold.flipped(), warm.flipped()) if flip else (cold, warm)
+            assert _printed(suite, on_cold) == _printed(suite, on_warm), (suite.__name__, flip)
+
+
 def test_no_structure_key_is_filled_twice_across_a_pair_and_its_flip(monkeypatch):
     """The seven suites on a freshly built quadratic_double(4) fill each key
-    of each side's structure tables once across P and P.flipped(), whose
-    structures hold the tables of P's mirror sides, and print the same
-    reports as on a pair built without counting."""
+    of each side's structure tables (the Schouten table included) once
+    across P and P.flipped(), whose structures hold the tables of P's
+    mirror sides, and print the same reports as on a pair built without
+    counting."""
     plain = quadratic_double(4)
     expected = [_printed(suite, plain) for suite in SUITES]
-    fills, fill_names = [], ("_d_entry", "_bracket_entry", "_d_basis")
+    fills, fill_names = [], ("_d_entry", "_bracket_entry", "_d_basis", "_schouten_entry")
     for name in fill_names:
         def counted(side, key, name=name, direct=getattr(AlgebroidStructure, name)):
             fills.append((side, name, key))

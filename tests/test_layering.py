@@ -5,12 +5,17 @@ Every relative import counts, function-local ones included.
 
 Every store that outlives a call is an algebroid.FrameTable, apart from
 the bounded functools.lru_cache sign tables of exterior, so no module
-keeps a hand-rolled get/fill cache."""
+keeps a hand-rolled get/fill cache, and every FrameTable an owner keeps
+as an attribute is named in FrameTable's docstring, the one list of
+stores."""
 
 import ast
 from pathlib import Path
 
 import bialgebroid
+from bialgebroid.algebroid import FrameTable
+
+from test_frame_tables import PAIR_TABLES, STRUCTURE_TABLES
 
 PACKAGE = Path(bialgebroid.__file__).parent
 
@@ -80,3 +85,27 @@ def test_frame_table_is_the_one_table_type():
             for kind, name in found if kind == "__missing__"] == [("algebroid", "FrameTable")]
     assert {stem for stem, found in sites.items()
             if any(kind == "lru_cache" for kind, _ in found)} == {"exterior"}
+
+
+def frame_table_attributes(source):
+    """(line, name) for every `self.<name> = FrameTable(...)` in source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and getattr(node.value.func, "id", None) == "FrameTable":
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self":
+                    yield node.lineno, target.attr
+
+
+def test_the_scan_sees_every_frame_table_attribute():
+    source = "class T:\n    def __init__(self):\n        self.a = FrameTable(self, f)\n" \
+             "        self.b = FrameTable(self, lambda o, k: FrameTable(o, g))\n" \
+             "        c = FrameTable(self, f)\n        self.d = dict()\n"
+    assert list(frame_table_attributes(source)) == [(3, "a"), (4, "b")]
+
+
+def test_every_frame_table_is_documented():
+    names = {name for path in sorted(PACKAGE.glob("*.py"))
+             for _line, name in frame_table_attributes(path.read_text())}
+    assert [name for name in sorted(names) if name not in FrameTable.__doc__] == []
+    assert names == STRUCTURE_TABLES | PAIR_TABLES
