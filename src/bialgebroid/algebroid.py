@@ -94,16 +94,19 @@ class FrameTable(dict):
       _d_basis_cache (d eps^k), _d_table (d eps^J and [d, x_a] eps^J =
       dx_a ^ eps^J, read by _order_one_apply; differential) and
       _schouten_table ([e_I, e_J] and [e_I, x_a] ^ e_J; schouten);
-    * six per pair.BialgebroidPair, of its structures and frame, with
+    * seven per pair.BialgebroidPair, of its structures and frame, with
       P.flipped() keeping its own: _dirac_tables (D(e_I) and [D, x_a] e_I;
       dirac_apply), _dorfman_table (e_alpha o e_beta and D x_a; dorfman),
       _defect_table (X(e_alpha, e_beta) and rho(D x_a);
       _anchor_defect_field), _commutator_tables (per frame section, a
       FrameTable of [D, c(e_alpha)] e_I and {c(e_alpha), [D, x_a]} e_I;
       _odd_commutator), _modular_lie_table (1/2 (L_{X_0} + L_{xi_0})
-      e_I and its [., x_a] e_I; _half_modular_lie) and _laplacian_table
+      e_I and its [., x_a] e_I; _half_modular_lie), _laplacian_table
       (Lap(e_I), [Lap, x_a] e_I and [[Lap, x_a], x_b] e_I, a <= b, read by
-      _order_two_apply; laplacian);
+      _order_two_apply; laplacian) and _trace_table (the thm-c (c) trace
+      defect's frame values G(e_i, eps^j) with their first- and
+      second-order terms, and the top-form constants a(e_alpha);
+      _trace_residual and _top_lie_coefficient);
     * the sign tables of pairs of index tuples, exterior._merge_sign and
       _contract_sign, which depend on no owner: bounded functools.lru_cache
       tables (exterior._SIGN_CACHE).
@@ -336,7 +339,9 @@ class AlgebroidStructure:
         from [f e_I, g e_J] = f g [e_I, e_J] + f [e_I, g] ^ e_J
         - (-1)^((k-1)(l-1)) g [e_J, f] ^ e_I and [e_I, g] = sum_a (d_a g)
         [e_I, x_a].  Each table term is shifted in its exponent and scaled
-        into one {K: {exponent: coefficient}} map, as in _order_one_apply."""
+        into one {K: {exponent: coefficient}} map, as in _order_one_apply.
+        S((), J), S(I, ()) and S((), J, a) vanish, as [1, .] = [., 1] = 0
+        for the unit function 1, and are not read."""
         for w in (u, v):
             if not isinstance(w, self.section_cls):
                 raise AlgebroidError(f"schouten expects {self.section_cls.__name__} arguments")
@@ -346,7 +351,7 @@ class AlgebroidStructure:
         acc: Dict[Index, Dict[Exponent, Fraction]] = {}
         for I, p in u.terms.items():
             for J, q in v.terms.items():
-                unit = table[I, J, None]
+                unit = table[I, J, None] if I and J else ()
                 swap = 1 if (len(I) - 1) * (len(J) - 1) % 2 else -1
                 for g, c in p.terms.items():
                     for h, c2 in q.terms.items():
@@ -356,10 +361,10 @@ class AlgebroidStructure:
                         for a, (ga, ha) in enumerate(zip(g, h)):
                             if ga or ha:
                                 lower = both[:a] + (both[a] - 1,) + both[a + 1:]
-                                if ha:
+                                if ha and I:
                                     _shifted_into(acc, table[I, J, a], lower,
                                                   cc if ha == 1 else cc * ha)
-                                if ga:
+                                if ga and J:
                                     k = ga * swap
                                     _shifted_into(acc, table[J, I, a], lower,
                                                   cc if k == 1 else -cc if k == -1 else cc * k)

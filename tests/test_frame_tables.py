@@ -2,7 +2,8 @@
 the function Laplacians of thm-c (g)/(h) once per monomial, and the frame
 tables (FrameTable) of the differential, of the Schouten bracket, of D,
 of the Dorfman bracket, of the Courant anchor defect, of [D, c(e)], of
-the Laplacian and of the half modular Lie derivative: exact against the
+the Laplacian, of the half modular Lie derivative and of the thm-c trace
+defect: exact against the
 direct operators, each table entry filled once and kept for the life of
 its owner, and the same reports from cold and warm tables."""
 
@@ -23,7 +24,7 @@ from bialgebroid import (AlgebroidStructure, BialgebroidPair, Form, Multivector,
                          rho_field, theorem_c_suite)
 from bialgebroid.algebroid import FrameTable
 from bialgebroid import pair as pair_module
-from bialgebroid.exterior import interior_by_form, retype
+from bialgebroid.exterior import interior_by_form, pairing, retype
 
 from conftest import (fresh_pair, log_canonical_double, quadratic_double,
                       tangent_against_solvable, tangent_against_tangent)
@@ -555,11 +556,13 @@ def _key(x):
 
 
 def test_defect_witness_takes_top_lie_once_per_monomial(corpus, monkeypatch):
-    """_defect_witness builds the closed form a(x) once and takes L_x Omega
-    once for each frame monomial, x = e_i along A and x = eps^j along A*,
-    and along nothing else; a second call takes the same and nothing is
-    kept on the pair between calls."""
-    P = dict(corpus)["poisson-linear"]
+    """On a freshly built pair _defect_witness takes L_x Omega once for each
+    frame monomial, x = e_i along A and x = eps^j along A*, and along
+    nothing else: the trace table's fills at (i,) and (-j,).  A second call
+    reads the trace table alone: it takes no Lie derivative, builds no
+    closed form a(x), fills no entry and keeps nothing new on the pair."""
+    Q = dict(corpus)["poisson-linear"]
+    P = BialgebroidPair(Q.A, Q.Astar, Q.frame, Q.label)
     omega = P.frame.omega
     seen, built = [], []
     lie, closed_form = AlgebroidStructure.lie_derivative, pair_module._top_lie_coefficient
@@ -579,15 +582,112 @@ def test_defect_witness_takes_top_lie_once_per_monomial(corpus, monkeypatch):
                    for s in (side.basis_section(i) for i in range(1, P.rank + 1)))
     before = dict(vars(P))
     first = pair_module._defect_witness(P)
-    assert built == [P]
+    assert built and set(built) == {P}
     assert sorted((type(x).__name__, _key(x)) for x in seen) == frame
+    sizes = {name: len(table) for name, table in vars(P).items() if isinstance(table, FrameTable)}
     seen.clear()
     built.clear()
     assert pair_module._defect_witness(P) == first
-    assert built == [P]
-    assert sorted((type(x).__name__, _key(x)) for x in seen) == frame
+    assert built == seen == []
+    assert {name: len(table) for name, table in vars(P).items()
+            if isinstance(table, FrameTable)} == sizes
     assert vars(P).keys() == before.keys()
     assert all(vars(P)[k] is v for k, v in before.items())
+
+
+def direct_trace_residual(P, u, theta):
+    """T(u, theta) - 2 <d theta, dstar u>, with T the trace of
+    _defect_trace on the direct formula's Dorfman bracket: no trace table
+    entry but the constants a(e_alpha)."""
+    a, trace_of = pair_module._defect_trace(P)
+    su, sth = SectionE.of(vec=u), SectionE.of(cov=theta)
+    trace = trace_of(pair_module._dorfman_direct(P, su, sth), rho_field(P, su),
+                     rho_field(P, sth), a(u), a(theta))
+    return trace - 2 * pairing(P.d(theta), P.dstar(u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trace_table_matches_the_direct_trace_defect(table_pairs, data):
+    """_trace_residual reads the thm-c (c) trace defect G(u, theta) =
+    T(u, theta) - 2 <d theta, dstar u> off the pair's trace table; on every
+    pair and on its flip, over a point and over a base, it equals the
+    direct formula on degree-1 sections outside the probe family: rational
+    combinations of x^gamma e_i and x^gamma eps^j with |gamma| <= 2, zero
+    parts and zero included."""
+    P = data.draw(st.sampled_from(table_pairs))
+    P = data.draw(st.sampled_from([P, P.flipped()]))
+    draws = st.tuples(degree1(Multivector, P.rank, P.coordinates, 2),
+                      degree1(Form, P.rank, P.coordinates, 2))
+    pairs = data.draw(st.lists(draws, min_size=1, max_size=3))
+    zero_u, zero_theta = Multivector.zero(P.rank, P.coordinates), Form.zero(P.rank, P.coordinates)
+    for u, theta in pairs + [(pairs[0][0], zero_theta), (zero_u, pairs[0][1])]:
+        assert pair_module._trace_residual(P, u, theta) == direct_trace_residual(P, u, theta), \
+            (P.label, str(u), str(theta))
+
+
+def test_trace_table_on_monomial_sections_and_their_sums(table_pairs):
+    """Every pair of sections x^gamma e_i, x^gamma eps^j with |gamma| <= 1,
+    and of the sums of each kind, on P and on its flip: the table read of
+    the trace defect equals the direct formula, so no G_ij, V_ij^a, W_ij^b
+    or Z_ij^ab term stands in for another.  Z is nonzero on
+    tangent_against_tangent, where it is -2 delta_ij delta_ab."""
+    for P in table_pairs:
+        for Q in (P, P.flipped()):
+            us = pair_module.degree1_multivector_probes(Q, 1)
+            thetas = pair_module.degree1_form_probes(Q, 1)
+            for u in us + [sum(us[1:], us[0])]:
+                for theta in thetas + [sum(thetas[1:], thetas[0])]:
+                    assert pair_module._trace_residual(Q, u, theta) == \
+                        direct_trace_residual(Q, u, theta), (Q.label, str(u), str(theta))
+    P = tangent_against_tangent()
+    assert P._trace_table[1, 1][3][0][0] == (((), {(0, 0): Fraction(-2)}),)
+
+
+def test_trace_table_filled_once_and_read_alone_by_a_warm_defect_witness(
+        corpus, failing_pairs, monkeypatch):
+    """theorem_c_suite reads the (c)/(d) trace defect off the trace tables
+    of P and of P.flipped(): on a freshly built pair each entry is filled
+    once, at most n^2 + 2n per pair, and a second call fills none and
+    prints the same bytes as the cold call, on a passing pair and on
+    failing ones, over a point and over a base.  On a warm passing pair
+    _defect_witness's loop makes no Dorfman bracket, a(.), anchor field,
+    vector field application, pairing or Lie derivative."""
+    filled = []
+    fill = pair_module._trace_entry
+
+    def counting(pair, *key):
+        filled.append((pair, key))
+        return fill(pair, *key)
+
+    monkeypatch.setattr(pair_module, "_trace_entry", counting)
+    for Q in [dict(corpus)["poisson-linear"], tangent_against_solvable()] + list(failing_pairs[:2]):
+        P = fresh_pair(Q)
+        n = P.rank
+        filled.clear()
+        first = json.dumps(theorem_c_suite(P).to_json())
+        assert filled and len(set(filled)) == len(filled), P.label
+        for owner in (P, P.flipped()):
+            keys = [key for pair, key in filled if pair is owner]
+            assert set(owner._trace_table) == set(keys), P.label
+            assert 0 < len(keys) <= n * n + 2 * n, P.label
+        filled.clear()
+        assert json.dumps(theorem_c_suite(P).to_json()) == first, P.label
+        assert filled == [], P.label
+    P = fresh_pair(dict(corpus)["poisson-linear"])
+    assert pair_module._defect_witness(P) is None
+    calls = []
+    filled.clear()
+    for name in ("dorfman", "_top_lie_coefficient", "rho_field", "apply_field", "pairing"):
+        def wrapped(*args, name=name, direct=getattr(pair_module, name)):
+            calls.append(name)
+            return direct(*args)
+        monkeypatch.setattr(pair_module, name, wrapped)
+    lie = AlgebroidStructure.lie_derivative
+    monkeypatch.setattr(AlgebroidStructure, "lie_derivative",
+                        lambda *args: calls.append("lie_derivative") or lie(*args))
+    assert pair_module._defect_witness(P) is None
+    assert calls == [] and filled == []
 
 
 class Owner:
@@ -625,7 +725,7 @@ def test_frame_table_fills_each_key_once():
 
 STRUCTURE_TABLES = {"_bracket_cache", "_d_basis_cache", "_d_table", "_schouten_table"}
 PAIR_TABLES = {"_dirac_tables", "_dorfman_table", "_defect_table", "_commutator_tables",
-               "_laplacian_table", "_modular_lie_table"}
+               "_laplacian_table", "_modular_lie_table", "_trace_table"}
 
 
 def test_fresh_pair_and_its_flip_hold_exactly_the_documented_tables(corpus):
@@ -689,6 +789,7 @@ def test_a_dropped_pair_is_freed_with_its_tables(corpus):
     pair_module._odd_commutator(P, y, P.basis_e(1))
     laplacian(P, P.basis_e(1))
     pair_module._half_modular_lie(P, P.basis_e(1))
+    pair_module._trace_residual(P, P.basis_e(1), P.basis_eps(1))
     assert all(getattr(P, name) for name in PAIR_TABLES) and P.Astar._d_table
     refs = [weakref.ref(owner) for owner in (P, P.A, P.Astar)]
     gc.disable()
@@ -811,8 +912,8 @@ def _printed(suite, P):
 @pytest.mark.parametrize("build", COLD_BUILDERS)
 def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     """A freshly built pair (empty frame tables, D table, Dorfman table,
-    defect table, commutator tables, Laplacian table and modular Lie table)
-    and one whose tables the same decisions have filled print
+    defect table, commutator tables, Laplacian table, modular Lie table and
+    trace table) and one whose tables the same decisions have filled print
     byte-identical reports, or refuse with the same PreconditionError
     message.  P.flipped() keeps each of the pair's tables of its own."""
     suites = (dirac_square, dirac_star_square, generator_check, courant_axioms,
@@ -837,6 +938,7 @@ def test_cold_and_warm_frame_tables_give_the_same_reports(build):
     pair_module._odd_commutator(P, SectionE.of(cov=P.basis_eps(1)), P.basis_e(1))
     laplacian(P, P.basis_e(1))
     pair_module._half_modular_lie(P, P.basis_e(1))
+    pair_module._trace_residual(P, P.basis_e(1), P.basis_eps(1))
     assert all(getattr(P, name) for name in PAIR_TABLES)
     twin = P.flipped()
     for name in PAIR_TABLES:
